@@ -28,6 +28,8 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+from functools import lru_cache
+from types import CodeType
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
@@ -141,10 +143,20 @@ def _check_arities(monitor: MonitorSpec) -> List[Diagnostic]:
 
 
 def _parse_hook(func) -> Optional[ast.AST]:
-    """Best-effort AST of ``func``'s definition (FunctionDef or Lambda)."""
-    func = getattr(func, "__func__", func)
+    """Best-effort AST of ``func``'s definition (FunctionDef or Lambda).
+
+    Memoized per code object: every monitor built from the same hook
+    definition shares one parse, however many linted requests name it.
+    """
+    func = inspect.unwrap(getattr(func, "__func__", func))
+    code = getattr(func, "__code__", None)
+    return None if code is None else _parse_code(code)
+
+
+@lru_cache(maxsize=1024)
+def _parse_code(code: CodeType) -> Optional[ast.AST]:
     try:
-        source = textwrap.dedent(inspect.getsource(func))
+        source = textwrap.dedent(inspect.getsource(code))
     except (OSError, TypeError):
         return None
     tree = None

@@ -15,6 +15,7 @@ itself monitorable (annotate it like any other code).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Tuple, Union
 
 from repro.syntax.ast import Expr, Letrec
@@ -123,20 +124,24 @@ PRELUDE_DEFINITIONS: Dict[str, str] = {
     ),
 }
 
-_PARSED: Tuple[Tuple[str, Expr], ...] = tuple(
-    (name, parse(source)) for name, source in PRELUDE_DEFINITIONS.items()
-)
+
+@lru_cache(maxsize=None)
+def _parsed() -> Tuple[Tuple[str, Expr], ...]:
+    """Every definition, parsed once on first use."""
+    return tuple(
+        (name, parse(source)) for name, source in PRELUDE_DEFINITIONS.items()
+    )
 
 
 def with_prelude(expression: Union[str, Expr]) -> Expr:
     """Wrap ``expression`` in the prelude's ``letrec`` group."""
     body = parse(expression) if isinstance(expression, str) else expression
-    return Letrec(_PARSED, body)
+    return Letrec(_parsed(), body)
 
 
 def prelude_session(language=None) -> Session:
     """A :class:`~repro.toolbox.session.Session` preloaded with the prelude."""
     session = Session() if language is None else Session(language=language)
-    for name, definition in _PARSED:
+    for name, definition in _parsed():
         session.define(name, definition)
     return session

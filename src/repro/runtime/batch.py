@@ -77,28 +77,9 @@ def language_by_name(name: Optional[str]):
         return None
     if not isinstance(name, str):
         return name  # already a language object
-    from repro.languages import (
-        exceptions_language,
-        imperative,
-        lazy,
-        lazy_data,
-        strict,
-    )
+    from repro.languages import by_name
 
-    languages = {
-        "strict": strict,
-        "lazy": lazy,
-        "lazy-data": lazy_data,
-        "imperative": imperative,
-        "exceptions": exceptions_language,
-    }
-    try:
-        return languages[name]
-    except KeyError:
-        from repro.errors import ReproError
-
-        known = ", ".join(sorted(languages))
-        raise ReproError(f"unknown language {name!r}; choose one of {known}") from None
+    return by_name(name)
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,12 @@ class Server:
             self._closing = True
             connections = list(self._connections)
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the join below returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # some platforms refuse shutdown() on a listener
             try:
                 self._listener.close()
             except OSError:

@@ -11,10 +11,12 @@ ready-made :class:`~repro.monitoring.spec.MonitorSpec` objects.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import MonitorError
+from repro.languages import LANGUAGE_NAMES, by_name
 from repro.languages.base import BaseLanguage
 from repro.languages.strict import strict
 from repro.monitoring.compose import MonitorStack, flatten_monitors
@@ -22,41 +24,34 @@ from repro.monitoring.derive import MonitoredResult, run_monitored
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
 from repro.runtime.config import UNSET
-from repro.monitors import (
-    CallGraphMonitor,
-    CollectingMonitor,
-    CoverageMonitor,
-    HistoryMonitor,
-    LabelCounterMonitor,
-    ProfilerMonitor,
-    StepperMonitor,
-    TracerMonitor,
-    UnsortedListDemon,
-)
 from repro.syntax.ast import Expr
 from repro.syntax.parser import parse
 from repro.toolbox.compose_op import Toolchain
 
+
+def _factory(module: str, cls: str) -> Callable[..., MonitorSpec]:
+    """A tool factory that imports its monitor's module on first call."""
+
+    def make(namespace=None) -> MonitorSpec:
+        return getattr(importlib.import_module(module), cls)(namespace=namespace)
+
+    return make
+
+
 #: Factories for the predefined tools.  Each takes a ``namespace`` so that
 #: several tools can be composed safely.
 TOOLBOX: Dict[str, Callable[..., MonitorSpec]] = {
-    "profile": lambda namespace=None: ProfilerMonitor(namespace=namespace),
-    "trace": lambda namespace=None: TracerMonitor(namespace=namespace),
-    "collect": lambda namespace=None: CollectingMonitor(namespace=namespace),
-    "demon": lambda namespace=None: UnsortedListDemon(namespace=namespace),
-    "step": lambda namespace=None: StepperMonitor(namespace=namespace),
-    "coverage": lambda namespace=None: CoverageMonitor(namespace=namespace),
-    "count": lambda namespace=None: LabelCounterMonitor(namespace=namespace),
-    "callgraph": lambda namespace=None: CallGraphMonitor(namespace=namespace),
-    "history": lambda namespace=None: HistoryMonitor(namespace=namespace),
-    "stats": lambda namespace=None: _statistics(namespace),
+    "profile": _factory("repro.monitors.profiler", "ProfilerMonitor"),
+    "trace": _factory("repro.monitors.tracer", "TracerMonitor"),
+    "collect": _factory("repro.monitors.collecting", "CollectingMonitor"),
+    "demon": _factory("repro.monitors.demon", "UnsortedListDemon"),
+    "step": _factory("repro.monitors.stepper", "StepperMonitor"),
+    "coverage": _factory("repro.monitors.coverage", "CoverageMonitor"),
+    "count": _factory("repro.monitors.counters", "LabelCounterMonitor"),
+    "callgraph": _factory("repro.monitors.callgraph", "CallGraphMonitor"),
+    "history": _factory("repro.monitors.history", "HistoryMonitor"),
+    "stats": _factory("repro.monitors.statistics", "StatisticsMonitor"),
 }
-
-
-def _statistics(namespace):
-    from repro.monitors.statistics import StatisticsMonitor
-
-    return StatisticsMonitor(namespace=namespace)
 
 
 def make_tool(name: str, *, namespace: Optional[str] = None) -> MonitorSpec:
@@ -81,24 +76,9 @@ def _resolve_tools(tools: ToolsLike) -> Tuple[Tuple[MonitorSpec, ...], Optional[
         names = [part.strip() for part in tools.split("&") if part.strip()]
         language: Optional[BaseLanguage] = None
         monitors = []
-        from repro.languages import (
-            exceptions_language,
-            imperative,
-            lazy,
-            lazy_data,
-            strict as strict_lang,
-        )
-
-        languages = {
-            "strict": strict_lang,
-            "lazy": lazy,
-            "lazy-data": lazy_data,
-            "imperative": imperative,
-            "exceptions": exceptions_language,
-        }
         for name in names:
-            if name in languages:
-                language = languages[name]
+            if name in LANGUAGE_NAMES:
+                language = by_name(name)
             else:
                 monitors.append(make_tool(name))
         return tuple(monitors), language

@@ -265,6 +265,21 @@ class TestSpecPass:
         assert "REP304" in _codes(findings)
         assert all(f.severity == "warning" for f in findings)
 
+    def test_shared_hook_flagged_under_each_monitors_key(self):
+        """The hook scan is memoized per code object, but each monitor
+        sharing a mutating hook still gets its own REP304."""
+        from repro.analysis.specs import _parse_hook
+
+        for key in ("first", "second"):
+            spec = FunctionSpec(
+                key=key, recognize=_label, initial=dict, pre=_impure_pre
+            )
+            [finding] = analyze_spec(spec)
+            assert finding.code == "REP304"
+            assert finding.subject == f"{key}.pre"
+            assert repr(key) in finding.message
+        assert _parse_hook(_impure_pre) is _parse_hook(_impure_pre)
+
     def test_global_write_flagged(self):
         findings = analyze_spec(_spec(_global_pre))
         assert "REP305" in _codes(findings)

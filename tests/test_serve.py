@@ -10,6 +10,7 @@ real protocol over real sockets — unix-domain and TCP both.
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -197,3 +198,20 @@ class TestServeTelemetry:
             [record] = _roundtrip(daemon.address, [{"program": PLAIN % 2}], expect=1)
             assert record["ok"]
         assert not path.exists()  # close() unlinks
+
+
+class TestShutdown:
+    def test_close_returns_promptly(self, tmp_path):
+        """close() wakes the accept thread instead of waiting out its join.
+
+        Closing a listener does not wake a thread blocked in accept() on
+        Linux, so every close() used to stall for the 5 s join timeout.
+        """
+        daemon = Server(workers=1, socket_path=str(tmp_path / "quick.sock"))
+        daemon.start()
+        [record] = _roundtrip(daemon.address, [{"program": PLAIN % 3}], expect=1)
+        assert record["ok"]
+        start = time.monotonic()
+        daemon.close()
+        assert time.monotonic() - start < 1.0
+        assert not daemon._accept_thread.is_alive()
