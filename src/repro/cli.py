@@ -632,15 +632,10 @@ def cmd_serve(args) -> int:
         trace_dir=args.trace_dir,
         prewarm=prewarm,
     )
-    server.start()
-    print(
-        f"repro serve: listening on {server.address} "
-        f"({server.workers} worker processes)",
-        file=sys.stderr,
-    )
     # SIGTERM (systemd/docker stop) must shut down as cleanly as Ctrl-C:
     # the default handler would kill this process abruptly and orphan the
-    # forked workers.
+    # forked workers.  Install it before start() forks them, and start
+    # inside the try, so a SIGTERM during pre-warm still reaches close().
     import signal
 
     def _sigterm(_signo, _frame):
@@ -648,6 +643,12 @@ def cmd_serve(args) -> int:
 
     signal.signal(signal.SIGTERM, _sigterm)
     try:
+        server.start()
+        print(
+            f"repro serve: listening on {server.address} "
+            f"({server.workers} worker processes)",
+            file=sys.stderr,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)

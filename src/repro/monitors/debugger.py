@@ -135,7 +135,7 @@ class DebuggerMonitor(MonitorSpec):
     def _emit(self, state: DebuggerState, text: str) -> DebuggerState:
         if self.echo is not None:
             self.echo(text)
-        return replace(state, output=state.output.add(text).add("\n"))
+        return replace(state, output=state.output.add(f"{text}\n"))
 
     def _next_command(self, state: DebuggerState):
         if state.cursor < len(state.commands):

@@ -6,6 +6,11 @@ operations ``addStream`` to add a new string to a given stream, and
 is a persistent value living inside the monitor state: ``add`` returns a
 *new* stream sharing the old one.  Internally it is a reversed linked list
 (O(1) add); rendering reverses once.
+
+Writers add one chunk per emitted line (the tracer's ``printChan`` and the
+debugger's ``_emit`` each build their whole line first), so a node is the
+only per-line cost.  Nodes carry no length: ``len`` walks the chain and is
+O(n), while truthiness (``bool``) stays O(1).
 """
 
 from __future__ import annotations
@@ -16,21 +21,29 @@ from typing import Iterator, List, Optional
 class Stream:
     """An immutable output stream of strings."""
 
-    __slots__ = ("_text", "_rest", "_length")
+    __slots__ = ("_text", "_rest")
 
     def __init__(
         self, text: Optional[str] = None, rest: Optional["Stream"] = None
     ) -> None:
         self._text = text
         self._rest = rest
-        self._length = 0 if rest is None else rest._length + 1
 
     def add(self, text: str) -> "Stream":
         """``addStream``: a new stream with ``text`` appended."""
         return Stream(text, self)
 
     def __len__(self) -> int:
-        return self._length
+        """The number of added chunks; O(n), walks the chain."""
+        count = 0
+        node = self._rest
+        while node is not None:
+            count += 1
+            node = node._rest
+        return count
+
+    def __bool__(self) -> bool:
+        return self._rest is not None
 
     def chunks(self) -> List[str]:
         """All added chunks, oldest first."""

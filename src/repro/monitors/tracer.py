@@ -52,8 +52,12 @@ def indent(level: int, channel: Stream) -> Stream:
 
 
 def print_chan(text: str, level: int, channel: Stream) -> Stream:
-    """``printChan``: emit one indented line."""
-    return indent(level, channel).add(text).add("\n")
+    """``printChan``: emit one indented line.
+
+    Equivalent to ``indent`` then ``addStream(text)`` then a newline, but
+    added as one chunk so each trace line costs one stream node.
+    """
+    return channel.add(f"{INDENT_UNIT * level}{text}\n")
 
 
 def init_state() -> TracerState:

@@ -55,6 +55,7 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
+import signal
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -190,6 +191,9 @@ def _worker_main(worker_id: int, request_queue, result_queue, init) -> None:
     from repro.observability.events import Event
     from repro.observability.sinks import JsonlSink, TaggedSink
 
+    # A forking parent (``repro serve``) may have turned SIGTERM into
+    # KeyboardInterrupt; ``close()``'s ``terminate()`` must still kill us.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     sink = None
     trace_path = init.get("trace_path")
     if trace_path:

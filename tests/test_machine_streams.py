@@ -132,3 +132,17 @@ class TestStream:
 
     def test_repr(self):
         assert "2 chunks" in repr(init_stream().add("a").add("b"))
+
+    def test_truthiness(self):
+        empty = init_stream()
+        assert not empty
+        assert bool(empty.add("a"))
+        assert bool(empty.add(""))  # an added chunk counts, even if empty
+        assert not empty  # adding never mutates
+
+    def test_len_without_a_length_slot(self):
+        assert Stream.__slots__ == ("_text", "_rest")
+        stream = init_stream().add("a").add("b").add("c")
+        assert len(stream) == 3
+        assert len(stream.add("d")) == 4
+        assert len(stream) == 3

@@ -9,18 +9,24 @@ real protocol over real sockets — unix-domain and TCP both.
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.errors import ReproError
 from repro.runtime import RunConfig
+from repro.runtime.process_pool import _SHUTDOWN_GRACE, _shard
 from repro.runtime.serve import Server, connect
 
 PLAIN = "let f = lambda x. x * x in f %d"
 FAC = "letrec fac = lambda x. {fac}: if x = 0 then 1 else x * fac (x - 1) in fac %d"
 LOOP = "letrec loop = lambda x. loop (x + 1) in loop 0"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _roundtrip(address, lines, expect):
@@ -215,3 +221,85 @@ class TestShutdown:
         daemon.close()
         assert time.monotonic() - start < 1.0
         assert not daemon._accept_thread.is_alive()
+
+
+def _parent(pid):
+    """The parent PID of a live process; ``None`` once it is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            # Fields after the parenthesised command name: state, ppid, ...
+            state, ppid = handle.read().rsplit(b")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return None if state == b"Z" else int(ppid)
+
+
+def _alive(pid):
+    return _parent(pid) is not None
+
+
+def _children(pid):
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and _parent(entry) == pid
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestSigterm:
+    def test_sigterm_during_prewarm_stops_every_worker(self, tmp_path):
+        """SIGTERM before the socket is bound still shuts down cleanly.
+
+        Each worker pre-warms a loop bounded only by its 2 s timeout, so
+        the signal lands inside ``start()``: the daemon must still close
+        its pool, exit 0 and leave no worker behind.
+        """
+        programs = {}
+        offset = 0
+        while len(programs) < 2:  # one pre-warm entry on each shard
+            text = f"letrec spin = lambda x. spin (x + {offset}) in spin 0"
+            programs.setdefault(_shard(text, 2), text)
+            offset += 1
+        prewarm = tmp_path / "prewarm.jsonl"
+        prewarm.write_text(
+            "".join(
+                json.dumps({"program": text, "timeout": 2.0}) + "\n"
+                for text in programs.values()
+            )
+        )
+        log = tmp_path / "serve.log"
+        with open(log, "w") as stderr:
+            daemon = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--socket", str(tmp_path / "term.sock"),
+                    "--workers", "2",
+                    "--prewarm", str(prewarm),
+                ],
+                env=dict(os.environ, PYTHONPATH=SRC),
+                stderr=stderr,
+            )
+        workers = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = _children(daemon.pid)
+            assert len(workers) == 2, "workers never forked"
+            daemon.send_signal(signal.SIGTERM)
+            returncode = daemon.wait(timeout=30.0)
+            deadline = time.monotonic() + _SHUTDOWN_GRACE
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = [pid for pid in workers if _alive(pid)]
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert returncode == 0, log.read_text()
+        assert "listening on" not in log.read_text()  # the signal hit pre-warm
+        assert not orphans

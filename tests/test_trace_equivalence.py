@@ -35,6 +35,10 @@ from tests.test_imp_properties import closed_imp_program
 
 ENGINES = ("reference", "compiled", "codegen")
 
+# RunConfig is the only spelling of a run's options here: a loose keyword
+# creeping back in would fail the suite instead of printing a warning.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
 
 def answers_agree(inline_answer, fold_answer) -> bool:
     """Observational equality through the trace value codec.
@@ -74,7 +78,7 @@ def test_fold_matches_inline_on_every_engine(program):
         for engine in ENGINES:
             counter, tracer = LabelCounterMonitor(), TracerMonitor()
             inline = run_monitored(
-                strict, program, [counter, tracer], engine=engine
+                strict, program, [counter, tracer], config=RunConfig(engine=engine)
             )
             path = record_to(
                 tmp,
@@ -94,7 +98,7 @@ def test_fold_metrics_match_inline(program):
     with tempfile.TemporaryDirectory() as tmp:
         profiler = ProfilerMonitor()
         inline = run_monitored(
-            strict, program, [profiler], metrics=RunMetrics()
+            strict, program, [profiler], config=RunConfig(metrics=RunMetrics())
         )
         path = record_to(
             tmp,
@@ -118,7 +122,7 @@ def test_imp_fold_matches_inline(program):
     with tempfile.TemporaryDirectory() as tmp:
         counter = LabelCounterMonitor()
         inline = run_monitored(
-            imperative, program, [counter], max_steps=1_000_000
+            imperative, program, [counter], config=RunConfig(max_steps=1_000_000)
         )
         path = record_to(
             tmp,
@@ -148,7 +152,7 @@ def test_fault_policies_agree(policy, phase, program):
             )
 
         inline = run_monitored(
-            strict, program, [flaky()], fault_policy=policy
+            strict, program, [flaky()], config=RunConfig(fault_policy=policy)
         )
         path = record_to(tmp, strict, program, monitors=[flaky()])
         fold = analyze_trace(path, [flaky()], fault_policy=policy)
@@ -166,7 +170,9 @@ def test_propagate_raises_identically(program):
 
         inline_error = fold_error = None
         try:
-            run_monitored(strict, program, [flaky()], fault_policy="propagate")
+            run_monitored(
+                strict, program, [flaky()], config=RunConfig(fault_policy="propagate")
+            )
         except InjectedFault as exc:
             inline_error = str(exc)
         path = record_to(tmp, strict, program, monitors=[flaky()])
@@ -264,6 +270,6 @@ def test_analyze_many_matches_individual_folds(tmp_path):
         assert conc.reports() == seq.reports()
         assert conc.metrics == seq.metrics
         inline = run_monitored(
-            strict, expr, stack, metrics=RunMetrics()
+            strict, expr, stack, config=RunConfig(metrics=RunMetrics())
         )
         assert_fold_matches(inline, conc)

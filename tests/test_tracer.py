@@ -1,10 +1,16 @@
 """Figure 7: the fancy tracer."""
 
+import gc
+import tracemalloc
+
+import pytest
+
 from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import TracerMonitor
 from repro.monitors.streams import init_stream
 from repro.monitors.tracer import init_state, print_chan
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 EXPECTED_TRACE = """\
@@ -95,3 +101,41 @@ class TestSelectivity:
     def test_no_annotations_no_output(self):
         result = run_monitored(strict, parse("1 + 1"), TracerMonitor())
         assert result.report() == ""
+
+
+FIB_TRACED = (
+    "letrec fib = lambda n. {fib(n)}: "
+    "if n < 2 then n else fib (n - 1) + fib (n - 2) in fib 12"
+)
+
+
+class TestFootprint:
+    """The tracer's live state: one stream node per trace line.
+
+    Byte counts come from tracemalloc, so they do not depend on the
+    machine's core count or load.
+    """
+
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
+    def test_retained_bytes_per_trace_line(self, engine):
+        program = parse(FIB_TRACED)
+        config = RunConfig(engine=engine)
+        run_monitored(strict, program, TracerMonitor(), config=config)  # warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_monitored(strict, program, TracerMonitor(), config=config)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        channel, _ = result.state_of("trace")
+        lines = len(channel.lines())
+        assert lines == 930  # 465 calls, one receives and one returns line each
+        assert retained / lines <= 200
+
+    def test_one_chunk_per_line(self, paper_tracer_program):
+        result = run_monitored(strict, paper_tracer_program, TracerMonitor())
+        channel, _ = result.state_of("trace")
+        assert len(channel) == len(channel.lines()) == 14
+        assert channel.chunks()[1] == "|    [FAC receives (2)]\n"
