@@ -84,7 +84,7 @@ def build_workload(quick: bool):
     leaves = 400 if quick else 1200
     total = 32 if quick else 96
     programs = [make_program(salt, leaves) for salt in range(distinct)]
-    config = RunConfig(engine="compiled")
+    config = RunConfig(engine="codegen")
     requests = [
         RunRequest(program=programs[n % distinct], config=config)
         for n in range(total)
@@ -95,7 +95,7 @@ def build_workload(quick: bool):
 def sequential_cold(requests) -> None:
     """The baseline: each request compiles its program from scratch."""
     for request in requests:
-        run_monitored(strict, request.program, [], engine="compiled")
+        run_monitored(strict, request.program, [], engine="codegen")
 
 
 def _annotated_program(labels: int) -> str:

@@ -1,16 +1,13 @@
-"""T-ENG: the fast engine tiers against the reference interpreter.
+"""T-ENG: the codegen engine against the reference interpreter.
 
-The compiled engine (:mod:`repro.semantics.compiled`) stages the standard
-(and derived monitoring) semantics with respect to the program: lexical
-addressing replaces environment search, closures replace per-node
-dispatch, and monitor recognition happens at compile time.  The codegen
-engine (:mod:`repro.partial_eval.codegen`) goes one tier further and
-emits the monitored program as native Python source.  These rows measure
-all three engines end-to-end through the public API — compilation cost
-included — on the Section 9.1 workloads, plus non-fixture guards that
-each tier actually is faster than the one below (the same checks CI runs
-via ``benchmarks/report.py --json``): compiled > reference, and codegen
-≥3x compiled on both unmonitored and monitored workloads.
+The codegen engine (:mod:`repro.partial_eval.codegen`) specializes the
+standard (and derived monitoring) semantics with respect to the program
+and emits the monitored program as native Python source.  These rows
+measure both engines end-to-end through the public API — compilation
+cost included — on the Section 9.1 workloads, plus non-fixture guards
+that codegen really is faster than the oracle (the same checks CI runs
+via ``benchmarks/report.py --json``): ≥9x on unmonitored fib and ≥6x on
+the traced Figure 11 loop.
 """
 
 import os
@@ -25,7 +22,7 @@ from repro.monitors import TracerMonitor
 
 from benchmarks.workloads import loop_with_trace_hits, plain_fib, traced_fib
 
-ENGINES = ["reference", "compiled", "codegen"]
+ENGINES = ["reference", "codegen"]
 
 FIB = plain_fib(13)
 LOOP = loop_with_trace_hits(1000, 0)
@@ -51,34 +48,12 @@ def test_traced_fib_monitored(benchmark, engine):
     assert run.answer == 144
 
 
-def _best(thunk, repeats=5):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk()
-        times.append(time.perf_counter() - start)
-    return median(times)
-
-
-def test_compiled_is_faster_than_reference_on_fib():
-    """The guard the compiled tier rides on: staging must pay for itself.
-
-    Median-of-5 end-to-end timings; the threshold asks only for *any*
-    speedup (> 1x) so the test is robust to noisy CI machines — the
-    3x/2x headline targets are recorded by ``report.py --json``.
-    """
-    program = plain_fib(14)
-    t_ref = _best(lambda: strict.evaluate(program))
-    t_com = _best(lambda: strict.evaluate(program, engine="compiled"))
-    assert t_com < t_ref, (
-        f"compiled engine slower than reference: {t_com:.4f}s vs {t_ref:.4f}s"
-    )
-
-
-#: The codegen tier's headline gate: residual native code must beat the
-#: staged-closure tier by at least this factor (measured headroom is far
-#: larger — 8-16x — so 3x holds comfortably on noisy CI machines).
-CODEGEN_SPEEDUP_TARGET = 3.0
+#: The codegen tier's headline gates over the reference interpreter.  They
+#: carry forward the old two-step chain: codegen >= 3x the retired staged
+#: closure engine, which was held to >= 3x reference unmonitored and >= 2x
+#: monitored.  Measured headroom is far larger (21-41x on fib 14, 20-32x on
+#: the traced loop).
+CODEGEN_SPEEDUP_TARGETS = {"unmonitored": 9.0, "monitored": 6.0}
 
 #: Above this relative spread — (median - min) / min over the min-of-9
 #: samples — the box is too loaded for a hard ratio gate: a deterministic
@@ -111,18 +86,18 @@ def _noise_reasons(*sample_sets):
     return reasons
 
 
-def _gate_codegen_speedup(label, compiled_samples, codegen_samples):
-    """Enforce the 3x gate — or demote it to a loud skip on a noisy box."""
-    t_com, t_gen = min(compiled_samples), min(codegen_samples)
-    if t_gen * CODEGEN_SPEEDUP_TARGET <= t_com:
+def _gate_codegen_speedup(label, target, reference_samples, codegen_samples):
+    """Enforce a speedup gate — or demote it to a loud skip on a noisy box."""
+    t_ref, t_gen = min(reference_samples), min(codegen_samples)
+    if t_gen * target <= t_ref:
         return
     message = (
-        f"codegen below {CODEGEN_SPEEDUP_TARGET}x over compiled on {label}: "
-        f"compiled {t_com * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
-        f"({t_com / t_gen:.2f}x)"
+        f"codegen below {target:g}x over reference on {label}: "
+        f"reference {t_ref * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
+        f"({t_ref / t_gen:.2f}x)"
     )
     reasons = _noise_reasons(
-        ("compiled", compiled_samples), ("codegen", codegen_samples)
+        ("reference", reference_samples), ("codegen", codegen_samples)
     )
     if reasons:
         notice = (
@@ -134,21 +109,26 @@ def _gate_codegen_speedup(label, compiled_samples, codegen_samples):
     pytest.fail(message)
 
 
-def test_codegen_is_3x_faster_than_compiled_unmonitored():
+def test_codegen_is_9x_faster_than_reference_unmonitored():
     """The codegen tier's gate on a plain (unmonitored) workload.
 
     Informational (loud skip) on a single-core or heavily-loaded box —
     see :func:`_noise_reasons`.
     """
     program = plain_fib(14)
-    compiled_samples, codegen_samples = _paired_samples(
-        lambda: strict.evaluate(program, engine="compiled"),
+    reference_samples, codegen_samples = _paired_samples(
+        lambda: strict.evaluate(program, engine="reference"),
         lambda: strict.evaluate(program, engine="codegen"),
     )
-    _gate_codegen_speedup("fib", compiled_samples, codegen_samples)
+    _gate_codegen_speedup(
+        "fib",
+        CODEGEN_SPEEDUP_TARGETS["unmonitored"],
+        reference_samples,
+        codegen_samples,
+    )
 
 
-def test_codegen_is_3x_faster_than_compiled_monitored():
+def test_codegen_is_6x_faster_than_reference_monitored():
     """The same gate with a live monitor stack attached.
 
     The workload is Figure 11's loop — fixed program work with a slice of
@@ -158,11 +138,16 @@ def test_codegen_is_3x_faster_than_compiled_monitored():
     is shared by both engines and bounds any ratio near 1x.
     """
     program = loop_with_trace_hits(5000, 100)
-    compiled_samples, codegen_samples = _paired_samples(
-        lambda: run_monitored(strict, program, TracerMonitor(), engine="compiled"),
+    reference_samples, codegen_samples = _paired_samples(
+        lambda: run_monitored(strict, program, TracerMonitor(), engine="reference"),
         lambda: run_monitored(strict, program, TracerMonitor(), engine="codegen"),
     )
-    _gate_codegen_speedup("the traced loop", compiled_samples, codegen_samples)
+    _gate_codegen_speedup(
+        "the traced loop",
+        CODEGEN_SPEEDUP_TARGETS["monitored"],
+        reference_samples,
+        codegen_samples,
+    )
 
 
 # -- fault-isolation overhead gate (T-FAULT) -------------------------------------

@@ -88,7 +88,7 @@ def build_workload(quick: bool):
     """
     depth = 13 if quick else 16
     total = 24 if quick else 64
-    config = RunConfig(engine="compiled")
+    config = RunConfig(engine="codegen")
     programs = [parse(FIB % (depth + n % 3)) for n in range(4)]
     programs += [parse(FAC_DEEP % (20 + 10 * n)) for n in range(4)]
     tools = ["", "profile", "", "count", "", "profile", "", "count"]

@@ -16,7 +16,7 @@ continuation semantics:
 * remove the interpretive overhead with partial evaluation
   (:mod:`repro.partial_eval`), producing instrumented programs;
 * serve batches of requests concurrently behind one
-  :class:`~repro.runtime.RunConfig`, with a compiled-program cache
+  :class:`~repro.runtime.RunConfig`, with a generated-program cache
   (:mod:`repro.runtime` — ``run_batch``, ``Runtime``);
 * statically analyze programs and monitor stacks before running them
   (:mod:`repro.analysis` — ``analyze``, ``repro check``, the

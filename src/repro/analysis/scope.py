@@ -1,8 +1,7 @@
 """Scope and binding analysis over ``L_lambda`` programs (``REP1xx``).
 
 A purely syntactic pass over the annotated abstract syntax (Figure 2)
-that finds the errors the compiled engine would otherwise only surface
-mid-run through ``code_unbound``:
+that finds the errors the engines would otherwise only surface mid-run:
 
 * ``REP101`` *error* — reference to an identifier bound nowhere
   (lexically or in the language's initial environment);

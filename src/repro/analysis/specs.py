@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import linecache
 import textwrap
 from functools import lru_cache
 from types import CodeType
@@ -155,6 +156,40 @@ def _parse_hook(func) -> Optional[ast.AST]:
 
 @lru_cache(maxsize=1024)
 def _parse_code(code: CodeType) -> Optional[ast.AST]:
+    node = _parse_from_file(code)
+    return node if node is not None else _parse_from_getsource(code)
+
+
+def _parse_from_file(code: CodeType) -> Optional[ast.AST]:
+    """The definition of ``code`` found in its source file's AST.
+
+    ``inspect.getsource`` resolves a code object's module by calling
+    ``realpath`` on every loaded module and compiles tokenize's regexes
+    on first use; parsing the file ``linecache`` already holds costs a
+    fraction of that.  Only the matched subtree outlives the call.
+    """
+    lines = linecache.getlines(code.co_filename)
+    if not lines:
+        return None
+    try:
+        tree = ast.parse("".join(lines))
+    except (SyntaxError, ValueError):
+        return None
+    line = code.co_firstlineno
+    for node in ast.walk(tree):
+        if code.co_name == "<lambda>":
+            if isinstance(node, ast.Lambda) and node.lineno == line:
+                return node
+        elif (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == code.co_name
+            and min([node.lineno] + [d.lineno for d in node.decorator_list]) == line
+        ):
+            return node
+    return None
+
+
+def _parse_from_getsource(code: CodeType) -> Optional[ast.AST]:
     try:
         source = textwrap.dedent(inspect.getsource(code))
     except (OSError, TypeError):

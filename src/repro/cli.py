@@ -8,7 +8,7 @@
     python -m repro specialize prog.lam --static n=3
     python -m repro emit prog.lam --tools profile     # residual Python
     python -m repro debug prog.lam --break fac --command "print x" --command continue
-    python -m repro batch requests.jsonl --workers 4 --engine compiled --stats
+    python -m repro batch requests.jsonl --workers 4 --engine codegen --stats
 
 Programs are ``L_lambda`` surface syntax (``--language imperative``
 switches to the ``L_imp`` grammar).  Every subcommand is a thin shell over
@@ -638,12 +638,19 @@ def cmd_serve(args) -> int:
     # inside the try, so a SIGTERM during pre-warm still reaches close().
     import signal
 
-    def _sigterm(_signo, _frame):
+    stopping = []
+
+    def _sigterm(signo, _frame):
+        # Python ignores an exception raised inside an at-fork hook, and
+        # start() forks the workers, so the request is recorded as well.
+        stopping.append(signo)
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _sigterm)
     try:
         server.start()
+        if stopping:
+            raise KeyboardInterrupt
         print(
             f"repro serve: listening on {server.address} "
             f"({server.workers} worker processes)",
@@ -930,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cache_size",
         type=int,
         default=128,
-        help="compiled-program cache capacity (LRU entries)",
+        help="generated-program cache capacity (LRU entries)",
     )
     batch_parser.add_argument(
         "--output",
@@ -1089,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cache_size",
         type=int,
         default=128,
-        help="per-worker compiled-program cache capacity (LRU entries)",
+        help="per-worker generated-program cache capacity (LRU entries)",
     )
     serve_parser.add_argument(
         "--queue-depth",

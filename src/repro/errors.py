@@ -122,6 +122,24 @@ class EvaluationTimeout(EvalError):
         self.timeout = timeout
 
 
+class HostRecursionError(EvalError):
+    """A codegen run recursed deeper than the host stack allows.
+
+    Residual programs run on the native Python stack, so unlike the
+    trampolined reference interpreter they have a depth limit.  Callers
+    that can repeat the run unobserved re-run it on the reference engine
+    instead of raising this.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(
+            f"residual program exceeded the host recursion depth (limit "
+            f"{limit:,}): the codegen engine runs on the native Python stack; "
+            "use engine='reference' for unbounded recursion depth"
+        )
+        self.limit = limit
+
+
 class MonitorError(ReproError):
     """Raised when a monitor specification is malformed or misused.
 

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import HostRecursionError, ReproError
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 from repro.semantics.machine import Functional, final_kont, fix
 from repro.semantics.trampoline import trampoline
 
 #: The execution engines a language may support.  ``reference`` is the
 #: direct transliteration of the paper's semantics (the oracle);
-#: ``compiled`` is the staged fast-path engine of
-#: :mod:`repro.semantics.compiled`; ``codegen`` specializes the monitored
-#: program to native Python source (:mod:`repro.partial_eval.codegen`).
-ENGINES: Tuple[str, ...] = ("reference", "compiled", "codegen")
+#: ``codegen`` specializes the monitored program to native Python source
+#: (:mod:`repro.partial_eval.codegen`).
+ENGINES: Tuple[str, ...] = ("reference", "codegen")
 
 #: The engine × language capability matrix — the single source of truth
 #: consulted by :class:`~repro.runtime.config.RunConfig` validation,
@@ -22,14 +21,12 @@ ENGINES: Tuple[str, ...] = ("reference", "compiled", "codegen")
 #: means the engine supports every language.
 ENGINE_LANGUAGES: dict = {
     "reference": None,
-    "compiled": ("strict",),
     "codegen": ("strict",),
 }
 
 #: One-line descriptions, surfaced in CLI help text.
 ENGINE_DESCRIPTIONS: dict = {
     "reference": "paper-faithful trampolined interpreter (all languages)",
-    "compiled": "staged closure fast path",
     "codegen": "specialized native Python source, fastest tier",
 }
 
@@ -78,8 +75,8 @@ class BaseLanguage:
     Subclasses provide ``name``, :meth:`functional` and
     :meth:`initial_context`; programs are evaluated in that context with
     the standard initial continuation ``{\\v. phi v}``.  Languages whose
-    context is a plain environment may additionally support the compiled
-    engine by overriding :meth:`evaluate_compiled`.
+    context is a plain environment may additionally support the codegen
+    engine by overriding :meth:`evaluate_codegen`.
     """
 
     name = "base"
@@ -122,40 +119,26 @@ class BaseLanguage:
         """Evaluate under this language's *standard* semantics.
 
         ``engine`` selects the implementation: ``"reference"`` runs the
-        paper-faithful interpreter; ``"compiled"`` runs the staged
-        fast-path engine; ``"codegen"`` runs the program specialized to
-        native Python source (where the language supports them, per
-        :data:`ENGINE_LANGUAGES`).  All produce identical answers and
-        raise identical errors.
+        paper-faithful interpreter; ``"codegen"`` runs the program
+        specialized to native Python source (where the language supports
+        it, per :data:`ENGINE_LANGUAGES`).  Both produce identical answers
+        and raise identical errors.  A codegen run too deep for the host
+        stack is re-run on the reference interpreter, which has no depth
+        limit.
         """
         check_engine(engine)
-        if engine == "compiled":
-            return self.evaluate_compiled(
-                program, answers=answers, max_steps=max_steps, deadline=deadline
-            )
         if engine == "codegen":
-            return self.evaluate_codegen(
-                program, answers=answers, max_steps=max_steps, deadline=deadline
-            )
+            try:
+                return self.evaluate_codegen(
+                    program, answers=answers, max_steps=max_steps, deadline=deadline
+                )
+            except HostRecursionError:
+                pass
         eval_fn = fix(self.functional())
         answer, _ = self.run_program(
             program, eval_fn, answers=answers, max_steps=max_steps, deadline=deadline
         )
         return answer
-
-    def evaluate_compiled(
-        self,
-        program,
-        *,
-        answers: AnswerAlgebra = STANDARD_ANSWERS,
-        max_steps: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ):
-        """Evaluate on the compiled engine; overridden by supporting languages."""
-        check_engine_support("compiled", self.name)
-        raise ReproError(
-            f"language {self.name!r} has no compiled engine; use engine='reference'"
-        )
 
     def evaluate_codegen(
         self,

@@ -5,11 +5,9 @@ benchmarks use.  The valuation functional itself lives in
 :mod:`repro.semantics.standard`; this module packages it behind the
 uniform :class:`~repro.semantics.machine.Language` protocol.
 
-The strict language supports all three execution engines: the reference
-interpreter (the oracle), the staged fast-path engine of
-:mod:`repro.semantics.compiled` (``engine="compiled"``), and the
-specializing code generator of :mod:`repro.partial_eval.codegen`
-(``engine="codegen"``).
+The strict language supports both execution engines: the reference
+interpreter (the oracle) and the specializing code generator of
+:mod:`repro.partial_eval.codegen` (``engine="codegen"``).
 """
 
 from __future__ import annotations
@@ -31,22 +29,6 @@ class StrictLanguage(BaseLanguage):
 
     def initial_context(self):
         return initial_environment()
-
-    def evaluate_compiled(
-        self,
-        program,
-        *,
-        answers: AnswerAlgebra = STANDARD_ANSWERS,
-        max_steps: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ):
-        from repro.semantics.compiled import compile_program
-
-        compiled = compile_program(program, env=self.initial_context())
-        answer, _ = compiled.run(
-            answers=answers, max_steps=max_steps, deadline=deadline
-        )
-        return answer
 
     def evaluate_codegen(
         self,

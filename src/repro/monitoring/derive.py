@@ -18,12 +18,13 @@ appears at every level of recursion, inside every closure body.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import reduce
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import MonitorError
+from repro.errors import HostRecursionError, MonitorError
 from repro.monitoring.faults import FaultLog, MonitorFault, check_fault_policy
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
@@ -343,17 +344,17 @@ def run_monitored(
     together with the final monitor state(s) (Section 2) — packaged as a
     :class:`MonitoredResult`.
 
-    ``engine="compiled"`` runs the staged fast-path engine
-    (:mod:`repro.semantics.compiled`), which specializes the derived
-    semantics with respect to both the program and the monitor stack;
-    ``engine="codegen"`` goes one tier further and emits the monitored
-    program as native Python source (:mod:`repro.partial_eval.codegen`),
-    with claimed annotations inlined as direct pre/post calls and
-    unclaimed annotations erased at compile time.  Both produce the same
-    answers and final monitor states as the reference derivation (the
-    three-way parity property tests assert exactly this); the
-    engine × language capability matrix lives in
-    :data:`repro.languages.base.ENGINE_LANGUAGES`.
+    ``engine="codegen"`` emits the monitored program as native Python
+    source (:mod:`repro.partial_eval.codegen`), with claimed annotations
+    inlined as direct pre/post calls and unclaimed annotations erased at
+    compile time.  It produces the same answers and final monitor states
+    as the reference derivation (the engine-parity property tests assert
+    exactly this); the engine × language capability matrix lives in
+    :data:`repro.languages.base.ENGINE_LANGUAGES`.  Residual code runs on
+    the host stack: a codegen run that overflows it is re-run on the
+    reference derivation when the re-run is unobservable (no event sink,
+    no monitor with :meth:`~repro.monitoring.spec.MonitorSpec.host_effects`),
+    and otherwise raises :class:`repro.errors.HostRecursionError`.
 
     ``fault_policy`` controls what happens when a monitor's ``pre`` or
     ``post`` raises: ``"propagate"`` (default) lets the exception abort
@@ -368,8 +369,8 @@ def run_monitored(
     receive the typed event stream.  With neither (or a ``NullSink``)
     the historical uninstrumented fast path runs.  Counters are
     engine-independent: both engines count expression-node evaluations
-    at the reference interpreter's granularity (the compiled engine
-    disables its collapse optimizations while counting).
+    at the reference interpreter's granularity (codegen builds counted
+    code, with its collapse optimizations off, while counting).
 
     ``timeout`` bounds the run's wall-clock time in seconds (enforced
     cooperatively by the trampoline; overrunning raises
@@ -383,9 +384,9 @@ def run_monitored(
     with a keyword explicitly changed from its default raises
     ``TypeError``.
 
-    ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes staged
-    compilation for ``engine="compiled"``: identical (program, monitor
-    stack, fault policy) requests reuse the compiled code.  Telemetry
+    ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes code
+    generation for ``engine="codegen"``: identical (program, monitor
+    stack, fault policy) requests reuse the generated program.  Telemetry
     runs bypass the cache — counted-mode code burns in the run's own
     metrics accumulator.  A cache also memoizes the Section 6
     disjointness verdict, so warm runs skip the per-run annotation walk.
@@ -452,79 +453,50 @@ def run_monitored(
         return result
 
     telemetry = Telemetry.create(cfg.metrics, cfg.event_sink)
-    observer = telemetry.fault_observer if telemetry is not None else None
-    fault_log = (
-        None
-        if cfg.fault_policy == "propagate"
-        else FaultLog(cfg.fault_policy, observer=observer)
-    )
     # The *instrumented* specs drive derivation/compilation (so hook calls
     # are counted and timed); the result reports through the originals.
     active_list = instrument_monitors(monitor_list, telemetry)
     initial = MonitorStateVector.initial(active_list)
     deadline = cfg.deadline()
+    fault_log = _fault_log(cfg.fault_policy, telemetry)
     start = perf_counter() if telemetry is not None else 0.0
     try:
-        if cfg.engine in ("compiled", "codegen"):
+        engine = cfg.engine
+        if engine == "codegen":
             from repro.languages.base import check_engine_support
 
-            check_engine_support(cfg.engine, getattr(language, "name", str(language)))
-            if cfg.engine == "compiled":
-                from repro.semantics.compiled import compile_program
-
-                if cache is not None and telemetry is None:
-                    compiled = cache.get_or_compile(
-                        language,
-                        program,
-                        active_list,
-                        fault_policy=cfg.fault_policy,
-                    )
-                else:
-                    compiled = compile_program(
-                        program,
-                        monitors=active_list,
-                        env=language.initial_context(),
-                        fault_log=fault_log,
-                        telemetry=telemetry,
-                    )
-            else:
-                from repro.partial_eval.codegen import generate_program
-
-                if cache is not None and telemetry is None:
-                    compiled = cache.get_or_compile(
-                        language,
-                        program,
-                        active_list,
-                        fault_policy=cfg.fault_policy,
-                        engine="codegen",
-                        optimize=cfg.optimize,
-                    )
-                else:
-                    flow = None
-                    if cfg.optimize == "flow":
-                        # Erase hooks at provably-unreachable sites; the
-                        # verdict is memoized when a cache is attached.
-                        if cache is not None:
-                            flow = cache.flow_verdict(active_list, program)
-                        else:
-                            from repro.analysis.flow import analyze_flow
-
-                            flow = analyze_flow(program, active_list)
-                    compiled = generate_program(
-                        program,
-                        active_list,
-                        check_disjointness=False,
-                        telemetry=telemetry,
-                        flow=flow,
-                    )
-            answer, final_states = compiled.run(
-                answers=cfg.answers,
-                initial_ms=initial,
-                max_steps=cfg.max_steps,
-                fault_log=fault_log,
-                deadline=deadline,
+            check_engine_support(engine, getattr(language, "name", str(language)))
+            # A run too deep for the host stack is re-run on the reference
+            # derivation when nobody can tell: no event sink saw the first
+            # attempt and no monitor touches the host.  Metrics and faults
+            # restart from where this run found them.
+            rerunnable = (telemetry is None or telemetry.sink is None) and not any(
+                monitor.host_effects() for monitor in monitor_list
             )
-        else:
+            saved_metrics = (
+                deepcopy(telemetry.metrics)
+                if rerunnable and telemetry is not None
+                else None
+            )
+            try:
+                generated = _generate(
+                    language, program, cfg, active_list, telemetry, cache
+                )
+                answer, final_states = generated.run(
+                    answers=cfg.answers,
+                    initial_ms=initial,
+                    max_steps=cfg.max_steps,
+                    fault_log=fault_log,
+                    deadline=deadline,
+                )
+            except HostRecursionError:
+                if not rerunnable:
+                    raise
+                if saved_metrics is not None:
+                    vars(telemetry.metrics).update(vars(saved_metrics))
+                fault_log = _fault_log(cfg.fault_policy, telemetry)
+                engine = "reference"
+        if engine == "reference":
             functional = derive_all(
                 language.functional(), active_list, fault_log=fault_log
             )
@@ -550,4 +522,43 @@ def run_monitored(
         fault_policy=cfg.fault_policy,
         metrics=telemetry.metrics if telemetry is not None else None,
         diagnostics=diagnostics,
+    )
+
+
+def _fault_log(fault_policy: str, telemetry) -> Optional[FaultLog]:
+    """A fresh fault log for one run (``None`` under ``propagate``)."""
+    if fault_policy == "propagate":
+        return None
+    observer = telemetry.fault_observer if telemetry is not None else None
+    return FaultLog(fault_policy, observer=observer)
+
+
+def _generate(language, program, cfg, active_list, telemetry, cache):
+    """The codegen artifact for one run: cached, or a fresh counted build."""
+    from repro.partial_eval.codegen import generate_program
+
+    if cache is not None and telemetry is None:
+        return cache.get_or_compile(
+            language,
+            program,
+            active_list,
+            fault_policy=cfg.fault_policy,
+            optimize=cfg.optimize,
+        )
+    flow = None
+    if cfg.optimize == "flow":
+        # Erase hooks at provably-unreachable sites; the verdict is
+        # memoized when a cache is attached.
+        if cache is not None:
+            flow = cache.flow_verdict(active_list, program)
+        else:
+            from repro.analysis.flow import analyze_flow
+
+            flow = analyze_flow(program, active_list)
+    return generate_program(
+        program,
+        active_list,
+        check_disjointness=False,
+        telemetry=telemetry,
+        flow=flow,
     )

@@ -20,8 +20,8 @@ per-run *policy* instead:
   its previous state) and evaluation continues.
 
 Both engines (the reference derivation in
-:mod:`repro.monitoring.derive` and the staged fast path in
-:mod:`repro.semantics.compiled`) thread the same :class:`FaultLog`, so
+:mod:`repro.monitoring.derive` and the residual programs of
+:mod:`repro.partial_eval.codegen`) thread the same :class:`FaultLog`, so
 the differential fault-injection suite can assert that answers,
 surviving monitor states *and* fault records agree under injected
 failures — the soundness-under-fault property made executable.
@@ -112,11 +112,6 @@ class FaultLog:
         self.faults: List[MonitorFault] = []
         self.observer = observer
 
-    def reset(self) -> None:
-        """Forget all faults and re-enable every slot (a fresh run)."""
-        self.disabled.clear()
-        self.faults.clear()
-
     def record(self, key: str, phase: str, exc: BaseException) -> MonitorFault:
         """Capture ``exc`` from ``key``'s ``phase`` hook; maybe quarantine."""
         fault = MonitorFault(
@@ -163,7 +158,7 @@ class FlakyMonitor(MonitorSpec):
     * ``seed=s, failure_rate=p`` — each armed call fails independently
       with probability ``p``, decided by a PRN derived from ``(seed,
       call index)`` alone; no hidden Python-side RNG state, so reference
-      and compiled runs see identical failures.
+      and codegen runs see identical failures.
 
     ``phase`` arms ``"pre"``, ``"post"`` or ``"both"`` hooks.  The
     wrapped state is ``(armed-calls-seen, base state)``; ``report`` and

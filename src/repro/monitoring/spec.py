@@ -106,6 +106,19 @@ class MonitorSpec:
 
     # Conveniences -------------------------------------------------------------
 
+    def host_effects(self) -> bool:
+        """Whether a hook reads or writes outside the monitor state.
+
+        Pure monitors make a repeated run unobservable, which lets
+        ``run_monitored`` re-run a codegen run that overflowed the host
+        stack on the reference engine.  A debugger reading live commands
+        and the trace recorder answer True, and keep the codegen error
+        instead.  A wrapper spec (one holding a ``base`` spec) answers for
+        its base.
+        """
+        base = getattr(self, "base", None)
+        return isinstance(base, MonitorSpec) and base.host_effects()
+
     def cache_identity(self) -> Tuple:
         """A hashable identity for compiled-program caching.
 

@@ -19,7 +19,7 @@ Two representations share the interface:
   allocation instead of a dict copy.
 
 :meth:`MonitorStateVector.initial` picks the representation, so every
-caller (the derivation, the compiled engine, the specializer) gets the
+caller (the derivation, the residual runtime, the specializer) gets the
 fast path for free.
 """
 

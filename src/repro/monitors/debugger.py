@@ -110,6 +110,13 @@ class DebuggerMonitor(MonitorSpec):
     def recognize(self, annotation: Annotation):
         return recognize_with_namespace(annotation, self.namespace, (Label, FnHeader))
 
+    def host_effects(self) -> bool:
+        return (
+            self.source is not None
+            or self.echo is not None
+            or self.on_command is not None
+        )
+
     def initial_state(self) -> DebuggerState:
         return DebuggerState(
             output=init_stream(), commands=self.script, cursor=0, stack=()

@@ -69,8 +69,7 @@ class DebugResult:
     ``trace`` names the recorded artifact when the session ran under
     ``mode="record"`` — feed it to ``repro replay`` for time travel.
     ``monitored`` keeps the in-process :class:`~repro.monitoring.derive.
-    MonitoredResult` (``None`` after ``from_dict``, exactly like
-    ``RunResult.monitored``).
+    MonitoredResult` (``None`` after ``from_dict``).
     """
 
     ok: bool = True

@@ -7,7 +7,7 @@ point (the generic-trace architecture of Jahier & Ducassé, PAPERS.md):
 * :class:`RunMetrics` — cheap aggregate counters (steps, applications,
   per-slot monitor activations, hook calls, state transitions, faults,
   wall-clock split into standard-eval vs. monitoring time), identical
-  across the reference and compiled engines by construction.
+  across the reference and codegen engines by construction.
 * A typed event stream (:class:`Event`, :data:`EVENT_TYPES`) emitted to
   pluggable sinks (:class:`InMemorySink`, :class:`JsonlSink`,
   :class:`CallbackSink`, :class:`NullSink`); :func:`replay` folds a

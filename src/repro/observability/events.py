@@ -25,7 +25,7 @@ Event types (:data:`EVENT_TYPES`):
   (``payload``: ``phase``, ``error_type``, ``message``).
 * ``quarantine`` — the faulting slot was disabled for the rest of the run.
 * ``cache-hit`` / ``cache-miss`` / ``cache-evict`` — the serving runtime's
-  compiled-program cache (:mod:`repro.runtime`) looked up a program.
+  generated-program cache (:mod:`repro.runtime`) looked up a program.
   ``payload["key"]`` is a short digest of the cache key; ``cache-miss``
   carries ``payload["compile_time"]`` (seconds spent compiling) and
   ``cache-evict`` names the evicted entry.

@@ -8,11 +8,11 @@ is requested, three small wrappers are woven in:
 * :func:`instrument_functional` wraps the (derived) valuation functional
   of the **reference engine** outermost, so every ``recur`` — one per
   expression-node evaluation — bumps the step counters.
-* The **compiled engine** compiles in *counted mode* (see
-  :mod:`repro.semantics.compiled`): its collapse optimizations are
-  disabled and every node's code is wrapped with the same counters, so
-  both engines count the identical semantic quantity and
-  ``RunMetrics`` compares equal across engines.
+* The **codegen engine** generates *counted-mode* code (see
+  :mod:`repro.partial_eval.codegen`): its collapse optimizations are
+  disabled and every node charges the same counters, so both engines
+  count the identical semantic quantity and ``RunMetrics`` compares
+  equal across engines.
 * :class:`InstrumentedSpec` wraps each monitor specification, counting
   activations / hook calls / state transitions, accumulating monitoring
   wall-clock, and emitting the typed events.  The wrapper is transparent:

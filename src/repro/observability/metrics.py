@@ -5,7 +5,7 @@
 that summarize what a run did, without keeping the event stream around.
 The counters are **engine-independent by construction** — they count
 semantic events (expression evaluations, monitor hook calls), not
-implementation steps — so the reference derivation and the staged compiled
+implementation steps — so the reference derivation and the codegen
 engine produce *identical* metrics for the same program and monitor stack.
 The engine-parity suite asserts exactly this.
 
@@ -13,7 +13,7 @@ Counter definitions:
 
 * ``steps`` — expression-node evaluations: one per evaluation of a source
   node, the granularity at which the reference interpreter recurs.  The
-  compiled engine counts at the same granularity (its collapse
+  codegen engine counts at the same granularity (its collapse
   optimizations are disabled while counting), so the number is comparable
   across engines.
 * ``applications`` — evaluations of application (``App``) nodes, i.e.

@@ -42,12 +42,14 @@ a guarded variant of the code, and a :class:`~repro.observability
 node granularity exactly.
 
 Residual programs recurse on the host stack; :meth:`GeneratedProgram.run`
-raises the recursion limit for the duration of a run (the trampolined
-paths remain the tool for unboundedly deep programs).  Resource limits
-are enforced at *function-entry* granularity — every generated ``def``
-begins with a guard call when ``max_steps`` or a deadline is requested —
-so any recursion (the language's only loop) is bounded, while
-straight-line code pays nothing.
+raises the recursion limit for the duration of a run and raises
+:class:`~repro.errors.HostRecursionError` past it (the trampolined
+reference interpreter remains the tool for unboundedly deep programs, and
+``run_monitored`` falls back to it where the re-run is unobservable).
+Resource limits are enforced at *function-entry* granularity — every
+generated ``def`` begins with a guard call when ``max_steps`` or a
+deadline is requested — so any recursion (the language's only loop) is
+bounded, while straight-line code pays nothing.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import (
     EvalError,
     EvaluationTimeout,
+    HostRecursionError,
     NotAFunctionError,
     StepLimitExceeded,
     UnboundIdentifierError,
@@ -367,6 +370,8 @@ class ResidualRuntime:
                 new_state = pre_fn(annotation, term, ctx, state, inner=inner)
             else:
                 new_state = pre_fn(annotation, term, ctx, state)
+        except RecursionError:
+            raise  # the host stack overflowed, not the monitor
         except Exception as exc:
             log.record(key, "pre", exc)
             return  # quarantine: now disabled; log: drop the update
@@ -385,6 +390,8 @@ class ResidualRuntime:
                 new_state = post_fn(annotation, term, ctx, value, state, inner=inner)
             else:
                 new_state = post_fn(annotation, term, ctx, value, state)
+        except RecursionError:
+            raise  # the host stack overflowed, not the monitor
         except Exception as exc:
             log.record(key, "post", exc)
             return value
@@ -444,7 +451,7 @@ class _Generator:
     charges the runtime's step counters at its evaluation point (the
     reference interpreter's ``recur`` granularity) and every collapse
     optimization is disabled, so :class:`~repro.observability.metrics
-    .RunMetrics` compares equal across all three engines.
+    .RunMetrics` compares equal across both engines.
 
     ``guarded=True`` makes every generated function begin with a ``_g()``
     resource-guard call; :meth:`GeneratedProgram.run` execs this variant
@@ -825,7 +832,7 @@ class GeneratedProgram:
     The one exception is counted-mode code (built via
     ``generate_program(..., telemetry=...)``): its step counters are
     bound to one telemetry accumulator, so such programs are per-run and
-    never cached — the same rule the compiled engine follows.
+    never cached.
     """
 
     def __init__(
@@ -896,12 +903,7 @@ class GeneratedProgram:
         try:
             value = entry(runtime)
         except RecursionError:
-            raise EvalError(
-                "residual program exceeded the host recursion depth "
-                f"(limit {recursion_limit:,}): the codegen engine runs on "
-                "the native Python stack; use engine='compiled' for "
-                "unbounded recursion depth"
-            ) from None
+            raise HostRecursionError(recursion_limit) from None
         finally:
             _release_recursion_limit()
         states = MonitorStateVector(dict(runtime.states))

@@ -15,8 +15,8 @@ stacks over it later); this package makes that value *navigable*:
   ``when-was``/``value-at`` over :mod:`repro.monitors.history` state.
 
 Recording is engine- and language-generic (the recorder is an ordinary
-monitor), so anything ``repro run --mode record`` produced — reference,
-compiled, or codegen; L_lambda, L_imp, or L_exc — replays here.
+monitor), so anything ``repro run --mode record`` produced — reference
+or codegen; L_lambda, L_imp, or L_exc — replays here.
 """
 
 from repro._lazy import lazy_exports

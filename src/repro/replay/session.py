@@ -20,7 +20,7 @@ the three fault policies), restructured around a cursor:
 
 Equivalence with the straight fold is a tested property, not an
 aspiration: ``tests/test_replay.py`` drives generated programs under
-all three engines through ``record → seek(every boundary)`` and asserts
+both engines through ``record → seek(every boundary)`` and asserts
 state-vector and metrics equality against :func:`analyze_trace`.
 """
 

@@ -8,8 +8,8 @@ single-run monitoring pipeline:
   ``max_steps``, telemetry, ``answers``, ``check_disjointness``,
   ``timeout``), accepted as ``config=`` by every entry point;
 * :mod:`repro.runtime.cache` — :class:`CompilationCache`, a thread-safe
-  LRU over staged-compiled programs keyed by (program hash, language,
-  monitor-stack identity, fault policy, counted flag);
+  LRU over generated programs keyed by (program hash, language,
+  monitor-stack identity, fault policy, counted flag, optimization level);
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`/:func:`run_batch`
   executing :class:`RunRequest` batches over a worker pool with
   per-request isolation and timeouts, and the :class:`Runtime` facade

@@ -165,9 +165,7 @@ class RunResult:
 
     ``faults`` holds the comparable fault tuples
     ``(monitor_key, phase, error_type, message)`` captured under a
-    non-``propagate`` policy.  ``monitored`` keeps the full
-    :class:`~repro.monitoring.derive.MonitoredResult` (when monitors ran)
-    for callers that want states rather than rendered reports.
+    non-``propagate`` policy.
 
     ``diagnostics`` carries the static analyzer's findings when the
     request ran with ``lint="warn"`` (attached to a successful result)
@@ -187,7 +185,6 @@ class RunResult:
     timed_out: bool = False
     duration: float = 0.0
     metrics: object = None
-    monitored: object = None
     diagnostics: Tuple = ()
     #: Path of the event trace a record-mode request wrote (else None);
     #: serialized on the wire, so batch output and serve responses carry
@@ -238,7 +235,7 @@ class RunResult:
         This is the receiving half of the serialization boundary: process-
         pool workers and ``repro serve`` clients see *rendered* results —
         ``answer``/``reports`` are the JSON-safe projections, and the
-        in-process-only fields (``metrics``, ``monitored``) stay ``None``.
+        in-process-only field ``metrics`` stays ``None``.
         ``diagnostics`` come back as the plain dicts ``to_dict`` emitted.
         """
         return cls(
@@ -378,7 +375,6 @@ def execute_request(
         faults=faults,
         duration=perf_counter() - start,
         metrics=outcome.metrics,
-        monitored=monitored,
         diagnostics=tuple(outcome.diagnostics),
         trace=getattr(outcome, "trace", None),
     )

@@ -1,35 +1,32 @@
-"""A thread-safe LRU cache for staged-compiled programs.
+"""A thread-safe LRU cache for generated programs.
 
-Staged compilation (:mod:`repro.semantics.compiled`) pays its cost once
+Code generation (:mod:`repro.partial_eval.codegen`) pays its cost once
 per (program, monitor stack) and amortizes it over runs — but only if
-someone holds on to the :class:`~repro.semantics.compiled.CompiledProgram`.
+someone holds on to the :class:`~repro.partial_eval.codegen.GeneratedProgram`.
 In a serving setting the "someone" is this cache: requests arrive as
 (program, tools) pairs, most of them repeats, and the cache turns the
 steady state into pure execution with zero compilation.
 
-The key (:func:`cache_key`) captures everything that affects the compiled
-code:
+The key (:func:`cache_key`) captures everything that affects the
+generated code:
 
 * the **program fingerprint** — a SHA-256 of the AST's canonical ``repr``;
-* the **language** name (compiled code bakes in the language's initial
-  environment);
+* the **language** name;
 * the **monitor-stack identity** — each spec's
   :meth:`~repro.monitoring.spec.MonitorSpec.cache_identity`, which is
   structural for scalar-configured specs and degrades to object identity
   for anything it cannot prove inert (always sound, sometimes a missed
   hit);
-* the **fault policy** (non-``propagate`` policies compile isolation
-  checks into every monitored node);
+* the **fault policy**;
 * the **counted-mode flag** (counted code burns in a telemetry object, so
   such entries are never produced by :meth:`CompilationCache.get_or_compile`
   — telemetry runs bypass the cache — but the flag keeps the keyspace
   honest);
-* the **engine** (``"compiled"`` staged closures vs ``"codegen"``
-  residual Python source — two artifact kinds sharing one LRU).
+* the **optimization level** (flow-erased artifacts differ in source).
 
-Cached programs are **thread-reusable**: per-run mutable state (the fault
-log) travels through a thread-local run context set by
-``CompiledProgram.run``, never through the compiled closures.
+Cached programs are **thread-reusable**: per-run mutable state (monitor
+states, the fault log, the resource guard) lives on the runtime object
+each ``GeneratedProgram.run`` builds, never in the generated code.
 
 Hits, misses and evictions are counted (:meth:`CompilationCache.stats`)
 and — when the cache is built with an ``event_sink`` — surfaced on the
@@ -87,17 +84,13 @@ def cache_key(
     *,
     fault_policy: str = "propagate",
     counted: bool = False,
-    engine: str = "compiled",
     optimize: str = "none",
 ) -> Tuple:
     """The full cache key for one compilation request (hashable).
 
-    ``engine`` distinguishes artifact kinds: the staged-closure programs
-    of ``engine="compiled"`` and the residual-source programs of
-    ``engine="codegen"`` share one cache but never one entry.
-    ``optimize`` keeps flow-erased codegen artifacts apart from their
-    unoptimized twins (the generated source differs even though behavior
-    is identical).
+    ``optimize`` keeps flow-erased artifacts apart from their unoptimized
+    twins (the generated source differs even though behavior is
+    identical).
     """
     return (
         program_fingerprint(program),
@@ -105,7 +98,6 @@ def cache_key(
         tuple(monitor.cache_identity() for monitor in monitors),
         fault_policy,
         counted,
-        engine,
         optimize,
     )
 
@@ -142,7 +134,7 @@ class CacheStats:
 
 
 class CompilationCache:
-    """An LRU mapping from :func:`cache_key` to compiled programs.
+    """An LRU mapping from :func:`cache_key` to generated programs.
 
     All operations are guarded by one lock; compilation itself runs under
     the lock too, which both guarantees each key is compiled at most once
@@ -168,7 +160,7 @@ class CompilationCache:
         # Memoized Section 6 disjointness verdicts, keyed by (program
         # fingerprint, stack identity).  Bounded like the entry map but
         # kept separate: a verdict is a small string-or-None, and reusing
-        # the compiled-program LRU would let verdict churn evict code.
+        # the program LRU would let verdict churn evict code.
         self._disjoint: "OrderedDict[Tuple, Optional[str]]" = OrderedDict()
         self._disjoint_hits = 0
         self._disjoint_misses = 0
@@ -212,34 +204,32 @@ class CompilationCache:
         *,
         fault_policy: str = "propagate",
         counted: bool = False,
-        engine: str = "compiled",
+        engine: str = "codegen",
         optimize: str = "none",
     ):
-        """Return the compiled program for this request, compiling on miss.
+        """Return the generated program for this request, generating on miss.
 
-        ``engine`` selects the artifact kind: ``"compiled"`` stages to
-        closures (:func:`repro.semantics.compiled.compile_program`),
-        ``"codegen"`` emits residual Python source
-        (:func:`repro.partial_eval.codegen.generate_program`).  Both are
-        thread-reusable, so warm entries serve concurrent batch workers.
+        The artifact is a :class:`~repro.partial_eval.codegen.GeneratedProgram`
+        (``"codegen"`` is the only ``engine`` with an artifact to cache);
+        it is thread-reusable, so warm entries serve concurrent batch
+        workers.
 
         ``counted=True`` is rejected: counted-mode code burns the run's own
         telemetry accumulator into every node, so telemetry runs must
         compile fresh (callers bypass the cache for them).
 
-        ``optimize="flow"`` (codegen only) erases hooks at sites the
-        claim-flow analysis proves unreachable; the verdict itself comes
-        from :meth:`flow_verdict`, so warm traffic pays one memo lookup.
+        ``optimize="flow"`` erases hooks at sites the claim-flow analysis
+        proves unreachable; the verdict itself comes from
+        :meth:`flow_verdict`, so warm traffic pays one memo lookup.
         """
         if counted:
             raise ValueError(
                 "counted-mode programs are not cacheable: counted code burns "
                 "in a per-run telemetry object; compile fresh for telemetry runs"
             )
-        if engine not in ("compiled", "codegen"):
+        if engine != "codegen":
             raise ValueError(
-                f"cache has no compiler for engine {engine!r}; "
-                "expected 'compiled' or 'codegen'"
+                f"cache has no compiler for engine {engine!r}; expected 'codegen'"
             )
         if optimize not in ("none", "flow"):
             raise ValueError(
@@ -250,19 +240,13 @@ class CompilationCache:
             program,
             monitors,
             fault_policy=fault_policy,
-            counted=False,
-            engine=engine,
             optimize=optimize,
         )
         # The flow verdict is memoized under its own lock, so fetch it
         # before taking the entry lock (no nesting).  A hit wastes one
         # memo lookup; optimize="flow" is opt-in, so the default path
         # pays nothing.
-        flow = (
-            self.flow_verdict(monitors, program)
-            if engine == "codegen" and optimize == "flow"
-            else None
-        )
+        flow = self.flow_verdict(monitors, program) if optimize == "flow" else None
         digest = _key_digest(key)
         with self._lock:
             entry = self._entries.get(key)
@@ -273,36 +257,26 @@ class CompilationCache:
                 return entry
 
             start = perf_counter()
-            if engine == "codegen":
-                from repro.partial_eval.codegen import generate_program
+            from repro.partial_eval.codegen import generate_program
 
-                # Disjointness is the caller's concern (and separately
-                # memoized by check_disjoint); the artifact itself is
-                # fault-policy-independent — the residual hooks pick the
-                # isolated path per run — but the policy stays in the key
-                # to mirror the compiled engine's keyspace.
-                compiled = generate_program(
-                    program, monitors, check_disjointness=False, flow=flow
-                )
-            else:
-                from repro.semantics.compiled import compile_program
-
-                compiled = compile_program(
-                    program,
-                    monitors=monitors,
-                    env=language.initial_context(),
-                    fault_policy=fault_policy,
-                )
+            # Disjointness is the caller's concern (and separately
+            # memoized by check_disjoint).  The artifact itself is
+            # fault-policy-independent — the residual hooks pick the
+            # isolated path per run — so keying on the policy costs at
+            # most one extra build per policy.
+            generated = generate_program(
+                program, monitors, check_disjointness=False, flow=flow
+            )
             elapsed = perf_counter() - start
             self._misses += 1
             self._compile_seconds += elapsed
             self._emit("cache-miss", {"key": digest, "compile_time": elapsed})
-            self._entries[key] = compiled
+            self._entries[key] = generated
             while len(self._entries) > self.maxsize:
                 evicted_key, _ = self._entries.popitem(last=False)
                 self._evictions += 1
                 self._emit("cache-evict", {"key": _key_digest(evicted_key)})
-            return compiled
+            return generated
 
     def check_disjoint(self, monitors: Sequence, program) -> None:
         """The memoized form of :func:`repro.monitoring.derive.check_disjoint`.
@@ -352,7 +326,7 @@ class CompilationCache:
         Like :meth:`check_disjoint`, the verdict is a pure function of
         the program and the stack's ``recognize`` predicates, keyed by
         (program fingerprint, stack identity) and bounded separately from
-        the compiled-program LRU.  Returns the shared
+        the program LRU.  Returns the shared
         :class:`~repro.analysis.flow.FlowAnalysis` (frozen — safe across
         threads).
         """

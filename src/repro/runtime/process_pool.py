@@ -13,7 +13,7 @@ The paper's soundness theorem (Section 7) is what makes the sharding
 safe: monitoring cannot change the standard answer, so a request's result
 is a pure function of the request — any worker may run it, and the
 process boundary is invisible in the answers (the parity suite holds the
-pool to the sequential oracle on all three engines).
+pool to the sequential oracle on both engines).
 
 **The serialization boundary.** Requests cross to workers as small wire
 dicts — the program (surface syntax or a picklable AST), tool *names*,
@@ -21,9 +21,9 @@ the language name, and the scalar :meth:`~repro.runtime.config.RunConfig.
 scalars` of the config.  Results come back as rendered
 :meth:`~repro.runtime.batch.RunResult.to_dict` projections and are
 rebuilt with :meth:`~repro.runtime.batch.RunResult.from_dict`; the
-in-process-only fields (``metrics``, ``monitored``, live sinks) never
-cross.  Anything that cannot cross fails *that request* with a clean
-``ok=False`` result, never the pool.
+in-process-only fields (``metrics``, live sinks) never cross.  Anything
+that cannot cross fails *that request* with a clean ``ok=False`` result,
+never the pool.
 
 Operational guarantees:
 

@@ -11,9 +11,6 @@
   derived from it (Definition 4.2).
 * :mod:`repro.semantics.machine` — the generic fixpoint/run machinery shared
   by every language module and every derived monitoring semantics.
-* :mod:`repro.semantics.compiled` — the staged fast-path engine: lexical
-  addressing plus an AST-to-closure pass specializing the (possibly
-  monitored) semantics with respect to the program (``engine="compiled"``).
 * :mod:`repro.semantics.denotational` — a literal higher-order reference
   implementation whose answers really are ``MS -> (Ans x MS)`` closures,
   used to cross-check the trampolined machine.
@@ -28,7 +25,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "run_machine": "repro.semantics.machine",
         "evaluate": "repro.semantics.standard",
         "standard_functional": "repro.semantics.standard",
-        "compile_to_closures": "repro.semantics.compiled:compile_program",
-        "evaluate_compiled": "repro.semantics.compiled",
     },
 )

@@ -8,18 +8,10 @@ Python stack frame alive during evaluation, which is how programs recurse
 hundreds of thousands of levels deep without touching
 ``sys.setrecursionlimit``.
 
-Three bounce shapes exist:
+A pending call is a :class:`Bounce` — ``fn(*args)`` — and a finished
+computation is a :class:`Done`.
 
-* :class:`Bounce` — the generic form ``fn(*args)`` used by the reference
-  interpreters.  It packs arguments into a tuple, which is flexible but
-  costs an extra allocation per step.
-* :class:`Tail` — a pre-dispatched call ``fn(a, b, c)`` with exactly three
-  operands, used by the compiled engine for ``code(rib, kont, ms)`` calls.
-  Its fields live in ``__slots__`` so no argument tuple is ever built.
-* :class:`KTail` — a pre-dispatched continuation invocation ``fn(a, b)``
-  (``kont(value, ms)``), the compiled engine's value-delivery step.
-
-:func:`trampoline` drives all of them in a single loop.  The step limit is
+:func:`trampoline` drives them in a single loop.  The step limit is
 checked in batches of :data:`STEP_BATCH`: the inner loop runs an exact
 per-chunk budget, so limit semantics stay precise while the unlimited case
 pays only one extra integer compare per step.
@@ -39,13 +31,13 @@ STEP_BATCH = 4096
 
 
 class Step:
-    """A pending tail call (:class:`Bounce`/:class:`Tail`/:class:`KTail`) or a :class:`Done`."""
+    """A pending tail call (:class:`Bounce`) or a :class:`Done`."""
 
     __slots__ = ()
 
 
 class Bounce(Step):
-    """A suspended tail call ``fn(*args)`` (generic, tuple-packed form)."""
+    """A suspended tail call ``fn(*args)``."""
 
     __slots__ = ("fn", "args")
 
@@ -56,46 +48,6 @@ class Bounce(Step):
     def __repr__(self) -> str:
         name = getattr(self.fn, "__name__", repr(self.fn))
         return f"Bounce({name}, {len(self.args)} args)"
-
-
-class Tail(Step):
-    """A suspended three-operand tail call ``fn(a, b, c)``.
-
-    The compiled engine's code objects have the fixed signature
-    ``code(rib, kont, ms)``; storing the operands in dedicated slots avoids
-    packing and unpacking an argument tuple on every step.
-    """
-
-    __slots__ = ("fn", "a", "b", "c")
-
-    def __init__(self, fn: Callable[..., Step], a, b, c) -> None:
-        self.fn = fn
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def __repr__(self) -> str:
-        name = getattr(self.fn, "__name__", repr(self.fn))
-        return f"Tail({name})"
-
-
-class KTail(Step):
-    """A suspended continuation invocation ``kont(value, ms)``.
-
-    Continuations must bounce — invoking them directly would unwind the
-    reified continuation chain on the host stack, breaking deep recursion.
-    """
-
-    __slots__ = ("fn", "a", "b")
-
-    def __init__(self, fn: Callable[..., Step], a, b) -> None:
-        self.fn = fn
-        self.a = a
-        self.b = b
-
-    def __repr__(self) -> str:
-        name = getattr(self.fn, "__name__", repr(self.fn))
-        return f"KTail({name})"
 
 
 class Done(Step):
@@ -138,22 +90,14 @@ def trampoline(
             if budget > STEP_BATCH:
                 budget = STEP_BATCH
         n = 0
-        while n < budget:
-            cls = step.__class__
-            if cls is Tail:
-                step = step.fn(step.a, step.b, step.c)
-            elif cls is KTail:
-                step = step.fn(step.a, step.b)
-            elif cls is Bounce:
-                step = step.fn(*step.args)
-            else:
-                break
+        while n < budget and step.__class__ is Bounce:
+            step = step.fn(*step.args)
             n += 1
         consumed += n
         cls = step.__class__
         if cls is Done:
             return step.payload
-        if cls is not Tail and cls is not KTail and cls is not Bounce:
+        if cls is not Bounce:
             raise TypeError(
                 f"machine step returned {type(step).__name__}; expected Bounce or Done"
             )

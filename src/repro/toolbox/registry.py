@@ -146,7 +146,7 @@ def evaluate(
     single spec, a list mixing specs and tool names, or a string such as
     ``"profile & trace & strict"``.  ``program`` may be surface syntax or
     an already-parsed expression.  ``engine`` selects the execution engine
-    (``"reference"``, ``"compiled"`` or ``"codegen"``) for both the plain
+    (``"reference"`` or ``"codegen"``) for both the plain
     and the monitored run.  ``fault_policy`` selects how monitor failures are
     handled (see :func:`repro.monitoring.derive.run_monitored`).
 
@@ -161,8 +161,8 @@ def evaluate(
     reusable value and is the supported spelling — the loose per-option
     keywords are **deprecated** and emit a ``DeprecationWarning``
     (conflicting explicit keywords raise ``TypeError``); ``cache`` (a
-    :class:`repro.runtime.CompilationCache`) memoizes compilation for
-    ``engine="compiled"`` and ``engine="codegen"``.
+    :class:`repro.runtime.CompilationCache`) memoizes code generation
+    for ``engine="codegen"``.
 
     ``lint`` gates the run on the static analyzer (:mod:`repro.analysis`):
     ``"warn"`` attaches findings as ``result.diagnostics``, ``"error"``
@@ -191,8 +191,8 @@ def evaluate(
         # (Record mode always routes through run_monitored — the recorder
         # must observe the run even with no tools attached.)
         diagnostics = _lint_gate(cfg, expr, monitors, run_language)
-        if cache is not None and cfg.engine in ("compiled", "codegen"):
-            # Tool-less compiled/codegen runs still deserve the compilation
+        if cache is not None and cfg.engine == "codegen":
+            # Tool-less codegen runs still deserve the compilation
             # cache: the empty monitor stack denotes the standard semantics.
             from dataclasses import replace
 

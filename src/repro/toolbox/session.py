@@ -111,7 +111,7 @@ class Session:
         combination composes with disjoint syntaxes.  ``functions``
         restricts auto-annotation to the listed definitions ("trace calls
         to the function f").  ``engine`` picks the execution engine
-        (``"reference"`` or ``"compiled"``) for both plain and monitored
+        (``"reference"`` or ``"codegen"``) for both plain and monitored
         evaluation; ``fault_policy`` selects monitor-fault handling
         (``"propagate"``, ``"quarantine"`` or ``"log"``);
         ``metrics``/``event_sink`` request run telemetry
@@ -119,8 +119,8 @@ class Session:
         ``timeout`` bounds wall-clock seconds; ``config`` (a
         :class:`repro.runtime.RunConfig`) bundles every run option into
         one value and ``cache`` (a
-        :class:`repro.runtime.CompilationCache`) memoizes staged
-        compilation — both are forwarded to the toolbox ``evaluate``.
+        :class:`repro.runtime.CompilationCache`) memoizes code
+        generation — both are forwarded to the toolbox ``evaluate``.
         The loose per-option keywords are deprecated (they forward, with
         a ``DeprecationWarning``, through ``RunConfig.from_kwargs``);
         prefer ``config=``.

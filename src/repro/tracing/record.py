@@ -3,10 +3,9 @@
 The recorder is itself a :class:`~repro.monitoring.spec.MonitorSpec` — a
 single spec claiming *every* annotation — so recording needs no new
 engine support: the same derivation that runs a profiler inline runs the
-recorder, on the reference interpreter, the compiled closures, or the
-codegen tier (where the pre/post calls are inlined into the residual
-Python, which is what makes record mode "full codegen speed plus one
-dict write per sampled event").
+recorder, on the reference interpreter or the codegen tier (where the
+pre/post calls are inlined into the residual Python, which is what makes
+record mode "full codegen speed plus one dict write per sampled event").
 
 Soundness (§7) is what licenses this: the recorder cannot change the
 answer, and the trace it writes is — by the equivalence property suite —
@@ -180,6 +179,9 @@ class RecorderSpec(MonitorSpec):
         if self._live is not None:
             return self._live.report(state)
         return {"events": self._writer.events, "sampled_out": self.sampled_out}
+
+    def host_effects(self) -> bool:
+        return True  # every hook writes to the trace file
 
     def cache_identity(self) -> Tuple:
         # Single-run mutable state: never share compiled artifacts.

@@ -55,7 +55,7 @@ def run_both_with_faults(program, make_monitors, fault_policy="quarantine"):
 
     ``make_monitors`` is a zero-argument callable returning the monitor
     stack — monitors are rebuilt per engine so neither run can leak state
-    into the other.  Returns ``(reference_result, compiled_result)``.
+    into the other.  Returns ``(reference_result, codegen_result)``.
     """
     if isinstance(program, str):
         program = parse(program)
@@ -63,36 +63,36 @@ def run_both_with_faults(program, make_monitors, fault_policy="quarantine"):
         strict, program, make_monitors(), engine="reference",
         fault_policy=fault_policy,
     )
-    com = run_monitored(
-        strict, program, make_monitors(), engine="compiled",
+    fast = run_monitored(
+        strict, program, make_monitors(), engine="codegen",
         fault_policy=fault_policy,
     )
-    return ref, com
+    return ref, fast
 
 
-def assert_fault_parity(ref, com, *, surviving_keys=()):
+def assert_fault_parity(ref, fast, *, surviving_keys=()):
     """Both engines agree on answer, fault records and surviving states.
 
     ``surviving_keys`` names monitors expected to stay healthy; their
     final states must match exactly across engines (tracer states are
     compared through their rendered output, as in the parity suite).
     """
-    assert ref.answer == com.answer, (
-        f"answers diverged under faults: {ref.answer!r} vs {com.answer!r}"
+    assert ref.answer == fast.answer, (
+        f"answers diverged under faults: {ref.answer!r} vs {fast.answer!r}"
     )
-    assert ref.faults == com.faults, (
-        f"fault records diverged: {ref.faults!r} vs {com.faults!r}"
+    assert ref.faults == fast.faults, (
+        f"fault records diverged: {ref.faults!r} vs {fast.faults!r}"
     )
-    assert ref.quarantined_keys() == com.quarantined_keys()
+    assert ref.quarantined_keys() == fast.quarantined_keys()
     for key in surviving_keys:
-        ref_state, com_state = ref.state_of(key), com.state_of(key)
+        ref_state, fast_state = ref.state_of(key), fast.state_of(key)
         if _is_tracer_state(ref_state):
-            assert ref_state[0].render() == com_state[0].render()
-            assert ref_state[1] == com_state[1]
+            assert ref_state[0].render() == fast_state[0].render()
+            assert ref_state[1] == fast_state[1]
         else:
-            assert ref_state == com_state, (
+            assert ref_state == fast_state, (
                 f"surviving monitor {key!r} diverged: "
-                f"{ref_state!r} vs {com_state!r}"
+                f"{ref_state!r} vs {fast_state!r}"
             )
 
 

@@ -280,6 +280,22 @@ class TestSpecPass:
             assert repr(key) in finding.message
         assert _parse_hook(_impure_pre) is _parse_hook(_impure_pre)
 
+    def test_hook_scan_reads_the_file_without_inspect_getsource(self, monkeypatch):
+        """``inspect.getsource`` calls ``realpath`` on every loaded module,
+        a cold-start cost on the first linted request; the scan parses the
+        hook's file itself and keeps getsource only as a fallback."""
+        import inspect
+
+        from repro.analysis.specs import _parse_code
+
+        def unavailable(obj):
+            raise OSError("inspect.getsource is not used for file-backed hooks")
+
+        monkeypatch.setattr(inspect, "getsource", unavailable)
+        _parse_code.cache_clear()
+        findings = analyze_spec(_spec(_impure_pre))
+        assert "REP304" in _codes(findings)
+
     def test_global_write_flagged(self):
         findings = analyze_spec(_spec(_global_pre))
         assert "REP305" in _codes(findings)

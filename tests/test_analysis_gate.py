@@ -2,7 +2,7 @@
 
 ``RunConfig.lint`` must behave identically wherever a program enters the
 system: ``run_monitored``, the toolbox ``evaluate`` (both its fast path
-and its monitored path), staged compilation, and batch admission.  These
+and its monitored path) and batch admission.  These
 tests also pin the memoized disjointness verdict
 (:meth:`CompilationCache.check_disjoint`) to the legacy per-run check.
 """
@@ -95,7 +95,7 @@ class TestToolboxGate:
     def test_cached_toolless_path_lints_once(self, capsys):
         cache = CompilationCache()
         result = evaluate(
-            (), WARNED, engine="compiled", lint="warn", cache=cache
+            (), WARNED, engine="codegen", lint="warn", cache=cache
         )
         assert result.answer == 42
         # Exactly one rendered report: the fast-path gate, not a second
@@ -107,21 +107,6 @@ class TestToolboxGate:
         config = RunConfig(lint="error")
         with pytest.raises(StaticAnalysisError):
             evaluate((), UNBOUND, config=config)
-
-
-class TestCompileGate:
-    def test_compile_program_error_rejects(self):
-        from repro.semantics.compiled import compile_program
-
-        with pytest.raises(StaticAnalysisError):
-            compile_program(parse(UNBOUND), config=RunConfig(lint="error"))
-
-    def test_compile_program_off_accepts(self):
-        from repro.semantics.compiled import compile_program
-
-        compiled = compile_program(parse(CLEAN), config=RunConfig(lint="off"))
-        answer, _ = compiled.run()
-        assert answer == 42
 
 
 class TestBatchGate:

@@ -35,7 +35,7 @@ def _unbound_codes(program):
 @given(closed_program())
 def test_clean_programs_never_raise_unbound(program):
     assert _unbound_codes(program) == []
-    for engine in ("reference", "compiled"):
+    for engine in ("reference", "codegen"):
         try:
             strict.evaluate(program, max_steps=MAX_STEPS, engine=engine)
         except EvalError as exc:

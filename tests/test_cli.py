@@ -298,10 +298,10 @@ class TestTelemetryFlags:
         assert out.splitlines()[0] == "42"
         assert "activations:       none" in out
 
-    def test_run_metrics_compiled_engine(self, capsys):
+    def test_run_metrics_codegen_engine(self, capsys):
         assert (
             main(["run", "-e", FAC, "--tools", "profile", "--metrics",
-                  "--engine", "compiled"])
+                  "--engine", "codegen"])
             == 0
         )
         assert "activations:       profile=5" in capsys.readouterr().out

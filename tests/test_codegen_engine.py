@@ -1,10 +1,10 @@
 """The ``codegen`` engine tier wired through the runtime stack.
 
-Parity proper lives in tests/test_engine_parity.py (three-way hypothesis
-properties) and the golden suite; this file covers the plumbing the
-engine rides on: the capability matrix, the compilation cache's engine
-dimension, warm cache hits under a concurrent batch, resource guards,
-and the ``repro compile`` subcommand.
+Parity proper lives in tests/test_engine_parity.py (two-way hypothesis
+properties against the reference oracle) and the golden suite; this file
+covers the plumbing the engine rides on: the capability matrix, the
+compilation cache's ``engine=`` keyword, warm cache hits under a
+concurrent batch, resource guards, and the ``repro compile`` subcommand.
 """
 
 import threading
@@ -46,7 +46,7 @@ class TestCapabilityMatrix:
         assert engine_supports("reference", "lazy")
         assert engine_supports("reference", "anything")
 
-    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
+    @pytest.mark.parametrize("engine", ["codegen"])
     def test_fast_engines_are_strict_only(self, engine):
         assert engine_supports(engine, "strict")
         assert not engine_supports(engine, "lazy")
@@ -81,27 +81,27 @@ class TestCapabilityMatrix:
             assert engine in text
 
 
-# -- the cache's engine dimension -------------------------------------------------
+# -- the cache's engine keyword ---------------------------------------------------
 
 
 class TestCacheEngineDimension:
-    def test_keys_differ_by_engine(self):
+    def test_key_has_no_engine_component(self):
         program = parse("1 + 2")
-        compiled_key = cache_key(strict, program, [], engine="compiled")
-        codegen_key = cache_key(strict, program, [], engine="codegen")
-        assert compiled_key != codegen_key
+        with pytest.raises(TypeError):
+            cache_key(strict, program, [], engine="codegen")
+        assert "codegen" not in cache_key(strict, program, [])
 
     def test_same_program_compiles_once_per_engine(self):
         cache = CompilationCache()
         program = parse(FAC)
         monitors = [ProfilerMonitor()]
-        first = cache.get_or_compile(strict, program, monitors, engine="codegen")
+        first = cache.get_or_compile(strict, program, monitors)
         second = cache.get_or_compile(strict, program, monitors, engine="codegen")
         assert first is second
-        staged = cache.get_or_compile(strict, program, monitors, engine="compiled")
-        assert staged is not first
+        with pytest.raises(ValueError, match="'compiled'.*expected 'codegen'"):
+            cache.get_or_compile(strict, program, monitors, engine="compiled")
         stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 2
+        assert stats.hits == 1 and stats.misses == 1
 
     def test_codegen_artifact_runs_from_cache(self):
         cache = CompilationCache()
@@ -220,7 +220,9 @@ class TestResourceGuards:
         # surface as a ReproError naming the engine trade-off — never
         # as a raw RecursionError traceback.
         generated = generate_program(parse(LOOP.format(n=50_000)))
-        with pytest.raises(ReproError, match="host recursion depth"):
+        with pytest.raises(
+            ReproError, match="host recursion depth.*use engine='reference'"
+        ):
             generated.run(recursion_limit=5_000)
 
 

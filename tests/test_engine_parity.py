@@ -1,14 +1,13 @@
-"""Differential parity: the fast engines against the reference oracle.
+"""Differential parity: the codegen engine against the reference oracle.
 
-The staged fast-path engine (:mod:`repro.semantics.compiled`) and the
-specializing code generator (:mod:`repro.partial_eval.codegen`, the
-``codegen`` engine) are only admissible as implementations of the
-monitoring semantics if they are *observationally indistinguishable* from
+The specializing code generator (:mod:`repro.partial_eval.codegen`, the
+``codegen`` engine) is only admissible as an implementation of the
+monitoring semantics if it is *observationally indistinguishable* from
 the reference interpreter — same answers, same final monitor states, same
 errors with the same messages.  These property tests run every
-hypothesis-generated program through all three engines and compare
-everything observable: answers, reports, metrics counters, and fault
-behavior under every fault policy.
+hypothesis-generated program through both engines and compare everything
+observable: answers, reports, metrics counters, and fault behavior under
+every fault policy.
 """
 
 import pytest
@@ -30,21 +29,21 @@ from repro.syntax.parser import parse
 
 from tests.generators import closed_program
 
-ENGINES = ("reference", "compiled", "codegen")
-FAST_ENGINES = ("compiled", "codegen")
+ENGINES = ("reference", "codegen")
+FAST_ENGINES = ("codegen",)
 
 
-def answers_match(reference, compiled) -> bool:
+def answers_match(reference, fast) -> bool:
     """Observational equality of answers across engines.
 
     Function values are compared by display (the engines use different
     closure representations); everything else by object-language equality.
     """
-    if is_function(reference) or is_function(compiled):
-        return is_function(reference) and is_function(compiled) and (
-            value_to_string(reference) == value_to_string(compiled)
+    if is_function(reference) or is_function(fast):
+        return is_function(reference) and is_function(fast) and (
+            value_to_string(reference) == value_to_string(fast)
         )
-    return values_equal(reference, compiled)
+    return values_equal(reference, fast)
 
 
 def run_all(program, monitors):
@@ -55,22 +54,22 @@ def run_all(program, monitors):
     }
 
 
-def run_both(program, monitors, engine="compiled"):
+def run_both(program, monitors, engine="codegen"):
     ref = run_monitored(strict, program, monitors, engine="reference")
-    com = run_monitored(strict, program, monitors, engine=engine)
-    return ref, com
+    fast = run_monitored(strict, program, monitors, engine=engine)
+    return ref, fast
 
 
-def assert_monitor_states_match(ref, com, monitors):
+def assert_monitor_states_match(ref, fast, monitors):
     for monitor in monitors:
         key = monitor.key
         if isinstance(monitor, TracerMonitor):
             ref_chan, ref_level = ref.state_of(key)
-            com_chan, com_level = com.state_of(key)
-            assert ref_chan.render() == com_chan.render()
-            assert ref_level == com_level
+            fast_chan, fast_level = fast.state_of(key)
+            assert ref_chan.render() == fast_chan.render()
+            assert ref_level == fast_level
         else:
-            assert ref.state_of(key) == com.state_of(key)
+            assert ref.state_of(key) == fast.state_of(key)
 
 
 # -- the headline differential properties (>= 200 random programs) ---------------
@@ -138,7 +137,6 @@ def assert_error_parity(source, exc_type):
 class TestErrorParity:
     def test_unbound_identifier(self):
         errors = assert_error_parity("nosuch", UnboundIdentifierError)
-        assert errors["compiled"].name == "nosuch"
         assert errors["codegen"].name == "nosuch"
 
     def test_unbound_in_dead_branch_is_lazy(self):
@@ -175,16 +173,10 @@ LOOP = (
 
 
 class TestResourceParity:
-    def test_compiled_runs_deep_recursion_in_constant_stack(self):
+    def test_codegen_runs_deep_recursion_on_the_reference_engine(self):
+        # Past the host stack, codegen re-runs on the trampolined oracle.
         program = parse(LOOP.format(n=200_000))
-        assert strict.evaluate(program, engine="compiled") == 0
-
-    def test_step_limit_enforced_on_compiled_engine(self):
-        program = parse(LOOP.format(n=100_000))
-        with pytest.raises(StepLimitExceeded) as exc:
-            strict.evaluate(program, engine="compiled", max_steps=500)
-        assert exc.value.limit == 500
-        assert exc.value.consumed >= 500
+        assert strict.evaluate(program, engine="codegen") == 0
 
     def test_step_limit_enforced_on_codegen_engine(self):
         # The codegen engine guards at function-entry granularity (one
@@ -202,7 +194,7 @@ class TestResourceParity:
         assert strict.evaluate(program, engine=engine, max_steps=1_000_000) == 0
 
 
-# -- observing monitors through the compiled engine ------------------------------
+# -- observing monitors through the codegen engine -------------------------------
 
 
 @pytest.mark.parametrize("engine", FAST_ENGINES)
@@ -217,20 +209,20 @@ def test_observing_monitor_sees_inner_state(engine):
     )
     program = parse("({p0}: 1) + ({watch: w}: ({p1}: ({p0}: 2)))")
     monitors = [LabelCounterMonitor(), watcher]
-    ref, com = run_both(program, monitors, engine=engine)
-    assert ref.answer == com.answer == 3
-    assert ref.state_of("count") == com.state_of("count")
-    assert ref.state_of("watch") == com.state_of("watch")
+    ref, fast = run_both(program, monitors, engine=engine)
+    assert ref.answer == fast.answer == 3
+    assert ref.state_of("count") == fast.state_of("count")
+    assert ref.state_of("watch") == fast.state_of("watch")
     # The watcher fired exactly once, snapshotting the counter's state.
-    assert len(com.state_of("watch")) == 1
+    assert len(fast.state_of("watch")) == 1
 
 
 @pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_tracer_output_identical_on_paper_example(paper_tracer_program, engine):
     tracer = TracerMonitor()
-    ref, com = run_both(paper_tracer_program, tracer, engine=engine)
-    assert ref.answer == com.answer == 6
-    assert ref.report() == com.report()
+    ref, fast = run_both(paper_tracer_program, tracer, engine=engine)
+    assert ref.answer == fast.answer == 6
+    assert ref.report() == fast.report()
 
 
 # -- fault isolation: parity extends to injected monitor failures ----------------
@@ -245,7 +237,7 @@ def test_tracer_output_identical_on_paper_example(paper_tracer_program, engine):
 def test_metrics_parity(fault_policy, program):
     """Steps, applications, per-slot activations, hook calls, state
     transitions and fault counts agree across engines — under every fault
-    policy.  The compiled engine's counted mode counts at the reference
+    policy.  The codegen engine's counted mode counts at the reference
     interpreter's node granularity, so RunMetrics (whose equality ignores
     wall-clock fields) must compare equal outright."""
     from repro.observability import RunMetrics

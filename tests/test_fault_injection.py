@@ -12,9 +12,9 @@ raises anyway, under each fault policy:
   (or the standard *error*) is exactly that of the unmonitored program;
 * ``log`` — faults accumulate as records while monitoring continues.
 
-Every property is checked on the reference interpreter AND the staged
-compiled engine, and the two must agree on answers, fault records and
-surviving monitor states — including on hypothesis-generated programs.
+Every property is checked on the reference interpreter AND the codegen
+engine, and the two must agree on answers, fault records and surviving
+monitor states — including on hypothesis-generated programs.
 """
 
 import pytest
@@ -43,7 +43,7 @@ from tests.fault_injection import (
 )
 from tests.generators import closed_program
 
-ENGINES = ["reference", "compiled", "codegen"]
+ENGINES = ["reference", "codegen"]
 
 
 # -- policy plumbing -------------------------------------------------------------
@@ -257,32 +257,32 @@ class TestEngineFaultParity:
     @pytest.mark.parametrize("fail_on", [1, 2, 5])
     @pytest.mark.parametrize("phase", ["pre", "post"])
     def test_fac_parity(self, policy, fail_on, phase):
-        ref, com = run_both_with_faults(
+        ref, fast = run_both_with_faults(
             FAC_LABELED,
             lambda: flaky_counter(fail_on, phase=phase),
             fault_policy=policy,
         )
-        assert_fault_parity(ref, com)
+        assert_fault_parity(ref, fast)
         assert ref.answer == 24
 
     def test_mixed_stack_parity(self):
         program = FAC_TRACED.replace("{fac(x)}:", "{fac(x)}: {fac}:")
-        ref, com = run_both_with_faults(
+        ref, fast = run_both_with_faults(
             program,
             lambda: [flaky_counter(2), TracerMonitor()],
             fault_policy="quarantine",
         )
-        assert_fault_parity(ref, com, surviving_keys=["trace"])
+        assert_fault_parity(ref, fast, surviving_keys=["trace"])
 
     def test_seeded_random_failures_are_engine_deterministic(self):
-        ref, com = run_both_with_faults(
+        ref, fast = run_both_with_faults(
             FAC_LABELED,
             lambda: FlakyMonitor(
                 LabelCounterMonitor(), seed=1234, failure_rate=0.5
             ),
             fault_policy="log",
         )
-        assert_fault_parity(ref, com)
+        assert_fault_parity(ref, fast)
         assert ref.faults  # rate 0.5 over 5 calls: effectively certain
 
     @settings(max_examples=60, deadline=None)
@@ -300,17 +300,17 @@ class TestEngineFaultParity:
             fault_policy="quarantine",
             max_steps=2_000_000,
         )
-        com = run_monitored(
+        fast = run_monitored(
             strict,
             program,
             flaky_counter(2),
-            engine="compiled",
+            engine="codegen",
             fault_policy="quarantine",
             max_steps=2_000_000,
         )
-        assert ref.answer == com.answer == expected
-        assert ref.faults == com.faults
-        assert ref.state_of("count") == com.state_of("count")
+        assert ref.answer == fast.answer == expected
+        assert ref.faults == fast.faults
+        assert ref.state_of("count") == fast.state_of("count")
 
 
 # -- repeated runs of one compiled program ---------------------------------------
@@ -319,17 +319,16 @@ class TestEngineFaultParity:
 class TestCompiledProgramReuse:
     def test_fault_log_resets_between_runs(self):
         from repro.monitoring.state import MonitorStateVector
-        from repro.semantics.compiled import compile_program
+        from repro.partial_eval.codegen import generate_program
 
         program = parse(FAC_LABELED)
         flaky = flaky_counter(2)
-        compiled = compile_program(
-            program, monitors=[flaky], fault_policy="quarantine"
-        )
+        generated = generate_program(program, [flaky])
         for _ in range(3):
+            fault_log = FaultLog("quarantine")
             initial = MonitorStateVector.initial([flaky])
-            answer, states = compiled.run(initial_ms=initial)
+            answer, states = generated.run(initial_ms=initial, fault_log=fault_log)
             assert answer == 24
             # Each run faults afresh at call 2 — quarantine is per-run.
-            assert len(compiled.fault_log.faults) == 1
-            assert compiled.fault_log.disabled == {"count"}
+            assert len(fault_log.faults) == 1
+            assert fault_log.disabled == {"count"}

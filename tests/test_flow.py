@@ -22,7 +22,7 @@ from repro.runtime import CompilationCache, RunConfig
 from repro.runtime.cache import cache_key
 from repro.syntax.parser import parse
 
-ENGINES = ["reference", "compiled", "codegen"]
+ENGINES = ["reference", "codegen"]
 
 #: {p} guarded by a constantly-false branch: statically dead.
 DEAD_BRANCH = "let x = if false then {p}: 1 else 2 in {q}: (x + 1)"
@@ -273,8 +273,8 @@ class TestRunConfigAndCache:
     def test_cache_key_distinguishes_optimize(self):
         program = parse("{p}: 1")
         stack = [LabelCounterMonitor()]
-        base = cache_key("strict", program, stack, engine="codegen")
-        flow = cache_key("strict", program, stack, engine="codegen", optimize="flow")
+        base = cache_key("strict", program, stack)
+        flow = cache_key("strict", program, stack, optimize="flow")
         assert base != flow
 
     def test_flow_verdict_memoized(self):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main
 
-ENGINES = ["reference", "compiled", "codegen"]
+ENGINES = ["reference", "codegen"]
 
 FAC = "letrec fac = lambda x. {fac}: if x = 0 then 1 else x * fac (x - 1) in fac 4"
 PLAIN_FAC = "letrec fac = lambda x. if x = 0 then 1 else x * fac (x - 1) in fac 4"
@@ -148,9 +148,9 @@ def test_check_clean_golden(golden, capsys):
 
 
 BATCH_REQUESTS = [
-    '{"program": "let f = lambda x. x + 1 in f 41", "engine": "compiled", "tag": "plain"}',
-    '{"program": "%s", "tools": "profile", "engine": "compiled", "tag": "profiled"}' % FAC,
-    '{"program": "let f = lambda x. x + 1 in f 41", "engine": "compiled", "tag": "repeat"}',
+    '{"program": "let f = lambda x. x + 1 in f 41", "engine": "codegen", "tag": "plain"}',
+    '{"program": "%s", "tools": "profile", "engine": "codegen", "tag": "profiled"}' % FAC,
+    '{"program": "let f = lambda x. x + 1 in f 41", "engine": "codegen", "tag": "repeat"}',
     '{"program": "1 +", "tag": "broken"}',
 ]
 

@@ -15,7 +15,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: Modules the core path must never load.
 NOT_LOADED = (
-    "semantics.compiled",
     "runtime.process_pool",
     "runtime.serve",
     "partial_eval.online",

@@ -178,7 +178,7 @@ class TestDeriveAll:
         functional = derive_all(strict.functional(), [])
         assert functional is strict.functional()
 
-    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
     def test_empty_stack_run_equals_unmonitored(self, engine):
         # run_monitored with no monitors is *exactly* unmonitored
         # evaluation on both engines — same answer, empty state vector,
@@ -190,7 +190,7 @@ class TestDeriveAll:
         assert result.reports() == {}
         assert result.healthy()
 
-    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
     def test_empty_stack_under_quarantine(self, engine):
         # With nothing to fault, a non-default policy changes nothing.
         program = parse("6 * 7")

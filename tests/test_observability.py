@@ -31,7 +31,7 @@ from repro.syntax.parser import parse
 
 from tests.fault_injection import FAC_LABELED, flaky_profiler
 
-ENGINES = ["reference", "compiled", "codegen"]
+ENGINES = ["reference", "codegen"]
 
 FAC = parse(FAC_LABELED)
 

@@ -75,9 +75,9 @@ def _oracle(request):
 
 
 def _mixed_requests():
-    """Mixed programs, tools and all three engines — the parity workload."""
+    """Mixed programs, tools and both engines — the parity workload."""
     requests = []
-    for engine in ("reference", "compiled", "codegen"):
+    for engine in ("reference", "codegen"):
         for n in range(4):
             requests.append(
                 RunRequest(program=PLAIN % n, config=RunConfig(engine=engine))
@@ -92,7 +92,7 @@ def _mixed_requests():
         RunRequest(
             program=FAC % 5,
             tools=FlakyMonitor(ProfilerMonitor(), fail_on=2),
-            config=RunConfig(engine="compiled", fault_policy="quarantine"),
+            config=RunConfig(engine="codegen", fault_policy="quarantine"),
         )
     )
     return requests
@@ -114,7 +114,7 @@ class TestWireFormat:
         request = RunRequest(
             program=FAC % 2,
             tools="profile",
-            config=RunConfig(engine="compiled", max_steps=5000),
+            config=RunConfig(engine="codegen", max_steps=5000),
             timeout=2.0,
             tag="wire",
         )
@@ -123,7 +123,7 @@ class TestWireFormat:
         rebuilt = request_from_wire(wire)
         assert rebuilt.program == request.program
         assert rebuilt.tools == "profile"
-        assert rebuilt.config.engine == "compiled"
+        assert rebuilt.config.engine == "codegen"
         assert rebuilt.config.max_steps == 5000
         assert rebuilt.timeout == 2.0
         assert rebuilt.tag == "wire"
@@ -169,7 +169,7 @@ class TestRunResultRoundTrip:
 
 class TestPoolParity:
     def test_mixed_requests_match_sequential_oracle(self, pool):
-        """The acceptance criterion: pool == oracle on all three engines."""
+        """The acceptance criterion: pool == oracle on both engines."""
         requests = _mixed_requests()
         expected = [_oracle(request) for request in requests]
         results = pool.run(requests)

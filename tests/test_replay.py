@@ -48,7 +48,7 @@ FAC = (
 )
 LOOP = "letrec loop = lambda x. {loop}: loop (x + 1) in loop 0"
 
-ENGINES = ("reference", "compiled", "codegen")
+ENGINES = ("reference", "codegen")
 
 
 def _record_tmp(language, program, *, engine="reference"):

@@ -47,14 +47,14 @@ def _mixed_requests(count):
         which = n % 5
         if which == 0:
             requests.append(
-                RunRequest(program=PLAIN % n, config=RunConfig(engine="compiled"))
+                RunRequest(program=PLAIN % n, config=RunConfig(engine="codegen"))
             )
         elif which == 1:
             requests.append(
                 RunRequest(
                     program=FAC % (n % 7),
                     tools="profile",
-                    config=RunConfig(engine="compiled"),
+                    config=RunConfig(engine="codegen"),
                 )
             )
         elif which == 2:
@@ -66,7 +66,7 @@ def _mixed_requests(count):
                 RunRequest(
                     program=FAC % 5,
                     tools=FlakyMonitor(ProfilerMonitor(), fail_on=2),
-                    config=RunConfig(engine="compiled", fault_policy="quarantine"),
+                    config=RunConfig(engine="codegen", fault_policy="quarantine"),
                 )
             )
         else:
@@ -124,12 +124,12 @@ class TestBatchParity:
     @given(st.lists(closed_program(), min_size=1, max_size=6))
     def test_property_batch_equals_sequential(self, programs):
         requests = [
-            RunRequest(program=program, config=RunConfig(engine="compiled"))
+            RunRequest(program=program, config=RunConfig(engine="codegen"))
             for program in programs
         ]
         pooled = run_batch(requests, workers=4)
         solo = [
-            run_monitored(strict, program, [], engine="compiled").answer
+            run_monitored(strict, program, [], engine="codegen").answer
             for program in programs
         ]
         assert [result.answer for result in pooled] == solo
@@ -161,7 +161,7 @@ class TestOrderingAndIsolation:
             RunRequest(
                 program="letrec loop = lambda x. loop x in loop 1",
                 timeout=0.1,
-                config=RunConfig(engine="compiled"),
+                config=RunConfig(engine="codegen"),
             ),
             RunRequest(program=PLAIN % 4),
         ]
@@ -192,12 +192,12 @@ class TestOrderingAndIsolation:
 class TestBatchSurface:
     def test_dict_requests_accepted(self):
         results = run_batch(
-            [{"program": PLAIN % 5, "engine": "compiled", "tag": "x"}], workers=1
+            [{"program": PLAIN % 5, "engine": "codegen", "tag": "x"}], workers=1
         )
         assert results[0].answer == 25 and results[0].tag == "x"
 
     def test_from_dict_merges_base_config(self):
-        base = RunConfig(engine="compiled", fault_policy="log", max_steps=9999)
+        base = RunConfig(engine="codegen", fault_policy="log", max_steps=9999)
         request = RunRequest.from_dict({"program": "1", "engine": "reference"}, base=base)
         assert request.config.engine == "reference"
         assert request.config.fault_policy == "log"       # kept from base
@@ -223,7 +223,7 @@ class TestBatchSurface:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown batch request key"):
-            RunRequest.from_dict({"program": "1", "engin": "compiled"})
+            RunRequest.from_dict({"program": "1", "engin": "codegen"})
 
     def test_from_dict_requires_program(self):
         with pytest.raises(ValueError, match="program"):
@@ -251,7 +251,7 @@ class TestBatchSurface:
         assert end.payload["succeeded"] == 5 and end.payload["failed"] == 0
 
     def test_runtime_facade_shares_cache(self):
-        runtime = Runtime(config=RunConfig(engine="compiled"), workers=2)
+        runtime = Runtime(config=RunConfig(engine="codegen"), workers=2)
         single = runtime.run((), PLAIN % 7)
         assert single.answer == 49
         batch = runtime.run_batch([{"program": PLAIN % 7}])
@@ -261,7 +261,7 @@ class TestBatchSurface:
 
     def test_shared_cache_warms_across_batches(self):
         cache = CompilationCache(16)
-        cfg = RunConfig(engine="compiled")
+        cfg = RunConfig(engine="codegen")
         requests = [RunRequest(program=FAC % 5, tools="profile") for _ in range(10)]
         first = run_batch(requests, workers=4, config=cfg, cache=cache)
         second = run_batch(requests, workers=4, config=cfg, cache=cache)
@@ -356,4 +356,4 @@ class TestResultWireFormat:
         assert back.answer == result.answer
         assert back.reports == result.reports
         assert back.metrics is None  # in-process-only fields do not cross
-        assert back.monitored is None
+        assert not hasattr(back, "monitored")  # final states are not kept

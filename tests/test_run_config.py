@@ -2,8 +2,8 @@
 
 The consolidation contract (ISSUE PR 4):
 
-* ``config=`` is accepted by ``run_monitored``, the toolbox ``evaluate``,
-  ``Session.evaluate`` and ``compile_program``;
+* ``config=`` is accepted by ``run_monitored``, the toolbox ``evaluate``
+  and ``Session.evaluate``;
 * legacy keyword arguments keep working unchanged;
 * passing ``config`` *and* a legacy keyword explicitly changed from its
   default raises ``TypeError`` with a message naming the conflict;
@@ -21,7 +21,6 @@ from repro.monitoring.derive import run_monitored
 from repro.monitors import ProfilerMonitor
 from repro.observability import RunMetrics
 from repro.runtime import RunConfig
-from repro.semantics.compiled import compile_program
 from repro.syntax.parser import parse
 from repro.toolbox.registry import evaluate
 from repro.toolbox.session import Session
@@ -42,7 +41,7 @@ class TestRunConfigValue:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            RunConfig().engine = "compiled"
+            RunConfig().engine = "codegen"
 
     def test_validate_rejects_unknown_engine(self):
         with pytest.raises(ReproError, match="unknown engine"):
@@ -58,11 +57,11 @@ class TestRunConfigValue:
 
     def test_resolve_rejects_non_config(self):
         with pytest.raises(TypeError, match="RunConfig"):
-            RunConfig.resolve("compiled")
+            RunConfig.resolve("codegen")
 
     def test_resolve_rejects_unknown_option(self):
         with pytest.raises(TypeError, match="unknown run option"):
-            RunConfig.resolve(None, engines="compiled")
+            RunConfig.resolve(None, engines="codegen")
 
     def test_with_fresh_metrics_replaces_accumulator(self):
         shared = RunMetrics()
@@ -84,35 +83,28 @@ class TestConfigOnEntryPoints:
 
     def test_run_monitored_accepts_config(self):
         program = parse(FAC)
-        legacy = run_monitored(strict, program, ProfilerMonitor(), engine="compiled")
+        legacy = run_monitored(strict, program, ProfilerMonitor(), engine="codegen")
         via_config = run_monitored(
-            strict, program, ProfilerMonitor(), config=RunConfig(engine="compiled")
+            strict, program, ProfilerMonitor(), config=RunConfig(engine="codegen")
         )
         assert via_config.answer == legacy.answer
         assert via_config.reports() == legacy.reports()
 
     def test_evaluate_accepts_config(self):
-        legacy = evaluate("profile", FAC, engine="compiled")
-        via_config = evaluate("profile", FAC, config=RunConfig(engine="compiled"))
+        legacy = evaluate("profile", FAC, engine="codegen")
+        via_config = evaluate("profile", FAC, config=RunConfig(engine="codegen"))
         assert via_config.answer == legacy.answer
         assert via_config.reports == legacy.reports
 
     def test_session_evaluate_accepts_config(self):
         session = Session()
         session.define("double", "lambda x. x + x")
-        legacy = session.evaluate("double 21", tools="profile", engine="compiled")
+        legacy = session.evaluate("double 21", tools="profile", engine="codegen")
         via_config = session.evaluate(
-            "double 21", tools="profile", config=RunConfig(engine="compiled")
+            "double 21", tools="profile", config=RunConfig(engine="codegen")
         )
         assert via_config.answer == legacy.answer == 42
         assert via_config.reports == legacy.reports
-
-    def test_compile_program_accepts_config(self):
-        program = parse("let f = lambda x. x * 3 in f 7")
-        compiled = compile_program(program, config=RunConfig(fault_policy="quarantine"))
-        assert compiled.isolated
-        answer, _ = compiled.run()
-        assert answer == 21
 
     def test_timeout_flows_through_config(self):
         diverging = parse("letrec loop = lambda x. loop x in loop 1")
@@ -130,7 +122,7 @@ class TestConfigConflicts:
                 strict,
                 program,
                 [],
-                engine="compiled",
+                engine="codegen",
                 config=RunConfig(engine="reference"),
             )
 
@@ -150,27 +142,20 @@ class TestConfigConflicts:
                 "1 + 1", max_steps=10, config=RunConfig(max_steps=99)
             )
 
-    def test_compile_program_conflict(self):
-        program = parse("1 + 1")
-        with pytest.raises(TypeError, match="config="):
-            compile_program(
-                program, fault_policy="quarantine", config=RunConfig()
-            )
-
     def test_conflict_message_names_both_values(self):
-        with pytest.raises(TypeError, match="engine='compiled'.*'reference'"):
-            evaluate((), "1 + 1", engine="compiled", config=RunConfig())
+        with pytest.raises(TypeError, match="engine='codegen'.*'reference'"):
+            evaluate((), "1 + 1", engine="codegen", config=RunConfig())
 
     def test_default_valued_keyword_never_conflicts(self):
         # engine="reference" is the historical default: indistinguishable
         # from not-passed, so the config's engine simply wins.
         result = evaluate(
-            (), "2 + 3", engine="reference", config=RunConfig(engine="compiled")
+            (), "2 + 3", engine="reference", config=RunConfig(engine="codegen")
         )
         assert result.answer == 5
 
     def test_matching_keyword_never_conflicts(self):
         result = evaluate(
-            (), "2 + 3", engine="compiled", config=RunConfig(engine="compiled")
+            (), "2 + 3", engine="codegen", config=RunConfig(engine="codegen")
         )
         assert result.answer == 5

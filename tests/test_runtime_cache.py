@@ -1,4 +1,4 @@
-"""The compiled-program cache: correctness of hits, keys, LRU, threads.
+"""The generated-program cache: correctness of hits, keys, LRU, threads.
 
 The cache is only allowed to be a *performance* artifact: a warm hit must
 be observationally identical to a cold compile, across monitor stacks,
@@ -154,7 +154,7 @@ class TestCachedRunParity:
         program = parse(FAC)
         reference = run_monitored(strict, program, ProfilerMonitor())
         cache = CompilationCache(4)
-        cfg = RunConfig(engine="compiled")
+        cfg = RunConfig(engine="codegen")
         cold = run_monitored(
             strict, program, ProfilerMonitor(), config=cfg, cache=cache
         )
@@ -171,7 +171,7 @@ class TestCachedRunParity:
 
         program = parse(FAC)
         cache = CompilationCache(4)
-        cfg = RunConfig(engine="compiled", fault_policy="quarantine")
+        cfg = RunConfig(engine="codegen", fault_policy="quarantine")
 
         def flaky():
             return FlakyMonitor(ProfilerMonitor(), fail_on=2)
@@ -179,7 +179,7 @@ class TestCachedRunParity:
         cold = run_monitored(strict, program, flaky(), config=cfg, cache=cache)
         warm = run_monitored(strict, program, flaky(), config=cfg, cache=cache)
         oracle = run_monitored(
-            strict, program, flaky(), engine="compiled", fault_policy="quarantine"
+            strict, program, flaky(), engine="codegen", fault_policy="quarantine"
         )
         assert cold.answer == warm.answer == oracle.answer
         from repro.observability import fault_tuples
@@ -196,13 +196,13 @@ class TestCachedRunParity:
 
         program = parse(FAC)
         cache = CompilationCache(4)
-        cfg = RunConfig(engine="compiled")
+        cfg = RunConfig(engine="codegen")
         run_monitored(strict, program, ProfilerMonitor(), config=cfg, cache=cache)
         counted = run_monitored(
             strict,
             program,
             ProfilerMonitor(),
-            engine="compiled",
+            engine="codegen",
             metrics=RunMetrics(),
             cache=cache,
         )

@@ -71,6 +71,19 @@ class TestUnixSocketE2E:
         for record in responses:
             assert "duration" in record  # the latency field clients read
 
+    def test_retired_compiled_engine_is_an_error_slot(self, server):
+        lines = [
+            {"id": "old", "program": PLAIN % 3, "engine": "compiled"},
+            {"id": "new", "program": PLAIN % 3, "engine": "codegen"},
+        ]
+        responses = _roundtrip(server.address, lines, expect=2)
+        by_id = {record["id"]: record for record in responses}
+        assert by_id["old"]["ok"] is False
+        assert by_id["old"]["error"] == (
+            "unknown engine 'compiled'; choose one of 'reference', 'codegen'"
+        )
+        assert by_id["new"]["ok"] and by_id["new"]["answer"] == 9
+
     def test_ping_stats_and_unknown_op(self, server):
         responses = _roundtrip(
             server.address,

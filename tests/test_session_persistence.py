@@ -93,7 +93,7 @@ class TestSessionFaultIsolation:
         s.save(path)
         return Session.load(path)
 
-    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
     def test_quarantined_profiler_reports_pre_fault_counts(
         self, saved_session, engine
     ):

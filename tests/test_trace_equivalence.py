@@ -33,7 +33,7 @@ from repro.tracing.schema import canonical_json, encode_value
 from tests.generators import closed_program, recursive_program
 from tests.test_imp_properties import closed_imp_program
 
-ENGINES = ("reference", "compiled", "codegen")
+ENGINES = ("reference", "codegen")
 
 # RunConfig is the only spelling of a run's options here: a loose keyword
 # creeping back in would fail the suite instead of printing a warning.
@@ -73,7 +73,7 @@ def assert_fold_matches(inline, fold):
 @settings(max_examples=50, deadline=None)
 @given(closed_program())
 def test_fold_matches_inline_on_every_engine(program):
-    """counter & tracer: fold ≡ inline for reference, compiled, codegen."""
+    """counter & tracer: fold ≡ inline for reference and codegen."""
     with tempfile.TemporaryDirectory() as tmp:
         for engine in ENGINES:
             counter, tracer = LabelCounterMonitor(), TracerMonitor()
@@ -113,7 +113,7 @@ def test_fold_metrics_match_inline(program):
         assert fold.metrics.applications == inline.metrics.applications
 
 
-# -- L_imp (reference engine; the fast engines are strict-only) -----------------
+# -- L_imp (reference engine; codegen is strict-only) ---------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,7 +195,7 @@ def event_lines(path):
 @settings(max_examples=25, deadline=None)
 @given(closed_program())
 def test_trace_is_engine_independent(program):
-    """All three engines record byte-identical event streams.
+    """Both engines record byte-identical event streams.
 
     This is engine parity made concrete: the observable hook sequence —
     not just the final states — is the same across implementations.
@@ -213,7 +213,6 @@ def test_trace_is_engine_independent(program):
                 config=RunConfig(engine=engine),
             )
             lines[engine] = event_lines(path)
-        assert lines["compiled"] == lines["reference"]
         assert lines["codegen"] == lines["reference"]
 
 
@@ -236,7 +235,6 @@ def test_trace_bytes_identical_across_engines(tmp_path):
             config=RunConfig(engine=engine),
         )
         lines[engine] = event_lines(path)
-    assert lines["compiled"] == lines["reference"]
     assert lines["codegen"] == lines["reference"]
 
 

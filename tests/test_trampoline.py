@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import StepLimitExceeded
-from repro.semantics.trampoline import (
-    STEP_BATCH,
-    Bounce,
-    Done,
-    KTail,
-    Tail,
-    trampoline,
-)
+from repro.semantics.trampoline import STEP_BATCH, Bounce, Done, trampoline
 
 
 def countdown(n):
@@ -51,44 +44,6 @@ class TestTrampoline:
     def test_repr(self):
         assert "countdown" in repr(Bounce(countdown, (1,)))
         assert "Done" in repr(Done(1))
-
-
-def tail_countdown(n, _b, _c):
-    if n == 0:
-        return Done("tail-done")
-    return Tail(tail_countdown, n - 1, None, None)
-
-
-def ktail_countdown(n, _b):
-    if n == 0:
-        return Done("ktail-done")
-    return KTail(ktail_countdown, n - 1, None)
-
-
-class TestSpecializedSteps:
-    """The Tail/KTail fast-path step variants drive like Bounce."""
-
-    def test_tail_chain(self):
-        assert trampoline(Tail(tail_countdown, 10_000, None, None)) == "tail-done"
-
-    def test_ktail_chain(self):
-        assert trampoline(KTail(ktail_countdown, 10_000, None)) == "ktail-done"
-
-    def test_mixed_chain(self):
-        def switch(n):
-            if n == 0:
-                return Done(n)
-            if n % 3 == 0:
-                return Bounce(switch, (n - 1,))
-            if n % 3 == 1:
-                return Tail(lambda a, b, c: switch(a), n - 1, None, None)
-            return KTail(lambda a, b: switch(a), n - 1, None)
-
-        assert trampoline(switch(999)) == 0
-
-    def test_tail_counts_against_step_limit(self):
-        with pytest.raises(StepLimitExceeded):
-            trampoline(Tail(tail_countdown, 100, None, None), max_steps=50)
 
 
 class TestBatchedStepLimit:
