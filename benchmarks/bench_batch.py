@@ -95,7 +95,7 @@ def build_workload(quick: bool):
 def sequential_cold(requests) -> None:
     """The baseline: each request compiles its program from scratch."""
     for request in requests:
-        run_monitored(strict, request.program, [], engine="codegen")
+        run_monitored(strict, request.program, [], config=RunConfig(engine="codegen"))
 
 
 def _annotated_program(labels: int) -> str:

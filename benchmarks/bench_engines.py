@@ -19,6 +19,7 @@ import pytest
 from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import TracerMonitor
+from repro.runtime import RunConfig
 
 from benchmarks.workloads import loop_with_trace_hits, plain_fib, traced_fib
 
@@ -44,7 +45,9 @@ def test_loop_unmonitored(benchmark, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_traced_fib_monitored(benchmark, engine):
     tracer = TracerMonitor()
-    run = benchmark(lambda: run_monitored(strict, TRACED, tracer, engine=engine))
+    run = benchmark(
+        lambda: run_monitored(strict, TRACED, tracer, config=RunConfig(engine=engine))
+    )
     assert run.answer == 144
 
 
@@ -139,8 +142,12 @@ def test_codegen_is_6x_faster_than_reference_monitored():
     """
     program = loop_with_trace_hits(5000, 100)
     reference_samples, codegen_samples = _paired_samples(
-        lambda: run_monitored(strict, program, TracerMonitor(), engine="reference"),
-        lambda: run_monitored(strict, program, TracerMonitor(), engine="codegen"),
+        lambda: run_monitored(
+            strict, program, TracerMonitor(), config=RunConfig(engine="reference")
+        ),
+        lambda: run_monitored(
+            strict, program, TracerMonitor(), config=RunConfig(engine="codegen")
+        ),
     )
     _gate_codegen_speedup(
         "the traced loop",
@@ -201,9 +208,12 @@ def test_quarantine_overhead_unmonitored_fast_path(engine):
     """
     program = loop_with_trace_hits(1000, 0)
     t_p, t_q = _paired_min(
-        lambda: run_monitored(strict, program, [], engine=engine),
+        lambda: run_monitored(strict, program, [], config=RunConfig(engine=engine)),
         lambda: run_monitored(
-            strict, program, [], engine=engine, fault_policy="quarantine"
+            strict,
+            program,
+            [],
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         ),
     )
     _assert_within_budget(f"unmonitored fast path ({engine})", t_p, t_q)
@@ -218,14 +228,13 @@ def test_quarantine_overhead_single_monitor_fast_path(engine):
     """
     tracer_runs = {
         "propagate": lambda: run_monitored(
-            strict, TRACED, TracerMonitor(), engine=engine
+            strict, TRACED, TracerMonitor(), config=RunConfig(engine=engine)
         ),
         "quarantine": lambda: run_monitored(
             strict,
             TRACED,
             TracerMonitor(),
-            engine=engine,
-            fault_policy="quarantine",
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         ),
     }
     t_p, t_q = _paired_min(tracer_runs["propagate"], tracer_runs["quarantine"])
@@ -257,9 +266,9 @@ def test_null_sink_overhead_unmonitored_fast_path(engine):
 
     program = loop_with_trace_hits(1000, 0)
     t_off, t_null = _paired_min(
-        lambda: run_monitored(strict, program, [], engine=engine),
+        lambda: run_monitored(strict, program, [], config=RunConfig(engine=engine)),
         lambda: run_monitored(
-            strict, program, [], engine=engine, event_sink=NullSink()
+            strict, program, [], config=RunConfig(engine=engine, event_sink=NullSink())
         ),
     )
     _assert_null_sink_free(f"unmonitored fast path ({engine})", t_off, t_null)
@@ -271,9 +280,14 @@ def test_null_sink_overhead_single_monitor_fast_path(engine):
     from repro.observability import NullSink
 
     t_off, t_null = _paired_min(
-        lambda: run_monitored(strict, TRACED, TracerMonitor(), engine=engine),
         lambda: run_monitored(
-            strict, TRACED, TracerMonitor(), engine=engine, event_sink=NullSink()
+            strict, TRACED, TracerMonitor(), config=RunConfig(engine=engine)
+        ),
+        lambda: run_monitored(
+            strict,
+            TRACED,
+            TracerMonitor(),
+            config=RunConfig(engine=engine, event_sink=NullSink()),
         ),
     )
     _assert_null_sink_free(f"single-monitor fast path ({engine})", t_off, t_null)

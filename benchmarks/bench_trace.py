@@ -153,7 +153,9 @@ def measure_posthoc_amortization(total=20_000, traced=2_000, repeats=3):
         for _ in range(repeats):
             start = time.perf_counter()
             for stack in stacks():
-                run_monitored(strict, program, stack, engine="codegen")
+                run_monitored(
+                    strict, program, stack, config=RunConfig(engine="codegen")
+                )
             t_inline = min(t_inline, time.perf_counter() - start)
 
         t_fold = float("inf")

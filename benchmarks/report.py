@@ -45,6 +45,7 @@ from repro.monitoring.derive import run_monitored
 from repro.monitors import TracerMonitor
 from repro.partial_eval.codegen import generate_program
 from repro.partial_eval.compile import compile_program
+from repro.runtime import RunConfig
 
 from benchmarks.workloads import loop_with_trace_hits, plain_fib, traced_fib
 
@@ -191,7 +192,9 @@ def measure_engines(quick: bool = False, repeats: int = REPEATS):
         (
             "fib_traced_monitored",
             traced_fib(fib_n),
-            lambda p, engine: run_monitored(strict, p, tracer, engine=engine),
+            lambda p, engine: run_monitored(
+                strict, p, tracer, config=RunConfig(engine=engine)
+            ),
         ),
         # Figure 11's shape: fixed work, a 2% slice of traced iterations.
         # This is the monitored row that gates *engine* overhead — the
@@ -201,7 +204,9 @@ def measure_engines(quick: bool = False, repeats: int = REPEATS):
         (
             "loop_traced_monitored",
             loop_with_trace_hits(5000, 100),
-            lambda p, engine: run_monitored(strict, p, tracer, engine=engine),
+            lambda p, engine: run_monitored(
+                strict, p, tracer, config=RunConfig(engine=engine)
+            ),
         ),
     ]
 

@@ -109,6 +109,8 @@ def run_config_from_args(args):
             record_dir=record_dir,
             checkpoint_interval=interval,
             optimize=getattr(args, "optimize", "none"),
+            sample_rate=getattr(args, "sample", 1.0),
+            trace_seed=getattr(args, "seed", 0),
         ).validate()
     except ValueError as exc:
         # Validation failures are user input errors, not crashes: surface
@@ -447,7 +449,7 @@ def cmd_check(args) -> int:
 def cmd_batch(args) -> int:
     import json
 
-    from repro.runtime import BatchRunner, CompilationCache, RunRequest
+    from repro.runtime import BatchRunner, CompilationCache
 
     config = run_config_from_args(args)
     if args.requests == "-":
@@ -455,22 +457,18 @@ def cmd_batch(args) -> int:
     else:
         with open(args.requests, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
+    # Records are admitted by the runner: a bad one (unknown key, missing
+    # program, invalid option) fails its own slot with a diagnostic
+    # ok=False result in the output JSONL; the rest of the batch still runs.
     requests = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            record = json.loads(line)
+            requests.append(json.loads(line))
         except ValueError as exc:
             raise ReproError(f"{args.requests}:{lineno}: {exc}") from None
-        try:
-            requests.append(RunRequest.from_dict(record, base=config))
-        except (ValueError, ReproError):
-            # A bad record (unknown key, missing program, invalid timeout)
-            # fails its own slot with a diagnostic ok=False result in the
-            # output JSONL; the rest of the batch still runs.
-            requests.append(record)
 
     cache = CompilationCache(args.cache_size, event_sink=config.event_sink)
     runner = BatchRunner(
@@ -527,8 +525,6 @@ def cmd_record(args) -> int:
             args.out,
             monitors=tools,
             sites=sites,
-            sample_rate=args.sample,
-            seed=args.seed,
             values=args.values,
             source=source,
             config=config,
@@ -923,8 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument(
         "requests",
         help="JSONL file of requests ('-' for stdin); each line is an object "
-        "with 'program' plus optional tools/language/engine/fault_policy/"
-        "max_steps/timeout/lint/tag",
+        "with 'program' plus optional tools/language/timeout/tag and the "
+        "config keys engine/fault_policy/max_steps/lint/mode/record_dir/"
+        "sample_rate/trace_seed",
     )
     batch_parser.add_argument(
         "--workers",
@@ -995,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--sample",
         type=float,
-        default=None,
+        default=1.0,
         metavar="RATE",
         help="deterministic activation sampling rate in [0, 1] "
         "(default 1.0 = record everything)",
@@ -1003,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=0,
         help="sampling seed (same seed + program => byte-identical trace)",
     )
     record_parser.add_argument(

@@ -34,7 +34,6 @@ from repro.observability.instrument import (
     instrument_monitors,
 )
 from repro.observability.metrics import RunMetrics
-from repro.runtime.config import UNSET
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 from repro.semantics.machine import Functional, fix
 from repro.semantics.trampoline import Bounce, Step
@@ -326,15 +325,6 @@ def run_monitored(
     program,
     monitors: "MonitorSpec | Sequence[MonitorSpec]",
     *,
-    answers=UNSET,
-    max_steps=UNSET,
-    check_disjointness=UNSET,
-    engine=UNSET,
-    fault_policy=UNSET,
-    metrics=UNSET,
-    event_sink=UNSET,
-    timeout=UNSET,
-    lint=UNSET,
     config=None,
     cache=None,
 ) -> MonitoredResult:
@@ -343,6 +333,9 @@ def run_monitored(
     Returns the pair the monitoring semantics denotes — the standard answer
     together with the final monitor state(s) (Section 2) — packaged as a
     :class:`MonitoredResult`.
+
+    Run options come from ``config`` (a :class:`repro.runtime.RunConfig`;
+    ``None`` means the defaults).
 
     ``engine="codegen"`` emits the monitored program as native Python
     source (:mod:`repro.partial_eval.codegen`), with claimed annotations
@@ -376,14 +369,6 @@ def run_monitored(
     cooperatively by the trampoline; overrunning raises
     :class:`repro.errors.EvaluationTimeout`).
 
-    ``config`` (a :class:`repro.runtime.RunConfig`) bundles every option
-    above into one reusable value and is the supported spelling; the
-    loose per-option keyword arguments are **deprecated** — passing any
-    of them emits a ``DeprecationWarning`` (they still work, normalized
-    through :meth:`RunConfig.from_kwargs`), and combining ``config``
-    with a keyword explicitly changed from its default raises
-    ``TypeError``.
-
     ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes code
     generation for ``engine="codegen"``: identical (program, monitor
     stack, fault policy) requests reuse the generated program.  Telemetry
@@ -391,48 +376,15 @@ def run_monitored(
     metrics accumulator.  A cache also memoizes the Section 6
     disjointness verdict, so warm runs skip the per-run annotation walk.
 
-    ``lint`` runs the static analyzer (:mod:`repro.analysis`) before
-    execution: ``"warn"`` attaches the findings to
-    ``result.diagnostics`` (warnings also go to stderr), ``"error"``
-    additionally raises :class:`repro.analysis.StaticAnalysisError`
-    without executing the program when any error-severity finding
-    exists.  The default ``"off"`` adds zero overhead.
+    ``lint`` runs the static analyzer before execution (:func:`lint_gate`).
     """
     from repro.monitoring.compose import flatten_monitors, validate_observations
     from repro.runtime.config import RunConfig
 
-    cfg = RunConfig.from_kwargs(
-        config,
-        caller="run_monitored",
-        engine=engine,
-        fault_policy=fault_policy,
-        max_steps=max_steps,
-        metrics=metrics,
-        event_sink=event_sink,
-        answers=answers,
-        check_disjointness=check_disjointness,
-        timeout=timeout,
-        lint=lint,
-    )
+    cfg = RunConfig.checked(config)
     monitor_list: List[MonitorSpec] = flatten_monitors(monitors)
     validate_observations(monitor_list)
-    diagnostics: Tuple = ()
-    if cfg.lint != "off":
-        from repro.analysis import StaticAnalysisError, analyze
-
-        report = analyze(
-            program,
-            monitor_list,
-            language=language,
-            flow=cfg.optimize == "flow",
-        )
-        diagnostics = report.diagnostics
-        if cfg.lint == "error" and not report.ok():
-            raise StaticAnalysisError(report)
-        if diagnostics:
-            import sys
-
-            print(report.render(), file=sys.stderr)
+    diagnostics = lint_gate(cfg, language, program, monitor_list)
     if cfg.check_disjointness:
         if cache is not None:
             cache.check_disjoint(monitor_list, program)
@@ -523,6 +475,32 @@ def run_monitored(
         metrics=telemetry.metrics if telemetry is not None else None,
         diagnostics=diagnostics,
     )
+
+
+def lint_gate(cfg, language, program, monitors: Sequence[MonitorSpec]) -> Tuple:
+    """Run the static analyzer per ``cfg.lint``; return its diagnostics.
+
+    ``"off"`` (the default) adds zero overhead.  ``"warn"`` returns the
+    findings (warnings also go to stderr); ``"error"`` additionally
+    raises :class:`repro.analysis.StaticAnalysisError` when any
+    error-severity finding exists, so the program never executes.  Under
+    ``optimize="flow"`` the ``REP5xx`` claim-flow pass runs too.  Every
+    evaluation path goes through this one gate.
+    """
+    if cfg.lint == "off":
+        return ()
+    from repro.analysis import StaticAnalysisError, analyze
+
+    report = analyze(
+        program, list(monitors), language=language, flow=cfg.optimize == "flow"
+    )
+    if cfg.lint == "error" and not report.ok():
+        raise StaticAnalysisError(report)
+    if report.diagnostics:
+        import sys
+
+        print(report.render(), file=sys.stderr)
+    return report.diagnostics
 
 
 def _fault_log(fault_policy: str, telemetry) -> Optional[FaultLog]:

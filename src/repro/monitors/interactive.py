@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from repro.languages.strict import strict
 from repro.monitoring.derive import MonitoredResult, run_monitored
 from repro.monitors.debugger import DebuggerMonitor
-from repro.runtime.config import RunConfig, UNSET
+from repro.runtime.config import RunConfig
 
 
 class IteratorSource:
@@ -142,12 +142,6 @@ def debug(
     source: Optional[Callable[[], Optional[str]]] = None,
     output: Callable[[str], None] = print,
     script: Sequence[str] = (),
-    max_steps=UNSET,
-    engine=UNSET,
-    fault_policy=UNSET,
-    metrics=UNSET,
-    event_sink=UNSET,
-    timeout=UNSET,
     config=None,
 ) -> DebugResult:
     """Run ``program`` under an interactive debugging session.
@@ -155,11 +149,7 @@ def debug(
     ``script`` commands run first; when they are exhausted, ``source`` is
     consulted (default: the console).  ``output`` receives each transcript
     line as it is produced.  Run options come from ``config`` (a
-    :class:`repro.runtime.RunConfig`); the loose per-option keywords
-    (``engine``, ``max_steps``, ``fault_policy``, ``metrics``,
-    ``event_sink``, ``timeout``) are **deprecated** — they still work,
-    normalized through :meth:`RunConfig.from_kwargs` with a
-    ``DeprecationWarning``.
+    :class:`repro.runtime.RunConfig`; ``None`` means the defaults).
 
     With ``RunConfig(mode="record", record_dir=...)`` the session runs
     live *and* is recorded: the trace carries every consumed command as
@@ -171,16 +161,7 @@ def debug(
     ``transcript``, ``faults``, ``duration``, ``trace`` — sharing the
     batch result wire format.
     """
-    cfg = RunConfig.from_kwargs(
-        config,
-        caller="debug",
-        max_steps=max_steps,
-        engine=engine,
-        fault_policy=fault_policy,
-        metrics=metrics,
-        event_sink=event_sink,
-        timeout=timeout,
-    )
+    cfg = RunConfig.checked(config)
     if source is None:
         source = ConsoleSource()
     monitor = DebuggerMonitor(

@@ -13,12 +13,13 @@ point (the generic-trace architecture of Jahier & Ducassé, PAPERS.md):
   :class:`CallbackSink`, :class:`NullSink`); :func:`replay` folds a
   captured stream back into the aggregates.
 
-Entry points: ``run_monitored(..., metrics=..., event_sink=...)``,
-``toolbox.evaluate``/``Session.evaluate`` with the same keywords, and the
-CLI flags ``--metrics`` / ``--trace-out FILE``.  Telemetry is strictly
-opt-in: with no metrics object and no sink (or a :class:`NullSink`), the
-engines run their historical uninstrumented fast paths — the <2% overhead
-gate in ``benchmarks/bench_engines.py`` holds the runtime to that.
+Entry points: ``run_monitored(..., config=RunConfig(metrics=...,
+event_sink=...))``, ``toolbox.evaluate``/``Session.evaluate`` with the
+same config, and the CLI flags ``--metrics`` / ``--trace-out FILE``.
+Telemetry is strictly opt-in: with no metrics object and no sink (or a
+:class:`NullSink`), the engines run their historical uninstrumented fast
+paths — the <2% overhead gate in ``benchmarks/bench_engines.py`` holds
+the runtime to that.
 """
 
 from repro._lazy import lazy_exports

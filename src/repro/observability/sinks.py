@@ -50,10 +50,10 @@ class EventSink:
 class NullSink(EventSink):
     """The disabled sink: recognized by the runtime, costs nothing.
 
-    ``run_monitored(..., event_sink=NullSink())`` takes the identical code
-    path as passing no sink at all — no instrumentation is compiled in.
-    It exists so callers can thread a sink unconditionally and disable
-    telemetry by configuration.
+    ``run_monitored(..., config=RunConfig(event_sink=NullSink()))`` takes
+    the identical code path as passing no sink at all — no
+    instrumentation is compiled in.  It exists so callers can thread a
+    sink unconditionally and disable telemetry by configuration.
     """
 
     def emit(self, event: Event) -> None:  # pragma: no cover - never wired

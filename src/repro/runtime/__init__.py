@@ -6,7 +6,7 @@ single-run monitoring pipeline:
 * :mod:`repro.runtime.config` — :class:`RunConfig`, the one frozen value
   consolidating every run option (``engine``, ``fault_policy``,
   ``max_steps``, telemetry, ``answers``, ``check_disjointness``,
-  ``timeout``), accepted as ``config=`` by every entry point;
+  ``timeout``, ...), the only way every entry point takes run options;
 * :mod:`repro.runtime.cache` — :class:`CompilationCache`, a thread-safe
   LRU over generated programs keyed by (program hash, language,
   monitor-stack identity, fault policy, counted flag, optimization level);
@@ -44,7 +44,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "RunResult": "repro.runtime.batch",
         "Runtime": "repro.runtime.batch",
         "admission_failure": "repro.runtime.batch",
-        "check_timeout": "repro.runtime.batch",
+        "admit": "repro.runtime.batch",
         "execute_request": "repro.runtime.batch",
         "language_by_name": "repro.runtime.batch",
         "run_batch": "repro.runtime.batch",

@@ -41,36 +41,6 @@ from repro.runtime.config import RunConfig
 DEFAULT_WORKERS = 4
 
 
-def check_timeout(timeout: object) -> Optional[float]:
-    """Validate a per-request ``timeout`` override (``None`` passes).
-
-    Mirrors :meth:`RunConfig.validate`'s rule at the admission boundary:
-    a JSONL record carrying ``"timeout": 0`` (or a negative value, or a
-    non-number) must be rejected *here*, before the override is spliced
-    into a config — historically ``replace(cfg, timeout=...)`` skipped
-    re-validation and let the bad value through.
-    """
-    if timeout is None:
-        return None
-    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-        raise ValueError(
-            f"timeout must be a number of seconds, got {timeout!r}"
-        )
-    if timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout!r}")
-    return float(timeout)
-
-
-def _checked_config(config: Optional[RunConfig]) -> RunConfig:
-    if config is None:
-        return RunConfig().validate()
-    if not isinstance(config, RunConfig):
-        raise TypeError(
-            f"config= expects a RunConfig, got {type(config).__name__}"
-        )
-    return config.validate()
-
-
 def language_by_name(name: Optional[str]):
     """Resolve a language module by CLI name (``None`` → strict)."""
     if name is None or isinstance(name, str) and not name:
@@ -80,6 +50,24 @@ def language_by_name(name: Optional[str]):
     from repro.languages import by_name
 
     return by_name(name)
+
+
+#: The record keys that overlay the base :class:`RunConfig`.
+CONFIG_KEYS = (
+    "engine",
+    "fault_policy",
+    "max_steps",
+    "lint",
+    "mode",
+    "record_dir",
+    "sample_rate",
+    "trace_seed",
+)
+
+#: Every key a batch or serve record may carry.
+REQUEST_KEYS = frozenset(
+    ("program", "tools", "language", "timeout", "tag") + CONFIG_KEYS
+)
 
 
 @dataclass(frozen=True)
@@ -107,54 +95,32 @@ class RunRequest:
         """Build a request from a JSONL record (the ``repro batch`` format).
 
         Recognized keys: ``program`` (required), ``tools``, ``language``,
-        ``engine``, ``fault_policy``, ``max_steps``, ``timeout``, ``tag``.
-        ``base`` (the CLI's flag-derived config) supplies defaults for the
-        per-record keys; record keys override only the fields they name.
+        ``timeout``, ``tag``, and the config keys ``engine``,
+        ``fault_policy``, ``max_steps``, ``lint``, ``mode``,
+        ``record_dir``, ``sample_rate`` and ``trace_seed``.  ``base``
+        (the runner's or the CLI's config) supplies defaults; a record's
+        config keys override only the fields they name.  The overlaid
+        config (with the record's ``timeout``) is validated here, so a
+        bad record fails at admission.
         """
-        known = {
-            "program",
-            "tools",
-            "language",
-            "engine",
-            "fault_policy",
-            "max_steps",
-            "timeout",
-            "lint",
-            "tag",
-            "mode",
-            "record_dir",
-            "sample_rate",
-            "trace_seed",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - REQUEST_KEYS
         if unknown:
             raise ValueError(f"unknown batch request key(s): {sorted(unknown)}")
         if "program" not in data:
             raise ValueError("batch request is missing its 'program'")
-        config = base
-        config_keys = {
-            "engine",
-            "fault_policy",
-            "max_steps",
-            "lint",
-            "mode",
-            "record_dir",
-            "sample_rate",
-            "trace_seed",
-        } & set(data)
-        if config_keys:
-            overrides = {key: data[key] for key in config_keys}
-            config = (
-                replace(base, **overrides)  # type: ignore[arg-type]
-                if base is not None
-                else RunConfig(**overrides)  # type: ignore[arg-type]
-            )
+        overrides = {key: data[key] for key in CONFIG_KEYS if key in data}
+        config = replace(base or RunConfig(), **overrides) if overrides else base
+        timeout = data.get("timeout")
+        effective = config or RunConfig()
+        if timeout is not None:
+            effective = replace(effective, timeout=timeout)
+        effective.validate()
         return cls(
             program=data["program"],
             tools=data.get("tools", ()),
             language=language_by_name(data.get("language")),
             config=config,
-            timeout=check_timeout(data.get("timeout")),
+            timeout=timeout,
             tag=data.get("tag"),
         )
 
@@ -270,6 +236,26 @@ def _render_value(value: object) -> object:
         return str(value)
 
 
+def admit(
+    index: int, request: Union[RunRequest, Dict], base: RunConfig
+) -> Union[RunRequest, RunResult]:
+    """Admit one submission: a dict record becomes a :class:`RunRequest`.
+
+    The one admission step both pools share — they differ only in how
+    they execute what this returns.  ``base`` is the runner's config: a
+    record's config keys overlay it rather than replacing it wholesale,
+    so a record can never shed the runner's lint gate or timeout.  A
+    record :meth:`RunRequest.from_dict` rejects comes back as its
+    :func:`admission_failure` result instead.
+    """
+    if isinstance(request, RunRequest):
+        return request
+    try:
+        return RunRequest.from_dict(request, base=base)
+    except Exception as exc:
+        return admission_failure(index, request, exc)
+
+
 def admission_failure(
     index: int, record: object, exc: BaseException
 ) -> RunResult:
@@ -313,11 +299,8 @@ def execute_request(
         cfg = request.config if request.config is not None else config
         if request.timeout is not None:
             # Re-validate after splicing the override: a bad per-request
-            # timeout must fail this request, not slip past the config's
-            # "timeout must be positive" check (or crash the pool).
-            cfg = replace(
-                cfg, timeout=check_timeout(request.timeout)
-            ).validate()
+            # timeout must fail this request, not crash the pool.
+            cfg = replace(cfg, timeout=request.timeout).validate()
         cfg = cfg.with_fresh_metrics()  # never share counters across requests
         from repro.toolbox.registry import evaluate
 
@@ -402,7 +385,7 @@ class BatchRunner:
         from repro.observability.sinks import is_null_sink
 
         self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
-        self.config = _checked_config(config)
+        self.config = RunConfig.checked(config)
         self.cache = cache if cache is not None else CompilationCache()
         self._event_sink = None if is_null_sink(event_sink) else event_sink
         self._seq = 0
@@ -425,23 +408,14 @@ class BatchRunner:
     def run(self, requests: Sequence[Union[RunRequest, Dict]]) -> List[RunResult]:
         """Run every request; results in submission order, never raising.
 
-        A record :meth:`RunRequest.from_dict` rejects (unknown key, missing
-        program, invalid ``timeout``) becomes a diagnostic ``ok=False``
-        result in its slot rather than failing the whole batch.
+        A record :func:`admit` rejects (unknown key, missing program, an
+        invalid option) becomes a diagnostic ``ok=False`` result in its
+        slot rather than failing the whole batch.
         """
-        normalized: List[Union[RunRequest, RunResult]] = []
-        for index, request in enumerate(requests):
-            if isinstance(request, RunRequest):
-                normalized.append(request)
-            else:
-                try:
-                    # base= so a record's config keys overlay the runner's
-                    # config rather than replacing it wholesale.
-                    normalized.append(
-                        RunRequest.from_dict(request, base=self.config)
-                    )
-                except Exception as exc:
-                    normalized.append(admission_failure(index, request, exc))
+        normalized = [
+            admit(index, request, self.config)
+            for index, request in enumerate(requests)
+        ]
         total = len(normalized)
         self._emit("batch-start", {"total": total, "workers": self.workers})
         start = perf_counter()
@@ -540,7 +514,7 @@ class Runtime:
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {executor!r}"
             )
-        self.config = _checked_config(config)
+        self.config = RunConfig.checked(config)
         self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
         self.cache = CompilationCache(cache_size, event_sink=event_sink)
         self.event_sink = event_sink
@@ -611,7 +585,7 @@ __all__ = [
     "RunResult",
     "Runtime",
     "admission_failure",
-    "check_timeout",
+    "admit",
     "execute_request",
     "language_by_name",
     "run_batch",

@@ -1,34 +1,23 @@
 """``RunConfig``: one frozen value for every run option the system takes.
 
-Before the serving runtime existed, the options controlling a single run —
-``engine``, ``fault_policy``, ``max_steps``, ``metrics``, ``event_sink``,
-``answers``, ``check_disjointness`` — were re-declared as keyword
-arguments on five different entry points (``run_monitored``, the toolbox
-``evaluate``, ``Session.evaluate``, ``compile_program``, and every CLI
-subcommand), and they drifted: ``debug`` shipped without ``--fault-policy``
-until PR 3 caught it.  :class:`RunConfig` is the consolidation: build the
-options once, pass ``config=`` anywhere, reuse it for a thousand requests.
+The options controlling a single run — ``engine``, ``fault_policy``,
+``max_steps``, ``metrics``, ``event_sink``, ``answers``,
+``check_disjointness``, ``timeout``, ``lint`` and the record/replay
+settings — have one spelling: build a :class:`RunConfig` once and pass it
+as ``config=`` to ``run_monitored``, the toolbox ``evaluate``,
+``Session.evaluate``, ``debug``, ``record`` or a batch runner, then reuse
+it for a thousand requests.  Every entry point admits its config through
+:meth:`RunConfig.checked` (``None`` means the defaults).
 
-Legacy keyword arguments keep working on every entry point.  The merge
-rule (:meth:`RunConfig.resolve`) is:
-
-* no ``config`` — the legacy kwargs (with their historical defaults)
-  build a fresh ``RunConfig``;
-* ``config`` given — it wins, and a legacy kwarg *explicitly changed from
-  its default* that disagrees with the config raises ``TypeError`` with
-  both values spelled out.  (A kwarg left at its default is
-  indistinguishable from "not passed" and is ignored.)
-
-``timeout`` is the one field beyond the historical kwargs: a per-run
-wall-clock budget in seconds, enforced cooperatively by the trampoline
-(see :func:`repro.semantics.trampoline.trampoline`) and used by the batch
+``timeout`` is a per-run wall-clock budget in seconds, enforced
+cooperatively by the trampoline (see
+:func:`repro.semantics.trampoline.trampoline`) and used by the batch
 runtime for per-request timeouts.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, Optional
 
@@ -36,19 +25,6 @@ from repro.monitoring.faults import check_fault_policy
 from repro.observability.metrics import RunMetrics
 from repro.observability.sinks import EventSink
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
-
-
-class _Unset:
-    """Sentinel type for "this keyword was not passed at all"."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-#: Default for legacy per-option keywords on the public entry points:
-#: distinguishes "caller never passed this" from "caller passed the
-#: historical default", so only *explicit* legacy usage warns.
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -112,15 +88,27 @@ class RunConfig:
         check_engine(self.engine)
         check_fault_policy(self.fault_policy)
         check_lint_level(self.lint)
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        # Batch and serve records set these straight from JSON, so the
+        # type is checked too: a bool is not a budget, and a fractional
+        # step budget would split the engines.
+        if self.max_steps is not None and not (
+            _is_int(self.max_steps) and self.max_steps > 0
+        ):
+            raise ValueError(
+                f"max_steps must be a positive integer, got {self.max_steps!r}"
+            )
+        if self.timeout is not None:
+            if not _is_number(self.timeout):
+                raise ValueError(
+                    f"timeout must be a number of seconds, got {self.timeout!r}"
+                )
+            if self.timeout <= 0:
+                raise ValueError(f"timeout must be positive, got {self.timeout!r}")
         if self.mode not in ("inline", "record"):
             raise ValueError(
                 f"mode must be 'inline' or 'record', got {self.mode!r}"
             )
-        if isinstance(self.sample_rate, bool) or not isinstance(
-            self.sample_rate, (int, float)
-        ):
+        if not _is_number(self.sample_rate):
             raise ValueError(
                 f"sample_rate must be a number, got {self.sample_rate!r}"
             )
@@ -128,17 +116,11 @@ class RunConfig:
             raise ValueError(
                 f"sample_rate must be within [0, 1], got {self.sample_rate!r}"
             )
-        if isinstance(self.trace_seed, bool) or not isinstance(
-            self.trace_seed, int
-        ):
+        if not _is_int(self.trace_seed):
             raise ValueError(
                 f"trace_seed must be an integer, got {self.trace_seed!r}"
             )
-        if (
-            isinstance(self.checkpoint_interval, bool)
-            or not isinstance(self.checkpoint_interval, int)
-            or self.checkpoint_interval < 1
-        ):
+        if not _is_int(self.checkpoint_interval) or self.checkpoint_interval < 1:
             raise ValueError(
                 "checkpoint_interval must be a positive integer, got "
                 f"{self.checkpoint_interval!r}"
@@ -148,6 +130,21 @@ class RunConfig:
                 f"optimize must be 'none' or 'flow', got {self.optimize!r}"
             )
         return self
+
+    @classmethod
+    def checked(cls, config: "Optional[RunConfig]") -> "RunConfig":
+        """Admit an entry point's ``config=`` argument.
+
+        ``None`` means the defaults; anything but a ``RunConfig`` is a
+        ``TypeError``; the result is validated.
+        """
+        if config is None:
+            return cls().validate()
+        if not isinstance(config, cls):
+            raise TypeError(
+                f"config= expects a RunConfig, got {type(config).__name__}"
+            )
+        return config.validate()
 
     def deadline(self) -> Optional[float]:
         """The ``perf_counter`` deadline this run must finish by, or ``None``."""
@@ -209,88 +206,13 @@ class RunConfig:
             raise ValueError(f"unknown run config scalar(s): {sorted(unknown)}")
         return cls(**data).validate()  # type: ignore[arg-type]
 
-    @classmethod
-    def resolve(
-        cls, config: "Optional[RunConfig]", **legacy: object
-    ) -> "RunConfig":
-        """Merge an optional ``config`` with legacy keyword arguments.
 
-        ``legacy`` maps field names to the values the caller's keyword
-        arguments currently hold.  See the module docstring for the merge
-        rule; the result is always validated.
-        """
-        defaults = _field_defaults()
-        unknown = set(legacy) - set(defaults)
-        if unknown:
-            raise TypeError(f"unknown run option(s): {sorted(unknown)}")
-        if config is None:
-            return cls(**legacy).validate()  # type: ignore[arg-type]
-        if not isinstance(config, cls):
-            raise TypeError(
-                f"config must be a RunConfig, got {type(config).__name__}"
-            )
-        conflicts = []
-        for name, value in legacy.items():
-            if _differs(value, defaults[name]) and _differs(
-                value, getattr(config, name)
-            ):
-                conflicts.append(
-                    f"{name}={value!r} (config has {getattr(config, name)!r})"
-                )
-        if conflicts:
-            raise TypeError(
-                "got both config= and conflicting legacy keyword(s): "
-                + ", ".join(conflicts)
-                + " — set the option on the RunConfig instead"
-            )
-        return config.validate()
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        config: "Optional[RunConfig]" = None,
-        *,
-        caller: str = "this function",
-        **legacy: object,
-    ) -> "RunConfig":
-        """The one entry-point normalizer: kwargs in, validated config out.
-
-        Entry points declare their legacy per-option keywords with the
-        :data:`UNSET` default and forward them all here; only keywords the
-        caller *explicitly passed* survive the filter, and any survivor
-        puts the call on the deprecated path — a ``DeprecationWarning``
-        names the keywords and the replacement.  The merge semantics are
-        :meth:`resolve`'s (config wins; explicit conflicts raise
-        ``TypeError``), so behavior is unchanged, just announced.
-        """
-        passed = {
-            name: value
-            for name, value in legacy.items()
-            if not isinstance(value, _Unset)
-        }
-        if passed:
-            warnings.warn(
-                f"{caller}: per-option keyword arguments "
-                f"({', '.join(sorted(passed))}) are deprecated; pass "
-                "config=RunConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return cls.resolve(config, **passed)
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _field_defaults() -> Dict[str, object]:
-    return {f.name: f.default for f in fields(RunConfig)}
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
-def _differs(a: object, b: object) -> bool:
-    """Inequality that never raises (sinks and algebras may lack ``__eq__``)."""
-    if a is b:
-        return False
-    try:
-        return bool(a != b)
-    except Exception:
-        return True
-
-
-__all__ = ["RunConfig", "UNSET"]
+__all__ = ["RunConfig"]

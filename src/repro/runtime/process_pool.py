@@ -74,6 +74,7 @@ from repro.runtime.batch import (
     RunRequest,
     RunResult,
     admission_failure,
+    admit,
     execute_request,
     language_by_name,
 )
@@ -323,22 +324,20 @@ class ProcessPoolRunner:
         from repro.observability.sinks import is_null_sink
 
         self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
-        self.config = (config if config is not None else RunConfig()).validate()
+        self.config = RunConfig.checked(config)
         if int(queue_depth) < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.cache_size = int(cache_size)
         self.queue_depth = int(queue_depth)
         self.trace_dir = trace_dir
-        self._prewarm_wire = [
-            request_to_wire(
-                r
-                if isinstance(r, RunRequest)
-                else RunRequest.from_dict(r, base=self.config),
-                request_id=-1,
-                index=0,
+        self._prewarm_wire = []
+        for index, entry in enumerate(prewarm):
+            admitted = admit(index, entry, self.config)
+            if isinstance(admitted, RunResult):
+                raise ValueError(f"prewarm entry {index}: {admitted.error}")
+            self._prewarm_wire.append(
+                request_to_wire(admitted, request_id=-1, index=0)
             )
-            for r in prewarm
-        ]
         self._event_sink = None if is_null_sink(event_sink) else event_sink
         self._event_seq = 0
         if start_method is None:
@@ -520,16 +519,9 @@ class ProcessPoolRunner:
             self.start()
         if self._closing:
             raise ReproError("process pool is closed")
-        if not isinstance(request, RunRequest):
-            try:
-                # base= so a record naming one config key (engine, lint,
-                # max_steps, fault_policy) *overlays* the pool's config
-                # instead of replacing it — otherwise a serve record with
-                # any config key would silently shed the daemon's lint
-                # gate and timeout.
-                request = RunRequest.from_dict(request, base=self.config)
-            except Exception as exc:
-                return self._failed_future(admission_failure(index, request, exc))
+        request = admit(index, request, self.config)
+        if isinstance(request, RunResult):
+            return self._failed_future(request)
         request_id = next(self._ids)
         try:
             wire = request_to_wire(request, request_id=request_id, index=index)

@@ -10,8 +10,10 @@ backpressure, and crash-isolated workers.
 
 **Protocol.**  One JSON object per line, in both directions.  A request
 line is exactly the ``repro batch`` record format (``program`` plus
-optional ``tools``/``language``/``engine``/``fault_policy``/
-``max_steps``/``timeout``/``lint``/``tag``) with one extra optional key:
+optional ``tools``/``language``/``timeout``/``tag`` and the config keys
+``engine``/``fault_policy``/``max_steps``/``lint``/``mode``/
+``record_dir``/``sample_rate``/``trace_seed``) with one extra optional
+key:
 
 * ``id`` — an opaque client correlation token, echoed verbatim on the
   response line.
@@ -25,7 +27,8 @@ sequence number for clients that prefer positional bookkeeping.
 
 Admission control happens before execution, in this order: unparseable
 JSON → ``ProtocolError``; an invalid record (unknown key, missing
-program, non-positive ``timeout``) → a diagnostic ``ok=False`` record;
+program, an invalid option such as a non-positive ``timeout`` or
+``max_steps``) → a diagnostic ``ok=False`` record;
 a full worker queue → an explicit ``Overloaded`` rejection (HTTP-429
 moral equivalent — never a silent drop); and with ``lint="error"`` on
 the server config, the static analyzer rejects failing programs with

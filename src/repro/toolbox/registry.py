@@ -20,10 +20,9 @@ from repro.languages import LANGUAGE_NAMES, by_name
 from repro.languages.base import BaseLanguage
 from repro.languages.strict import strict
 from repro.monitoring.compose import MonitorStack, flatten_monitors
-from repro.monitoring.derive import MonitoredResult, run_monitored
+from repro.monitoring.derive import MonitoredResult, lint_gate, run_monitored
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
-from repro.runtime.config import UNSET
 from repro.syntax.ast import Expr
 from repro.syntax.parser import parse
 from repro.toolbox.compose_op import Toolchain
@@ -101,9 +100,9 @@ class EvaluationResult:
     """What ``evaluate`` hands back: the answer plus every tool's report.
 
     ``metrics`` is the run's telemetry counters when requested (the
-    ``metrics=``/``event_sink=`` keywords of :func:`evaluate`), else
-    ``None``.  ``diagnostics`` carries the static analyzer's findings
-    when the run was configured with ``lint="warn"``.
+    config's ``metrics``/``event_sink``), else ``None``.  ``diagnostics``
+    carries the static analyzer's findings when the run was configured
+    with ``lint="warn"``.
     """
 
     answer: object
@@ -130,13 +129,6 @@ def evaluate(
     program: Union[str, Expr],
     *,
     language: Optional[BaseLanguage] = None,
-    max_steps=UNSET,
-    engine=UNSET,
-    fault_policy=UNSET,
-    metrics=UNSET,
-    event_sink=UNSET,
-    timeout=UNSET,
-    lint=UNSET,
     config=None,
     cache=None,
 ) -> EvaluationResult:
@@ -145,43 +137,21 @@ def evaluate(
     ``tools`` may be a toolchain built with ``&``, a monitor stack, a
     single spec, a list mixing specs and tool names, or a string such as
     ``"profile & trace & strict"``.  ``program`` may be surface syntax or
-    an already-parsed expression.  ``engine`` selects the execution engine
-    (``"reference"`` or ``"codegen"``) for both the plain
-    and the monitored run.  ``fault_policy`` selects how monitor failures are
-    handled (see :func:`repro.monitoring.derive.run_monitored`).
+    an already-parsed expression.
 
-    ``metrics``/``event_sink`` request run telemetry
-    (:mod:`repro.observability`); they work with or without tools
-    attached — an unmonitored evaluation with telemetry runs through the
-    monitoring pipeline with an empty stack, which denotes the standard
-    semantics (Definition 4.2's fall-through everywhere).
-
-    ``timeout`` bounds the run's wall-clock seconds; ``config`` (a
-    :class:`repro.runtime.RunConfig`) bundles every option above into one
-    reusable value and is the supported spelling — the loose per-option
-    keywords are **deprecated** and emit a ``DeprecationWarning``
-    (conflicting explicit keywords raise ``TypeError``); ``cache`` (a
-    :class:`repro.runtime.CompilationCache`) memoizes code generation
-    for ``engine="codegen"``.
-
-    ``lint`` gates the run on the static analyzer (:mod:`repro.analysis`):
-    ``"warn"`` attaches findings as ``result.diagnostics``, ``"error"``
-    raises :class:`repro.analysis.StaticAnalysisError` before executing a
-    program with error-severity findings.
+    Run options come from ``config`` (a :class:`repro.runtime.RunConfig`;
+    ``None`` means the defaults) and mean what they mean for
+    :func:`repro.monitoring.derive.run_monitored`.  Telemetry
+    (``metrics``/``event_sink``) works with or without tools attached —
+    an unmonitored evaluation with telemetry runs through the monitoring
+    pipeline with an empty stack, which denotes the standard semantics
+    (Definition 4.2's fall-through everywhere).  ``cache`` (a
+    :class:`repro.runtime.CompilationCache`) memoizes code generation for
+    ``engine="codegen"``.
     """
     from repro.runtime.config import RunConfig
 
-    cfg = RunConfig.from_kwargs(
-        config,
-        caller="evaluate",
-        engine=engine,
-        fault_policy=fault_policy,
-        max_steps=max_steps,
-        metrics=metrics,
-        event_sink=event_sink,
-        timeout=timeout,
-        lint=lint,
-    )
+    cfg = RunConfig.checked(config)
     monitors, chain_language = _resolve_tools(tools)
     run_language = language or chain_language or strict
     expr = parse(program) if isinstance(program, str) else program
@@ -190,7 +160,7 @@ def evaluate(
         # This fast path bypasses run_monitored, so the lint gate runs here.
         # (Record mode always routes through run_monitored — the recorder
         # must observe the run even with no tools attached.)
-        diagnostics = _lint_gate(cfg, expr, monitors, run_language)
+        diagnostics = lint_gate(cfg, run_language, expr, monitors)
         if cache is not None and cfg.engine == "codegen":
             # Tool-less codegen runs still deserve the compilation
             # cache: the empty monitor stack denotes the standard semantics.
@@ -231,19 +201,3 @@ def evaluate(
         diagnostics=result.diagnostics,
         trace=result.trace,
     )
-
-
-def _lint_gate(cfg, expr, monitors, run_language) -> Tuple:
-    """Run the analyzer per ``cfg.lint`` (mirrors ``run_monitored``'s gate)."""
-    if cfg.lint == "off":
-        return ()
-    import sys
-
-    from repro.analysis import StaticAnalysisError, analyze
-
-    report = analyze(expr, list(monitors), language=run_language)
-    if cfg.lint == "error" and not report.ok():
-        raise StaticAnalysisError(report)
-    if report.diagnostics:
-        print(report.render(), file=sys.stderr)
-    return report.diagnostics

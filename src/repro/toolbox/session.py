@@ -26,7 +26,6 @@ from repro.errors import ReproError
 from repro.languages.base import BaseLanguage
 from repro.languages.strict import strict
 from repro.monitoring.spec import MonitorSpec
-from repro.runtime.config import UNSET
 from repro.syntax.ast import Expr, Lam, Letrec, strip_annotations_shallow
 from repro.syntax.parser import parse
 from repro.toolbox.autoannotate import annotate_function_bodies
@@ -93,12 +92,6 @@ class Session:
         tools: Union[str, Sequence[Union[str, MonitorSpec]], None] = None,
         *,
         functions: Optional[Sequence[str]] = None,
-        max_steps=UNSET,
-        engine=UNSET,
-        fault_policy=UNSET,
-        metrics=UNSET,
-        event_sink=UNSET,
-        timeout=UNSET,
         config=None,
         cache=None,
     ) -> EvaluationResult:
@@ -110,33 +103,11 @@ class Session:
         annotates the definitions in that tool's own namespace, so any
         combination composes with disjoint syntaxes.  ``functions``
         restricts auto-annotation to the listed definitions ("trace calls
-        to the function f").  ``engine`` picks the execution engine
-        (``"reference"`` or ``"codegen"``) for both plain and monitored
-        evaluation; ``fault_policy`` selects monitor-fault handling
-        (``"propagate"``, ``"quarantine"`` or ``"log"``);
-        ``metrics``/``event_sink`` request run telemetry
-        (:mod:`repro.observability`), with or without tools attached;
-        ``timeout`` bounds wall-clock seconds; ``config`` (a
-        :class:`repro.runtime.RunConfig`) bundles every run option into
-        one value and ``cache`` (a
+        to the function f").  Run options come from ``config`` (a
+        :class:`repro.runtime.RunConfig`) and ``cache`` (a
         :class:`repro.runtime.CompilationCache`) memoizes code
         generation — both are forwarded to the toolbox ``evaluate``.
-        The loose per-option keywords are deprecated (they forward, with
-        a ``DeprecationWarning``, through ``RunConfig.from_kwargs``);
-        prefer ``config=``.
         """
-        from repro.runtime.config import RunConfig
-
-        cfg = RunConfig.from_kwargs(
-            config,
-            caller="Session.evaluate",
-            max_steps=max_steps,
-            engine=engine,
-            fault_policy=fault_policy,
-            metrics=metrics,
-            event_sink=event_sink,
-            timeout=timeout,
-        )
         program = self.program_for(expr_source)
 
         if tools is None:
@@ -144,7 +115,7 @@ class Session:
                 (),
                 program,
                 language=self.language,
-                config=cfg,
+                config=config,
                 cache=cache,
             )
 
@@ -166,7 +137,7 @@ class Session:
             monitors,
             program,
             language=self.language,
-            config=cfg,
+            config=config,
             cache=cache,
         )
 

@@ -310,8 +310,6 @@ def record(
     *,
     monitors: Sequence[MonitorSpec] = (),
     sites: Optional[Sequence[str]] = None,
-    sample_rate: Optional[float] = None,
-    seed: Optional[int] = None,
     values: str = "full",
     source: Optional[str] = None,
     config=None,
@@ -322,11 +320,11 @@ def record(
     ``out`` is a path or a writable object.  ``monitors`` (optional)
     restricts recording to the sites those specs claim — record only
     what the stacks you intend to fold will look at; ``sites`` further
-    restricts by annotation name/rendering/site id.  ``sample_rate`` /
-    ``seed`` control deterministic activation sampling; ``values``
-    selects full value capture or content fingerprints.  Remaining run
-    options (engine, max_steps, timeout, metrics, ...) come from
-    ``config``.
+    restricts by annotation name/rendering/site id.  ``values``
+    selects full value capture or content fingerprints.  Run options
+    come from ``config`` — among them ``sample_rate``/``trace_seed``,
+    the deterministic activation sampling, next to engine, max_steps,
+    timeout and metrics.
 
     ``live`` runs a second monitor inline while recording (see
     :class:`RecorderSpec`); if it consumes commands (an interactive
@@ -345,11 +343,7 @@ def record(
     from repro.monitoring.derive import run_monitored
     from repro.runtime.config import RunConfig
 
-    cfg = (config if config is not None else RunConfig()).validate()
-    rate = cfg.sample_rate if sample_rate is None else float(sample_rate)
-    if not 0.0 <= rate <= 1.0:
-        raise TraceError(f"sample_rate must be within [0, 1], got {rate!r}")
-    seed_value = cfg.trace_seed if seed is None else int(seed)
+    cfg = RunConfig.checked(config)
     if values not in VALUE_MODES:
         raise TraceError(
             f"values must be one of {', '.join(VALUE_MODES)}, got {values!r}"
@@ -385,7 +379,7 @@ def record(
         "fingerprint": program_fingerprint(program),
         "sites": len(site_table),
         "site_annotations": [plan.site.rendered for plan in plans],
-        "sample": {"rate": rate, "seed": seed_value},
+        "sample": {"rate": cfg.sample_rate, "seed": cfg.trace_seed},
         "values": values,
     }
     if len(enabled) != len(site_table):
@@ -393,7 +387,12 @@ def record(
 
     writer = TraceWriter(out, header)
     recorder = RecorderSpec(
-        writer, plans, sample_rate=rate, seed=seed_value, values=values, live=live
+        writer,
+        plans,
+        sample_rate=cfg.sample_rate,
+        seed=cfg.trace_seed,
+        values=values,
+        live=live,
     )
     # An interactive live monitor consumes commands nondeterministically;
     # chain its on_command hook so each consumed command becomes an

@@ -26,6 +26,7 @@ from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.faults import FlakyMonitor, InjectedFault
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 #: An annotated recursive workload: five ``{fac}`` label hits, plus a
@@ -60,12 +61,16 @@ def run_both_with_faults(program, make_monitors, fault_policy="quarantine"):
     if isinstance(program, str):
         program = parse(program)
     ref = run_monitored(
-        strict, program, make_monitors(), engine="reference",
-        fault_policy=fault_policy,
+        strict,
+        program,
+        make_monitors(),
+        config=RunConfig(engine="reference", fault_policy=fault_policy),
     )
     fast = run_monitored(
-        strict, program, make_monitors(), engine="codegen",
-        fault_policy=fault_policy,
+        strict,
+        program,
+        make_monitors(),
+        config=RunConfig(engine="codegen", fault_policy=fault_policy),
     )
     return ref, fast
 

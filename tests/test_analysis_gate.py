@@ -24,6 +24,8 @@ UNBOUND = "1 + froz0"
 CLEAN = "let f = lambda x. x + 1 in f 41"
 WARNED = "letrec unused = lambda x. x in 42"
 OVERLAP = "{p}: 1"
+DEAD_BRANCH = "if true then 1 else {dead}: 2"
+DEAD_LETREC = "letrec f = {dead}: lambda x. x in f 1"
 
 
 class TestRunConfigLint:
@@ -42,7 +44,7 @@ class TestRunConfigLint:
 class TestRunMonitoredGate:
     def test_error_rejects_before_execution(self):
         with pytest.raises(StaticAnalysisError) as info:
-            run_monitored(strict, parse(UNBOUND), [], lint="error")
+            run_monitored(strict, parse(UNBOUND), [], config=RunConfig(lint="error"))
         assert [d.code for d in info.value.diagnostics] == ["REP101"]
 
     def test_error_rejects_overlapping_stack(self):
@@ -51,13 +53,13 @@ class TestRunMonitoredGate:
                 strict,
                 parse(OVERLAP),
                 [ProfilerMonitor(), LabelCounterMonitor()],
-                lint="error",
+                config=RunConfig(lint="error"),
             )
         assert "REP204" in [d.code for d in info.value.diagnostics]
 
     def test_warn_attaches_diagnostics_and_runs(self, capsys):
         result = run_monitored(
-            strict, parse(WARNED), [ProfilerMonitor()], lint="warn"
+            strict, parse(WARNED), [ProfilerMonitor()], config=RunConfig(lint="warn")
         )
         assert result.answer == 42
         assert [d.code for d in result.diagnostics] == ["REP103"]
@@ -71,7 +73,7 @@ class TestRunMonitoredGate:
 
     def test_clean_program_unaffected_by_error_level(self):
         result = run_monitored(
-            strict, parse(CLEAN), [ProfilerMonitor()], lint="error"
+            strict, parse(CLEAN), [ProfilerMonitor()], config=RunConfig(lint="error")
         )
         assert result.answer == 42
 
@@ -80,28 +82,45 @@ class TestToolboxGate:
     def test_fast_path_error_rejects(self):
         # No tools, no telemetry: evaluate's direct path must still lint.
         with pytest.raises(StaticAnalysisError):
-            evaluate((), UNBOUND, lint="error")
+            evaluate((), UNBOUND, config=RunConfig(lint="error"))
 
     def test_fast_path_warn_attaches(self, capsys):
-        result = evaluate((), WARNED, lint="warn")
+        result = evaluate((), WARNED, config=RunConfig(lint="warn"))
         assert result.answer == 42
         assert [d.code for d in result.diagnostics] == ["REP103"]
         capsys.readouterr()
 
     def test_monitored_path_error_rejects(self):
         with pytest.raises(StaticAnalysisError):
-            evaluate("profile", UNBOUND, lint="error")
+            evaluate("profile", UNBOUND, config=RunConfig(lint="error"))
 
     def test_cached_toolless_path_lints_once(self, capsys):
         cache = CompilationCache()
         result = evaluate(
-            (), WARNED, engine="codegen", lint="warn", cache=cache
+            (), WARNED, config=RunConfig(engine="codegen", lint="warn"), cache=cache
         )
         assert result.answer == 42
         # Exactly one rendered report: the fast-path gate, not a second
         # one from the run_monitored delegation.
         err = capsys.readouterr().err
         assert err.count("REP103") == 1
+
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
+    @pytest.mark.parametrize(
+        "source", [DEAD_BRANCH, DEAD_LETREC], ids=["branch", "letrec"]
+    )
+    def test_toolless_path_runs_the_flow_pass(self, source, engine, capsys):
+        """Every spelling of a tool-less run goes through one lint gate."""
+        config = RunConfig(engine=engine, lint="warn", optimize="flow")
+        program = parse(source)
+        direct = run_monitored(strict, program, [], config=config)
+        codes = [d.code for d in direct.diagnostics]
+        assert "REP501" in codes
+        fast = evaluate((), program, config=config)
+        assert [d.code for d in fast.diagnostics] == codes
+        [batched] = run_batch([{"program": source}], workers=1, config=config)
+        assert [d.code for d in batched.diagnostics] == codes
+        capsys.readouterr()
 
     def test_config_object_carries_lint(self):
         config = RunConfig(lint="error")

@@ -67,7 +67,7 @@ class TestCapabilityMatrix:
         from repro.languages.lazy import lazy
 
         with pytest.raises(ReproError) as exc:
-            run_monitored(lazy, parse("1 + 2"), [], engine="codegen")
+            run_monitored(lazy, parse("1 + 2"), [], config=RunConfig(engine="codegen"))
         assert "engine='codegen'" in str(exc.value)
 
     def test_run_config_validates_engine_names(self):
@@ -119,10 +119,18 @@ class TestCacheEngineDimension:
         cache = CompilationCache()
         program = parse(FAC)
         cold = run_monitored(
-            strict, program, ProfilerMonitor(), engine="codegen", cache=cache
+            strict,
+            program,
+            ProfilerMonitor(),
+            config=RunConfig(engine="codegen"),
+            cache=cache,
         )
         warm = run_monitored(
-            strict, program, ProfilerMonitor(), engine="codegen", cache=cache
+            strict,
+            program,
+            ProfilerMonitor(),
+            config=RunConfig(engine="codegen"),
+            cache=cache,
         )
         assert cold.answer == warm.answer == 720
         assert dict(cold.report()) == dict(warm.report()) == {"fac": 7}
@@ -148,7 +156,7 @@ class TestConcurrentBatch:
         runner = BatchRunner(workers=8, cache=cache)
         results = runner.run(requests)
         oracle = run_monitored(
-            strict, parse(FAC), ProfilerMonitor(), engine="reference"
+            strict, parse(FAC), ProfilerMonitor(), config=RunConfig(engine="reference")
         )
         assert all(r.ok for r in results)
         for result in results:
@@ -195,12 +203,16 @@ class TestResourceGuards:
             "else fib (n - 1) + fib (n - 2) in fib 34"
         )
         with pytest.raises(EvaluationTimeout):
-            run_monitored(strict, program, [], engine="codegen", timeout=0.05)
+            run_monitored(
+                strict, program, [], config=RunConfig(engine="codegen", timeout=0.05)
+            )
 
     def test_step_limit_through_run_monitored(self):
         program = parse(LOOP.format(n=100_000))
         with pytest.raises(StepLimitExceeded):
-            run_monitored(strict, program, [], engine="codegen", max_steps=100)
+            run_monitored(
+                strict, program, [], config=RunConfig(engine="codegen", max_steps=100)
+            )
 
     def test_guarded_variant_reuses_the_artifact(self):
         # One GeneratedProgram serves both guarded and unguarded runs.

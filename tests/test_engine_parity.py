@@ -23,6 +23,7 @@ from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.spec import FunctionSpec
 from repro.monitors import LabelCounterMonitor, TracerMonitor
+from repro.runtime import RunConfig
 from repro.semantics.values import is_function, value_to_string, values_equal
 from repro.syntax.annotations import untag
 from repro.syntax.parser import parse
@@ -49,14 +50,16 @@ def answers_match(reference, fast) -> bool:
 def run_all(program, monitors):
     """One run per engine (specs are stateless, so sharing them is safe)."""
     return {
-        engine: run_monitored(strict, program, monitors, engine=engine)
+        engine: run_monitored(
+            strict, program, monitors, config=RunConfig(engine=engine)
+        )
         for engine in ENGINES
     }
 
 
 def run_both(program, monitors, engine="codegen"):
-    ref = run_monitored(strict, program, monitors, engine="reference")
-    fast = run_monitored(strict, program, monitors, engine=engine)
+    ref = run_monitored(strict, program, monitors, config=RunConfig(engine="reference"))
+    fast = run_monitored(strict, program, monitors, config=RunConfig(engine=engine))
     return ref, fast
 
 
@@ -250,10 +253,12 @@ def test_metrics_parity(fault_policy, program):
             strict,
             program,
             monitors(),
-            engine=engine,
-            fault_policy=fault_policy,
-            metrics=metrics,
-            max_steps=2_000_000,
+            config=RunConfig(
+                engine=engine,
+                fault_policy=fault_policy,
+                metrics=metrics,
+                max_steps=2_000_000,
+            ),
         )
         collected[engine] = (result, metrics)
     ref, ref_metrics = collected["reference"]
@@ -281,10 +286,12 @@ def test_metrics_parity_under_injected_faults(fault_policy, program):
             strict,
             program,
             flaky_counter(1),
-            engine=engine,
-            fault_policy=fault_policy,
-            metrics=metrics,
-            max_steps=2_000_000,
+            config=RunConfig(
+                engine=engine,
+                fault_policy=fault_policy,
+                metrics=metrics,
+                max_steps=2_000_000,
+            ),
         )
         collected[engine] = (result, metrics)
     ref, ref_metrics = collected["reference"]
@@ -309,9 +316,9 @@ def test_quarantined_fault_parity(program):
             strict,
             program,
             flaky_counter(1),
-            engine=engine,
-            fault_policy="quarantine",
-            max_steps=2_000_000,
+            config=RunConfig(
+                engine=engine, fault_policy="quarantine", max_steps=2_000_000
+            ),
         )
     ref = runs["reference"]
     for engine in FAST_ENGINES:

@@ -13,6 +13,7 @@ from repro.languages.exceptions import (
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.spec import FunctionSpec
 from repro.monitors import StepperMonitor, TracerMonitor
+from repro.runtime import RunConfig
 from repro.syntax.annotations import Label
 from repro.syntax.parser import parse as parse_lambda
 
@@ -104,7 +105,10 @@ class TestRandomExcPrograms:
 
         plain = exceptions_language.evaluate(program, max_steps=2_000_000)
         monitored = run_monitored(
-            exceptions_language, program, LabelCounterMonitor(), max_steps=2_000_000
+            exceptions_language,
+            program,
+            LabelCounterMonitor(),
+            config=RunConfig(max_steps=2_000_000),
         )
         assert monitored.answer == plain
 
@@ -115,7 +119,10 @@ class TestRandomExcPrograms:
         from repro.partial_eval.exc_codegen import generate_exc_program
 
         interp = run_monitored(
-            exceptions_language, program, LabelCounterMonitor(), max_steps=2_000_000
+            exceptions_language,
+            program,
+            LabelCounterMonitor(),
+            config=RunConfig(max_steps=2_000_000),
         )
         generated = generate_exc_program(program, LabelCounterMonitor())
         answer, states = generated.run()

@@ -32,6 +32,7 @@ from repro.monitoring.faults import (
     check_fault_policy,
 )
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 from tests.fault_injection import (
@@ -61,7 +62,10 @@ class TestPolicyValidation:
     def test_run_monitored_rejects_unknown_policy(self):
         with pytest.raises(MonitorError):
             run_monitored(
-                strict, parse("1"), [], fault_policy="ignore-everything"
+                strict,
+                parse("1"),
+                [],
+                config=RunConfig(fault_policy="ignore-everything"),
             )
 
     def test_fault_log_refuses_propagate(self):
@@ -96,7 +100,10 @@ class TestPropagateDefault:
     def test_pre_fault_escapes(self, engine):
         with pytest.raises(InjectedFault):
             run_monitored(
-                strict, parse(FAC_LABELED), flaky_counter(3), engine=engine
+                strict,
+                parse(FAC_LABELED),
+                flaky_counter(3),
+                config=RunConfig(engine=engine),
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -106,13 +113,16 @@ class TestPropagateDefault:
                 strict,
                 parse(FAC_LABELED),
                 flaky_counter(3, phase="post"),
-                engine=engine,
+                config=RunConfig(engine=engine),
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_healthy_run_reports_no_faults(self, engine):
         result = run_monitored(
-            strict, parse(FAC_LABELED), LabelCounterMonitor(), engine=engine
+            strict,
+            parse(FAC_LABELED),
+            LabelCounterMonitor(),
+            config=RunConfig(engine=engine),
         )
         assert result.healthy()
         assert result.faults == ()
@@ -133,8 +143,7 @@ class TestQuarantine:
             strict,
             program,
             flaky_counter(2, phase=phase),
-            engine=engine,
-            fault_policy="quarantine",
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         )
         assert result.answer == expected == 24
         assert not result.healthy()
@@ -153,8 +162,7 @@ class TestQuarantine:
             strict,
             parse(FAC_LABELED),
             flaky_counter(2),
-            engine=engine,
-            fault_policy="quarantine",
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         )
         assert result.report("count") == {"fac": 1}
         assert len(result.faults) == 1  # exactly one fault, then silence
@@ -171,8 +179,7 @@ class TestQuarantine:
                 strict,
                 program,
                 flaky_counter(2),
-                engine=engine,
-                fault_policy="quarantine",
+                config=RunConfig(engine=engine, fault_policy="quarantine"),
             )
         with pytest.raises(EvalError) as plain_exc:
             strict.evaluate(program)
@@ -188,8 +195,7 @@ class TestQuarantine:
             strict,
             program,
             [flaky, tracer],
-            engine=engine,
-            fault_policy="quarantine",
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         )
         healthy = run_monitored(strict, program, TracerMonitor())
         assert result.answer == 24
@@ -205,8 +211,7 @@ class TestQuarantine:
             strict,
             parse(FAC_LABELED),
             flaky_counter(1),
-            engine=engine,
-            fault_policy="quarantine",
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         )
         reports = result.reports()
         assert "faults" in reports
@@ -227,8 +232,7 @@ class TestLogPolicy:
             strict,
             parse(FAC_LABELED),
             flaky_counter(3),
-            engine=engine,
-            fault_policy="log",
+            config=RunConfig(engine=engine, fault_policy="log"),
         )
         assert result.answer == 24
         assert result.report("count") == {"fac": 2}
@@ -241,8 +245,7 @@ class TestLogPolicy:
             strict,
             parse(FAC_LABELED),
             flaky_counter(2, phase="post"),
-            engine=engine,
-            fault_policy="log",
+            config=RunConfig(engine=engine, fault_policy="log"),
         )
         # pre hooks all ran: full count despite the post faults.
         assert result.report("count") == {"fac": 5}
@@ -296,17 +299,17 @@ class TestEngineFaultParity:
             strict,
             program,
             flaky_counter(2),
-            engine="reference",
-            fault_policy="quarantine",
-            max_steps=2_000_000,
+            config=RunConfig(
+                engine="reference", fault_policy="quarantine", max_steps=2_000_000
+            ),
         )
         fast = run_monitored(
             strict,
             program,
             flaky_counter(2),
-            engine="codegen",
-            fault_policy="quarantine",
-            max_steps=2_000_000,
+            config=RunConfig(
+                engine="codegen", fault_policy="quarantine", max_steps=2_000_000
+            ),
         )
         assert ref.answer == fast.answer == expected
         assert ref.faults == fast.faults

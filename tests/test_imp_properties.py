@@ -19,6 +19,7 @@ from repro.languages.imperative import (
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor
 from repro.partial_eval.imp_codegen import generate_imp_program
+from repro.runtime import RunConfig
 from repro.syntax.annotations import Label
 
 #: A small fixed variable universe; programs initialize before use.
@@ -112,7 +113,10 @@ def test_residual_imp_parity(program):
 def test_imp_monitoring_soundness(program):
     plain = imperative.run_to_store(program, max_steps=1_000_000)
     monitored = run_monitored(
-        imperative, program, LabelCounterMonitor(), max_steps=1_000_000
+        imperative,
+        program,
+        LabelCounterMonitor(),
+        config=RunConfig(max_steps=1_000_000),
     )
     assert monitored.answer == plain
 
@@ -132,7 +136,10 @@ def test_imp_pretty_parse_roundtrip(program):
 @given(closed_imp_program())
 def test_imp_residual_monitor_parity(program):
     interp = run_monitored(
-        imperative, program, LabelCounterMonitor(), max_steps=1_000_000
+        imperative,
+        program,
+        LabelCounterMonitor(),
+        config=RunConfig(max_steps=1_000_000),
     )
     generated = generate_imp_program(program, LabelCounterMonitor())
     (bindings, output), states = generated.run()

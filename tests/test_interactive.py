@@ -1,6 +1,7 @@
 """Tests for the interactive debugger front end."""
 
 from repro.monitors.interactive import ConsoleSource, IteratorSource, debug
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 FAC = "letrec fac = lambda x. {fac}: if x = 0 then 1 else x * fac (x - 1) in fac 3"
@@ -77,7 +78,7 @@ class TestLiveDebugging:
                 parse("letrec loop = lambda x. loop x in loop 1"),
                 source=IteratorSource([]),
                 output=lambda line: None,
-                max_steps=400,
+                config=RunConfig(max_steps=400),
             )
         assert exc.value.limit == 400
 
@@ -87,6 +88,6 @@ class TestLiveDebugging:
             breakpoints=["fac"],
             source=IteratorSource([]),
             output=lambda line: None,
-            max_steps=1_000_000,
+            config=RunConfig(max_steps=1_000_000),
         )
         assert result.answer == 6

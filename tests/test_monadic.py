@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import CollectingMonitor, LabelCounterMonitor, ProfilerMonitor
+from repro.runtime import RunConfig
 from repro.semantics.monadic import (
     IDENTITY,
     STATE,
@@ -82,7 +83,7 @@ class TestStateInterpreter:
 def test_monadic_machine_agreement(program):
     """Identity-monad, state-monad and machine semantics all agree."""
     machine = run_monitored(
-        strict, program, LabelCounterMonitor(), max_steps=2_000_000
+        strict, program, LabelCounterMonitor(), config=RunConfig(max_steps=2_000_000)
     )
     identity_answer = run_identity(program, recursion_limit=800_000)
     state_answer, state = run_state(

@@ -12,6 +12,7 @@ from repro.monitoring.derive import (
 )
 from repro.monitoring.spec import FunctionSpec, MonitorSpec
 from repro.monitoring.state import MonitorStateVector
+from repro.runtime import RunConfig
 from repro.syntax.annotations import Label, Tagged
 from repro.syntax.ast import Annotated, Const
 from repro.syntax.parser import parse
@@ -184,7 +185,7 @@ class TestDeriveAll:
         # evaluation on both engines — same answer, empty state vector,
         # no reports.
         program = parse("{p}: 1 + {q}: 2")  # annotations all unclaimed
-        result = run_monitored(strict, program, [], engine=engine)
+        result = run_monitored(strict, program, [], config=RunConfig(engine=engine))
         assert result.answer == strict.evaluate(program, engine=engine) == 3
         assert len(result.states) == 0
         assert result.reports() == {}
@@ -195,7 +196,10 @@ class TestDeriveAll:
         # With nothing to fault, a non-default policy changes nothing.
         program = parse("6 * 7")
         result = run_monitored(
-            strict, program, [], engine=engine, fault_policy="quarantine"
+            strict,
+            program,
+            [],
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         )
         assert result.answer == 42
         assert result.faults == ()

@@ -27,6 +27,7 @@ from repro.observability import (
     read_events,
     replay,
 )
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 from tests.fault_injection import FAC_LABELED, flaky_profiler
@@ -81,9 +82,13 @@ class TestRunMetrics:
     def test_accumulates_across_runs(self):
         metrics = RunMetrics()
         for _ in range(2):
-            run_monitored(strict, FAC, LabelCounterMonitor(), metrics=metrics)
+            run_monitored(
+                strict, FAC, LabelCounterMonitor(), config=RunConfig(metrics=metrics)
+            )
         single = RunMetrics()
-        run_monitored(strict, FAC, LabelCounterMonitor(), metrics=single)
+        run_monitored(
+            strict, FAC, LabelCounterMonitor(), config=RunConfig(metrics=single)
+        )
         assert metrics.steps == 2 * single.steps
         assert metrics.activations["count"] == 2 * single.activations["count"]
 
@@ -159,7 +164,7 @@ class TestRunTelemetry:
 
     def test_null_sink_means_no_metrics(self):
         result = run_monitored(
-            strict, FAC, LabelCounterMonitor(), event_sink=NullSink()
+            strict, FAC, LabelCounterMonitor(), config=RunConfig(event_sink=NullSink())
         )
         assert result.metrics is None
 
@@ -167,7 +172,10 @@ class TestRunTelemetry:
     def test_metrics_populated(self, engine):
         metrics = RunMetrics()
         result = run_monitored(
-            strict, FAC, LabelCounterMonitor(), engine=engine, metrics=metrics
+            strict,
+            FAC,
+            LabelCounterMonitor(),
+            config=RunConfig(engine=engine, metrics=metrics),
         )
         assert result.metrics is metrics
         assert result.answer == 24
@@ -183,8 +191,10 @@ class TestRunTelemetry:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sink_alone_returns_metrics(self, engine):
         result = run_monitored(
-            strict, FAC, LabelCounterMonitor(), engine=engine,
-            event_sink=InMemorySink(),
+            strict,
+            FAC,
+            LabelCounterMonitor(),
+            config=RunConfig(engine=engine, event_sink=InMemorySink()),
         )
         assert result.metrics is not None and result.metrics.steps > 0
 
@@ -193,8 +203,10 @@ class TestRunTelemetry:
         metrics = RunMetrics()
         sink = InMemorySink(wants_steps=True)
         run_monitored(
-            strict, FAC, LabelCounterMonitor(), engine=engine,
-            metrics=metrics, event_sink=sink,
+            strict,
+            FAC,
+            LabelCounterMonitor(),
+            config=RunConfig(engine=engine, metrics=metrics, event_sink=sink),
         )
         assert len(sink.of_type("step")) == metrics.steps
 
@@ -202,20 +214,27 @@ class TestRunTelemetry:
     def test_step_events_opt_in(self, engine):
         sink = InMemorySink()  # wants_steps=False
         run_monitored(
-            strict, FAC, LabelCounterMonitor(), engine=engine, event_sink=sink
+            strict,
+            FAC,
+            LabelCounterMonitor(),
+            config=RunConfig(engine=engine, event_sink=sink),
         )
         assert sink.of_type("step") == []
         assert len(sink.of_type("monitor-pre")) == 5
 
     def test_monitored_result_keeps_original_specs(self):
         monitor = LabelCounterMonitor()
-        result = run_monitored(strict, FAC, monitor, metrics=RunMetrics())
+        result = run_monitored(
+            strict, FAC, monitor, config=RunConfig(metrics=RunMetrics())
+        )
         assert result.monitors == (monitor,)
         assert result.report() == {"fac": 5}
 
     def test_empty_stack_still_counts(self):
         metrics = RunMetrics()
-        result = run_monitored(strict, parse("1 + 2"), [], metrics=metrics)
+        result = run_monitored(
+            strict, parse("1 + 2"), [], config=RunConfig(metrics=metrics)
+        )
         assert result.answer == 3
         assert metrics.steps == 5  # App, 2, App, 1, +
         assert metrics.applications == 2
@@ -229,7 +248,7 @@ class TestToolboxTelemetry:
         from repro.toolbox.registry import evaluate
 
         metrics = RunMetrics()
-        result = evaluate("profile", FAC_LABELED, metrics=metrics)
+        result = evaluate("profile", FAC_LABELED, config=RunConfig(metrics=metrics))
         assert result.metrics is metrics
         assert metrics.activations == {"profile": 5}
 
@@ -237,7 +256,7 @@ class TestToolboxTelemetry:
         from repro.toolbox.registry import evaluate
 
         metrics = RunMetrics()
-        result = evaluate((), "1 + 2", metrics=metrics)
+        result = evaluate((), "1 + 2", config=RunConfig(metrics=metrics))
         assert result.answer == 3
         assert result.monitored is None
         assert result.metrics is metrics and metrics.steps == 5
@@ -248,7 +267,9 @@ class TestToolboxTelemetry:
         session = Session()
         session.define("fac", "lambda x. if x = 0 then 1 else x * fac (x - 1)")
         metrics = RunMetrics()
-        result = session.evaluate("fac 4", tools="profile", metrics=metrics)
+        result = session.evaluate(
+            "fac 4", tools="profile", config=RunConfig(metrics=metrics)
+        )
         assert result.answer == 24
         assert result.metrics is metrics
         assert metrics.activations == {"profile": 5}
@@ -258,7 +279,7 @@ class TestToolboxTelemetry:
 
         session = Session()
         metrics = RunMetrics()
-        result = session.evaluate("2 * 3", metrics=metrics)
+        result = session.evaluate("2 * 3", config=RunConfig(metrics=metrics))
         assert result.answer == 6
         assert metrics.steps > 0
 
@@ -281,10 +302,12 @@ class TestEventStreamCompleteness:
                 strict,
                 FAC,
                 flaky_profiler(2),
-                engine=engine,
-                fault_policy=fault_policy,
-                metrics=metrics,
-                event_sink=sink,
+                config=RunConfig(
+                    engine=engine,
+                    fault_policy=fault_policy,
+                    metrics=metrics,
+                    event_sink=sink,
+                ),
             )
         assert result.answer == 24  # fault isolation kept the answer
 
@@ -310,9 +333,7 @@ class TestEventStreamCompleteness:
                 strict,
                 FAC,
                 ProfilerMonitor(),
-                engine=engine,
-                metrics=metrics,
-                event_sink=sink,
+                config=RunConfig(engine=engine, metrics=metrics, event_sink=sink),
             )
         summary = replay(read_events(path))
         assert summary.pre_counts["profile"] == dict(result.report())

@@ -9,6 +9,7 @@ from repro.monitoring.derive import run_monitored
 from repro.monitors import ProfilerMonitor
 from repro.partial_eval.online import specialize
 from repro.partial_eval.postprocess import simplify, specialize_and_simplify
+from repro.runtime import RunConfig
 from repro.syntax.ast import Annotated, Const, If, Let, Letrec, node_count
 from repro.syntax.parser import parse
 from repro.syntax.pretty import pretty
@@ -141,10 +142,10 @@ def test_simplify_preserves_monitoring(program):
 
     simplified = simplify(program)
     original = run_monitored(
-        strict, program, LabelCounterMonitor(), max_steps=2_000_000
+        strict, program, LabelCounterMonitor(), config=RunConfig(max_steps=2_000_000)
     )
     after = run_monitored(
-        strict, simplified, LabelCounterMonitor(), max_steps=2_000_000
+        strict, simplified, LabelCounterMonitor(), config=RunConfig(max_steps=2_000_000)
     )
     assert original.answer == after.answer
     assert original.report() == after.report()

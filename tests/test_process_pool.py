@@ -246,6 +246,10 @@ class TestAdmissionAndTimeouts:
         assert result.ok is False
         assert "bogus" in result.error
 
+    def test_config_must_be_a_run_config(self):
+        with pytest.raises(TypeError, match="RunConfig"):
+            ProcessPoolRunner(workers=1, config={"engine": "codegen"})
+
     def test_record_config_keys_overlay_pool_config(self):
         """A record naming one config key must not shed the pool's config.
 

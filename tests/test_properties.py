@@ -19,6 +19,7 @@ from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor, TracerMonitor
 from repro.partial_eval.codegen import generate_program
 from repro.partial_eval.compile import compile_program
+from repro.runtime import RunConfig
 from repro.semantics.denotational import run_denotational
 from repro.syntax.parser import parse
 from repro.syntax.pretty import pretty
@@ -53,7 +54,9 @@ def test_all_execution_paths_agree(program):
 @given(closed_program())
 def test_monitored_paths_agree_on_states(program):
     monitor = LabelCounterMonitor()
-    interp = run_monitored(strict, program, LabelCounterMonitor(), max_steps=MAX_STEPS)
+    interp = run_monitored(
+        strict, program, LabelCounterMonitor(), config=RunConfig(max_steps=MAX_STEPS)
+    )
     compiled = compile_program(program, LabelCounterMonitor())
     generated = generate_program(program, LabelCounterMonitor())
     _, compiled_states = compiled.run(max_steps=MAX_STEPS)
@@ -67,7 +70,9 @@ def test_monitored_paths_agree_on_states(program):
 def test_denotational_monitored_agrees(program):
     monitor = LabelCounterMonitor()
     den_answer, den_state = run_denotational(program, monitor, recursion_limit=800_000)
-    machine = run_monitored(strict, program, LabelCounterMonitor(), max_steps=MAX_STEPS)
+    machine = run_monitored(
+        strict, program, LabelCounterMonitor(), config=RunConfig(max_steps=MAX_STEPS)
+    )
     assert den_answer == machine.answer
     assert den_state == machine.state_of(monitor.key)
 
@@ -79,13 +84,13 @@ def test_composition_order_irrelevant_for_answers(program):
         strict,
         program,
         [LabelCounterMonitor(), TracerMonitor()],
-        max_steps=MAX_STEPS,
+        config=RunConfig(max_steps=MAX_STEPS),
     )
     backward = run_monitored(
         strict,
         program,
         [TracerMonitor(), LabelCounterMonitor()],
-        max_steps=MAX_STEPS,
+        config=RunConfig(max_steps=MAX_STEPS),
     )
     assert forward.answer == backward.answer
     assert forward.report("count") == backward.report("count")
@@ -99,7 +104,7 @@ def test_nested_answer_shape(program):
         strict,
         program,
         [LabelCounterMonitor(), TracerMonitor()],
-        max_steps=MAX_STEPS,
+        config=RunConfig(max_steps=MAX_STEPS),
     )
     nested = nested_answer(result)
     # ((answer x MS_count) x MS_trace) — Section 6's answer domain.

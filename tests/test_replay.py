@@ -8,13 +8,12 @@ under every engine the language supports, seeked to every checkpoint
 boundary), pin the scripted ``repro replay`` transcript to a golden, and
 cover the satellites: v2 ``input``/``deadline`` records, the ``REP401``
 history-overflow diagnostic, the :class:`DebugResult` wire format, and
-the deprecation of loose per-option keywords.
+``config=`` as the only spelling of run options on every entry point.
 """
 
 import json
 import os
 import tempfile
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +35,7 @@ from repro.replay import (
 )
 from repro.runtime import RunConfig
 from repro.syntax.parser import parse
+from repro.toolbox import Session, evaluate
 from repro.tracing import analyze_trace, read_trace
 from repro.tracing.record import record
 
@@ -485,50 +485,33 @@ class TestDebugResultWire:
         assert result.healthy()
 
 
-class TestDeprecatedKwargs:
-    def test_run_monitored_loose_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_monitored"):
-            run_monitored(
-                strict, parse(FAC), [ProfilerMonitor()], engine="reference"
-            )
+def _quiet_debug(**options):
+    return debug(
+        parse(FAC),
+        script=["quit"],
+        source=lambda: None,
+        output=lambda line: None,
+        **options,
+    )
 
-    def test_debug_loose_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="debug"):
-            debug(
-                parse(FAC),
-                script=["quit"],
-                source=lambda: None,
-                output=lambda line: None,
-                max_steps=100_000,
-            )
 
-    def test_config_path_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_monitored(
-                strict,
-                parse(FAC),
-                [ProfilerMonitor()],
-                config=RunConfig(engine="reference"),
-            )
-            debug(
-                parse(FAC),
-                script=["quit"],
-                source=lambda: None,
-                output=lambda line: None,
-                config=RunConfig(max_steps=100_000),
-            )
+#: Each public entry point, called with one loose run-option keyword:
+#: ``config=RunConfig(...)`` is the only spelling they accept.
+LOOSE_KEYWORD_CALLS = {
+    "run_monitored": lambda: run_monitored(
+        strict, parse(FAC), [ProfilerMonitor()], engine="codegen"
+    ),
+    "evaluate": lambda: evaluate("profile", FAC, engine="codegen"),
+    "Session.evaluate": lambda: Session().evaluate("1 + 1", engine="codegen"),
+    "debug": lambda: _quiet_debug(max_steps=100_000),
+    "record": lambda: record(strict, parse(FAC), "unused.jsonl", sample_rate=0.5),
+}
 
-    def test_internal_callers_stay_off_the_legacy_path(self):
-        # The acceptance bar: importing and exercising the public
-        # entry points with config= must never warn from inside repro.
-        from repro.monitoring.validate import assert_valid_monitor
-        from repro.toolbox import evaluate
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert_valid_monitor(ProfilerMonitor())
-            evaluate("profile", FAC, config=RunConfig())
+@pytest.mark.parametrize("entry", sorted(LOOSE_KEYWORD_CALLS))
+def test_loose_option_keyword_is_a_type_error(entry):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        LOOSE_KEYWORD_CALLS[entry]()
 
 
 class TestCheckpointIntervalConfig:

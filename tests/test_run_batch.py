@@ -129,7 +129,9 @@ class TestBatchParity:
         ]
         pooled = run_batch(requests, workers=4)
         solo = [
-            run_monitored(strict, program, [], engine="codegen").answer
+            run_monitored(
+                strict, program, [], config=RunConfig(engine="codegen")
+            ).answer
             for program in programs
         ]
         assert [result.answer for result in pooled] == solo
@@ -271,13 +273,13 @@ class TestBatchSurface:
 
 
 class TestTimeoutAdmission:
-    """The PR 7 bugfix: a bad per-request ``timeout`` is rejected cleanly.
+    """A bad per-request ``timeout`` is rejected cleanly.
 
-    Historically ``replace(cfg, timeout=...)`` spliced the override in
-    without re-validating, so ``"timeout": 0`` sailed past the config's
-    "must be positive" check and disabled the deadline entirely.  Now
-    :func:`check_timeout` guards the admission boundary and a bad value
-    fails *its own slot* with a diagnostic result.
+    Splicing the override in with ``replace(cfg, timeout=...)`` without
+    re-validating once let ``"timeout": 0`` past the config's "must be
+    positive" check, disabling the deadline entirely.  Admission now
+    validates the overlaid config (:meth:`RunConfig.validate`), so a bad
+    value fails *its own slot* with a diagnostic result.
     """
 
     def test_zero_timeout_record_is_rejected(self):
@@ -313,21 +315,53 @@ class TestTimeoutAdmission:
         assert [result.ok for result in results] == [True, False, True]
         assert results[1].error_type == "ValueError"
 
-    def test_check_timeout_contract(self):
-        from repro.runtime import check_timeout
-
-        assert check_timeout(None) is None
-        assert check_timeout(2) == 2.0
+    def test_validate_timeout_contract(self):
+        assert RunConfig(timeout=None).validate().timeout is None
+        assert RunConfig(timeout=2).validate().timeout == 2.0
         with pytest.raises(ValueError, match="positive"):
-            check_timeout(0)
+            RunConfig(timeout=0).validate()
         with pytest.raises(ValueError, match="number"):
-            check_timeout(True)  # bools are not durations
+            RunConfig(timeout=True).validate()  # bools are not durations
 
     def test_valid_override_still_enforced(self):
         loop = "letrec loop = lambda x. loop (x + 1) in loop 0"
         results = run_batch([{"program": loop, "timeout": 0.2}], workers=1)
         assert results[0].timed_out is True
         assert results[0].error_type == "EvaluationTimeout"
+
+
+class TestMaxStepsAdmission:
+    """A record's ``max_steps`` must be ``None`` or a positive integer.
+
+    Unchecked, ``"abc"`` died inside the engine with a ``TypeError``,
+    ``true`` became a budget of 1, and ``2.5`` split the engines (codegen
+    answered where the reference raised ``StepLimitExceeded``).
+    """
+
+    BAD = ["abc", True, 2.5, 0, -3]
+    PROGRAM = "let f = lambda x. x + 1 in f (f 1)"
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
+    def test_bad_max_steps_fails_its_slot(self, pool, engine):
+        from repro.runtime import ProcessPoolRunner
+
+        records = [
+            {"program": self.PROGRAM, "max_steps": bad, "tag": repr(bad)}
+            for bad in self.BAD
+        ] + [{"program": self.PROGRAM, "max_steps": 100}]
+        config = RunConfig(engine=engine)
+        if pool == "thread":
+            results = BatchRunner(workers=1, config=config).run(records)
+        else:
+            with ProcessPoolRunner(workers=1, config=config) as runner:
+                results = runner.run(records)
+        for bad, result in zip(self.BAD, results):
+            assert result.ok is False, bad
+            assert result.error_type == "ValueError", bad
+            assert "max_steps" in result.error
+            assert result.tag == repr(bad)
+        assert results[-1].ok and results[-1].answer == 3
 
 
 class TestResultWireFormat:

@@ -1,14 +1,14 @@
 """``RunConfig``: the one value for every run option, on every entry point.
 
-The consolidation contract (ISSUE PR 4):
+The consolidation contract:
 
-* ``config=`` is accepted by ``run_monitored``, the toolbox ``evaluate``
-  and ``Session.evaluate``;
-* legacy keyword arguments keep working unchanged;
-* passing ``config`` *and* a legacy keyword explicitly changed from its
-  default raises ``TypeError`` with a message naming the conflict;
-* a legacy keyword left at its default is indistinguishable from "not
-  passed" and never conflicts.
+* ``config=`` is the only way ``run_monitored``, the toolbox
+  ``evaluate``, ``Session.evaluate``, ``debug`` and ``record`` take run
+  options (``tests/test_replay.py`` checks a loose keyword is a
+  ``TypeError`` on each);
+* every entry point admits its config through :meth:`RunConfig.checked`:
+  ``None`` means the defaults, a non-``RunConfig`` is a ``TypeError``,
+  and the value is validated.
 """
 
 import dataclasses
@@ -55,13 +55,21 @@ class TestRunConfigValue:
         with pytest.raises(ValueError, match="timeout"):
             RunConfig(timeout=0).validate()
 
-    def test_resolve_rejects_non_config(self):
-        with pytest.raises(TypeError, match="RunConfig"):
-            RunConfig.resolve("codegen")
+    @pytest.mark.parametrize("bad", ["abc", True, 2.5, 0, -3])
+    def test_validate_rejects_bad_max_steps(self, bad):
+        with pytest.raises(ValueError, match="max_steps"):
+            RunConfig(max_steps=bad).validate()
 
-    def test_resolve_rejects_unknown_option(self):
-        with pytest.raises(TypeError, match="unknown run option"):
-            RunConfig.resolve(None, engines="codegen")
+    def test_checked_rejects_non_config(self):
+        with pytest.raises(TypeError, match="RunConfig"):
+            RunConfig.checked("codegen")
+
+    def test_checked_defaults_and_validates(self):
+        assert RunConfig.checked(None) == RunConfig()
+        cfg = RunConfig(engine="codegen")
+        assert RunConfig.checked(cfg) is cfg
+        with pytest.raises(ValueError, match="max_steps"):
+            RunConfig.checked(RunConfig(max_steps=0))
 
     def test_with_fresh_metrics_replaces_accumulator(self):
         shared = RunMetrics()
@@ -79,83 +87,34 @@ class TestRunConfigValue:
 
 
 class TestConfigOnEntryPoints:
-    """``config=`` produces the same results as the loose keywords."""
+    """``config=`` reaches the engine it names on every entry point."""
 
     def test_run_monitored_accepts_config(self):
         program = parse(FAC)
-        legacy = run_monitored(strict, program, ProfilerMonitor(), engine="codegen")
+        reference = run_monitored(strict, program, ProfilerMonitor())
         via_config = run_monitored(
             strict, program, ProfilerMonitor(), config=RunConfig(engine="codegen")
         )
-        assert via_config.answer == legacy.answer
-        assert via_config.reports() == legacy.reports()
+        assert via_config.answer == reference.answer
+        assert via_config.reports() == reference.reports()
 
     def test_evaluate_accepts_config(self):
-        legacy = evaluate("profile", FAC, engine="codegen")
+        reference = evaluate("profile", FAC)
         via_config = evaluate("profile", FAC, config=RunConfig(engine="codegen"))
-        assert via_config.answer == legacy.answer
-        assert via_config.reports == legacy.reports
+        assert via_config.answer == reference.answer
+        assert via_config.reports == reference.reports
 
     def test_session_evaluate_accepts_config(self):
         session = Session()
         session.define("double", "lambda x. x + x")
-        legacy = session.evaluate("double 21", tools="profile", engine="codegen")
+        reference = session.evaluate("double 21", tools="profile")
         via_config = session.evaluate(
             "double 21", tools="profile", config=RunConfig(engine="codegen")
         )
-        assert via_config.answer == legacy.answer == 42
-        assert via_config.reports == legacy.reports
+        assert via_config.answer == reference.answer == 42
+        assert via_config.reports == reference.reports
 
     def test_timeout_flows_through_config(self):
         diverging = parse("letrec loop = lambda x. loop x in loop 1")
         with pytest.raises(EvaluationTimeout):
             run_monitored(strict, diverging, [], config=RunConfig(timeout=0.05))
-
-
-class TestConfigConflicts:
-    """config= plus a changed legacy keyword is a TypeError everywhere."""
-
-    def test_run_monitored_conflict(self):
-        program = parse(FAC)
-        with pytest.raises(TypeError, match="conflicting legacy keyword"):
-            run_monitored(
-                strict,
-                program,
-                [],
-                engine="codegen",
-                config=RunConfig(engine="reference"),
-            )
-
-    def test_evaluate_conflict(self):
-        with pytest.raises(TypeError, match="conflicting legacy keyword"):
-            evaluate(
-                (),
-                "1 + 1",
-                fault_policy="quarantine",
-                config=RunConfig(fault_policy="log"),
-            )
-
-    def test_session_conflict(self):
-        session = Session()
-        with pytest.raises(TypeError, match="conflicting legacy keyword"):
-            session.evaluate(
-                "1 + 1", max_steps=10, config=RunConfig(max_steps=99)
-            )
-
-    def test_conflict_message_names_both_values(self):
-        with pytest.raises(TypeError, match="engine='codegen'.*'reference'"):
-            evaluate((), "1 + 1", engine="codegen", config=RunConfig())
-
-    def test_default_valued_keyword_never_conflicts(self):
-        # engine="reference" is the historical default: indistinguishable
-        # from not-passed, so the config's engine simply wins.
-        result = evaluate(
-            (), "2 + 3", engine="reference", config=RunConfig(engine="codegen")
-        )
-        assert result.answer == 5
-
-    def test_matching_keyword_never_conflicts(self):
-        result = evaluate(
-            (), "2 + 3", engine="codegen", config=RunConfig(engine="codegen")
-        )
-        assert result.answer == 5

@@ -179,7 +179,10 @@ class TestCachedRunParity:
         cold = run_monitored(strict, program, flaky(), config=cfg, cache=cache)
         warm = run_monitored(strict, program, flaky(), config=cfg, cache=cache)
         oracle = run_monitored(
-            strict, program, flaky(), engine="codegen", fault_policy="quarantine"
+            strict,
+            program,
+            flaky(),
+            config=RunConfig(engine="codegen", fault_policy="quarantine"),
         )
         assert cold.answer == warm.answer == oracle.answer
         from repro.observability import fault_tuples
@@ -202,8 +205,7 @@ class TestCachedRunParity:
             strict,
             program,
             ProfilerMonitor(),
-            engine="codegen",
-            metrics=RunMetrics(),
+            config=RunConfig(engine="codegen", metrics=RunMetrics()),
             cache=cache,
         )
         # The counted run neither hit nor polluted the cache...

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.languages import lazy
+from repro.runtime import RunConfig
 from repro.toolbox.session import Session
 
 
@@ -105,7 +106,9 @@ class TestSessionFaultIsolation:
 
         flaky = FlakyMonitor(ProfilerMonitor(), fail_on=3)
         result = saved_session.evaluate(
-            "fac 4", tools=[flaky], engine=engine, fault_policy="quarantine"
+            "fac 4",
+            tools=[flaky],
+            config=RunConfig(engine=engine, fault_policy="quarantine"),
         )
         assert result.answer == 24
         assert result.report("profile") == {"fac": 2}

