@@ -291,3 +291,24 @@ def test_null_sink_overhead_single_monitor_fast_path(engine):
         ),
     )
     _assert_null_sink_free(f"single-monitor fast path ({engine})", t_off, t_null)
+
+
+# -- metrics-on price gate (T-OBS) -----------------------------------------------
+
+
+def test_metrics_on_codegen_within_4x_of_metrics_off():
+    """A metrics-on codegen run executes the cached collapsed artifact.
+
+    Only its tallied variant differs: one tally call per straight-line
+    region, plus the telemetry-wrapped hooks.  The measurement is a ratio
+    of interleaved minima in one process, so it holds on a 1-core box.
+    """
+    from benchmarks.report import METRICS_PRICE_BOUND, measure_metrics_price
+
+    row = measure_metrics_price()
+    assert row["ratio"] <= METRICS_PRICE_BOUND, (
+        f"metrics-on codegen costs {row['ratio']:.2f}x metrics-off "
+        f"(gate <= {METRICS_PRICE_BOUND:.0f}x): "
+        f"{row['metrics_off_s'] * 1e3:.2f} ms off vs "
+        f"{row['metrics_on_s'] * 1e3:.2f} ms on"
+    )

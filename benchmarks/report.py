@@ -22,7 +22,10 @@ readable ``engines`` and ``codegen`` sections into ``BENCH_report.json``
 at the repository root (CI's benchmark smoke test), preserving the
 ``batch`` section written by ``benchmarks/bench_batch.py``.  It exits
 non-zero if the codegen engine misses its gates over the reference
-interpreter (>= 9x on fib, >= 6x on the traced Figure 11 loop).
+interpreter (>= 9x on fib, >= 6x on the traced Figure 11 loop).  The
+``codegen`` section also carries the metrics-on price: a warm-cache
+codegen run with ``RunConfig(metrics=...)`` over the same run without
+(``benchmarks/bench_engines.py`` gates it at <= 4x).
 ``--quick`` shrinks workloads for smoke runs.
 
 Numbers are written to stdout; EXPERIMENTS.md records a reference run.
@@ -42,12 +45,18 @@ sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
 from repro.languages import strict
 from repro.monitoring.derive import run_monitored
-from repro.monitors import TracerMonitor
+from repro.monitors import ProfilerMonitor, TracerMonitor
+from repro.observability import RunMetrics
 from repro.partial_eval.codegen import generate_program
 from repro.partial_eval.compile import compile_program
-from repro.runtime import RunConfig
+from repro.runtime import CompilationCache, RunConfig
 
-from benchmarks.workloads import loop_with_trace_hits, plain_fib, traced_fib
+from benchmarks.workloads import (
+    loop_with_trace_hits,
+    plain_fib,
+    profiled_fib,
+    traced_fib,
+)
 
 FIB_N = 15
 REPEATS = 5
@@ -276,6 +285,46 @@ CODEGEN_TARGETS = {
 }
 
 
+#: Metrics-on codegen runs execute the cached collapsed artifact (its
+#: tallied variant), so they may cost at most this multiple of a
+#: metrics-off run — the price of the telemetry-wrapped hooks plus one
+#: tally call per straight-line region.
+METRICS_PRICE_BOUND = 4.0
+
+
+def measure_metrics_price(repeats: int = 9):
+    """Warm-cache codegen fib 16 under ``profile``, metrics off vs on.
+
+    Interleaved min-of-``repeats`` in one process: both sides share the
+    machine's load, so the ratio holds on a 1-core box.
+    """
+    program = profiled_fib(16)
+    cache = CompilationCache()
+
+    def run(metrics):
+        config = RunConfig(engine="codegen", metrics=metrics)
+        return run_monitored(
+            strict, program, ProfilerMonitor(), config=config, cache=cache
+        )
+
+    run(None)
+    run(RunMetrics())  # compile, then build the tallied variant
+    times = {"off": [], "on": []}
+    for _ in range(repeats):
+        for side, metrics in (("off", None), ("on", RunMetrics())):
+            start = time.perf_counter()
+            run(metrics)
+            times[side].append(time.perf_counter() - start)
+    t_off, t_on = min(times["off"]), min(times["on"])
+    return {
+        "workload": "fib16_profile_warm_cache",
+        "metrics_off_s": t_off,
+        "metrics_on_s": t_on,
+        "ratio": t_on / t_off,
+        "bound": METRICS_PRICE_BOUND,
+    }
+
+
 def engines_section(quick: bool = False):
     print("=" * 72)
     print("T-ENG  (engine tiers vs. reference interpreter)")
@@ -341,6 +390,7 @@ def json_report(quick: bool, output: str) -> int:
         "targets": CODEGEN_TARGETS,
         "targets_met": codegen_targets_met,
         "noise": noise,
+        "metrics_on_vs_off": measure_metrics_price(),
     }
     merge_section(output, "engines", engines_payload)
     merge_section(output, "codegen", codegen_payload)
@@ -351,6 +401,13 @@ def json_report(quick: bool, output: str) -> int:
             f"{row['codegen_s'] * 1000:>9.1f} ms  "
             f"(codegen {row['codegen_speedup_vs_reference']:.2f}x over reference)"
         )
+    price = codegen_payload["metrics_on_vs_off"]
+    print(
+        f"metrics on vs off (codegen, fib 16, profile, warm cache): "
+        f"{price['metrics_off_s'] * 1000:.1f} ms -> "
+        f"{price['metrics_on_s'] * 1000:.1f} ms ({price['ratio']:.2f}x, "
+        f"gate <= {METRICS_PRICE_BOUND:.0f}x in bench_engines.py)"
+    )
     print(f"merged 'engines' and 'codegen' sections into {output}")
 
     failed = [key for key, met in codegen_targets_met.items() if not met]

@@ -33,22 +33,26 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.scope import analyze_scope, free_vars
-from repro.analysis.specs import analyze_spec, probe_monitor
-from repro.analysis.stack import analyze_stack, claim_sets
 from repro._lazy import lazy_exports
 from repro.monitoring.compose import flatten_monitors
 from repro.syntax.ast import Expr
 
-# The flow pass (and the CFG it builds on) loads only when a caller asks
-# for it: ``analyze(flow=True)`` or one of these names.
-__getattr__, __dir__, _FLOW_EXPORTS = lazy_exports(
+# The passes load only when a caller asks for one: the first
+# :func:`analyze` call, or one of these names.  A lint-off run (which
+# only imports this package to name ``StaticAnalysisError``) pays for none.
+__getattr__, __dir__, _PASS_EXPORTS = lazy_exports(
     __name__,
     {
         "FlowAnalysis": "repro.analysis.flow",
         "SiteFlow": "repro.analysis.flow",
         "analyze_flow": "repro.analysis.flow",
         "flow_diagnostics": "repro.analysis.flow",
+        "analyze_scope": "repro.analysis.scope",
+        "free_vars": "repro.analysis.scope",
+        "analyze_spec": "repro.analysis.specs",
+        "probe_monitor": "repro.analysis.specs",
+        "analyze_stack": "repro.analysis.stack",
+        "claim_sets": "repro.analysis.stack",
     },
 )
 
@@ -120,6 +124,10 @@ def analyze(
 
         program = parse(program)
 
+    from repro.analysis.scope import analyze_scope
+    from repro.analysis.specs import analyze_spec, probe_monitor
+    from repro.analysis.stack import analyze_stack
+
     monitor_list = _resolve_monitors(monitors)
     diagnostics = []
     if isinstance(program, Expr):
@@ -139,19 +147,13 @@ def analyze(
     return AnalysisReport(tuple(diagnostics), source)
 
 
-__all__ = _FLOW_EXPORTS + [
+__all__ = _PASS_EXPORTS + [
     "AnalysisReport",
     "Diagnostic",
     "LINT_LEVELS",
     "StaticAnalysisError",
     "analyze",
-    "analyze_scope",
-    "analyze_spec",
-    "analyze_stack",
     "check_lint_level",
-    "claim_sets",
-    "free_vars",
-    "probe_monitor",
     "render_json",
     "render_text",
 ]

@@ -362,8 +362,9 @@ def run_monitored(
     receive the typed event stream.  With neither (or a ``NullSink``)
     the historical uninstrumented fast path runs.  Counters are
     engine-independent: both engines count expression-node evaluations
-    at the reference interpreter's granularity (codegen builds counted
-    code, with its collapse optimizations off, while counting).
+    at the reference interpreter's granularity (codegen runs the tallied
+    variant of its one collapsed artifact, which adds each straight-line
+    region's node count in one call).
 
     ``timeout`` bounds the run's wall-clock time in seconds (enforced
     cooperatively by the trampoline; overrunning raises
@@ -371,10 +372,11 @@ def run_monitored(
 
     ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes code
     generation for ``engine="codegen"``: identical (program, monitor
-    stack, fault policy) requests reuse the generated program.  Telemetry
-    runs bypass the cache — counted-mode code burns in the run's own
-    metrics accumulator.  A cache also memoizes the Section 6
-    disjointness verdict, so warm runs skip the per-run annotation walk.
+    stack) requests reuse the generated program, whatever their fault
+    policy, limits or telemetry — each run binds its own (possibly
+    instrumented) specs to the one artifact.  A cache also memoizes the
+    Section 6 disjointness verdict, so warm runs skip the per-run
+    annotation walk.
 
     ``lint`` runs the static analyzer before execution (:func:`lint_gate`).
     """
@@ -405,8 +407,8 @@ def run_monitored(
         return result
 
     telemetry = Telemetry.create(cfg.metrics, cfg.event_sink)
-    # The *instrumented* specs drive derivation/compilation (so hook calls
-    # are counted and timed); the result reports through the originals.
+    # The *instrumented* specs drive derivation and residual hooks (so hook
+    # calls are counted and timed); the result reports through the originals.
     active_list = instrument_monitors(monitor_list, telemetry)
     initial = MonitorStateVector.initial(active_list)
     deadline = cfg.deadline()
@@ -431,15 +433,15 @@ def run_monitored(
                 else None
             )
             try:
-                generated = _generate(
-                    language, program, cfg, active_list, telemetry, cache
-                )
+                generated = _generate(language, program, cfg, monitor_list, cache)
                 answer, final_states = generated.run(
                     answers=cfg.answers,
                     initial_ms=initial,
+                    monitors=active_list,
                     max_steps=cfg.max_steps,
                     fault_log=fault_log,
                     deadline=deadline,
+                    tally=telemetry.region_tally() if telemetry is not None else None,
                 )
             except HostRecursionError:
                 if not rerunnable:
@@ -511,32 +513,20 @@ def _fault_log(fault_policy: str, telemetry) -> Optional[FaultLog]:
     return FaultLog(fault_policy, observer=observer)
 
 
-def _generate(language, program, cfg, active_list, telemetry, cache):
-    """The codegen artifact for one run: cached, or a fresh counted build."""
+def _generate(language, program, cfg, monitor_list, cache):
+    """The run's codegen artifact, built for the base (uninstrumented) stack."""
+    if cache is not None:
+        return cache.get_or_compile(
+            language, program, monitor_list, optimize=cfg.optimize
+        )
     from repro.partial_eval.codegen import generate_program
 
-    if cache is not None and telemetry is None:
-        return cache.get_or_compile(
-            language,
-            program,
-            active_list,
-            fault_policy=cfg.fault_policy,
-            optimize=cfg.optimize,
-        )
     flow = None
     if cfg.optimize == "flow":
-        # Erase hooks at provably-unreachable sites; the verdict is
-        # memoized when a cache is attached.
-        if cache is not None:
-            flow = cache.flow_verdict(active_list, program)
-        else:
-            from repro.analysis.flow import analyze_flow
+        # Erase hooks at provably-unreachable sites.
+        from repro.analysis.flow import analyze_flow
 
-            flow = analyze_flow(program, active_list)
+        flow = analyze_flow(program, monitor_list)
     return generate_program(
-        program,
-        active_list,
-        check_disjointness=False,
-        telemetry=telemetry,
-        flow=flow,
+        program, monitor_list, check_disjointness=False, flow=flow
     )

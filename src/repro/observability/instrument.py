@@ -8,11 +8,12 @@ is requested, three small wrappers are woven in:
 * :func:`instrument_functional` wraps the (derived) valuation functional
   of the **reference engine** outermost, so every ``recur`` — one per
   expression-node evaluation — bumps the step counters.
-* The **codegen engine** generates *counted-mode* code (see
-  :mod:`repro.partial_eval.codegen`): its collapse optimizations are
-  disabled and every node charges the same counters, so both engines
-  count the identical semantic quantity and ``RunMetrics`` compares
-  equal across engines.
+* The **codegen engine** runs the same collapsed artifact a metrics-off
+  run does, in its *tallied* variant (see
+  :mod:`repro.partial_eval.codegen`): each straight-line region pays
+  :meth:`Telemetry.region_tally` the number of nodes the reference
+  interpreter evaluates there, so both engines count the identical
+  semantic quantity and ``RunMetrics`` compares equal across engines.
 * :class:`InstrumentedSpec` wraps each monitor specification, counting
   activations / hook calls / state transitions, accumulating monitoring
   wall-clock, and emitting the typed events.  The wrapper is transparent:
@@ -88,6 +89,25 @@ class Telemetry:
     def _emit_step(self) -> None:
         self._seq += 1
         self.sink.emit(Event(self._seq, "step"))
+
+    def region_tally(self):
+        """The ``tally(steps, applications)`` callback of tallied codegen.
+
+        One call per straight-line region of residual code; it emits one
+        ``step`` event per counted step, so the event count still equals
+        ``metrics.steps``.
+        """
+        metrics = self.metrics
+        step_hook = self.step_hook
+
+        def tally(steps, applications):
+            metrics.steps += steps
+            metrics.applications += applications
+            if step_hook is not None:
+                for _ in range(steps):
+                    step_hook()
+
+        return tally
 
     def fault_observer(self, fault, quarantined: bool) -> None:
         """The ``FaultLog`` observer: count and emit fault/quarantine."""
@@ -173,8 +193,10 @@ class InstrumentedSpec(MonitorSpec):
         key = self.key
         metrics.activations[key] = metrics.activations.get(key, 0) + 1
         metrics.pre_calls[key] = metrics.pre_calls.get(key, 0) + 1
-        name = _annotation_name(annotation)
-        telemetry.emit("annotation-enter", key, annotation=name)
+        emitting = telemetry.sink is not None  # metrics-only runs skip events
+        if emitting:
+            name = _annotation_name(annotation)
+            telemetry.emit("annotation-enter", key, annotation=name)
         start = perf_counter()
         try:
             if self.observes:
@@ -186,9 +208,10 @@ class InstrumentedSpec(MonitorSpec):
         changed = new_state is not state
         if changed:
             metrics.state_transitions += 1
-        telemetry.emit("monitor-pre", key, annotation=name, changed=changed)
-        if changed:
-            telemetry.emit("state-update", key, phase="pre")
+        if emitting:
+            telemetry.emit("monitor-pre", key, annotation=name, changed=changed)
+            if changed:
+                telemetry.emit("state-update", key, phase="pre")
         return new_state
 
     def post(self, annotation, term, ctx, result, state, inner=None):
@@ -196,7 +219,6 @@ class InstrumentedSpec(MonitorSpec):
         metrics = telemetry.metrics
         key = self.key
         metrics.post_calls[key] = metrics.post_calls.get(key, 0) + 1
-        name = _annotation_name(annotation)
         start = perf_counter()
         try:
             if self.observes:
@@ -210,10 +232,12 @@ class InstrumentedSpec(MonitorSpec):
         changed = new_state is not state
         if changed:
             metrics.state_transitions += 1
-        telemetry.emit("monitor-post", key, annotation=name, changed=changed)
-        if changed:
-            telemetry.emit("state-update", key, phase="post")
-        telemetry.emit("annotation-exit", key, annotation=name)
+        if telemetry.sink is not None:
+            name = _annotation_name(annotation)
+            telemetry.emit("monitor-post", key, annotation=name, changed=changed)
+            if changed:
+                telemetry.emit("state-update", key, phase="post")
+            telemetry.emit("annotation-exit", key, annotation=name)
         return new_state
 
     def __repr__(self) -> str:

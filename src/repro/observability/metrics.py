@@ -13,9 +13,9 @@ Counter definitions:
 
 * ``steps`` — expression-node evaluations: one per evaluation of a source
   node, the granularity at which the reference interpreter recurs.  The
-  codegen engine counts at the same granularity (its collapse
-  optimizations are disabled while counting), so the number is comparable
-  across engines.
+  codegen engine adds the same node counts one straight-line region of
+  its collapsed code at a time, so the number is comparable across
+  engines.
 * ``applications`` — evaluations of application (``App``) nodes, i.e.
   function-application expressions entered (curried primitive
   applications count one per ``App`` node).
@@ -51,7 +51,13 @@ def _render_slots(counters: Dict[str, int]) -> str:
 
 @dataclass
 class RunMetrics:
-    """Counters for one (or several, accumulated) monitored runs."""
+    """Counters for one (or several, accumulated) monitored runs.
+
+    The counters are exact for runs that complete.  A codegen run that
+    raises may also have counted the rest of its faulting region, which
+    is why batch results and ``repro run --metrics`` never show the
+    metrics of a failed run.
+    """
 
     steps: int = 0
     applications: int = 0

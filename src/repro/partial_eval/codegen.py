@@ -34,12 +34,13 @@ with the interpreter for every toolbox monitor.
 This module also backs ``engine="codegen"`` (see
 :mod:`repro.monitoring.derive`), which calls :meth:`GeneratedProgram.run`
 with the run options the other engines take: ``initial_ms`` seeds the
-monitor state vector, ``fault_log`` switches the residual hooks onto the
-fault-isolated path (quarantine/log), ``max_steps``/``deadline`` activate
-a guarded variant of the code, and a :class:`~repro.observability
-.instrument.Telemetry` passed to :func:`generate_program` produces
-*counted-mode* code whose step counters match the reference interpreter's
-node granularity exactly.
+monitor state vector, ``monitors`` supplies the run's own (possibly
+telemetry-wrapped) specs, ``fault_log`` switches the residual hooks onto
+the fault-isolated path (quarantine/log), ``max_steps``/``deadline``
+activate a guarded variant of the code, and ``tally`` a *tallied* variant
+— the same collapsed code plus one call per straight-line region adding
+the nodes the reference interpreter evaluates there, so ``RunMetrics``
+matches the reference engine's.
 
 Residual programs recurse on the host stack; :meth:`GeneratedProgram.run`
 raises the recursion limit for the duration of a run and raises
@@ -58,6 +59,7 @@ import itertools
 import sys
 import threading
 from contextlib import contextmanager
+from functools import partial
 from time import perf_counter
 from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -214,10 +216,10 @@ class ResidualRuntime:
     update.  One runtime instance per run, so the generated code itself is
     immutable and thread-reusable (the compilation cache relies on this).
 
-    ``fault_log`` switches ``pre``/``post`` onto the fault-isolated path
-    (the unclaimed-annotation fallback of quarantine/log policies);
-    ``telemetry`` attaches the counted-mode step counters the generated
-    code calls when produced with counting enabled.
+    ``monitors`` are the run's specs: each site binds to the one holding
+    its monitor's key.  ``fault_log`` switches ``pre``/``post`` onto the
+    fault-isolated path (the unclaimed-annotation fallback of
+    quarantine/log policies).
     """
 
     #: The empty list value, read by generated code.
@@ -229,7 +231,6 @@ class ResidualRuntime:
         monitors: Sequence[MonitorSpec],
         locations: Sequence = (),
         fault_log=None,
-        telemetry=None,
     ) -> None:
         self.sites = list(sites)
         self.monitors = list(monitors)
@@ -237,50 +238,28 @@ class ResidualRuntime:
         # Flattened per-site dispatch table: the hot hooks index one tuple
         # instead of chasing site -> monitor -> pre/key/observes attributes
         # on every activation.
+        by_key = {monitor.key: monitor for monitor in self.monitors}
+        specs = [by_key[site.monitor.key] for site in self.sites]
         self._site_table = [
             (
-                site.monitor.pre,
-                site.monitor.post,
-                site.monitor.key,
+                spec.pre,
+                spec.post,
+                spec.key,
                 site.annotation,
                 site.term,
-                tuple(site.monitor.observes) if site.monitor.observes else None,
+                tuple(spec.observes) if spec.observes else None,
             )
-            for site in self.sites
+            for site, spec in zip(self.sites, specs)
         ]
         self.locations = list(locations)
         self.fault_log = fault_log
         self.guard = None
+        self.tally = None
         self.states: Dict[str, object] = {}
         self.reset()
         if fault_log is not None:
             self.pre = self._pre_isolated
             self.post = self._post_isolated
-        if telemetry is not None:
-            metrics = telemetry.metrics
-            hook = telemetry.step_hook
-            if hook is None:
-
-                def count_step():
-                    metrics.steps += 1
-
-                def count_app():
-                    metrics.steps += 1
-                    metrics.applications += 1
-
-            else:
-
-                def count_step():
-                    metrics.steps += 1
-                    hook()
-
-                def count_app():
-                    metrics.steps += 1
-                    metrics.applications += 1
-                    hook()
-
-            self.count_step = count_step
-            self.count_app = count_app
 
     def reset(self) -> None:
         self.states = {m.key: m.initial_state() for m in self.monitors}
@@ -400,14 +379,21 @@ class ResidualRuntime:
 
 
 class _Emitter:
-    """Accumulates indented source lines."""
+    """Accumulates indented source lines.
+
+    A line emitted ``only="guard"`` or ``only="tally"`` belongs to that
+    code variant alone; :meth:`source` keeps the variants asked for.
+    """
 
     def __init__(self) -> None:
-        self.lines: List[str] = []
+        self.lines: List[Optional[str]] = []
+        self.only: Dict[int, str] = {}
         self.indent = 0
 
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
+    def emit(self, line: Optional[str], only: Optional[str] = None) -> None:
+        if only is not None:
+            self.only[len(self.lines)] = only
+        self.lines.append(None if line is None else "    " * self.indent + line)
 
     @contextmanager
     def block(self):
@@ -417,8 +403,16 @@ class _Emitter:
         finally:
             self.indent -= 1
 
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    def source(self, *variants: str) -> str:
+        keep = {None, *variants}
+        only = self.only
+        # Unfilled tally placeholders (empty regions) leave no trace.
+        kept = (
+            line
+            for index, line in enumerate(self.lines)
+            if line is not None and only.get(index) in keep
+        )
+        return "\n".join(kept) + "\n"
 
 
 #: Binary primitives whose behavior on two exact-``int`` operands is a
@@ -447,24 +441,19 @@ def _is_int_literal(atom: str) -> bool:
 class _Generator:
     """ANF generator for one (program, monitor stack) pair.
 
-    ``counted=True`` produces counted-mode code: every expression node
-    charges the runtime's step counters at its evaluation point (the
-    reference interpreter's ``recur`` granularity) and every collapse
-    optimization is disabled, so :class:`~repro.observability.metrics
-    .RunMetrics` compares equal across both engines.
-
-    ``guarded=True`` makes every generated function begin with a ``_g()``
-    resource-guard call; :meth:`GeneratedProgram.run` execs this variant
-    lazily, only when a run actually requests ``max_steps``/``deadline``,
-    so the unguarded fast path stays call-free.
+    One pass emits every code variant.  Guard lines make every generated
+    function begin with a ``_g()`` resource-guard call; tally lines start
+    every straight-line region (a def body, an ``if`` branch, the code
+    after an ``if``) with one ``_t(steps, applications)`` call carrying
+    the nodes the reference interpreter evaluates there — every collapse
+    rule charges the nodes it folds away.  :meth:`GeneratedProgram.run`
+    execs a variant lazily, so the plain fast path stays call-free.
     """
 
     def __init__(
         self,
         monitors: Sequence[MonitorSpec],
         *,
-        counted: bool = False,
-        guarded: bool = False,
         erased: frozenset = frozenset(),
     ) -> None:
         self.monitors = list(monitors)
@@ -472,8 +461,9 @@ class _Generator:
         self.locations: List[object] = []
         self.counter = itertools.count()
         self.emitter = _Emitter()
-        self.counted = counted
-        self.guarded = guarded
+        #: The open straight-line region:
+        #: ``[tally line, indent, steps, applications]``.
+        self._region: Optional[list] = None
         #: ``id()``s of Annotated nodes the flow analysis proved
         #: unreachable: their hooks are erased (the per-site dispatch
         #: table never sees them), which is observation-free because the
@@ -500,9 +490,29 @@ class _Generator:
         self.locations.append(location)
         return len(self.locations) - 1
 
-    def _count(self, expr: Expr) -> None:
-        if self.counted:
-            self.emitter.emit("_ca()" if type(expr) is App else "_cs()")
+    # -- step tallies --------------------------------------------------------------
+    #
+    # A region is entered at its first line and, in a run that completes,
+    # left at its last, so every node whose evaluation starts in it is
+    # evaluated exactly once per entry: its tally can be paid up front.
+
+    def _open_region(self) -> None:
+        emitter = self.emitter
+        emitter.emit(None, only="tally")  # filled in on close
+        self._region = [len(emitter.lines) - 1, emitter.indent, 0, 0]
+
+    def _close_region(self) -> None:
+        line, indent, steps, applications = self._region
+        if steps:
+            tally = f"_t({steps}, {applications})"
+            self.emitter.lines[line] = "    " * indent + tally
+        self._region = None
+
+    def _charge(self, steps: int, applications: int = 0) -> None:
+        """Account for nodes the reference interpreter evaluates here."""
+        region = self._region
+        region[2] += steps
+        region[3] += applications
 
     # -- expression generation ---------------------------------------------------
     #
@@ -514,11 +524,11 @@ class _Generator:
         node_type = type(expr)
 
         if node_type is Const:
-            self._count(expr)
+            self._charge(1)
             return repr(expr.value)
 
         if node_type is Var:
-            self._count(expr)
+            self._charge(1)
             name = expr.name
             if name in scope:
                 return scope[name]
@@ -533,7 +543,7 @@ class _Generator:
             return out
 
         if node_type is Lam:
-            self._count(expr)
+            self._charge(1)
             return self._gen_function(expr.param, expr.body, scope, display=None)
 
         if node_type is If:
@@ -543,7 +553,7 @@ class _Generator:
             return self._gen_app(expr, scope)
 
         if node_type is Let:
-            self._count(expr)
+            self._charge(1)
             bound_atom = self.gen(expr.bound, scope)
             # A let binding is a compile-time alias: the bound atom is a
             # single-assignment temp or literal, so no runtime copy exists.
@@ -552,7 +562,7 @@ class _Generator:
             return self.gen(expr.body, inner)
 
         if node_type is Letrec:
-            self._count(expr)
+            self._charge(1)
             inner = dict(scope)
             py_names = {}
             for name, _ in expr.bindings:
@@ -615,11 +625,14 @@ class _Generator:
             self.fn_returns_fn.add(fn_name)
         inner = dict(scope)
         inner[param] = param_py
+        outer_region = self._region
         with emitter.block():
-            if self.guarded:
-                emitter.emit("_g()")
+            emitter.emit("_g()", only="guard")
+            self._open_region()
             result = self.gen(body, inner)
+            self._close_region()
             emitter.emit(f"return {result}")
+        self._region = outer_region
         # The display string makes the residual function render exactly
         # like the reference Closure (answer/error-message parity).  It is
         # keyed by the def's code object after exec — emitting a setattr
@@ -628,9 +641,10 @@ class _Generator:
         return fn_name
 
     def _gen_if(self, expr: If, scope: Dict[str, str]) -> str:
-        self._count(expr)
+        self._charge(1)
         emitter = self.emitter
         cond_atom = self.gen(expr.cond, scope)
+        self._close_region()
         if not cond_atom.isidentifier():
             # A literal condition would make ``is`` warn; name it first.
             named = self.fresh()
@@ -640,15 +654,20 @@ class _Generator:
         loc = self._loc(expr.location)
         emitter.emit(f"if {cond_atom} is True:")
         with emitter.block():
+            self._open_region()
             then_atom = self.gen(expr.then_branch, scope)
+            self._close_region()
             emitter.emit(f"{out} = {then_atom}")
         emitter.emit(f"elif {cond_atom} is False:")
         with emitter.block():
+            self._open_region()
             else_atom = self.gen(expr.else_branch, scope)
+            self._close_region()
             emitter.emit(f"{out} = {else_atom}")
         emitter.emit("else:")
         with emitter.block():
             emitter.emit(f"{out} = _be({cond_atom}, {loc})")
+        self._open_region()
         return out
 
     def _static_primitive(self, expr: Expr, scope: Dict[str, str]) -> Optional[str]:
@@ -658,68 +677,68 @@ class _Generator:
         return None
 
     def _gen_app(self, expr: App, scope: Dict[str, str]) -> str:
-        self._count(expr)
-        # Collapse optimizations are off in counted mode: every node must
-        # charge its own step, so applications stay node-by-node.
-        if not self.counted:
-            # Saturated primitive applications become direct calls.
-            unary = self._static_primitive(expr.fn, scope)
-            if unary is not None and PRIMITIVE_TABLE[unary][0] == 1:
-                arg_atom = self.gen(expr.arg, scope)
-                out = self.fresh()
-                self.emitter.emit(f"{out} = {_PRIM_PY_NAMES[unary]}({arg_atom})")
-                return out
+        self._charge(1, 1)
+        # Saturated primitive applications become direct calls; the
+        # operator variable is charged without being generated.
+        unary = self._static_primitive(expr.fn, scope)
+        if unary is not None and PRIMITIVE_TABLE[unary][0] == 1:
+            self._charge(1)
+            arg_atom = self.gen(expr.arg, scope)
+            out = self.fresh()
+            self.emitter.emit(f"{out} = {_PRIM_PY_NAMES[unary]}({arg_atom})")
+            return out
 
-            if type(expr.fn) is App:
-                binary = self._static_primitive(expr.fn.fn, scope)
-                if binary is not None and PRIMITIVE_TABLE[binary][0] == 2:
-                    # Figure 2 order: outer argument (right operand) first.
-                    right_atom = self.gen(expr.arg, scope)
-                    left_atom = self.gen(expr.fn.arg, scope)
-                    out = self.fresh()
-                    op = _INLINE_INT_BINOPS.get(binary)
-                    if op is not None:
-                        # Int/int operands reduce to the Python operator;
-                        # anything else takes the full primitive (type
-                        # checks, error messages) through the fallback arm.
-                        guards = [
-                            f"type({atom}) is int"
-                            for atom in (left_atom, right_atom)
-                            if not _is_int_literal(atom)
-                        ]
-                        fast = f"{left_atom} {op} {right_atom}"
-                        if not guards:
-                            self.emitter.emit(f"{out} = {fast}")
-                        else:
-                            self.emitter.emit(
-                                f"{out} = {fast} if {' and '.join(guards)} else "
-                                f"{_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
-                            )
-                        return out
-                    self.emitter.emit(
-                        f"{out} = {_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
-                    )
+        if type(expr.fn) is App:
+            binary = self._static_primitive(expr.fn.fn, scope)
+            if binary is not None and PRIMITIVE_TABLE[binary][0] == 2:
+                # The inner App and the operator variable fold away.
+                self._charge(2, 1)
+                # Figure 2 order: outer argument (right operand) first.
+                right_atom = self.gen(expr.arg, scope)
+                left_atom = self.gen(expr.fn.arg, scope)
+                out = self.fresh()
+                op = _INLINE_INT_BINOPS.get(binary)
+                if op is not None:
+                    # Int/int operands reduce to the Python operator;
+                    # anything else takes the full primitive (type
+                    # checks, error messages) through the fallback arm.
+                    guards = [
+                        f"type({atom}) is int"
+                        for atom in (left_atom, right_atom)
+                        if not _is_int_literal(atom)
+                    ]
+                    fast = f"{left_atom} {op} {right_atom}"
+                    if not guards:
+                        self.emitter.emit(f"{out} = {fast}")
+                    else:
+                        self.emitter.emit(
+                            f"{out} = {fast} if {' and '.join(guards)} else "
+                            f"{_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
+                        )
                     return out
-
-            # A statically-known residual function: call it directly.  The
-            # operator is a pure variable reference, so evaluating the
-            # argument first (Figure 2 order) is preserved.
-            if type(expr.fn) is Var and scope.get(expr.fn.name) in self.known_fns:
-                fn_py = scope[expr.fn.name]
-                arg_atom = self.gen(expr.arg, scope)
-                out = self.fresh()
-                self.emitter.emit(f"{out} = {fn_py}({arg_atom})")
-                if fn_py in self.fn_returns_fn:
-                    self.callable_atoms.add(out)
+                self.emitter.emit(
+                    f"{out} = {_PRIM_PY_NAMES[binary]}({left_atom}, {right_atom})"
+                )
                 return out
+
+        # A statically-known residual function: call it directly.  The
+        # operator is a pure variable reference, so evaluating the
+        # argument first (Figure 2 order) is preserved.
+        if type(expr.fn) is Var and scope.get(expr.fn.name) in self.known_fns:
+            self._charge(1)
+            fn_py = scope[expr.fn.name]
+            arg_atom = self.gen(expr.arg, scope)
+            out = self.fresh()
+            self.emitter.emit(f"{out} = {fn_py}({arg_atom})")
+            if fn_py in self.fn_returns_fn:
+                self.callable_atoms.add(out)
+            return out
 
         # General application: argument before operator, as in Figure 2.
         arg_atom = self.gen(expr.arg, scope)
         fn_atom = self.gen(expr.fn, scope)
         out = self.fresh()
-        if not self.counted and (
-            fn_atom in self.known_fns or fn_atom in self.callable_atoms
-        ):
+        if fn_atom in self.known_fns or fn_atom in self.callable_atoms:
             # The operator atom is statically a residual function (a
             # just-generated def, or the result of a curried known call):
             # apply it natively.
@@ -729,17 +748,14 @@ class _Generator:
         return out
 
     def _gen_annotated(self, expr: Annotated, scope: Dict[str, str]) -> str:
+        self._charge(1)
         if id(expr) in self.erased:
             # Statically unreachable site (optimize="flow"): generate it
-            # exactly like an unrecognized annotation.  The node still
-            # charges its counted-mode step — trivially parity-safe, the
-            # code never runs.
-            self._count(expr)
+            # exactly like an unrecognized annotation.
             return self.gen(expr.body, scope)
         for monitor in reversed(self.monitors):
             annotation = monitor.recognize(expr.annotation)
             if annotation is not None:
-                self._count(expr)
                 site_id = len(self.sites)
                 self.sites.append(_Site(monitor, annotation, expr.body))
                 locals_literal = (
@@ -752,14 +768,12 @@ class _Generator:
                     f"{out} = _post({site_id}, {locals_literal}, {body_atom})"
                 )
                 return out
-        # Unrecognized annotation: erased at specialization time (the node
-        # still charges its reference-interpreter step in counted mode).
-        self._count(expr)
+        # Unrecognized annotation: erased at specialization time.
         return self.gen(expr.body, scope)
 
     # -- whole program ------------------------------------------------------------
 
-    def generate_module(self, program: Expr) -> str:
+    def generate_module(self, program: Expr) -> None:
         emitter = self.emitter
         emitter.emit('"""Residual instrumented program (generated).')
         emitter.emit("")
@@ -775,18 +789,16 @@ class _Generator:
             emitter.emit("_nil = _rt.nil")
             emitter.emit("_be = _rt.bool_err")
             emitter.emit("_ub = _rt.unbound")
-            if self.guarded:
-                emitter.emit("_g = _rt.guard")
-            if self.counted:
-                emitter.emit("_cs = _rt.count_step")
-                emitter.emit("_ca = _rt.count_app")
+            emitter.emit("_g = _rt.guard", only="guard")
+            emitter.emit("_t = _rt.tally", only="tally")
             used = sorted(self._primitives_used(program))
             for name in used:
                 emitter.emit(f"{_PRIM_PY_NAMES[name]} = _rt.prims[{name!r}].fn")
                 emitter.emit(f"_prim_{_PRIM_PY_NAMES[name][2:]} = _rt.prims[{name!r}]")
+            self._open_region()
             result = self.gen(program, {})
+            self._close_region()
             emitter.emit(f"return {result}")
-        return emitter.source()
 
     @staticmethod
     def _primitives_used(program: Expr) -> set:
@@ -825,47 +837,46 @@ class GeneratedProgram:
     Generation is pure: the exec'd entry closes over nothing mutable, so
     one ``GeneratedProgram`` may run any number of times and from any
     number of threads concurrently — each :meth:`run` builds a fresh
-    :class:`ResidualRuntime` carrying that run's monitor states, fault
-    log and resource guard.  The compilation cache shares artifacts
-    across the batch runtime's worker threads on this basis.
+    :class:`ResidualRuntime` carrying that run's specs, monitor states,
+    fault log, resource guard and step tally.  The compilation cache
+    shares one artifact across the batch runtime's worker threads, and
+    across metrics-on and metrics-off runs, on this basis.
 
-    The one exception is counted-mode code (built via
-    ``generate_program(..., telemetry=...)``): its step counters are
-    bound to one telemetry accumulator, so such programs are per-run and
-    never cached.
+    ``source`` is the plain variant.  Each variant (plain, guarded,
+    tallied, both) is exec'd on its first use, once.
     """
 
     def __init__(
         self,
         source: str,
-        entry: Callable,
+        entry: Optional[Callable],
         sites: Sequence[_Site],
         monitors: Tuple[MonitorSpec, ...],
         locations: Sequence = (),
-        telemetry=None,
-        counted: bool = False,
-        guarded_factory: Optional[Callable[[], Callable]] = None,
+        variant_factory: Optional[Callable[[bool, bool], Callable]] = None,
     ) -> None:
         self.source = source
         self._entry = entry
         self._sites = list(sites)
         self.monitors = monitors
         self._locations = tuple(locations)
-        self._telemetry = telemetry
-        self.counted = counted
-        self._guarded_factory = guarded_factory
-        self._guarded_entry: Optional[Callable] = None
+        self._variant_factory = variant_factory
+        #: (guarded, tallied) -> entry.
+        self._variants: Dict[Tuple[bool, bool], Callable] = (
+            {} if entry is None else {(False, False): entry}
+        )
+        self._variant_lock = threading.Lock()
 
-    def _resolve_entry(self, needs_guard: bool) -> Callable:
-        """The unguarded entry, or the lazily-exec'd guarded variant."""
-        if not needs_guard or self._guarded_factory is None:
-            return self._entry
-        entry = self._guarded_entry
+    def _resolve_entry(self, guarded: bool, tallied: bool) -> Callable:
+        """The entry of one code variant, exec'd on its first use."""
+        key = (guarded, tallied)
+        entry = self._variants.get(key)
         if entry is None:
-            # A benign race: two threads may both build the variant; both
-            # results are equivalent and either may win.
-            entry = self._guarded_factory()
-            self._guarded_entry = entry
+            with self._variant_lock:
+                entry = self._variants.get(key)
+                if entry is None:
+                    entry = self._variant_factory(guarded, tallied)
+                    self._variants[key] = entry
         return entry
 
     def run(
@@ -873,32 +884,34 @@ class GeneratedProgram:
         *,
         answers: AnswerAlgebra = STANDARD_ANSWERS,
         initial_ms=None,
+        monitors: Optional[Sequence[MonitorSpec]] = None,
         max_steps: Optional[int] = None,
         fault_log=None,
         deadline: Optional[float] = None,
+        tally: Optional[Callable[[int, int], None]] = None,
         recursion_limit: int = 100_000,
     ):
         """Execute, returning ``(answer, MonitorStateVector)``.
 
         ``initial_ms`` seeds the monitor state vector (as the other
-        engines' ``run`` does); ``fault_log`` switches the residual hooks
-        onto the fault-isolated path for this run; ``max_steps`` /
+        engines' ``run`` does); ``monitors`` replaces the specs for this
+        run with same-keyed ones; ``fault_log`` switches the residual
+        hooks onto the fault-isolated path for this run; ``max_steps`` /
         ``deadline`` bound the run at function-entry granularity through
-        the guarded code variant.
+        the guarded code variant; ``tally`` takes the tallied variant's
+        per-region node counts.
         """
+        specs = self.monitors if monitors is None else tuple(monitors)
         runtime = ResidualRuntime(
-            self._sites,
-            self.monitors,
-            locations=self._locations,
-            fault_log=fault_log,
-            telemetry=self._telemetry,
+            self._sites, specs, locations=self._locations, fault_log=fault_log
         )
         if initial_ms is not None:
-            runtime.states = {m.key: initial_ms.get(m.key) for m in self.monitors}
-        needs_guard = max_steps is not None or deadline is not None
-        entry = self._resolve_entry(needs_guard)
-        if needs_guard:
+            runtime.states = {m.key: initial_ms.get(m.key) for m in specs}
+        guarded = max_steps is not None or deadline is not None
+        entry = self._resolve_entry(guarded, tally is not None)
+        if guarded:
             runtime.guard = _make_guard(max_steps, deadline)
+        runtime.tally = tally
         _acquire_recursion_limit(recursion_limit)
         try:
             value = entry(runtime)
@@ -971,22 +984,15 @@ def _erased_nodes(program: Expr, flow) -> frozenset:
     return frozenset(erased)
 
 
-def _build(
-    program: Expr,
-    monitor_list,
-    counted: bool,
-    guarded: bool,
-    erased: frozenset = frozenset(),
-):
-    generator = _Generator(
-        monitor_list, counted=counted, guarded=guarded, erased=erased
-    )
-    source = generator.generate_module(program)
+def _exec_variant(generator: _Generator, guarded: bool, tallied: bool) -> Callable:
+    """Exec one code variant of a generated module; return its entry."""
+    variants = ("guard",) * guarded + ("tally",) * tallied
+    source = generator.emitter.source(*variants)
     namespace: Dict[str, object] = {}
     exec(compile(source, "<residual>", "exec"), namespace)  # noqa: S102
     entry = namespace["_program"]
     _register_displays(entry, generator.displays)
-    return source, entry, generator.sites, generator.locations
+    return entry
 
 
 def generate_program(
@@ -994,18 +1000,12 @@ def generate_program(
     monitors: MonitorLike = (),
     *,
     check_disjointness: bool = True,
-    telemetry=None,
     flow=None,
 ) -> GeneratedProgram:
     """Specialize and emit ``program`` as residual Python source.
 
-    ``telemetry`` (a :class:`~repro.observability.instrument.Telemetry`)
-    switches generation into counted mode: the residual code charges the
-    telemetry's step/application counters at every expression node, at
-    the reference interpreter's granularity, with every collapse
-    optimization disabled — so ``RunMetrics`` compares equal across
-    engines.  Counted programs are bound to that telemetry object and
-    must not be cached.
+    The result serves every run of ``program`` under this stack: plain,
+    bounded and metrics-on runs all execute the same collapsed code.
 
     ``flow`` (a :class:`~repro.analysis.flow.FlowAnalysis` for the same
     program x stack) erases monitoring hooks at sites the analysis
@@ -1017,27 +1017,13 @@ def generate_program(
     validate_observations(monitor_list)
     if check_disjointness:
         check_disjoint(monitor_list, program)
-    counted = telemetry is not None
-    erased = _erased_nodes(program, flow)
-    source, entry, sites, locations = _build(
-        program, monitor_list, counted, guarded=False, erased=erased
-    )
-
-    def guarded_factory() -> Callable:
-        # Site/location numbering is deterministic, so the guarded variant
-        # shares the primary build's tables.
-        _, guarded_entry, _, _ = _build(
-            program, monitor_list, counted, guarded=True, erased=erased
-        )
-        return guarded_entry
-
+    generator = _Generator(monitor_list, erased=_erased_nodes(program, flow))
+    generator.generate_module(program)
     return GeneratedProgram(
-        source,
-        entry,
-        sites,
+        generator.emitter.source(),
+        None,
+        generator.sites,
         tuple(monitor_list),
-        locations=locations,
-        telemetry=telemetry,
-        counted=counted,
-        guarded_factory=guarded_factory,
+        locations=generator.locations,
+        variant_factory=partial(_exec_variant, generator),
     )

@@ -9,7 +9,7 @@ single-run monitoring pipeline:
   ``timeout``, ...), the only way every entry point takes run options;
 * :mod:`repro.runtime.cache` — :class:`CompilationCache`, a thread-safe
   LRU over generated programs keyed by (program hash, language,
-  monitor-stack identity, fault policy, counted flag, optimization level);
+  monitor-stack identity, optimization level);
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`/:func:`run_batch`
   executing :class:`RunRequest` batches over a worker pool with
   per-request isolation and timeouts, and the :class:`Runtime` facade

@@ -17,16 +17,14 @@ generated code:
   structural for scalar-configured specs and degrades to object identity
   for anything it cannot prove inert (always sound, sometimes a missed
   hit);
-* the **fault policy**;
-* the **counted-mode flag** (counted code burns in a telemetry object, so
-  such entries are never produced by :meth:`CompilationCache.get_or_compile`
-  — telemetry runs bypass the cache — but the flag keeps the keyspace
-  honest);
 * the **optimization level** (flow-erased artifacts differ in source).
 
-Cached programs are **thread-reusable**: per-run mutable state (monitor
-states, the fault log, the resource guard) lives on the runtime object
-each ``GeneratedProgram.run`` builds, never in the generated code.
+Nothing else changes the generated code, so nothing else is keyed: the
+fault policy, resource limits and telemetry are per-run choices.  Cached
+programs are **thread-reusable**: per-run mutable state (the run's
+possibly instrumented specs, monitor states, the fault log, the resource
+guard, the step tally) lives on the runtime object each
+``GeneratedProgram.run`` builds, never in the generated code.
 
 Hits, misses and evictions are counted (:meth:`CompilationCache.stats`)
 and — when the cache is built with an ``event_sink`` — surfaced on the
@@ -82,8 +80,6 @@ def cache_key(
     program,
     monitors: Sequence,
     *,
-    fault_policy: str = "propagate",
-    counted: bool = False,
     optimize: str = "none",
 ) -> Tuple:
     """The full cache key for one compilation request (hashable).
@@ -96,8 +92,6 @@ def cache_key(
         program_fingerprint(program),
         getattr(language, "name", str(language)),
         tuple(monitor.cache_identity() for monitor in monitors),
-        fault_policy,
-        counted,
         optimize,
     )
 
@@ -202,8 +196,6 @@ class CompilationCache:
         program,
         monitors: Sequence,
         *,
-        fault_policy: str = "propagate",
-        counted: bool = False,
         engine: str = "codegen",
         optimize: str = "none",
     ):
@@ -212,21 +204,12 @@ class CompilationCache:
         The artifact is a :class:`~repro.partial_eval.codegen.GeneratedProgram`
         (``"codegen"`` is the only ``engine`` with an artifact to cache);
         it is thread-reusable, so warm entries serve concurrent batch
-        workers.
-
-        ``counted=True`` is rejected: counted-mode code burns the run's own
-        telemetry accumulator into every node, so telemetry runs must
-        compile fresh (callers bypass the cache for them).
+        workers under any fault policy, with or without metrics.
 
         ``optimize="flow"`` erases hooks at sites the claim-flow analysis
         proves unreachable; the verdict itself comes from
         :meth:`flow_verdict`, so warm traffic pays one memo lookup.
         """
-        if counted:
-            raise ValueError(
-                "counted-mode programs are not cacheable: counted code burns "
-                "in a per-run telemetry object; compile fresh for telemetry runs"
-            )
         if engine != "codegen":
             raise ValueError(
                 f"cache has no compiler for engine {engine!r}; expected 'codegen'"
@@ -235,13 +218,7 @@ class CompilationCache:
             raise ValueError(
                 f"optimize must be 'none' or 'flow', got {optimize!r}"
             )
-        key = cache_key(
-            language,
-            program,
-            monitors,
-            fault_policy=fault_policy,
-            optimize=optimize,
-        )
+        key = cache_key(language, program, monitors, optimize=optimize)
         # The flow verdict is memoized under its own lock, so fetch it
         # before taking the entry lock (no nesting).  A hit wastes one
         # memo lookup; optimize="flow" is opt-in, so the default path
@@ -260,10 +237,7 @@ class CompilationCache:
             from repro.partial_eval.codegen import generate_program
 
             # Disjointness is the caller's concern (and separately
-            # memoized by check_disjoint).  The artifact itself is
-            # fault-policy-independent — the residual hooks pick the
-            # isolated path per run — so keying on the policy costs at
-            # most one extra build per policy.
+            # memoized by check_disjoint).
             generated = generate_program(
                 program, monitors, check_disjointness=False, flow=flow
             )

@@ -65,7 +65,9 @@ from typing import Dict, List, Optional, Sequence, Union
 # What every request runs (the lint gate, codegen, the toolbox) is
 # imported here, in the parent, so forked workers inherit it instead of
 # each compiling the same modules again.
-import repro.analysis  # noqa: F401
+import repro.analysis.scope  # noqa: F401
+import repro.analysis.specs  # noqa: F401
+import repro.analysis.stack  # noqa: F401
 import repro.partial_eval.codegen  # noqa: F401
 import repro.toolbox.registry  # noqa: F401
 from repro.errors import ReproError

@@ -226,6 +226,45 @@ class TestResourceGuards:
         answer, _ = generated.run()  # unguarded path still intact
         assert answer == 0
 
+    def test_each_variant_is_built_once(self, monkeypatch):
+        # Plain, guarded, tallied and guarded+tallied runs from many
+        # threads share one artifact; each variant is exec'd on first use.
+        from repro.partial_eval import codegen
+
+        built = []
+        real = codegen._exec_variant
+
+        def counting(generator, guarded, tallied):
+            built.append((guarded, tallied))
+            return real(generator, guarded, tallied)
+
+        monkeypatch.setattr(codegen, "_exec_variant", counting)
+        generated = generate_program(parse(LOOP.format(n=50)))
+        tallies = []
+
+        def tally(steps, applications):
+            tallies.append(steps)
+
+        options = [{}, {"max_steps": 1_000}, {"tally": tally}]
+        options.append({"max_steps": 1_000, "tally": tally})
+        barrier = threading.Barrier(8)
+
+        def worker(kwargs):
+            barrier.wait()
+            assert generated.run(**kwargs)[0] == 0
+
+        threads = [
+            threading.Thread(target=worker, args=(options[i % 4],)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(built) == [(a, b) for a in (False, True) for b in (False, True)]
+        assert tallies
+        with pytest.raises(StepLimitExceeded):
+            generated.run(max_steps=10, tally=tally)
+
     def test_host_stack_exhaustion_is_a_clean_eval_error(self):
         # The codegen engine runs on the native Python stack (no
         # trampoline), so recursion past the raised host limit must

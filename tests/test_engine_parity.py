@@ -240,9 +240,11 @@ def test_tracer_output_identical_on_paper_example(paper_tracer_program, engine):
 def test_metrics_parity(fault_policy, program):
     """Steps, applications, per-slot activations, hook calls, state
     transitions and fault counts agree across engines — under every fault
-    policy.  The codegen engine's counted mode counts at the reference
-    interpreter's node granularity, so RunMetrics (whose equality ignores
-    wall-clock fields) must compare equal outright."""
+    policy.  A metrics-on codegen run executes the collapsed artifact
+    with one tally per straight-line region, each adding the nodes the
+    reference interpreter evaluates there, so for these completed runs
+    RunMetrics (whose equality ignores wall-clock fields) must compare
+    equal outright."""
     from repro.observability import RunMetrics
 
     monitors = lambda: LabelCounterMonitor() & TracerMonitor()

@@ -56,3 +56,24 @@ def test_core_names_load_no_heavy_modules():
 def test_bare_import_loads_almost_nothing():
     loaded = _loaded_after("import repro")
     assert loaded <= {"repro", "repro._lazy"}, sorted(loaded)
+
+
+def test_lint_off_runs_load_no_analysis_passes():
+    # A lint-off run names StaticAnalysisError (config validation, batch
+    # admission) but never runs a pass, so the passes must stay unloaded.
+    loaded = _loaded_after(
+        "from repro import parse, run_monitored, strict, RunConfig\n"
+        "from repro.monitors import ProfilerMonitor\n"
+        "from repro.runtime.batch import RunRequest, execute_request\n"
+        "program = parse('letrec f = lambda n. {f}: if n = 0 then 0 else f (n - 1) in f 3')\n"
+        "for engine in ('reference', 'codegen'):\n"
+        "    config = RunConfig(engine=engine)\n"
+        "    result = run_monitored(strict, program, ProfilerMonitor(), config=config)\n"
+        "    assert result.answer == 0\n"
+        "    request = RunRequest(program=program, tools='profile')\n"
+        "    assert execute_request(0, request, config=config).ok\n"
+    )
+    assert "repro.monitoring.derive" in loaded
+    passes = ("repro.analysis.scope", "repro.analysis.specs", "repro.analysis.stack")
+    leaked = sorted(m for m in passes if m in loaded)
+    assert leaked == [], f"a lint-off run loaded {leaked}"

@@ -43,19 +43,6 @@ class TestCacheKey:
         b = cache_key(strict, program, [ProfilerMonitor(namespace="p")])
         assert a == b
 
-    def test_key_distinguishes_fault_policies(self):
-        program = parse(FAC)
-        keys = {
-            cache_key(strict, program, [], fault_policy=policy)
-            for policy in ("propagate", "quarantine", "log")
-        }
-        assert len(keys) == 3
-
-    def test_key_distinguishes_counted_mode(self):
-        program = parse(FAC)
-        assert cache_key(strict, program, [], counted=True) != cache_key(
-            strict, program, [], counted=False
-        )
 
 
 class TestGetOrCompile:
@@ -68,11 +55,6 @@ class TestGetOrCompile:
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.hit_rate == 0.5
-
-    def test_counted_mode_rejected(self):
-        cache = CompilationCache(4)
-        with pytest.raises(ValueError, match="counted"):
-            cache.get_or_compile(strict, parse("1 + 1"), [], counted=True)
 
     def test_lru_eviction_bounds_size(self):
         cache = CompilationCache(2)
@@ -194,21 +176,69 @@ class TestCachedRunParity:
         )
         assert len(oracle.faults) >= 1  # the flake actually fired
 
-    def test_telemetry_runs_bypass_the_cache(self):
+    def test_fault_policies_share_one_entry(self):
+        from repro.monitoring.faults import FlakyMonitor, InjectedFault
+        from repro.observability import fault_tuples
+
+        program = parse(FAC)
+        cache = CompilationCache(4)
+
+        def flaky():
+            return FlakyMonitor(ProfilerMonitor(), fail_on=2)
+
+        records = {}
+        for policy in ("quarantine", "log"):
+            cached = run_monitored(
+                strict,
+                program,
+                flaky(),
+                config=RunConfig(engine="codegen", fault_policy=policy),
+                cache=cache,
+            )
+            oracle = run_monitored(
+                strict,
+                program,
+                flaky(),
+                config=RunConfig(engine="reference", fault_policy=policy),
+            )
+            assert cached.answer == oracle.answer
+            assert fault_tuples(cached.faults) == fault_tuples(oracle.faults)
+            records[policy] = fault_tuples(cached.faults)
+        with pytest.raises(InjectedFault):
+            run_monitored(
+                strict,
+                program,
+                flaky(),
+                config=RunConfig(engine="codegen", fault_policy="propagate"),
+                cache=cache,
+            )
+        # One artifact served all three policies, each with its own records.
+        assert cache.stats().misses == 1 and cache.stats().hits == 2
+        assert len(records["quarantine"]) == 1
+        assert len(records["log"]) > 1
+
+    def test_metrics_runs_share_the_cached_artifact(self):
         from repro.observability import RunMetrics
 
         program = parse(FAC)
         cache = CompilationCache(4)
         cfg = RunConfig(engine="codegen")
         run_monitored(strict, program, ProfilerMonitor(), config=cfg, cache=cache)
-        counted = run_monitored(
-            strict,
-            program,
-            ProfilerMonitor(),
-            config=RunConfig(engine="codegen", metrics=RunMetrics()),
-            cache=cache,
+        expected = RunMetrics()
+        run_monitored(
+            strict, program, ProfilerMonitor(), config=RunConfig(metrics=expected)
         )
-        # The counted run neither hit nor polluted the cache...
-        assert cache.stats().lookups == 1
-        # ...and still produced real counters.
-        assert counted.metrics is not None and counted.metrics.steps > 0
+        for limits in ({}, {"max_steps": 10_000}):
+            metrics = RunMetrics()
+            counted = run_monitored(
+                strict,
+                program,
+                ProfilerMonitor(),
+                config=RunConfig(engine="codegen", metrics=metrics, **limits),
+                cache=cache,
+            )
+            assert counted.metrics is metrics
+            assert metrics == expected
+        # Both metrics-on runs hit the entry the metrics-off run compiled.
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, 2)
