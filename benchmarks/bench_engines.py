@@ -10,9 +10,7 @@ via ``benchmarks/report.py --json``): ≥9x on unmonitored fib and ≥6x on
 the traced Figure 11 loop.
 """
 
-import os
 import time
-from statistics import median
 
 import pytest
 
@@ -21,6 +19,7 @@ from repro.monitoring.derive import run_monitored
 from repro.monitors import TracerMonitor
 from repro.runtime import RunConfig
 
+from benchmarks.reporting import noise_reasons, sample_spread
 from benchmarks.workloads import loop_with_trace_hits, plain_fib, traced_fib
 
 ENGINES = ["reference", "codegen"]
@@ -58,36 +57,6 @@ def test_traced_fib_monitored(benchmark, engine):
 #: the traced loop).
 CODEGEN_SPEEDUP_TARGETS = {"unmonitored": 9.0, "monitored": 6.0}
 
-#: Above this relative spread — (median - min) / min over the min-of-9
-#: samples — the box is too loaded for a hard ratio gate: a deterministic
-#: workload's samples only scatter that far when something else is
-#: stealing the core.
-NOISE_SPREAD_THRESHOLD = 0.5
-
-
-def _noise_reasons(*sample_sets):
-    """Why this environment can't support a hard perf gate ([] = it can).
-
-    Two demotion triggers: a single-core box (the benchmark shares its
-    only core with the OS and the test runner, so ratios are load, not
-    engineering) and excessive sample spread (the interleaved min-of-9
-    disagreeing with its own median by more than
-    ``NOISE_SPREAD_THRESHOLD`` means the minimum itself is suspect).
-    """
-    reasons = []
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        reasons.append(f"single-core machine (os.cpu_count() == {cpus})")
-    for label, samples in sample_sets:
-        lo = min(samples)
-        spread = (median(samples) - lo) / lo if lo > 0 else float("inf")
-        if spread > NOISE_SPREAD_THRESHOLD:
-            reasons.append(
-                f"{label} timing spread {spread:.0%} over its min "
-                f"(threshold {NOISE_SPREAD_THRESHOLD:.0%})"
-            )
-    return reasons
-
 
 def _gate_codegen_speedup(label, target, reference_samples, codegen_samples):
     """Enforce a speedup gate — or demote it to a loud skip on a noisy box."""
@@ -99,8 +68,11 @@ def _gate_codegen_speedup(label, target, reference_samples, codegen_samples):
         f"reference {t_ref * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
         f"({t_ref / t_gen:.2f}x)"
     )
-    reasons = _noise_reasons(
-        ("reference", reference_samples), ("codegen", codegen_samples)
+    reasons = noise_reasons(
+        [
+            ("reference", sample_spread(reference_samples)),
+            ("codegen", sample_spread(codegen_samples)),
+        ]
     )
     if reasons:
         notice = (
@@ -116,7 +88,7 @@ def test_codegen_is_9x_faster_than_reference_unmonitored():
     """The codegen tier's gate on a plain (unmonitored) workload.
 
     Informational (loud skip) on a single-core or heavily-loaded box —
-    see :func:`_noise_reasons`.
+    see :func:`benchmarks.reporting.noise_reasons`.
     """
     program = plain_fib(14)
     reference_samples, codegen_samples = _paired_samples(

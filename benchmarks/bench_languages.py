@@ -96,31 +96,3 @@ def test_exceptions_language_monitored(benchmark):
     )
     assert result.answer == ITERATIONS
     assert result.report() == {"tick": ITERATIONS}
-
-
-def test_lazy_residual_program(benchmark):
-    from repro.partial_eval.lazy_codegen import generate_lazy_program
-
-    generated = generate_lazy_program(FUNCTIONAL_LOOP, LabelCounterMonitor())
-
-    def run():
-        return generated.run(recursion_limit=200_000)
-
-    answer, states = benchmark(run)
-    assert answer == ITERATIONS
-    assert states.get("count") == {"tick": ITERATIONS}
-
-
-def test_imperative_residual_program(benchmark):
-    # Level-2 specialization applies to L_imp too: the residual Python
-    # instrumented program vs. the monitored interpreter above.
-    from repro.partial_eval.imp_codegen import generate_imp_program
-
-    generated = generate_imp_program(IMPERATIVE_LOOP, LabelCounterMonitor())
-
-    def run():
-        return generated.run()
-
-    (bindings, _), states = benchmark(run)
-    assert bindings["acc"] == ITERATIONS
-    assert states.get("count") == {"tick": ITERATIONS}

@@ -8,7 +8,7 @@ Paper (prose "table", Section 9.1):
   faster** than the monitored interpreter and about **83% faster** than
   the standard interpreter.
 
-The four systems measured here:
+The three systems measured here:
 
 =====================  =======================================================
 row                    what runs
@@ -16,7 +16,6 @@ row                    what runs
 standard interpreter   ``fix(standard_functional)`` over the plain program
 monitored interpreter  ``fix(derive(standard_functional, tracer))`` over the
                        annotated program (level-1 specialization)
-compiled program       closure-compiled instrumented program (level 2)
 residual program       generated Python instrumented program (level 2)
 =====================  =======================================================
 
@@ -33,7 +32,6 @@ from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import TracerMonitor
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.compile import compile_program
 
 from benchmarks.workloads import plain_fib, traced_fib
 
@@ -67,18 +65,6 @@ def test_standard_interpreter_on_annotated_program(benchmark, traced_program):
     # program; the gap against test_standard_interpreter is the pure cost
     # of skipping annotations.
     result = benchmark(lambda: strict.evaluate(traced_program))
-    assert result == 610
-
-
-def test_compiled_standard_program(benchmark, plain_program):
-    compiled = compile_program(plain_program)
-    result = benchmark(compiled.evaluate)
-    assert result == 610
-
-
-def test_compiled_instrumented_program(benchmark, traced_program):
-    compiled = compile_program(traced_program, TracerMonitor())
-    result = benchmark(lambda: compiled.run()[0])
     assert result == 610
 
 

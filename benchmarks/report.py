@@ -48,9 +48,9 @@ from repro.monitoring.derive import run_monitored
 from repro.monitors import ProfilerMonitor, TracerMonitor
 from repro.observability import RunMetrics
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.compile import compile_program
 from repro.runtime import CompilationCache, RunConfig
 
+from benchmarks.reporting import noise_reasons, sample_spread
 from benchmarks.workloads import (
     loop_with_trace_hits,
     plain_fib,
@@ -90,8 +90,6 @@ def section_9_1() -> None:
 
     t_std = best_time(lambda: strict.evaluate(plain))
     t_mon = best_time(lambda: run_monitored(strict, traced, tracer))
-    compiled = compile_program(traced, tracer)
-    t_compiled = best_time(lambda: compiled.run())
     residual = generate_program(traced, tracer)
     t_residual = best_time(lambda: residual.run())
     residual_plain = generate_program(plain)
@@ -99,7 +97,6 @@ def section_9_1() -> None:
 
     print(f"standard interpreter                 {t_std * 1000:8.1f} ms")
     print(f"monitored interpreter (full trace)   {t_mon * 1000:8.1f} ms")
-    print(f"instrumented program (compiled)      {t_compiled * 1000:8.1f} ms")
     print(f"instrumented program (residual py)   {t_residual * 1000:8.1f} ms")
     print(f"plain program (residual py)          {t_residual_plain * 1000:8.1f} ms")
     print()
@@ -240,39 +237,11 @@ def measure_engines(quick: bool = False, repeats: int = REPEATS):
                 "reference_s": t_ref,
                 "codegen_s": t_gen,
                 "codegen_speedup_vs_reference": t_ref / t_gen,
-                "reference_spread": _sample_spread(times["reference"]),
-                "codegen_spread": _sample_spread(times["codegen"]),
+                "reference_spread": sample_spread(times["reference"]),
+                "codegen_spread": sample_spread(times["codegen"]),
             }
         )
     return rows
-
-
-def _sample_spread(samples) -> float:
-    """Relative scatter of a timing sample set: (median - min) / min."""
-    lo = min(samples)
-    return (median(samples) - lo) / lo if lo > 0 else float("inf")
-
-
-#: Above this spread on a gated row the box is too loaded for the hard
-#: exit-1 gate (matches benchmarks/bench_engines.py's threshold).
-NOISE_SPREAD_THRESHOLD = 0.5
-
-
-def _noise_reasons(gate_rows):
-    """Why the codegen gate should demote to informational ([] = gate)."""
-    reasons = []
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        reasons.append(f"single-core machine (os.cpu_count() == {cpus})")
-    for row in gate_rows:
-        for engine in ("reference", "codegen"):
-            spread = row[f"{engine}_spread"]
-            if spread > NOISE_SPREAD_THRESHOLD:
-                reasons.append(
-                    f"{row['workload']}: {engine} timing spread {spread:.0%} "
-                    f"over its min (threshold {NOISE_SPREAD_THRESHOLD:.0%})"
-                )
-    return reasons
 
 
 #: The codegen tier's gates over the reference interpreter.  They carry
@@ -378,8 +347,10 @@ def json_report(quick: bool, output: str) -> int:
     codegen_targets_met = {
         key: speedups[key] >= CODEGEN_TARGETS[key] for key in CODEGEN_TARGETS
     }
-    noise = _noise_reasons(
-        (by_name["fib_unmonitored"], by_name["loop_traced_monitored"])
+    noise = noise_reasons(
+        (f"{row['workload']}: {engine}", row[f"{engine}_spread"])
+        for row in (by_name["fib_unmonitored"], by_name["loop_traced_monitored"])
+        for engine in ("reference", "codegen")
     )
     codegen_payload = {
         "quick": quick,

@@ -3,8 +3,8 @@
 Level 1 — instantiate the parameterized interpreter with a monitor spec
           (a concrete instrumented *interpreter*);
 Level 2 — specialize that interpreter with respect to a source program
-          (an instrumented *program*: shown both as a compiled closure
-          tree and as residual Python source you can read);
+          (an instrumented *program*: residual Python source you can
+          read);
 Level 3 — specialize the instrumented program with respect to partial
           input (a *specialized program*, via the online partial
           evaluator).
@@ -18,8 +18,8 @@ from repro import parse, pretty, strict
 from repro.monitoring import run_monitored
 from repro.monitors import TracerMonitor
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.compile import compile_program
 from repro.partial_eval.online import specialize
+from repro.runtime import RunConfig
 from repro.syntax.ast import Const
 from repro.syntax.transform import substitute
 
@@ -46,9 +46,9 @@ print(generated.source)
 answer, _ = generated.run()
 print("answer (residual):", answer)
 print("trace parity with interpreter:", generated.report(tracer) == result.report())
-
-compiled = compile_program(closed, tracer)
-print("compiled closure tree:", compiled.instrumented_sites, "instrumented sites")
+print("instrumented sites:", generated.site_count)
+codegen = run_monitored(strict, closed, tracer, config=RunConfig(engine="codegen"))
+print("the codegen engine runs it:", codegen.report() == result.report())
 
 # ------------------------------------------------- level 3: partial input
 print("\nLEVEL 3 - the specialized program (static exponent, dynamic base)")

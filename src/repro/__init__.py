@@ -68,7 +68,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "check_soundness": "repro.monitoring.soundness",
         "assert_valid_monitor": "repro.monitoring.validate",
         "validate_monitor": "repro.monitoring.validate",
-        "compile_program": "repro.partial_eval.compile",
         "simplify": "repro.partial_eval.postprocess",
         "specialize": "repro.partial_eval.online",
         "specialize_and_simplify": "repro.partial_eval.postprocess",

@@ -4,7 +4,7 @@ A package declares each public name with the module that defines it::
 
     __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "RunConfig": "repro.runtime.config",
-        "compile_program": "repro.partial_eval.compile",
+        "parse": "repro.syntax.parser",
     })
 
 The defining module is imported the first time the name is read, and the

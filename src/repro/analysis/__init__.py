@@ -8,8 +8,8 @@ package moves the corresponding checks *before execution*:
   monitor stack it will execute under, returning an
   :class:`~repro.analysis.diagnostics.AnalysisReport` of structured,
   source-located :class:`~repro.analysis.diagnostics.Diagnostic` values;
-* ``RunConfig(lint="warn"|"error")`` makes ``run_monitored`` /
-  ``compile_program`` / the batch runtime run the analyzer at admission,
+* ``RunConfig(lint="warn"|"error")`` makes ``run_monitored`` and the
+  batch runtime run the analyzer at admission,
   and ``lint="error"`` rejects programs with a
   :class:`~repro.analysis.diagnostics.StaticAnalysisError` before a
   single evaluation step;

@@ -6,7 +6,6 @@
     python -m repro run -e "letrec f = ... in f 3" --tools profile
     python -m repro trace prog.lam --functions fac,mul
     python -m repro specialize prog.lam --static n=3
-    python -m repro emit prog.lam --tools profile     # residual Python
     python -m repro debug prog.lam --break fac --command "print x" --command continue
     python -m repro batch requests.jsonl --workers 4 --engine codegen --stats
 
@@ -266,15 +265,6 @@ def cmd_specialize(args) -> int:
     print(pretty(result.residual))
     if args.stats:
         print(f"-- {result.stats}", file=sys.stderr)
-    return 0
-
-
-def cmd_emit(args) -> int:
-    from repro.partial_eval.codegen import generate_program
-
-    program = _load_program(args)
-    generated = generate_program(program, _tools(args.tools))
-    print(generated.source, end="")
     return 0
 
 
@@ -831,13 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--simplify", action="store_true", help="post-process the residual program"
     )
     spec_parser.set_defaults(handler=cmd_specialize)
-
-    emit_parser = subparsers.add_parser(
-        "emit", help="emit the residual instrumented program as Python"
-    )
-    _add_program_arguments(emit_parser)
-    emit_parser.add_argument("--tools", help="comma-separated toolbox monitors")
-    emit_parser.set_defaults(handler=cmd_emit)
 
     compile_parser = subparsers.add_parser(
         "compile",

@@ -89,7 +89,7 @@ class FaultLog:
     threads monitor *states*; fault bookkeeping is deliberately kept out
     of it — disabling a slot is a property of the run, not of any single
     machine state, and must survive continuation capture.  One log is
-    created per ``run_monitored`` call (or per ``CompiledProgram.run``)
+    created per ``run_monitored`` call
     and shared by every derivation level.
 
     ``observer`` (if supplied) is called as ``observer(fault,

@@ -14,15 +14,12 @@ specialization:
    with respect to a *source program* yields an instrumented *program*:
    all interpretive overhead that depends only on the program text
    (syntax dispatch, environment search, annotation recognition, monitor
-   lookup) is performed once, at specialization time.  Two specializers
-   realize this level:
-
-   * :mod:`repro.partial_eval.compile` — a closure compiler producing a
-     tree of host closures (the classic "compiled interpreter");
-   * :mod:`repro.partial_eval.codegen` — a residual-code generator that
-     *prints* the instrumented program as Python source, making the
-     specialization result inspectable exactly like the paper's
-     Schism-produced residual Scheme.
+   lookup) is performed once, at specialization time.
+   :mod:`repro.partial_eval.codegen` realizes this level for ``L_lambda``:
+   it *prints* the instrumented program as Python source, making the
+   specialization result inspectable exactly like the paper's
+   Schism-produced residual Scheme, and it is the program the
+   ``codegen`` engine runs.
 3. **Input specialization** — specializing the (instrumented) program with
    respect to partial input yields a specialized program:
    :mod:`repro.partial_eval.online` is an online partial evaluator for
@@ -36,8 +33,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "CompiledProgram": "repro.partial_eval.compile",
-        "compile_program": "repro.partial_eval.compile",
         "specialize": "repro.partial_eval.online",
         "analyze_binding_times": "repro.partial_eval.bta",
         "simplify": "repro.partial_eval.postprocess",

@@ -211,7 +211,7 @@ def _make_guard(max_steps: Optional[int], deadline: Optional[float]):
 class ResidualRuntime:
     """The runtime the generated module links against.
 
-    Carries the primitive implementations, the apply/truth/error helpers,
+    Carries the primitive implementations, the apply/error helpers,
     the site table, and the mutable monitor-state cell the residual hooks
     update.  One runtime instance per run, so the generated code itself is
     immutable and thread-reusable (the compilation cache relies on this).
@@ -229,17 +229,15 @@ class ResidualRuntime:
         self,
         sites: Sequence[_Site],
         monitors: Sequence[MonitorSpec],
-        locations: Sequence = (),
+        locations: Sequence,
         fault_log=None,
     ) -> None:
-        self.sites = list(sites)
-        self.monitors = list(monitors)
         self.prims = _PRIM_INSTANCES
         # Flattened per-site dispatch table: the hot hooks index one tuple
         # instead of chasing site -> monitor -> pre/key/observes attributes
         # on every activation.
-        by_key = {monitor.key: monitor for monitor in self.monitors}
-        specs = [by_key[site.monitor.key] for site in self.sites]
+        by_key = {monitor.key: monitor for monitor in monitors}
+        specs = [by_key[site.monitor.key] for site in sites]
         self._site_table = [
             (
                 spec.pre,
@@ -249,20 +247,16 @@ class ResidualRuntime:
                 site.term,
                 tuple(spec.observes) if spec.observes else None,
             )
-            for site, spec in zip(self.sites, specs)
+            for site, spec in zip(sites, specs)
         ]
-        self.locations = list(locations)
+        self.locations = locations
         self.fault_log = fault_log
         self.guard = None
         self.tally = None
-        self.states: Dict[str, object] = {}
-        self.reset()
+        self.states: Dict[str, object] = {m.key: m.initial_state() for m in monitors}
         if fault_log is not None:
             self.pre = self._pre_isolated
             self.post = self._post_isolated
-
-    def reset(self) -> None:
-        self.states = {m.key: m.initial_state() for m in self.monitors}
 
     # -- helpers referenced from generated code --------------------------------
 
@@ -278,16 +272,6 @@ class ResidualRuntime:
             return fn(arg)
         raise NotAFunctionError(
             f"attempt to apply non-function value {value_to_string(fn)!r}"
-        )
-
-    @staticmethod
-    def truth(value) -> bool:
-        if value is True:
-            return True
-        if value is False:
-            return False
-        raise EvalError(
-            f"condition evaluated to non-boolean {value_to_string(value)!r}"
         )
 
     def bool_err(self, value, loc_id: int):
@@ -849,22 +833,18 @@ class GeneratedProgram:
     def __init__(
         self,
         source: str,
-        entry: Optional[Callable],
         sites: Sequence[_Site],
         monitors: Tuple[MonitorSpec, ...],
-        locations: Sequence = (),
-        variant_factory: Optional[Callable[[bool, bool], Callable]] = None,
+        locations: Sequence,
+        variant_factory: Callable[[bool, bool], Callable],
     ) -> None:
         self.source = source
-        self._entry = entry
         self._sites = list(sites)
         self.monitors = monitors
         self._locations = tuple(locations)
         self._variant_factory = variant_factory
         #: (guarded, tallied) -> entry.
-        self._variants: Dict[Tuple[bool, bool], Callable] = (
-            {} if entry is None else {(False, False): entry}
-        )
+        self._variants: Dict[Tuple[bool, bool], Callable] = {}
         self._variant_lock = threading.Lock()
 
     def _resolve_entry(self, guarded: bool, tallied: bool) -> Callable:
@@ -903,7 +883,7 @@ class GeneratedProgram:
         """
         specs = self.monitors if monitors is None else tuple(monitors)
         runtime = ResidualRuntime(
-            self._sites, specs, locations=self._locations, fault_log=fault_log
+            self._sites, specs, self._locations, fault_log=fault_log
         )
         if initial_ms is not None:
             runtime.states = {m.key: initial_ms.get(m.key) for m in specs}
@@ -1021,9 +1001,8 @@ def generate_program(
     generator.generate_module(program)
     return GeneratedProgram(
         generator.emitter.source(),
-        None,
         generator.sites,
         tuple(monitor_list),
-        locations=generator.locations,
-        variant_factory=partial(_exec_variant, generator),
+        generator.locations,
+        partial(_exec_variant, generator),
     )

@@ -37,7 +37,10 @@ Operational guarantees:
   parent cannot always tell which one was dequeued when the process
   died) fails with ``error_type="WorkerCrashed"``, a replacement worker
   is forked, and the pool keeps serving — no future ever hangs on a dead
-  worker;
+  worker.  Each worker owns its request queue *and* its result pipe, and
+  both are replaced with it: a worker killed halfway through a read or a
+  write leaves its lock or a truncated message on channels nobody uses
+  again, never on one its siblings share;
 * **per-request cooperative timeouts** — exactly the batch runner's,
   enforced by the trampoline deadline inside the worker;
 * **per-worker telemetry** — with ``trace_dir`` set, each worker streams
@@ -59,6 +62,7 @@ import signal
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_readable
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -180,16 +184,17 @@ def _shard(program: object, workers: int) -> int:
 # -- the worker process -------------------------------------------------------
 
 
-def _worker_main(worker_id: int, request_queue, result_queue, init) -> None:
+def _worker_main(worker_id: int, request_queue, results, init) -> None:
     """One worker: pre-warm its shard, then loop requests until ``None``.
 
-    Runs in the child process.  Protocol (messages on ``result_queue``):
-    ``("ready", wid, pid)`` once warm, ``("start", wid, id)`` when a
-    request is picked up, ``("done", wid, id, result_dict)`` when it
-    finishes.  The start/done pair tells the parent which request was
-    running if this process dies mid-run — but delivery races death, so
-    the parent's crash accounting keys off its own submitted-but-unacked
-    set, not these acks alone.
+    Runs in the child process.  Protocol (messages on ``results``, this
+    worker's own pipe, of which it holds the only write end):
+    ``("ready", pid)`` once warm, ``("start", id)`` when a request is
+    picked up, ``("done", id, result_dict)`` when it finishes.  The
+    start/done pair tells the parent which request was running if this
+    process dies mid-run — but delivery races death, so the parent's
+    crash accounting keys off its own submitted-but-unacked set, not
+    these acks alone.
     """
     from repro.observability.events import Event
     from repro.observability.sinks import JsonlSink, TaggedSink
@@ -215,13 +220,13 @@ def _worker_main(worker_id: int, request_queue, result_queue, init) -> None:
         except Exception:
             pass  # pre-warming is best-effort; real requests still compile
 
-    result_queue.put(("ready", worker_id, os.getpid()))
+    results.send(("ready", os.getpid()))
     while True:
         wire = request_queue.get()
         if wire is None:
             break
         request_id = wire["id"]
-        result_queue.put(("start", worker_id, request_id))
+        results.send(("start", request_id))
         try:
             request = request_from_wire(wire)
             result = execute_request(
@@ -241,7 +246,7 @@ def _worker_main(worker_id: int, request_queue, result_queue, init) -> None:
                     },
                 )
             )
-        result_queue.put(("done", worker_id, request_id, result.to_dict()))
+        results.send(("done", request_id, result.to_dict()))
     if sink is not None:
         sink.close()
 
@@ -262,11 +267,13 @@ class _Pending:
 
 
 class _Worker:
-    """Parent-side handle: process + its dedicated bounded request queue."""
+    """Parent-side handle: the process, its bounded request queue and the
+    read end of its result pipe."""
 
     def __init__(self, worker_id: int, ctx, queue_depth: int) -> None:
         self.worker_id = worker_id
         self.queue = ctx.Queue(maxsize=queue_depth)
+        self.results = None
         self.process = None
         self.current: Optional[int] = None  # in-flight request id
         # Every request id handed to this worker's queue and not yet
@@ -278,16 +285,20 @@ class _Worker:
         self.ready = False
         self.restarts = 0
 
-    def spawn(self, ctx, result_queue, init) -> None:
+    def spawn(self, ctx, init) -> None:
         self.ready = False
         self.current = None
+        self.results, writer = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(self.worker_id, self.queue, result_queue, init),
+            args=(self.worker_id, self.queue, writer, init),
             daemon=True,
             name=f"repro-worker-{self.worker_id}",
         )
         self.process.start()
+        # The child now holds the only write end, so its death is this
+        # pipe's end of file.
+        writer.close()
 
 
 class ProcessPoolRunner:
@@ -356,7 +367,6 @@ class ProcessPoolRunner:
         self._ids = itertools.count(1)
         self._pending: Dict[int, _Pending] = {}
         self._pool: List[_Worker] = []
-        self._result_queue = None
         self._collector: Optional[threading.Thread] = None
         self._started = False
         self._closing = False
@@ -370,10 +380,9 @@ class ProcessPoolRunner:
             if self._started:
                 return self
             self._started = True
-            self._result_queue = self._ctx.Queue()
             for worker_id in range(self.workers):
                 worker = _Worker(worker_id, self._ctx, self.queue_depth)
-                worker.spawn(self._ctx, self._result_queue, self._worker_init(worker_id))
+                worker.spawn(self._ctx, self._worker_init(worker_id))
                 self._pool.append(worker)
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-pool-collector", daemon=True
@@ -464,6 +473,12 @@ class ProcessPoolRunner:
             )
         if self._collector is not None:
             self._collector.join(timeout=_SHUTDOWN_GRACE)
+            if self._collector.is_alive():
+                return  # still reading the pipes: leave them open
+        for worker in pool:
+            if worker.results is not None:
+                worker.results.close()
+                worker.results = None
 
     def __enter__(self) -> "ProcessPoolRunner":
         return self.start()
@@ -613,46 +628,88 @@ class ProcessPoolRunner:
     # -- the collector thread ------------------------------------------------
 
     def _collect_loop(self) -> None:
-        """Drain worker messages; watch liveness; restart crashed workers."""
+        """Drain every worker's result pipe; restart crashed workers."""
         while True:
             if self._closing:
                 with self._lock:
                     drained = not self._pending
                 if drained:
                     return
-            try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue_module.Empty:
+            with self._lock:
+                readers = {
+                    worker.results: worker
+                    for worker in self._pool
+                    if worker.results is not None
+                }
+            ready = wait_for_readable(list(readers), timeout=0.05)
+            if not ready:
                 self._check_liveness()
                 continue
-            except (EOFError, OSError):
-                return  # queue torn down under us during close
-            kind = message[0]
-            if kind == "ready":
-                with self._lock:
-                    self._pool[message[1]].ready = True
-            elif kind == "start":
-                with self._lock:
-                    worker = self._pool[message[1]]
-                    worker.current = message[2]
-                    pending = self._pending.get(message[2])
-                    if pending is not None:
-                        pending.started = True
-            elif kind == "done":
-                _, worker_id, request_id, payload = message
-                with self._lock:
-                    worker = self._pool[worker_id]
-                    if worker.current == request_id:
-                        worker.current = None
-                    worker.inflight.pop(request_id, None)
-                    pending = self._pending.pop(request_id, None)
+            for reader in ready:
+                worker = readers[reader]
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    # End of file, possibly halfway through a message: the
+                    # worker exited or died, and only its own pipe knows.
+                    self._pipe_closed(worker)
+                    continue
+                self._receive(worker, message)
+
+    def _receive(self, worker: _Worker, message) -> None:
+        kind = message[0]
+        if kind == "ready":
+            with self._lock:
+                worker.ready = True
+        elif kind == "start":
+            with self._lock:
+                worker.current = message[1]
+                pending = self._pending.get(message[1])
                 if pending is not None:
-                    self._resolve_exceptionless(
-                        pending, RunResult.from_dict(payload)
-                    )
+                    pending.started = True
+        elif kind == "done":
+            _, request_id, payload = message
+            with self._lock:
+                if worker.current == request_id:
+                    worker.current = None
+                worker.inflight.pop(request_id, None)
+                pending = self._pending.pop(request_id, None)
+            if pending is not None:
+                self._resolve_exceptionless(pending, RunResult.from_dict(payload))
+
+    def _pipe_closed(self, worker: _Worker) -> None:
+        """``worker``'s pipe ended: retire it on close, else restart."""
+        if self._closing:
+            worker.results.close()
+            worker.results = None
+            return
+        worker.process.join(timeout=_SHUTDOWN_GRACE)  # for its exit code
+        self._restart(worker)
 
     def _check_liveness(self) -> None:
-        """Fail every unacked request of any dead worker; fork a replacement.
+        """Restart a dead worker whose pipe never showed end of file.
+
+        A dead worker's pipe normally reads end of file once its last
+        complete messages are drained, and :meth:`_pipe_closed` restarts
+        it.  A process forked elsewhere while the pipe was being set up
+        may hold a copy of its write end, though, and then no end of file
+        ever comes; this poll catches that case.
+        """
+        if self._closing:
+            return
+        with self._lock:
+            dead = [
+                worker
+                for worker in self._pool
+                if not worker.process.is_alive() and not worker.results.poll()
+            ]
+        for worker in dead:
+            if self._closing:
+                return
+            self._restart(worker)
+
+    def _restart(self, worker: _Worker) -> None:
+        """Fail every unacked request of a dead worker; fork a replacement.
 
         ``worker.current`` (the "start"-acked request) is not enough: a
         worker can die *after* dequeuing a request but *before* its
@@ -662,79 +719,65 @@ class ProcessPoolRunner:
         *and* queued requests alike) rather than guessing which single
         one was in flight; nothing submitted to a dead worker can hang.
 
-        The replacement gets a fresh request queue: a worker killed while
-        idle in ``queue.get()`` dies holding the queue's read lock, which
-        would block its replacement forever.  Wires left in the old queue
-        belong to requests that were just failed, so dropping them loses
-        nothing.
+        The replacement gets a fresh request queue and a fresh result
+        pipe: a worker killed while idle in ``queue.get()`` dies holding
+        the queue's read lock, and one killed mid-``send`` leaves a
+        truncated message.  Wires left in the old queue belong to
+        requests that were just failed, so dropping them loses nothing.
         """
-        if self._closing:
-            return
+        exitcode = worker.process.exitcode
+        pid = worker.process.pid
         with self._lock:
-            dead = [
-                worker
-                for worker in self._pool
-                if worker.process is not None and not worker.process.is_alive()
+            in_flight = worker.current
+            lost = [
+                pending
+                for request_id in list(worker.inflight)
+                for pending in (self._pending.pop(request_id, None),)
+                if pending is not None
             ]
-        for worker in dead:
-            if self._closing:
-                return
-            exitcode = worker.process.exitcode
-            pid = worker.process.pid
-            with self._lock:
-                in_flight = worker.current
-                lost = [
-                    pending
-                    for request_id in list(worker.inflight)
-                    for pending in (self._pending.pop(request_id, None),)
-                    if pending is not None
-                ]
-                worker.inflight.clear()
-                worker.restarts += 1
-                self._crashes += 1
-                # Never join the stale queue's feeder thread at exit.
-                worker.queue.cancel_join_thread()
-                worker.queue = self._ctx.Queue(maxsize=self.queue_depth)
-                worker.spawn(
-                    self._ctx,
-                    self._result_queue,
-                    self._worker_init(worker.worker_id),
-                )
-            self._emit(
-                "worker-crash",
-                {
-                    "worker": worker.worker_id,
-                    "pid": pid,
-                    "exitcode": exitcode,
-                    "in_flight": in_flight,
-                    "failed": len(lost),
-                },
-            )
-            self._emit(
-                "worker-start",
-                {"worker": worker.worker_id, "pid": worker.process.pid},
-            )
-            for pending in lost:
-                ran = pending.started or pending.request_id == in_flight
-                self._resolve_exceptionless(
-                    pending,
-                    RunResult(
-                        index=pending.index,
-                        ok=False,
-                        tag=pending.tag,
-                        error=(
-                            f"worker {worker.worker_id} (pid {pid}) died with "
-                            f"exit code {exitcode} "
-                            + (
-                                "while running this request"
-                                if ran
-                                else "with this request queued on it"
-                            )
-                            + "; a replacement worker was started"
-                        ),
-                        error_type="WorkerCrashed",
+            worker.inflight.clear()
+            worker.restarts += 1
+            self._crashes += 1
+            # Never join the stale queue's feeder thread at exit.
+            worker.queue.cancel_join_thread()
+            worker.queue = self._ctx.Queue(maxsize=self.queue_depth)
+            worker.results.close()
+            worker.spawn(self._ctx, self._worker_init(worker.worker_id))
+        self._emit(
+            "worker-crash",
+            {
+                "worker": worker.worker_id,
+                "pid": pid,
+                "exitcode": exitcode,
+                "in_flight": in_flight,
+                "failed": len(lost),
+            },
+        )
+        self._emit(
+            "worker-start",
+            {"worker": worker.worker_id, "pid": worker.process.pid},
+        )
+        for pending in lost:
+            ran = pending.started or pending.request_id == in_flight
+            self._resolve_exceptionless(
+                pending,
+                RunResult(
+                    index=pending.index,
+                    ok=False,
+                    tag=pending.tag,
+                    error=(
+                        f"worker {worker.worker_id} (pid {pid}) died with "
+                        f"exit code {exitcode} "
+                        + (
+                            "while running this request"
+                            if ran
+                            else "with this request queued on it"
+                        )
+                        + "; a replacement worker was started"
                     ),
-                )
+                    error_type="WorkerCrashed",
+                ),
+            )
 
 
 __all__ = [

@@ -159,10 +159,9 @@ def is_function(value: "Value") -> bool:
     """True for any applicable value.
 
     Besides the interpreter's :class:`Closure`/:class:`PrimFun`, the
-    compiled runtimes (:mod:`repro.partial_eval.compile`,
-    :mod:`repro.partial_eval.codegen`) have their own function
-    representations; they mark them with a ``function_display`` attribute
-    rather than importing this module's classes.
+    residual programs of :mod:`repro.partial_eval.codegen` represent
+    functions as plain host functions, and a function read back from a
+    trace is an opaque value marked with a ``function_display`` attribute.
     """
     return (
         isinstance(value, (Closure, PrimFun))

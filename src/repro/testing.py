@@ -2,10 +2,10 @@
 
 Downstream users writing their own monitor specifications (or language
 modules) need the same assertions this repository's suite uses: that the
-monitor is sound, that it validates, and that every execution path —
-tree interpreter, compiled program, residual Python — agrees on answers
-*and* monitor states.  This module packages those checks behind a small
-API so a user's test can be one line:
+monitor is sound, that it validates, and that every engine — the
+reference interpreter and the residual Python program of the codegen
+tier — agrees on answers *and* monitor reports.  This module packages
+those checks behind a small API so a user's test can be one line:
 
     from repro.testing import assert_monitor_well_behaved
     assert_monitor_well_behaved(MyMonitor(), my_annotated_program)
@@ -16,14 +16,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
+from repro.languages.base import ENGINES, engine_supports
 from repro.languages.strict import strict
 from repro.monitoring.compose import MonitorLike, flatten_monitors
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.soundness import assert_sound
 from repro.monitoring.validate import assert_valid_monitor
-from repro.partial_eval.codegen import generate_program
 from repro.runtime.config import RunConfig
-from repro.partial_eval.compile import compile_program
 from repro.syntax.ast import Expr
 from repro.syntax.parser import parse
 
@@ -43,57 +42,43 @@ def assert_implementation_parity(
     language=strict,
     max_steps: Optional[int] = None,
 ) -> None:
-    """Check interpreter / compiled / residual agreement on ``program``.
+    """Check that every engine agrees with the reference on ``program``.
 
-    The compiled paths exist for the strict language only; for other
-    language modules this reduces to a monitored-run smoke check.
+    The reference engine is the oracle.  Every other engine that runs
+    ``language`` (per :data:`repro.languages.base.ENGINE_LANGUAGES`) must
+    give the same answer and the same final report for every monitor;
+    for a language only the reference runs, this is a monitored-run
+    smoke check.
     """
     program = _as_program(program)
     monitor_list = flatten_monitors(monitors)
-
-    interp = run_monitored(
-        language,
-        program,
-        list(monitor_list),
-        config=RunConfig(max_steps=max_steps),
-    ) if monitor_list else None
-    interp_answer = (
-        interp.answer if interp is not None else language.evaluate(program, max_steps=max_steps)
+    expected = run_monitored(
+        language, program, monitor_list, config=RunConfig(max_steps=max_steps)
     )
-
-    if language is not strict:
-        return
-
-    compiled = compile_program(program, list(monitor_list))
-    compiled_answer, compiled_states = compiled.run(max_steps=max_steps)
-    generated = generate_program(program, list(monitor_list))
-    generated_answer, generated_states = generated.run()
-
-    if compiled_answer != interp_answer:
-        raise ParityError(
-            f"compiled program answered {compiled_answer!r}, "
-            f"interpreter {interp_answer!r}"
+    for engine in ENGINES:
+        if engine == "reference" or not engine_supports(engine, language.name):
+            continue
+        actual = run_monitored(
+            language,
+            program,
+            monitor_list,
+            config=RunConfig(engine=engine, max_steps=max_steps),
         )
-    if generated_answer != interp_answer:
-        raise ParityError(
-            f"residual program answered {generated_answer!r}, "
-            f"interpreter {interp_answer!r}"
-        )
-    for monitor in monitor_list:
-        # Compare through the monitor's own report — the canonical,
-        # comparable rendering of its state (raw states may hold
-        # identity-compared structures such as output streams).
-        expected = monitor.report(interp.state_of(monitor.key))
-        for path_name, states in (
-            ("compiled", compiled_states),
-            ("residual", generated_states),
-        ):
-            actual = monitor.report(states.get(monitor.key))
-            if actual != expected:
+        if actual.answer != expected.answer:
+            raise ParityError(
+                f"{engine} engine answered {actual.answer!r}, "
+                f"reference {expected.answer!r}"
+            )
+        for monitor in monitor_list:
+            # Compare through the monitor's own report — the canonical,
+            # comparable rendering of its state (raw states may hold
+            # identity-compared structures such as output streams).
+            want = expected.report(monitor)
+            got = actual.report(monitor)
+            if got != want:
                 raise ParityError(
-                    f"{path_name} program's final report for monitor "
-                    f"{monitor.key!r} is {actual!r}; interpreter produced "
-                    f"{expected!r}"
+                    f"{engine} engine's final report for monitor "
+                    f"{monitor.key!r} is {got!r}; reference produced {want!r}"
                 )
 
 

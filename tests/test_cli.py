@@ -143,18 +143,6 @@ class TestSpecialize:
         assert "folded" in captured.err
 
 
-class TestEmit:
-    def test_python_source(self, capsys):
-        assert main(["emit", "-e", FAC, "--tools", "profile"]) == 0
-        out = capsys.readouterr().out
-        assert "def _program(_rt):" in out
-        assert "_pre(" in out
-
-    def test_emitted_source_is_valid_python(self, capsys):
-        assert main(["emit", "-e", PLAIN_FAC]) == 0
-        compile(capsys.readouterr().out, "<emitted>", "exec")
-
-
 class TestSession:
     def test_load_and_evaluate(self, capsys, tmp_path):
         from repro.toolbox.session import Session

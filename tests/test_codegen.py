@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EvalError, NotAFunctionError
+from repro.errors import EvalError, MonitorError, NotAFunctionError
 from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import (
@@ -42,6 +42,11 @@ class TestStandardResiduals:
     def test_shadowed_primitive(self):
         program = parse("let hd = lambda x. 99 in hd [1]")
         assert generate_program(program).evaluate() == 99
+
+    def test_function_parameters_are_applied_generically(self):
+        # f is a parameter, not a known function: no direct call is emitted.
+        program = parse("(lambda f. f 2 3) (lambda a. lambda b. a * b)")
+        assert generate_program(program).evaluate() == 6
 
     def test_identifier_mangling(self):
         program = parse("let x' = 1 in let ok? = true in if ok? then x' else 0")
@@ -144,3 +149,52 @@ class TestSiteMetadata:
         generated = generate_program(parse("{f(x)}: 1"), ProfilerMonitor())
         assert generated.site_count == 0
         assert "_pre(" not in generated.source
+
+    def test_stack_claims_each_site_once(self):
+        program = parse("{p}: ({f(x)}: 2)")
+        generated = generate_program(program, [LabelCounterMonitor(), TracerMonitor()])
+        answer, states = generated.run()
+        assert generated.site_count == 2
+        assert answer == 2
+        assert states.get("count") == {"p": 1}
+
+    def test_disjointness_enforced(self):
+        with pytest.raises(MonitorError):
+            generate_program(
+                parse("{p}: 1"),
+                [LabelCounterMonitor(key="a"), LabelCounterMonitor(key="b")],
+            )
+
+
+class TestResidualContext:
+    """The context residual hooks hand to monitors: the site's locals."""
+
+    @staticmethod
+    def spy(pre):
+        from repro.monitoring.spec import FunctionSpec
+        from repro.syntax.annotations import Label
+
+        return FunctionSpec(
+            key="spy",
+            recognize=lambda a: a if isinstance(a, Label) else None,
+            initial=lambda: None,
+            pre=lambda ann, term, ctx, st: (pre(ctx), st)[1],
+        )
+
+    def test_monitor_sees_variables(self):
+        seen = {}
+        spy = self.spy(lambda ctx: seen.update(x=ctx.lookup("x"), names=ctx.names()))
+        generate_program(parse("(lambda x. {p}: x) 5"), spy).run()
+        assert seen["x"] == 5
+        assert "x" in seen["names"]
+
+    def test_letrec_visible_to_monitor(self):
+        seen = []
+        spy = self.spy(lambda ctx: seen.append(ctx.maybe_lookup("f")))
+        generate_program(parse("letrec f = lambda n. {p}: n in f 1"), spy).run()
+        assert callable(seen[0])  # the residual closure itself
+
+    def test_lookup_outside_scope_fails(self):
+        spy = self.spy(lambda ctx: ctx.lookup("nosuch"))
+        with pytest.raises(EvalError, match="nosuch"):
+            generate_program(parse("(lambda x. {p}: x) 5"), spy).run()

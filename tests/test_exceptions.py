@@ -112,23 +112,6 @@ class TestRandomExcPrograms:
         )
         assert monitored.answer == plain
 
-    @settings(max_examples=80, deadline=None)
-    @given(exc_program())
-    def test_residual_exc_parity(self, program):
-        from repro.monitors import LabelCounterMonitor
-        from repro.partial_eval.exc_codegen import generate_exc_program
-
-        interp = run_monitored(
-            exceptions_language,
-            program,
-            LabelCounterMonitor(),
-            config=RunConfig(max_steps=2_000_000),
-        )
-        generated = generate_exc_program(program, LabelCounterMonitor())
-        answer, states = generated.run()
-        assert answer == interp.answer
-        assert states.get("count") == interp.state_of("count")
-
 
 class TestMonitoredExceptions:
     def test_monitor_sound_under_exceptions(self):

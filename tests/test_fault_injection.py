@@ -316,10 +316,10 @@ class TestEngineFaultParity:
         assert ref.state_of("count") == fast.state_of("count")
 
 
-# -- repeated runs of one compiled program ---------------------------------------
+# -- repeated runs of one generated program --------------------------------------
 
 
-class TestCompiledProgramReuse:
+class TestGeneratedProgramReuse:
     def test_fault_log_resets_between_runs(self):
         from repro.monitoring.state import MonitorStateVector
         from repro.partial_eval.codegen import generate_program

@@ -17,7 +17,6 @@ from repro.languages.imp_syntax import parse_imp
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.imp_codegen import generate_imp_program
 from repro.runtime import CompilationCache, RunConfig
 from repro.runtime.cache import cache_key
 from repro.syntax.parser import parse
@@ -232,18 +231,6 @@ class TestCodegenErasure:
         # The state vector keeps the full stack: reports stay complete.
         _, states = erased.run()
         assert states.get("trace") is not None
-
-    def test_imp_codegen_erasure_parity(self):
-        program = parse_imp(
-            "k := 0; while false do begin {p}: k := 9 end; "
-            "{q}: begin k := k + 1 end; emit k"
-        )
-        stack = [LabelCounterMonitor()]
-        flow = analyze_flow(program, stack)
-        plain = generate_imp_program(program, stack)
-        erased = generate_imp_program(program, stack, flow=flow)
-        assert plain.run()[0] == erased.run()[0]
-        assert plain.run()[1].get("count") == erased.run()[1].get("count")
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_letrec_wrapper_never_fires_in_any_engine(self, engine):

@@ -6,27 +6,35 @@ the per-site dispatch table.  The license for that is an equivalence
 theorem: on every program × monitor stack × fault policy, the optimized
 run is observably identical to the unoptimized one — answers, monitor
 reports, ``RunMetrics`` counters, and fault records.  This suite states
-the theorem over random ``L_lambda`` and ``L_imp`` programs.
+the theorem over random ``L_lambda`` programs.
 
 It also checks the erasure is *proof-driven*: a monitor is dropped only
 when no reachable site can trigger it, witnessed by the unoptimized run
-never moving that monitor off its initial state.
+never moving that monitor off its initial state; and on random ``L_imp``
+programs, no site the analysis calls erasable is ever activated on a
+reference-engine run.
 """
 
+import dataclasses
+import itertools
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_flow
+from repro.analysis.flow import FlowAnalysis
 from repro.languages import imperative, strict
+from repro.languages.imp_syntax import parse_imp
+from repro.languages.imperative import AnnotatedCmd, Cmd
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.faults import FlakyMonitor
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
 from repro.observability import RunMetrics
-from repro.partial_eval.imp_codegen import generate_imp_program
 from repro.runtime import RunConfig
+from repro.syntax.annotations import Label
 
 from tests.generators import closed_program
 from tests.test_imp_properties import closed_imp_program
@@ -126,26 +134,62 @@ def test_dead_monitors_erased_only_when_proven(program):
             assert result.reports()[monitor.key] == untouched
 
 
-@settings(max_examples=50, deadline=None)
-@given(closed_imp_program())
-def test_imp_flow_residual_parity(program):
-    stack = [LabelCounterMonitor()]
-    flow = analyze_flow(program, stack)
-    plain = generate_imp_program(program, stack)
-    flowed = generate_imp_program(program, stack, flow=flow)
-    plain_answer, plain_states = plain.run()
-    flowed_answer, flowed_states = flowed.run()
-    assert flowed_answer == plain_answer
-    assert flowed_states.get("count") == plain_states.get("count")
-    # ... and both agree with the reference interpreter.
-    interp = run_monitored(
+def _label_sites(command):
+    """Relabel every annotated command ``{s<site id>}``, in pre-order.
+
+    Generated programs reuse labels; unique ones let a label count stand
+    for one site's activations.
+    """
+    site_ids = itertools.count()
+
+    def relabel(node):
+        if isinstance(node, AnnotatedCmd):
+            return AnnotatedCmd(Label(f"s{next(site_ids)}"), relabel(node.body))
+        changes = {
+            field.name: relabel(getattr(node, field.name))
+            for field in dataclasses.fields(node)
+            if isinstance(getattr(node, field.name), Cmd)
+        }
+        return dataclasses.replace(node, **changes)
+
+    return relabel(command)
+
+
+def _assert_erasable_sites_inert(program):
+    program = _label_sites(program)
+    flow = analyze_flow(program, [LabelCounterMonitor()])
+    assert [site.rendered for site in flow.sites] == [
+        f"{{s{site.site_id}}}" for site in flow.sites
+    ]
+    result = run_monitored(
         imperative,
         program,
         LabelCounterMonitor(),
         config=RunConfig(max_steps=1_000_000),
     )
-    assert flowed_answer == interp.answer
-    assert flowed_states.get("count") == interp.state_of("count")
+    counts = result.state_of("count")
+    for site_id in flow.erasable_sites:
+        assert counts.get(f"s{site_id}", 0) == 0, f"erasable site {site_id} ran"
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_imp_program())
+def test_imp_erasable_sites_never_activated(program):
+    _assert_erasable_sites_inert(program)
+
+
+def test_imp_erasable_check_catches_a_reachable_site(monkeypatch):
+    # The property's witness: an analysis that calls every site erasable
+    # is caught by the reference run's counts.
+    program = parse_imp("k := 0; while false do {p}: k := 9; {q}: k := k + 1")
+    _assert_erasable_sites_inert(program)
+    monkeypatch.setattr(
+        FlowAnalysis,
+        "erasable_sites",
+        property(lambda flow: frozenset(site.site_id for site in flow.sites)),
+    )
+    with pytest.raises(AssertionError, match="erasable site 1 ran"):
+        _assert_erasable_sites_inert(program)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""Property tests for L_imp: random programs, interpreter vs residual parity."""
+"""Property tests for L_imp: random programs through the reference interpreter."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +18,6 @@ from repro.languages.imperative import (
 )
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor
-from repro.partial_eval.imp_codegen import generate_imp_program
 from repro.runtime import RunConfig
 from repro.syntax.annotations import Label
 
@@ -101,13 +100,6 @@ def closed_imp_program(draw):
     return Seq(init, draw(command(3)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(closed_imp_program())
-def test_residual_imp_parity(program):
-    expected = imperative.run_to_store(program, max_steps=1_000_000)
-    assert generate_imp_program(program).evaluate() == expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(closed_imp_program())
 def test_imp_monitoring_soundness(program):
@@ -130,18 +122,3 @@ def test_imp_pretty_parse_roundtrip(program):
     # ';' is associative: round-tripping preserves the program up to
     # sequence re-association.
     assert normalize_seq(parse_imp(pretty_imp(program))) == normalize_seq(program)
-
-
-@settings(max_examples=60, deadline=None)
-@given(closed_imp_program())
-def test_imp_residual_monitor_parity(program):
-    interp = run_monitored(
-        imperative,
-        program,
-        LabelCounterMonitor(),
-        config=RunConfig(max_steps=1_000_000),
-    )
-    generated = generate_imp_program(program, LabelCounterMonitor())
-    (bindings, output), states = generated.run()
-    assert (bindings, output) == interp.answer
-    assert states.get("count") == interp.state_of("count")

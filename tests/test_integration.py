@@ -13,7 +13,6 @@ from repro.monitors import (
     UnsortedListDemon,
 )
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.compile import compile_program
 from repro.partial_eval.online import specialize
 from repro.syntax.ast import Const
 from repro.syntax.parser import parse
@@ -54,9 +53,7 @@ class TestMergesort:
     def test_all_paths_compute_same_profile(self):
         program = parse(MERGESORT)
         interp = run_monitored(strict, program, ProfilerMonitor())
-        compiled = compile_program(program, ProfilerMonitor())
         generated = generate_program(program, ProfilerMonitor())
-        assert compiled.report("profile") == interp.report()
         assert generated.report("profile") == interp.report()
 
     def test_demon_on_intermediate_results(self):
@@ -136,7 +133,6 @@ class TestBigWorkloads:
             """
         )
         expected = strict.evaluate(program)
-        assert compile_program(program).evaluate() == expected
         assert generate_program(program).evaluate() == expected
 
     def test_deep_monitored_recursion(self):

@@ -33,7 +33,7 @@ from repro.runtime import (
     Runtime,
     route_key,
 )
-from repro.runtime.process_pool import request_from_wire, request_to_wire
+from repro.runtime.process_pool import _shard, request_from_wire, request_to_wire
 from repro.toolbox.registry import evaluate
 
 FAC = "letrec fac = lambda x. {fac}: if x = 0 then 1 else x * fac (x - 1) in fac %d"
@@ -42,6 +42,9 @@ TRACE_FIB = (
     "if n < 2 then n else fib (n - 1) + fib (n - 2) in fib %d"
 )
 PLAIN = "let f = lambda x. x * x in f %d"
+#: A cheap program with a large answer: its result message is far bigger
+#: than a pipe buffer, so the worker spends its time writing it.
+BIG = "letrec build = lambda n. if n = 0 then [] else n :: build (n - 1) in build %d"
 LOOP = "letrec loop = lambda x. loop (x + 1) in loop 0"
 
 
@@ -381,6 +384,44 @@ class TestCrashRecovery:
             assert [r.error_type for r in results[:2]] == ["WorkerCrashed"] * 2
             assert results[2].ok and results[2].answer == 4
 
+    def test_sigkill_during_result_writes_leaves_the_pool_serving(self):
+        """Workers SIGKILLed while writing results must not wedge the pool.
+
+        Each worker writes to its own result pipe, so a worker killed
+        halfway through a message leaves the truncated bytes on a pipe
+        nobody reads again: its unacked requests fail, and its
+        replacement and its sibling keep serving.  A result channel shared
+        by every worker would let the victim die holding its write lock,
+        and then no worker could ever reply again.
+        """
+        import random
+
+        rng = random.Random(1)
+        probes = {_shard(PLAIN % n, 2): PLAIN % n for n in range(20)}
+        assert sorted(probes) == [0, 1]
+        with ProcessPoolRunner(
+            workers=2, queue_depth=64, config=RunConfig(engine="codegen")
+        ) as runner:
+            for kill in range(8):
+                burst = [
+                    runner.submit(RunRequest(program=BIG % (20_000 + n)))
+                    for n in range(12)
+                ]
+                # Kill once results are flowing, at a random point of a write.
+                burst[0].result(timeout=30)
+                time.sleep(rng.uniform(0.0, 0.01))
+                victim = runner._pool[kill % 2].process.pid
+                os.kill(victim, signal.SIGKILL)
+                for future in burst:
+                    result = future.result(timeout=30)
+                    assert result.ok or result.error_type == "WorkerCrashed"
+            assert runner.stats()["restarts"] >= 8
+            for worker, program in sorted(probes.items()):
+                result = runner.submit(RunRequest(program=program)).result(
+                    timeout=30
+                )
+                assert result.ok, f"worker {worker}: {result.error}"
+
 
 class TestBackpressure:
     def test_full_queue_raises_overloaded(self):
@@ -504,10 +545,6 @@ class TestTelemetryAndPrewarm:
             for worker, shard in shards.items():
                 assert cache_events(worker) == (len(shard), len(shard))
 
-            # Let worker 0's queue feeder release the shared result-queue
-            # write lock after its last reply: a worker killed while
-            # holding it wedges every other worker (a known pool gap).
-            time.sleep(0.5)
             os.kill(runner._pool[0].process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 15.0
             while runner.stats()["restarts"] < 1 and time.monotonic() < deadline:

@@ -3,9 +3,8 @@
 These strengthen the per-module suites with whole-pipeline invariants:
 
 * parse/pretty round-trips on generated programs;
-* all four execution paths (tree interpreter, literal denotational
-  semantics, closure-compiled program, residual Python program) agree on
-  answers;
+* all three execution paths (tree interpreter, literal denotational
+  semantics, residual Python program) agree on answers;
 * the monitored paths additionally agree on final monitor states;
 * the nested-pair cascade answer (Section 6) is well-shaped;
 * composition order never changes answers.
@@ -18,7 +17,6 @@ from repro.monitoring.compose import nested_answer
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor, TracerMonitor
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.compile import compile_program
 from repro.runtime import RunConfig
 from repro.semantics.denotational import run_denotational
 from repro.syntax.parser import parse
@@ -43,10 +41,8 @@ def test_all_execution_paths_agree(program):
     # *entire* CPS computation; CPython 3.11 heap-allocates Python frames,
     # so a large limit is safe for generated (exponential) programs.
     denotational_answer, _ = run_denotational(program, recursion_limit=800_000)
-    compiled_answer = compile_program(program).evaluate(max_steps=MAX_STEPS)
     residual_answer = generate_program(program).evaluate()
     assert interpreter_answer == denotational_answer
-    assert interpreter_answer == compiled_answer
     assert interpreter_answer == residual_answer
 
 
@@ -57,11 +53,8 @@ def test_monitored_paths_agree_on_states(program):
     interp = run_monitored(
         strict, program, LabelCounterMonitor(), config=RunConfig(max_steps=MAX_STEPS)
     )
-    compiled = compile_program(program, LabelCounterMonitor())
     generated = generate_program(program, LabelCounterMonitor())
-    _, compiled_states = compiled.run(max_steps=MAX_STEPS)
     _, generated_states = generated.run()
-    assert compiled_states.get(monitor.key) == interp.state_of(monitor.key)
     assert generated_states.get(monitor.key) == interp.state_of(monitor.key)
 
 

@@ -31,10 +31,6 @@ PACKAGES = [
     "repro.partial_eval",
     "repro.partial_eval.bta",
     "repro.partial_eval.codegen",
-    "repro.partial_eval.compile",
-    "repro.partial_eval.exc_codegen",
-    "repro.partial_eval.imp_codegen",
-    "repro.partial_eval.lazy_codegen",
     "repro.partial_eval.online",
     "repro.partial_eval.postprocess",
     "repro.prelude",

@@ -32,6 +32,32 @@ class TestParity:
 
         assert_implementation_parity(PROGRAM, ProfilerMonitor(), language=lazy)
 
+    def test_codegen_state_disagreement_raises(self, monkeypatch):
+        from repro.partial_eval.codegen import GeneratedProgram
+
+        real_run = GeneratedProgram.run
+
+        def skewed_run(self, **kwargs):
+            answer, states = real_run(self, **kwargs)
+            return answer, states.set("profile", {"fac": 99})
+
+        monkeypatch.setattr(GeneratedProgram, "run", skewed_run)
+        with pytest.raises(ParityError, match="codegen engine's final report"):
+            assert_implementation_parity(PROGRAM, ProfilerMonitor())
+
+    def test_codegen_answer_disagreement_raises(self, monkeypatch):
+        from repro.partial_eval.codegen import GeneratedProgram
+
+        real_run = GeneratedProgram.run
+
+        def skewed_run(self, **kwargs):
+            answer, states = real_run(self, **kwargs)
+            return answer + 1, states
+
+        monkeypatch.setattr(GeneratedProgram, "run", skewed_run)
+        with pytest.raises(ParityError, match="codegen engine answered 25"):
+            assert_implementation_parity(PROGRAM, ProfilerMonitor())
+
 
 class TestWellBehaved:
     @pytest.mark.parametrize(

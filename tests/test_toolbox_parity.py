@@ -1,8 +1,8 @@
 """Consolidated parity battery: every toolbox monitor, every execution path.
 
 Uses the public :mod:`repro.testing` helpers: each monitor must validate,
-be sound, and produce identical reports from the tree interpreter, the
-compiled program, and the residual Python program.
+be sound, and produce identical reports from the reference interpreter
+and the codegen engine's residual Python program.
 """
 
 import pytest

@@ -6,7 +6,6 @@ from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import CallGraphMonitor, CoverageMonitor, ProfilerMonitor
 from repro.partial_eval.codegen import generate_program
-from repro.partial_eval.compile import compile_program
 from repro.prelude import with_prelude
 from repro.semantics.values import to_python_list
 from repro.syntax.parser import parse
@@ -41,7 +40,6 @@ class TestNQueens:
     def test_all_paths_agree(self):
         program = with_prelude(NQUEENS)
         expected = strict.evaluate(program)
-        assert compile_program(program).evaluate() == expected
         assert generate_program(program).evaluate() == expected
 
     def test_profiled_run(self):
