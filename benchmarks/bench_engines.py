@@ -58,21 +58,14 @@ def test_traced_fib_monitored(benchmark, engine):
 CODEGEN_SPEEDUP_TARGETS = {"unmonitored": 9.0, "monitored": 6.0}
 
 
-def _gate_codegen_speedup(label, target, reference_samples, codegen_samples):
-    """Enforce a speedup gate — or demote it to a loud skip on a noisy box."""
-    t_ref, t_gen = min(reference_samples), min(codegen_samples)
-    if t_gen * target <= t_ref:
-        return
-    message = (
-        f"codegen below {target:g}x over reference on {label}: "
-        f"reference {t_ref * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
-        f"({t_ref / t_gen:.2f}x)"
-    )
+def _fail_or_demote(message, labeled_samples):
+    """Fail a missed timing gate — or demote it to a loud skip on a noisy box.
+
+    ``labeled_samples`` pairs each side's label with its timing samples;
+    see :func:`benchmarks.reporting.noise_reasons` for the triggers.
+    """
     reasons = noise_reasons(
-        [
-            ("reference", sample_spread(reference_samples)),
-            ("codegen", sample_spread(codegen_samples)),
-        ]
+        [(label, sample_spread(samples)) for label, samples in labeled_samples]
     )
     if reasons:
         notice = (
@@ -82,6 +75,19 @@ def _gate_codegen_speedup(label, target, reference_samples, codegen_samples):
         print(notice)
         pytest.skip(notice)
     pytest.fail(message)
+
+
+def _gate_codegen_speedup(label, target, reference_samples, codegen_samples):
+    """Enforce a speedup gate (demoted on a noisy box)."""
+    t_ref, t_gen = min(reference_samples), min(codegen_samples)
+    if t_gen * target <= t_ref:
+        return
+    _fail_or_demote(
+        f"codegen below {target:g}x over reference on {label}: "
+        f"reference {t_ref * 1e3:.2f} ms vs codegen {t_gen * 1e3:.2f} ms "
+        f"({t_ref / t_gen:.2f}x)",
+        [("reference", reference_samples), ("codegen", codegen_samples)],
+    )
 
 
 def test_codegen_is_9x_faster_than_reference_unmonitored():
@@ -222,12 +228,17 @@ def test_quarantine_overhead_single_monitor_fast_path(engine):
 INSTRUMENTATION_BUDGET = 1.02
 
 
-def _assert_null_sink_free(label, t_off, t_null):
-    assert t_null <= t_off * INSTRUMENTATION_BUDGET + TIMER_EPSILON, (
+def _assert_null_sink_free(label, off_samples, null_samples):
+    """Enforce the 2% budget on interleaved minima (demoted on a noisy box)."""
+    t_off, t_null = min(off_samples), min(null_samples)
+    if t_null <= t_off * INSTRUMENTATION_BUDGET + TIMER_EPSILON:
+        return
+    _fail_or_demote(
         f"disabled telemetry above 2% on {label}: "
         f"no telemetry {t_off * 1e3:.2f} ms vs "
         f"NullSink {t_null * 1e3:.2f} ms "
-        f"({(t_null / t_off - 1) * 100:.1f}%)"
+        f"({(t_null / t_off - 1) * 100:.1f}%)",
+        [("no telemetry", off_samples), ("NullSink", null_samples)],
     )
 
 
@@ -237,13 +248,15 @@ def test_null_sink_overhead_unmonitored_fast_path(engine):
     from repro.observability import NullSink
 
     program = loop_with_trace_hits(1000, 0)
-    t_off, t_null = _paired_min(
+    off_samples, null_samples = _paired_samples(
         lambda: run_monitored(strict, program, [], config=RunConfig(engine=engine)),
         lambda: run_monitored(
             strict, program, [], config=RunConfig(engine=engine, event_sink=NullSink())
         ),
     )
-    _assert_null_sink_free(f"unmonitored fast path ({engine})", t_off, t_null)
+    _assert_null_sink_free(
+        f"unmonitored fast path ({engine})", off_samples, null_samples
+    )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -251,7 +264,7 @@ def test_null_sink_overhead_single_monitor_fast_path(engine):
     """A monitored run with a ``NullSink`` rides the uninstrumented path."""
     from repro.observability import NullSink
 
-    t_off, t_null = _paired_min(
+    off_samples, null_samples = _paired_samples(
         lambda: run_monitored(
             strict, TRACED, TracerMonitor(), config=RunConfig(engine=engine)
         ),
@@ -262,7 +275,9 @@ def test_null_sink_overhead_single_monitor_fast_path(engine):
             config=RunConfig(engine=engine, event_sink=NullSink()),
         ),
     )
-    _assert_null_sink_free(f"single-monitor fast path ({engine})", t_off, t_null)
+    _assert_null_sink_free(
+        f"single-monitor fast path ({engine})", off_samples, null_samples
+    )
 
 
 # -- metrics-on price gate (T-OBS) -----------------------------------------------

@@ -121,9 +121,8 @@ def test_record_overhead_within_budget():
 def measure_posthoc_amortization(total=20_000, traced=2_000, repeats=3):
     """Informational: fold N stacks over one trace vs N inline runs.
 
-    Thread-level post-hoc parallelism is *also* informational only — on
-    a single-core box the fold's win comes from not re-running the
-    program, not from threads.
+    The folds run one after another; their win comes from not re-running
+    the program.
     """
     import tempfile
 

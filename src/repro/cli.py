@@ -556,7 +556,6 @@ def cmd_analyze(args) -> int:
     results = analyze_many(
         trace,
         stacks,
-        workers=args.workers,
         program=program,
         fault_policy=args.fault_policy,
         metrics=True if args.metrics else None,
@@ -1007,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="STACK",
         help="a comma-separated monitor stack to fold (repeat the flag to "
-        "fold several independent stacks concurrently)",
+        "fold several independent stacks over the one trace)",
     )
     analyze_parser.add_argument(
         "--program",
@@ -1015,12 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="the recorded program's source (required when the trace does "
         "not embed it)",
-    )
-    analyze_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread-pool width for folding multiple stacks",
     )
     analyze_parser.add_argument(
         "--allow-truncated",

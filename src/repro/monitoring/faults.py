@@ -71,6 +71,11 @@ class MonitorFault:
         default=None, compare=False, repr=False
     )
 
+    @classmethod
+    def of(cls, key: str, phase: str, exc: BaseException) -> "MonitorFault":
+        """The record of ``exc`` raised by monitor ``key``'s ``phase`` hook."""
+        return cls(key, phase, type(exc).__name__, str(exc), exc)
+
     def render(self) -> str:
         """One human-readable line, used by ``MonitoredResult.reports()``."""
         return (
@@ -114,13 +119,7 @@ class FaultLog:
 
     def record(self, key: str, phase: str, exc: BaseException) -> MonitorFault:
         """Capture ``exc`` from ``key``'s ``phase`` hook; maybe quarantine."""
-        fault = MonitorFault(
-            monitor_key=key,
-            phase=phase,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            error=exc,
-        )
+        fault = MonitorFault.of(key, phase, exc)
         self.faults.append(fault)
         quarantined = self.policy == "quarantine" and key not in self.disabled
         if self.policy == "quarantine":

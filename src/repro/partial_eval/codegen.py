@@ -77,6 +77,7 @@ from repro.monitoring.derive import check_disjoint
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
+from repro.semantics.env import Environment
 from repro.semantics.primitives import PRIMITIVE_TABLE
 from repro.semantics.values import (
     NIL,
@@ -114,29 +115,14 @@ def _mangle(name: str) -> str:
     return f"v_{safe}"
 
 
-class _DictContext:
-    """The semantic context residual hooks hand to monitors.
+def _bind(scope: Dict[str, str], frame: Dict[str, str]) -> Dict[str, str]:
+    """``scope`` under one more frame, ordered as ``Environment.names()``.
 
-    Holds the local variables visible at the instrumentation site, by
-    source name.
+    Innermost names come first and a shadowed name appears once, so a
+    site's locals literal — and the hook context built from it — lists
+    names the way the reference interpreter's environment does.
     """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Dict[str, object]) -> None:
-        self._bindings = bindings
-
-    def maybe_lookup(self, name: str):
-        return self._bindings.get(name)
-
-    def lookup(self, name: str):
-        try:
-            return self._bindings[name]
-        except KeyError:
-            raise EvalError(f"unbound identifier at residual site: {name!r}") from None
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._bindings)
+    return {**frame, **{name: py for name, py in scope.items() if name not in frame}}
 
 
 class _Site:
@@ -289,27 +275,22 @@ class ResidualRuntime:
     def pre(self, site_id: int, local_vars: Dict[str, object]) -> None:
         pre_fn, _post_fn, key, annotation, term, observes = self._site_table[site_id]
         states = self.states
+        ctx = Environment(local_vars, _INITIAL_ENV)
         if observes:
             inner = {k: states[k] for k in observes}
-            states[key] = pre_fn(
-                annotation, term, _DictContext(local_vars), states[key], inner=inner
-            )
+            states[key] = pre_fn(annotation, term, ctx, states[key], inner=inner)
         else:
-            states[key] = pre_fn(annotation, term, _DictContext(local_vars), states[key])
+            states[key] = pre_fn(annotation, term, ctx, states[key])
 
     def post(self, site_id: int, local_vars: Dict[str, object], value):
         _pre_fn, post_fn, key, annotation, term, observes = self._site_table[site_id]
         states = self.states
+        ctx = Environment(local_vars, _INITIAL_ENV)
         if observes:
             inner = {k: states[k] for k in observes}
-            states[key] = post_fn(
-                annotation, term, _DictContext(local_vars), value, states[key],
-                inner=inner,
-            )
+            states[key] = post_fn(annotation, term, ctx, value, states[key], inner=inner)
         else:
-            states[key] = post_fn(
-                annotation, term, _DictContext(local_vars), value, states[key]
-            )
+            states[key] = post_fn(annotation, term, ctx, value, states[key])
         return value
 
     # -- the fault-isolated hook variants (quarantine / log policies) ----------
@@ -325,7 +306,7 @@ class ResidualRuntime:
         pre_fn, _post_fn, key, annotation, term, observes = self._site_table[site_id]
         if key in log.disabled:
             return
-        ctx = _DictContext(local_vars)
+        ctx = Environment(local_vars, _INITIAL_ENV)
         state = self.states[key]
         try:
             if observes:
@@ -345,7 +326,7 @@ class ResidualRuntime:
         _pre_fn, post_fn, key, annotation, term, observes = self._site_table[site_id]
         if key in log.disabled:
             return value
-        ctx = _DictContext(local_vars)
+        ctx = Environment(local_vars, _INITIAL_ENV)
         state = self.states[key]
         try:
             if observes:
@@ -502,7 +483,7 @@ class _Generator:
     #
     # gen(expr, scope) emits statements computing expr and returns a Python
     # *atom* (a name or literal) holding its value.  ``scope`` maps source
-    # names to generated Python atoms.
+    # names to generated Python atoms, innermost binding first (_bind).
 
     def gen(self, expr: Expr, scope: Dict[str, str]) -> str:
         node_type = type(expr)
@@ -541,18 +522,15 @@ class _Generator:
             bound_atom = self.gen(expr.bound, scope)
             # A let binding is a compile-time alias: the bound atom is a
             # single-assignment temp or literal, so no runtime copy exists.
-            inner = dict(scope)
-            inner[expr.name] = bound_atom
-            return self.gen(expr.body, inner)
+            return self.gen(expr.body, _bind(scope, {expr.name: bound_atom}))
 
         if node_type is Letrec:
             self._charge(1)
-            inner = dict(scope)
-            py_names = {}
-            for name, _ in expr.bindings:
-                py = _mangle(name) + f"_{next(self.counter)}"
-                py_names[name] = py
-                inner[name] = py
+            py_names = {
+                name: _mangle(name) + f"_{next(self.counter)}"
+                for name, _ in expr.bindings
+            }
+            inner = _bind(scope, py_names)
             # The defs all execute before any body runs, so every binding
             # is a known function to every (mutually recursive) body.
             self.known_fns.update(py_names.values())
@@ -607,8 +585,7 @@ class _Generator:
             returned = returned.body
         if isinstance(returned, Lam):
             self.fn_returns_fn.add(fn_name)
-        inner = dict(scope)
-        inner[param] = param_py
+        inner = _bind(scope, {param: param_py})
         outer_region = self._region
         with emitter.block():
             emitter.emit("_g()", only="guard")
@@ -921,6 +898,10 @@ class GeneratedProgram:
 _PRIM_INSTANCES = {
     name: PrimFun(name, arity, fn) for name, (arity, fn) in PRIMITIVE_TABLE.items()
 }
+
+#: What a residual hook's context sees below the site's locals: the
+#: initial environment, as the reference interpreter's contexts do.
+_INITIAL_ENV = Environment({**_PRIM_INSTANCES, "nil": NIL}, None)
 
 
 def _register_displays(entry: Callable, displays: Dict[str, str]) -> None:

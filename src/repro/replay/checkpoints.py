@@ -3,12 +3,13 @@
 Monitor states are persistent values (the whole framework is built on
 that), so a checkpoint of the :class:`~repro.monitoring.state.
 MonitorStateVector` is one reference — O(1) to take, O(1) to restore.
-The only mutable pieces of a replay fold are the :class:`~repro.
-observability.metrics.RunMetrics` accumulator, the pending pre-context
-map, and the fault bookkeeping; those are copied (shallowly — contexts
-and fault records are themselves immutable) both when a checkpoint is
-*taken* and when it is *restored*, so stepping forward from a restore
-never corrupts the stored snapshot.
+The fault records and disabled slots are immutable values too (a tuple
+and a frozenset).  The only mutable pieces of a replay fold are the
+:class:`~repro.observability.metrics.RunMetrics` accumulator and the
+pending pre-context map; those are copied (shallowly — contexts are
+never mutated) both when a checkpoint is *taken* and when it is
+*restored*, so stepping forward from a restore never corrupts the
+stored snapshot.
 
 The index can persist to a sidecar file next to the trace
 (``<trace>.ckpt``): a JSON envelope naming the trace fingerprint, the
@@ -27,7 +28,7 @@ import json
 import os
 import pickle
 from bisect import bisect_right
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitoring.faults import MonitorFault
@@ -59,46 +60,42 @@ def copy_metrics(metrics: Optional[RunMetrics]) -> Optional[RunMetrics]:
 class Checkpoint:
     """The complete fold state after ``position`` trace events.
 
-    ``states`` is shared (persistent); ``metrics``/``pending`` are owned
-    by this checkpoint (copied in :meth:`capture`), so the snapshot is
-    immune to later mutation by the fold that took it.
+    ``states``, ``faults`` and ``disabled`` are immutable values, shared;
+    ``metrics``/``pending`` are owned by this checkpoint (copied on
+    :meth:`capture` and again on :meth:`restore`), so the snapshot is
+    immune to later mutation by the fold that took or resumed it.
     """
 
     position: int
     states: MonitorStateVector
     stack: Tuple[Tuple[int, str], ...]  # open activations: (site, label)
     metrics: Optional[RunMetrics]
-    pending: Dict[Tuple[int, int], object]  # (site, occ) -> ReplayContext
+    pending: Dict[Tuple[int, int], object]  # (site, occ) -> hook context
     faults: Tuple[MonitorFault, ...]
     disabled: frozenset
 
     @classmethod
-    def capture(
-        cls,
-        *,
-        position: int,
-        states: MonitorStateVector,
-        stack: Tuple[Tuple[int, str], ...],
-        metrics: Optional[RunMetrics],
-        pending: Dict[Tuple[int, int], object],
-        faults: Tuple[MonitorFault, ...],
-        disabled: frozenset,
-    ) -> "Checkpoint":
+    def capture(cls, session) -> "Checkpoint":
+        """Snapshot a :class:`~repro.replay.session.ReplaySession`'s fold."""
         return cls(
-            position=position,
-            states=states,
-            stack=stack,
-            metrics=copy_metrics(metrics),
-            pending=dict(pending),
-            faults=faults,
-            disabled=disabled,
+            position=session.position,
+            states=session.states,
+            stack=session.stack,
+            metrics=copy_metrics(session.metrics),
+            pending=dict(session.pending),
+            faults=session.faults,
+            disabled=session.disabled,
         )
 
-    def thaw(self) -> "Checkpoint":
-        """A mutable-parts copy safe to fold forward from."""
-        return dc_replace(
-            self, metrics=copy_metrics(self.metrics), pending=dict(self.pending)
-        )
+    def restore(self, session) -> None:
+        """Rewind ``session`` to this point."""
+        session.position = self.position
+        session.states = self.states
+        session.stack = self.stack
+        session.metrics = copy_metrics(self.metrics)
+        session.pending = dict(self.pending)
+        session.faults = self.faults
+        session.disabled = self.disabled
 
 
 class CheckpointIndex:

@@ -15,7 +15,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "ReplayContext": "repro.tracing.analyze",
         "TraceAnalysis": "repro.tracing.analyze",
         "analyze_many": "repro.tracing.analyze",
         "analyze_trace": "repro.tracing.analyze",

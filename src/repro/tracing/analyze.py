@@ -6,11 +6,12 @@ replays a trace's ``pre``/``post`` events through an arbitrary
 :class:`~repro.monitoring.spec.MonitorSpec` stack and reconstructs the
 :class:`~repro.monitoring.derive.MonitoredResult` the same stack would
 have produced inline, down to the ``RunMetrics`` counters and the
-``FaultLog`` records.  The §7 soundness theorem is the license (the
-monitors could not have changed the recorded run), and
+fault records.  The §7 soundness theorem is the license (the monitors
+could not have changed the recorded run), and
 ``tests/test_trace_equivalence.py`` is the machine check.
 
-The fold mirrors the inline machinery exactly:
+The fold lives in one place, :class:`TraceFold`, and mirrors the inline
+machinery exactly:
 
 * hook dispatch — at most one monitor claims each site (Section 6
   disjointness, checked here as inline), resolved once per site rather
@@ -24,10 +25,10 @@ The fold mirrors the inline machinery exactly:
   events, ``log`` records and drops just that update — the replica of
   ``_derive_isolated``'s three behaviors.
 
-Because a trace is immutable and the fold allocates per-stack state,
-N independent stacks fold concurrently over one trace
-(:func:`analyze_many`), which is the cheap fan-out inline monitoring
-never had: record once, monitor many ways.
+:func:`analyze_trace` runs the fold straight through;
+:class:`~repro.replay.session.ReplaySession` runs the same fold under a
+seekable cursor.  :func:`analyze_many` folds N stacks over one trace,
+read once: record once, monitor many ways.
 """
 
 from __future__ import annotations
@@ -36,16 +37,17 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import UnboundIdentifierError
 from repro.monitoring.derive import MonitoredResult, check_disjoint
-from repro.monitoring.faults import FaultLog, check_fault_policy
+from repro.monitoring.faults import MonitorFault, check_fault_policy
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
+from repro.semantics.env import Environment
 from repro.tracing.schema import (
     Site,
     Trace,
     TraceError,
+    TraceEvent,
     TraceFormatError,
     build_site_table,
     decode_value,
@@ -66,40 +68,6 @@ def parse_program(language_name: str, source: str):
     from repro.syntax.parser import parse
 
     return parse(source)
-
-
-class ReplayContext:
-    """The semantic context a replayed hook sees: the recorded bindings.
-
-    Implements the same ``maybe_lookup``/``lookup``/``names`` surface as
-    the live contexts (``Environment``, ``Store``, codegen's
-    ``_DictContext``), so ``context_lookup`` works unchanged.  A name the
-    recorder did not capture reads as unbound — the same miss behavior
-    monitors already tolerate inline.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Dict[str, object]) -> None:
-        self._bindings = bindings
-
-    def maybe_lookup(self, name: str):
-        return self._bindings.get(name)
-
-    def lookup(self, name: str):
-        try:
-            return self._bindings[name]
-        except KeyError:
-            raise UnboundIdentifierError(name) from None
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._bindings)
-
-    def __repr__(self) -> str:
-        return f"<replay-ctx {sorted(self._bindings)}>"
-
-
-_EMPTY_CONTEXT = ReplayContext({})
 
 
 @dataclass
@@ -141,6 +109,167 @@ def _resolve_program(trace: Trace, program) -> Tuple[object, List[Site]]:
     return program, table
 
 
+#: The context of a hook whose ``pre`` recorded no bindings.
+_NO_BINDINGS = Environment({}, None)
+
+
+def recorded_context(event: Optional[TraceEvent]) -> Environment:
+    """The context a replayed hook sees: the ``pre`` event's recorded bindings.
+
+    A name the recorder did not capture reads as unbound — the same miss
+    behavior monitors already tolerate inline.  No event, no bindings.
+    """
+    if event is None or not event.bindings:
+        return _NO_BINDINGS
+    return Environment(
+        {name: decode_value(value) for name, value in event.bindings.items()}, None
+    )
+
+
+class TraceFold:
+    """One monitor stack folded over one trace, one event at a time.
+
+    Construction resolves the trace and its program, checks the stack
+    and resolves each site's claim; :meth:`step` applies one recorded
+    event and :meth:`package` turns the fold so far into a
+    :class:`TraceAnalysis`.  The fold state — ``states``, ``metrics``,
+    ``pending`` (open ``pre`` contexts by ``(site, occurrence)``),
+    ``faults`` and ``disabled`` — is plain attributes of immutable or
+    shallow-copyable values, so a replay checkpoint captures and restores
+    it whole, quarantines included.
+    """
+
+    def __init__(
+        self,
+        trace: Union[str, Trace],
+        monitors: Union[MonitorSpec, Sequence[MonitorSpec]],
+        *,
+        program=None,
+        fault_policy: str = "propagate",
+        metrics: Union[None, bool, RunMetrics] = None,
+        check_disjointness: bool = True,
+        allow_truncated: bool = False,
+    ) -> None:
+        from repro.monitoring.compose import flatten_monitors, validate_observations
+
+        check_fault_policy(fault_policy)
+        self.trace = _resolve_trace(trace, allow_truncated)
+        self.monitors: List[MonitorSpec] = flatten_monitors(monitors)
+        validate_observations(self.monitors)
+        self.program, self.sites = _resolve_program(self.trace, program)
+        if check_disjointness:
+            check_disjoint(self.monitors, self.program)
+        self.fault_policy = fault_policy
+
+        # Claim resolution happens once per *site*, not once per event:
+        # for each site, the first (and by disjointness only) monitor
+        # whose recognize() accepts the annotation, as (spec, view,
+        # observes, term) — or None for an unclaimed site.
+        self._claims: List[Optional[tuple]] = []
+        for site in self.sites:
+            claim = None
+            for spec in self.monitors:
+                view = spec.recognize(site.annotation)
+                if view is not None:
+                    claim = (spec, view, tuple(spec.observes), site.body)
+                    break
+            self._claims.append(claim)
+
+        self.states = MonitorStateVector.initial(self.monitors)
+        self.metrics: Optional[RunMetrics] = (
+            RunMetrics() if metrics is True else metrics or None
+        )
+        self.pending: Dict[Tuple[int, int], Environment] = {}
+        self.faults: Tuple[MonitorFault, ...] = ()
+        self.disabled: frozenset = frozenset()
+
+    def step(self, event: TraceEvent) -> None:
+        """Apply one event: the hook call it records, charged and isolated."""
+        claim = self._claims[event.site]
+        if claim is None:
+            return
+        spec, view, observes, term = claim
+        key = spec.key
+        if key in self.disabled:
+            return
+        states = self.states
+        state = states.get(key)
+        metrics = self.metrics
+        if event.phase == "pre":
+            ctx = recorded_context(event)
+            self.pending[(event.site, event.occ)] = ctx
+            if metrics is not None:
+                metrics.activations[key] = metrics.activations.get(key, 0) + 1
+                metrics.pre_calls[key] = metrics.pre_calls.get(key, 0) + 1
+            try:
+                if observes:
+                    new_state = spec.pre(
+                        view, term, ctx, state, inner=states.view(observes)
+                    )
+                else:
+                    new_state = spec.pre(view, term, ctx, state)
+            except Exception as exc:
+                self._fault(key, "pre", exc)
+                return
+        else:
+            ctx = self.pending.pop((event.site, event.occ), _NO_BINDINGS)
+            result = decode_value(event.value)
+            if metrics is not None:
+                metrics.post_calls[key] = metrics.post_calls.get(key, 0) + 1
+            try:
+                if observes:
+                    new_state = spec.post(
+                        view, term, ctx, result, state, inner=states.view(observes)
+                    )
+                else:
+                    new_state = spec.post(view, term, ctx, result, state)
+            except Exception as exc:
+                self._fault(key, "post", exc)
+                return
+        if new_state is not state:
+            if metrics is not None:
+                metrics.state_transitions += 1
+            self.states = states.set(key, new_state)
+
+    def _fault(self, key: str, phase: str, exc: Exception) -> None:
+        """Apply the fault policy to ``exc`` from ``key``'s ``phase`` hook.
+
+        ``propagate`` re-raises; ``quarantine`` records and disables the
+        slot; ``log`` records and drops just this update.
+        """
+        if self.fault_policy == "propagate":
+            raise exc
+        self.faults += (MonitorFault.of(key, phase, exc),)
+        if self.fault_policy == "quarantine":
+            self.disabled |= {key}
+        if self.metrics is not None:
+            self.metrics.faults[key] = self.metrics.faults.get(key, 0) + 1
+
+    def package(self, metrics: Optional[RunMetrics]) -> TraceAnalysis:
+        """The fold so far as a ``TraceAnalysis`` carrying ``metrics``.
+
+        ``metrics`` (the fold's own counters, or a copy of them) takes
+        its step and application counts from the trace's end record when
+        the recording itself ran with metrics.
+        """
+        if metrics is not None:
+            footer = self.trace.footer or {}
+            if isinstance(footer.get("steps"), int):
+                metrics.steps = footer["steps"]
+            if isinstance(footer.get("applications"), int):
+                metrics.applications = footer["applications"]
+        return TraceAnalysis(
+            answer=self.trace.answer(),
+            states=self.states,
+            monitors=tuple(self.monitors),
+            faults=self.faults,
+            fault_policy=self.fault_policy,
+            metrics=metrics,
+            events=len(self.trace.events),
+            truncated=self.trace.truncated,
+        )
+
+
 def analyze_trace(
     trace: Union[str, Trace],
     monitors: Union[MonitorSpec, Sequence[MonitorSpec]],
@@ -161,180 +290,54 @@ def analyze_trace(
     counts come from the trace's end record when the recording itself
     ran with metrics.
     """
-    from repro.monitoring.compose import flatten_monitors, validate_observations
-
-    check_fault_policy(fault_policy)
-    resolved = _resolve_trace(trace, allow_truncated)
-    monitor_list: List[MonitorSpec] = flatten_monitors(monitors)
-    validate_observations(monitor_list)
-    program, table = _resolve_program(resolved, program)
-    if check_disjointness:
-        check_disjoint(monitor_list, program)
-
-    run_metrics: Optional[RunMetrics]
-    if metrics is None or metrics is False:
-        run_metrics = None
-    elif metrics is True:
-        run_metrics = RunMetrics()
-    else:
-        run_metrics = metrics
-
-    observer = None
-    if run_metrics is not None:
-        counters = run_metrics
-
-        def observer(fault, quarantined):  # noqa: ANN001 - FaultLog protocol
-            key = fault.monitor_key
-            counters.faults[key] = counters.faults.get(key, 0) + 1
-
-    fault_log = (
-        None
-        if fault_policy == "propagate"
-        else FaultLog(fault_policy, observer=observer)
-    )
-    disabled = fault_log.disabled if fault_log is not None else frozenset()
-
-    # Claim resolution happens once per *site*, not once per event: for
-    # each site, the first (and by disjointness only) monitor whose
-    # recognize() accepts the annotation, with its recognized view.
-    claimants: List[Optional[Tuple[MonitorSpec, object, Tuple[str, ...]]]] = []
-    for site in table:
-        claim = None
-        for spec in monitor_list:
-            view = spec.recognize(site.annotation)
-            if view is not None:
-                claim = (spec, view, tuple(spec.observes))
-                break
-        claimants.append(claim)
-
-    states = MonitorStateVector.initial(monitor_list)
-    pending_ctx: Dict[Tuple[int, int], ReplayContext] = {}
-    start = perf_counter() if run_metrics is not None else 0.0
-
-    for event in resolved.events:
-        claim = claimants[event.site]
-        if claim is None:
-            continue
-        spec, view, observes = claim
-        key = spec.key
-        if key in disabled:
-            continue
-        term = table[event.site].body
-        state = states.get(key)
-        inner = states.view(observes) if observes else None
-        if event.phase == "pre":
-            ctx = (
-                ReplayContext(
-                    {k: decode_value(v) for k, v in event.bindings.items()}
-                )
-                if event.bindings
-                else _EMPTY_CONTEXT
-            )
-            pending_ctx[(event.site, event.occ)] = ctx
-            if run_metrics is not None:
-                run_metrics.activations[key] = (
-                    run_metrics.activations.get(key, 0) + 1
-                )
-                run_metrics.pre_calls[key] = run_metrics.pre_calls.get(key, 0) + 1
-            try:
-                if observes:
-                    new_state = spec.pre(view, term, ctx, state, inner=inner)
-                else:
-                    new_state = spec.pre(view, term, ctx, state)
-            except Exception as exc:
-                if fault_log is None:
-                    raise
-                fault_log.record(key, "pre", exc)
-                continue  # quarantine: slot now disabled; log: update dropped
-        else:
-            ctx = pending_ctx.pop((event.site, event.occ), _EMPTY_CONTEXT)
-            result = decode_value(event.value)
-            if run_metrics is not None:
-                run_metrics.post_calls[key] = (
-                    run_metrics.post_calls.get(key, 0) + 1
-                )
-            try:
-                if observes:
-                    new_state = spec.post(
-                        view, term, ctx, result, state, inner=inner
-                    )
-                else:
-                    new_state = spec.post(view, term, ctx, result, state)
-            except Exception as exc:
-                if fault_log is None:
-                    raise
-                fault_log.record(key, "post", exc)
-                continue
-        if new_state is not state:
-            if run_metrics is not None:
-                run_metrics.state_transitions += 1
-            states = states.set(key, new_state)
-
-    if run_metrics is not None:
-        footer = resolved.footer or {}
-        if isinstance(footer.get("steps"), int):
-            run_metrics.steps = footer["steps"]
-        if isinstance(footer.get("applications"), int):
-            run_metrics.applications = footer["applications"]
-        run_metrics.wall_time += perf_counter() - start
-
-    return TraceAnalysis(
-        answer=resolved.answer(),
-        states=states,
-        monitors=tuple(monitor_list),
-        faults=fault_log.snapshot() if fault_log is not None else (),
+    fold = TraceFold(
+        trace,
+        monitors,
+        program=program,
         fault_policy=fault_policy,
-        metrics=run_metrics,
-        events=len(resolved.events),
-        truncated=resolved.truncated,
+        metrics=metrics,
+        check_disjointness=check_disjointness,
+        allow_truncated=allow_truncated,
     )
+    start = perf_counter()
+    step = fold.step
+    for event in fold.trace.events:
+        step(event)
+    if fold.metrics is not None:
+        fold.metrics.wall_time += perf_counter() - start
+    return fold.package(fold.metrics)
 
 
 def analyze_many(
     trace: Union[str, Trace],
     stacks: Sequence[Union[MonitorSpec, Sequence[MonitorSpec]]],
     *,
-    workers: Optional[int] = None,
     program=None,
     allow_truncated: bool = False,
     **options,
 ) -> List[TraceAnalysis]:
-    """Fold N independent monitor stacks over one trace, concurrently.
+    """Fold N independent monitor stacks over one trace, one after another.
 
-    The trace is read and the program parsed *once*; each stack folds
-    over the shared immutable events in a thread pool (folds are pure
-    Python over per-stack state, so threads interleave cleanly even
-    GIL-bound — the win over inline is not re-running the program N
-    times).  Results come back in stack order; ``options`` pass through
-    to :func:`analyze_trace` (``fault_policy``, ``metrics``, ...).
+    The trace is read and the program parsed *once*; each stack then
+    folds over the shared immutable events — the win over inline is not
+    re-running the program N times.  The folds are GIL-bound Python, so
+    they run in sequence.  Results come back in stack order; ``options``
+    pass through to :func:`analyze_trace` (``fault_policy``,
+    ``metrics``, ...).
     """
     resolved = _resolve_trace(trace, allow_truncated)
     resolved_program, _ = _resolve_program(resolved, program)
-    if not stacks:
-        return []
-
-    def fold(stack):
-        return analyze_trace(
-            resolved,
-            stack,
-            program=resolved_program,
-            allow_truncated=allow_truncated,
-            **options,
-        )
-
-    if len(stacks) == 1 or (workers is not None and workers <= 1):
-        return [fold(stack) for stack in stacks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    width = min(len(stacks), workers if workers is not None else len(stacks))
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fold, stacks))
+    return [
+        analyze_trace(resolved, stack, program=resolved_program, **options)
+        for stack in stacks
+    ]
 
 
 __all__ = [
-    "ReplayContext",
     "TraceAnalysis",
+    "TraceFold",
     "analyze_many",
     "analyze_trace",
     "parse_program",
+    "recorded_context",
 ]

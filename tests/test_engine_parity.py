@@ -228,6 +228,43 @@ def test_tracer_output_identical_on_paper_example(paper_tracer_program, engine):
     assert ref.report() == fast.report()
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "let a = 1 in letrec f = lambda n. {f}: (n + a) in f 1",
+        # ``n`` shadowed by the parameter, the primitive ``max`` by a let.
+        "let n = 0 in let max = 2 in letrec f = lambda n. {f}: (n + max) in f 1",
+    ],
+)
+def test_hook_context_names_agree(source):
+    """A hook's ``ctx.names()`` lists what the reference environment does:
+    innermost first, each name once, then the unshadowed primitives and
+    ``nil`` — so the debugger's ``vars`` line is engine-independent."""
+    from repro.monitors.debugger import DebuggerMonitor
+    from repro.syntax.annotations import Label
+
+    seen = {}
+
+    def spy(engine):
+        return FunctionSpec(
+            key="spy",
+            recognize=lambda a: a if isinstance(a, Label) else None,
+            initial=lambda: None,
+            pre=lambda ann, term, ctx, state: seen.setdefault(engine, ctx.names()),
+        )
+
+    program = parse(source)
+    vars_lines = {}
+    for engine in ENGINES:
+        run_monitored(strict, program, spy(engine), config=RunConfig(engine=engine))
+        debugger = DebuggerMonitor(["vars"], breakpoints=["f"])
+        vars_lines[engine] = run_monitored(
+            strict, program, debugger, config=RunConfig(engine=engine)
+        ).reports()
+    assert seen["codegen"] == seen["reference"]
+    assert vars_lines["codegen"] == vars_lines["reference"]
+
+
 # -- fault isolation: parity extends to injected monitor failures ----------------
 
 

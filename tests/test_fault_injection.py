@@ -31,9 +31,12 @@ from repro.monitoring.faults import (
     MonitorFault,
     check_fault_policy,
 )
+from repro.monitoring.spec import FunctionSpec
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
 from repro.runtime import RunConfig
+from repro.syntax.annotations import Label
 from repro.syntax.parser import parse
+from repro.tracing import analyze_trace, record
 
 from tests.fault_injection import (
     FAC_LABELED,
@@ -287,6 +290,30 @@ class TestEngineFaultParity:
         )
         assert_fault_parity(ref, fast)
         assert ref.faults  # rate 0.5 over 5 calls: effectively certain
+
+    @pytest.mark.parametrize("policy", ["log", "quarantine"])
+    def test_unbound_lookup_faults_alike_on_every_path(self, policy, tmp_path):
+        """A hook's ``ctx.lookup`` miss is one fault record everywhere:
+        reference, codegen and record+fold all raise the reference
+        environment's ``UnboundIdentifierError``."""
+
+        def nosy():
+            return FunctionSpec(
+                key="nosy",
+                recognize=lambda ann: ann if isinstance(ann, Label) else None,
+                initial=lambda: 0,
+                pre=lambda ann, term, ctx, state: ctx.lookup("nope"),
+            )
+
+        ref, fast = run_both_with_faults(FAC_LABELED, nosy, fault_policy=policy)
+        path = str(tmp_path / "trace.jsonl")
+        record(strict, parse(FAC_LABELED), path, monitors=[nosy()])
+        fold = analyze_trace(path, nosy(), fault_policy=policy)
+        assert [(f.error_type, f.message) for f in ref.faults[:1]] == [
+            ("UnboundIdentifierError", "unbound identifier: 'nope'")
+        ]
+        assert fast.faults == ref.faults
+        assert fold.faults == ref.faults
 
     @settings(max_examples=60, deadline=None)
     @given(closed_program())

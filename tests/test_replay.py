@@ -5,8 +5,9 @@ A :class:`~repro.replay.session.ReplaySession` claims to be
 gap must land on exactly the state the one-pass fold reaches.  These
 tests make that a property (hypothesis-generated programs, recorded
 under every engine the language supports, seeked to every checkpoint
-boundary), pin the scripted ``repro replay`` transcript to a golden, and
-cover the satellites: v2 ``input``/``deadline`` records, the ``REP401``
+boundary; flaky stacks under ``quarantine`` and ``log``), pin the
+scripted ``repro replay`` transcript to a golden, and cover the
+satellites: v2 ``input``/``deadline`` records, the ``REP401``
 history-overflow diagnostic, the :class:`DebugResult` wire format, and
 ``config=`` as the only spelling of run options on every entry point.
 """
@@ -16,14 +17,16 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import EvaluationTimeout
 from repro.languages.imperative import imperative
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
-from repro.monitors import HistoryMonitor, ProfilerMonitor
+from repro.monitoring.faults import FlakyMonitor
+from repro.monitors import HistoryMonitor, LabelCounterMonitor, ProfilerMonitor
 from repro.monitors.interactive import DebugResult, debug
 from repro.observability import RunMetrics
 from repro.replay import (
@@ -39,7 +42,7 @@ from repro.toolbox import Session, evaluate
 from repro.tracing import analyze_trace, read_trace
 from repro.tracing.record import record
 
-from tests.generators import closed_program
+from tests.generators import closed_program, recursive_program
 from tests.test_imp_properties import closed_imp_program
 
 FAC = (
@@ -71,15 +74,19 @@ def _stack():
 def _imp_stack():
     # HistoryMonitor renders every observed value; imperative stores are
     # not renderable, so the L_imp property folds a counting monitor.
-    from repro.monitors import LabelCounterMonitor
-
     return [LabelCounterMonitor()]
 
 
-def assert_seeks_match_straight_fold(path, *, interval=3, stack=_stack):
+def assert_seeks_match_straight_fold(
+    path, *, interval=3, stack=_stack, fault_policy="propagate"
+):
     """Every checkpoint-boundary seek equals a from-scratch fold."""
     session = ReplaySession(
-        path, stack(), checkpoint_interval=interval, metrics=True
+        path,
+        stack(),
+        checkpoint_interval=interval,
+        metrics=True,
+        fault_policy=fault_policy,
     )
     total = len(session)
     session.seek(total)  # populate the checkpoint index on the way out
@@ -89,7 +96,11 @@ def assert_seeks_match_straight_fold(path, *, interval=3, stack=_stack):
     for position in positions:
         session.seek(position)  # backward: restored from a checkpoint
         fresh = ReplaySession(
-            path, stack(), checkpoint_interval=10**9, metrics=True
+            path,
+            stack(),
+            checkpoint_interval=10**9,
+            metrics=True,
+            fault_policy=fault_policy,
         )
         fresh.seek(position)  # forward only: the straight-line fold
         for key in session.states.keys():
@@ -98,6 +109,12 @@ def assert_seeks_match_straight_fold(path, *, interval=3, stack=_stack):
             )
         assert session.metrics == fresh.metrics, (
             f"metrics diverged at position {position}"
+        )
+        assert session.faults == fresh.faults, (
+            f"fault records diverged at position {position}"
+        )
+        assert session.disabled == fresh.disabled, (
+            f"disabled slots diverged at position {position}"
         )
     return session
 
@@ -154,6 +171,60 @@ class TestCheckpointEquivalence:
         assert session.seek(-5) == 0
         assert session.seek(len(session)) == len(session)
         assert session.states.get(HISTORY_KEY) == state_at_end
+
+
+class TestFaultPolicySeeks:
+    """Quarantine and log under the cursor: checkpoints rewind faults too."""
+
+    @pytest.mark.parametrize("policy", ["quarantine", "log"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        program=recursive_program(),
+        fail_on=st.integers(1, 3),
+        phase=st.sampled_from(("pre", "post", "both")),
+    )
+    @example(program=parse(FAC.replace("{fac(x)}", "{fac}")), fail_on=3, phase="pre")
+    def test_faulting_seeks_match_analyze_trace(
+        self, policy, program, fail_on, phase
+    ):
+        def stack():
+            return [
+                FlakyMonitor(LabelCounterMonitor(), fail_on=fail_on, phase=phase)
+            ]
+
+        path = _record_tmp(strict, program)
+        try:
+            straight = analyze_trace(
+                path, stack(), fault_policy=policy, metrics=True
+            )
+            probe = ReplaySession(
+                path, stack(), fault_policy=policy, checkpoint_interval=10**9
+            )
+            total = len(probe)
+            fault_at = next(
+                (p for p in range(1, total + 1) if probe.seek(p) and probe.faults),
+                None,
+            )
+            # A boundary just before the fault, so a backward seek across
+            # it restores a fault-free checkpoint rather than the origin.
+            interval = max(1, fault_at - 1) if fault_at else 2
+            # Seeks to every boundary, each one backward from the end, so
+            # the first crosses the fault; then forward to the end.
+            session = assert_seeks_match_straight_fold(
+                path, interval=interval, stack=stack, fault_policy=policy
+            )
+            if fault_at is not None:
+                session.seek(fault_at - 1)
+                assert session.faults == ()
+                assert session.disabled == frozenset()
+                session.seek(fault_at)
+                assert session.faults == straight.faults[:1]
+            via_session = session.analysis()
+            assert via_session.reports() == straight.reports()
+            assert via_session.faults == straight.faults
+            assert via_session.metrics == straight.metrics
+        finally:
+            os.unlink(path)
 
 
 class TestSidecar:

@@ -79,7 +79,6 @@ class TestAnalyze:
                     "analyze", trace_file,
                     "--monitors", "count",
                     "--monitors", "trace",
-                    "--workers", "2",
                 ]
             )
             == 0
@@ -87,6 +86,12 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "=== stack: count ===" in out
         assert "=== stack: trace ===" in out
+
+    def test_workers_flag_is_gone(self, trace_file):
+        # Stacks fold one after another over the once-read trace.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", trace_file, "--monitors", "count", "--workers", "2"])
+        assert exit_info.value.code == 2
 
     def test_list_sites(self, capsys, trace_file):
         assert main(["analyze", trace_file, "--list-sites"]) == 0

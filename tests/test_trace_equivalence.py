@@ -258,12 +258,12 @@ def test_analyze_many_matches_individual_folds(tmp_path):
         monitors=[spec for stack in stacks for spec in stack],
         config=RunConfig(metrics=RunMetrics()),
     )
-    concurrent = analyze_many(path, stacks, workers=3, metrics=True)
-    sequential = [analyze_trace(path, stack, metrics=True) for stack in stacks]
-    for conc, seq, stack in zip(concurrent, sequential, stacks):
-        assert conc.reports() == seq.reports()
-        assert conc.metrics == seq.metrics
+    together = analyze_many(path, stacks, metrics=True)
+    alone = [analyze_trace(path, stack, metrics=True) for stack in stacks]
+    for many, one, stack in zip(together, alone, stacks):
+        assert many.reports() == one.reports()
+        assert many.metrics == one.metrics
         inline = run_monitored(
             strict, expr, stack, config=RunConfig(metrics=RunMetrics())
         )
-        assert_fold_matches(inline, conc)
+        assert_fold_matches(inline, many)
