@@ -219,67 +219,6 @@ def test_quarantine_overhead_single_monitor_fast_path(engine):
     _assert_within_budget(f"single-monitor fast path ({engine})", t_p, t_q)
 
 
-# -- telemetry overhead gate (T-OBS) ---------------------------------------------
-
-#: Disabled telemetry (no metrics, NullSink) must cost under 2% — the
-#: ``Telemetry.create`` gatekeeper returns ``None`` and the engines take
-#: their historical uninstrumented paths, so this budget is mostly a
-#: regression tripwire against anyone adding per-step work outside it.
-INSTRUMENTATION_BUDGET = 1.02
-
-
-def _assert_null_sink_free(label, off_samples, null_samples):
-    """Enforce the 2% budget on interleaved minima (demoted on a noisy box)."""
-    t_off, t_null = min(off_samples), min(null_samples)
-    if t_null <= t_off * INSTRUMENTATION_BUDGET + TIMER_EPSILON:
-        return
-    _fail_or_demote(
-        f"disabled telemetry above 2% on {label}: "
-        f"no telemetry {t_off * 1e3:.2f} ms vs "
-        f"NullSink {t_null * 1e3:.2f} ms "
-        f"({(t_null / t_off - 1) * 100:.1f}%)",
-        [("no telemetry", off_samples), ("NullSink", null_samples)],
-    )
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_null_sink_overhead_unmonitored_fast_path(engine):
-    """``event_sink=NullSink()`` with no monitors costs nothing."""
-    from repro.observability import NullSink
-
-    program = loop_with_trace_hits(1000, 0)
-    off_samples, null_samples = _paired_samples(
-        lambda: run_monitored(strict, program, [], config=RunConfig(engine=engine)),
-        lambda: run_monitored(
-            strict, program, [], config=RunConfig(engine=engine, event_sink=NullSink())
-        ),
-    )
-    _assert_null_sink_free(
-        f"unmonitored fast path ({engine})", off_samples, null_samples
-    )
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_null_sink_overhead_single_monitor_fast_path(engine):
-    """A monitored run with a ``NullSink`` rides the uninstrumented path."""
-    from repro.observability import NullSink
-
-    off_samples, null_samples = _paired_samples(
-        lambda: run_monitored(
-            strict, TRACED, TracerMonitor(), config=RunConfig(engine=engine)
-        ),
-        lambda: run_monitored(
-            strict,
-            TRACED,
-            TracerMonitor(),
-            config=RunConfig(engine=engine, event_sink=NullSink()),
-        ),
-    )
-    _assert_null_sink_free(
-        f"single-monitor fast path ({engine})", off_samples, null_samples
-    )
-
-
 # -- metrics-on price gate (T-OBS) -----------------------------------------------
 
 

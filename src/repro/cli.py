@@ -79,15 +79,12 @@ def run_config_from_args(args):
 
     The one place CLI flags become run options: every evaluating
     subcommand (run/trace/profile/session/debug/batch) routes through
-    here, so a flag means the same thing everywhere.  The caller owns the
-    config's ``event_sink`` and must ``_close_sink`` it when done.
+    here, so a flag means the same thing everywhere.
     """
-    from repro.observability import JsonlSink, RunMetrics
+    from repro.observability import RunMetrics
     from repro.runtime import RunConfig
 
     metrics = RunMetrics() if getattr(args, "metrics", False) else None
-    trace_out = getattr(args, "trace_out", None)
-    sink = JsonlSink(trace_out, wants_steps=True) if trace_out else None
     interval = _checkpoint_interval(args)
     mode = getattr(args, "mode", "inline")
     record_dir = getattr(args, "record_dir", None)
@@ -101,7 +98,6 @@ def run_config_from_args(args):
             fault_policy=getattr(args, "fault_policy", "propagate"),
             max_steps=getattr(args, "max_steps", None),
             metrics=metrics,
-            event_sink=sink,
             timeout=getattr(args, "timeout", None),
             lint=getattr(args, "lint", "off"),
             mode=mode,
@@ -114,7 +110,6 @@ def run_config_from_args(args):
     except ValueError as exc:
         # Validation failures are user input errors, not crashes: surface
         # them the way every other CLI error is surfaced.
-        _close_sink(sink)
         raise ReproError(str(exc)) from None
 
 
@@ -134,11 +129,6 @@ def _checkpoint_interval(args) -> int:
             f"--checkpoint-interval must be a positive integer, got {interval!r}"
         )
     return interval
-
-
-def _close_sink(sink) -> None:
-    if sink is not None:
-        sink.close()
 
 
 def _print_metrics(metrics) -> None:
@@ -189,19 +179,16 @@ def cmd_run(args) -> int:
     language = _language(args)
     tools = _tools(args.tools)
     config = run_config_from_args(args)
-    try:
-        if not tools and not config.wants_telemetry() and config.lint == "off":
-            answer = language.evaluate(
-                program,
-                max_steps=config.max_steps,
-                engine=config.engine,
-                deadline=config.deadline(),
-            )
-            print(_render_answer(answer))
-            return 0
-        result = run_monitored(language, program, tools, config=config)
-    finally:
-        _close_sink(config.event_sink)
+    if not tools and config.metrics is None and config.lint == "off":
+        answer = language.evaluate(
+            program,
+            max_steps=config.max_steps,
+            engine=config.engine,
+            deadline=config.deadline(),
+        )
+        print(_render_answer(answer))
+        return 0
+    result = run_monitored(language, program, tools, config=config)
     print(_render_answer(result.answer))
     if tools:
         _print_reports(result)
@@ -226,10 +213,7 @@ def _annotated_run(args, tool_name: str, style: str) -> int:
     )
     monitor = make_tool(tool_name, namespace=tool_name)
     config = run_config_from_args(args)
-    try:
-        result = run_monitored(language, annotated, monitor, config=config)
-    finally:
-        _close_sink(config.event_sink)
+    result = run_monitored(language, annotated, monitor, config=config)
     print(_render_answer(result.answer))
     _print_reports(result)
     _print_metrics(config.metrics)
@@ -316,19 +300,16 @@ def cmd_session(args) -> int:
 
     session = Session.load(args.session_file, language=_language(args))
     config = run_config_from_args(args)
-    try:
-        result = session.evaluate(
-            args.eval,
-            tools=args.tools,
-            functions=(
-                [name.strip() for name in args.functions.split(",")]
-                if args.functions
-                else None
-            ),
-            config=config,
-        )
-    finally:
-        _close_sink(config.event_sink)
+    result = session.evaluate(
+        args.eval,
+        tools=args.tools,
+        functions=(
+            [name.strip() for name in args.functions.split(",")]
+            if args.functions
+            else None
+        ),
+        config=config,
+    )
     print(_render_answer(result.answer))
     if result.monitored is not None:
         _print_reports(result.monitored)
@@ -342,17 +323,14 @@ def cmd_debug(args) -> int:
     program = _load_program(args)
     source = None if args.command else ConsoleSource()
     config = run_config_from_args(args)
-    try:
-        result = debug(
-            program,
-            breakpoints=args.breakpoints or None,
-            language=_language(args),
-            script=args.command or [],
-            source=source or (lambda: None),
-            config=config,
-        )
-    finally:
-        _close_sink(config.event_sink)
+    result = debug(
+        program,
+        breakpoints=args.breakpoints or None,
+        language=_language(args),
+        script=args.command or [],
+        source=source or (lambda: None),
+        config=config,
+    )
     print(f"=> {_render_answer(result.answer)}")
     if result.trace:
         print(f"session recorded to {result.trace} (see 'repro replay')")
@@ -439,6 +417,7 @@ def cmd_check(args) -> int:
 def cmd_batch(args) -> int:
     import json
 
+    from repro.observability import JsonlSink
     from repro.runtime import BatchRunner, CompilationCache
 
     config = run_config_from_args(args)
@@ -460,17 +439,16 @@ def cmd_batch(args) -> int:
         except ValueError as exc:
             raise ReproError(f"{args.requests}:{lineno}: {exc}") from None
 
-    cache = CompilationCache(args.cache_size, event_sink=config.event_sink)
+    sink = JsonlSink(args.trace_out) if args.trace_out else None
+    cache = CompilationCache(args.cache_size, event_sink=sink)
     runner = BatchRunner(
-        workers=args.workers,
-        config=config,
-        cache=cache,
-        event_sink=config.event_sink,
+        workers=args.workers, config=config, cache=cache, event_sink=sink
     )
     try:
         results = runner.run(requests)
     finally:
-        _close_sink(config.event_sink)
+        if sink is not None:
+            sink.close()
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -508,19 +486,16 @@ def cmd_record(args) -> int:
         if args.sites
         else None
     )
-    try:
-        result = record(
-            language,
-            program,
-            args.out,
-            monitors=tools,
-            sites=sites,
-            values=args.values,
-            source=source,
-            config=config,
-        )
-    finally:
-        _close_sink(config.event_sink)
+    result = record(
+        language,
+        program,
+        args.out,
+        monitors=tools,
+        sites=sites,
+        values=args.values,
+        source=source,
+        config=config,
+    )
     print(_render_answer(result.answer))
     sampled = f", {result.sampled_out} sampled out" if result.sampled_out else ""
     print(
@@ -580,10 +555,10 @@ def cmd_serve(args) -> int:
     from repro.runtime import RunConfig
     from repro.runtime.serve import Server
 
-    if getattr(args, "metrics", False) or getattr(args, "trace_out", None):
+    if args.metrics:
         raise ReproError(
             "serve streams telemetry per worker: use --trace-dir DIR "
-            "instead of --metrics/--trace-out"
+            "instead of --metrics"
         )
     config = RunConfig(
         engine=args.engine,
@@ -656,7 +631,7 @@ def add_run_flags(parser: argparse.ArgumentParser, *, engine: bool = True) -> No
     """Declare the shared run-option flags on ``parser``.
 
     One source of truth for ``--max-steps``, ``--engine``,
-    ``--fault-policy``, ``--timeout``, ``--metrics`` and ``--trace-out``:
+    ``--fault-policy``, ``--timeout`` and ``--metrics``:
     every evaluating subcommand calls this, and
     :func:`run_config_from_args` turns the parsed result into the
     :class:`repro.runtime.RunConfig` the library consumes — so the flags
@@ -699,7 +674,11 @@ def add_run_flags(parser: argparse.ArgumentParser, *, engine: bool = True) -> No
         "and erases monitor hooks at provably-unreachable sites (codegen "
         "engine) — observable behavior is unchanged",
     )
-    _add_telemetry_arguments(parser)
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help="collect run telemetry and print a metrics summary after the answer",
+    )
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -726,21 +705,6 @@ def _add_fault_policy_argument(parser: argparse.ArgumentParser) -> None:
             "(default), quarantine disables the faulting monitor and keeps "
             "the standard answer, log records faults and keeps monitoring"
         ),
-    )
-
-
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect run telemetry and print a metrics summary after the answer",
-    )
-    parser.add_argument(
-        "--trace-out",
-        dest="trace_out",
-        metavar="FILE",
-        default=None,
-        help="write the telemetry event stream to FILE as JSON lines",
     )
 
 
@@ -923,6 +887,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write result JSONL to FILE instead of stdout",
+    )
+    batch_parser.add_argument(
+        "--trace-out",
+        dest="trace_out",
+        metavar="FILE",
+        default=None,
+        help="write the cache and batch lifecycle events to FILE as JSON lines",
     )
     batch_parser.add_argument(
         "--stats",

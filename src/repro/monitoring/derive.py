@@ -28,11 +28,7 @@ from repro.errors import HostRecursionError, MonitorError
 from repro.monitoring.faults import FaultLog, MonitorFault, check_fault_policy
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
-from repro.observability.instrument import (
-    Telemetry,
-    instrument_functional,
-    instrument_monitors,
-)
+from repro.observability.instrument import instrument_functional, instrument_monitors
 from repro.observability.metrics import RunMetrics
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 from repro.semantics.machine import Functional, fix
@@ -268,8 +264,7 @@ class MonitoredResult:
     observed up to that point.
 
     ``metrics`` carries the run's :class:`~repro.observability.metrics.
-    RunMetrics` when telemetry was requested (``metrics=`` or a real
-    ``event_sink=`` passed to :func:`run_monitored`); otherwise ``None``.
+    RunMetrics` when the run's config asked for them; otherwise ``None``.
 
     ``diagnostics`` holds the static analyzer's findings when the run was
     configured with ``lint="warn"`` (under ``lint="error"`` a failing
@@ -345,9 +340,10 @@ def run_monitored(
     exactly this); the engine × language capability matrix lives in
     :data:`repro.languages.base.ENGINE_LANGUAGES`.  Residual code runs on
     the host stack: a codegen run that overflows it is re-run on the
-    reference derivation when the re-run is unobservable (no event sink,
-    no monitor with :meth:`~repro.monitoring.spec.MonitorSpec.host_effects`),
-    and otherwise raises :class:`repro.errors.HostRecursionError`.
+    reference derivation unless a monitor has
+    :meth:`~repro.monitoring.spec.MonitorSpec.host_effects` — the trace
+    recorder of record mode, or a debugger reading live commands — in
+    which case it raises :class:`repro.errors.HostRecursionError`.
 
     ``fault_policy`` controls what happens when a monitor's ``pre`` or
     ``post`` raises: ``"propagate"`` (default) lets the exception abort
@@ -355,12 +351,10 @@ def run_monitored(
     that monitor for the rest of the run and completes with the standard
     answer; ``"log"`` records faults but keeps the monitor enabled.
 
-    ``metrics`` / ``event_sink`` opt the run into telemetry
-    (:mod:`repro.observability`): pass a
-    :class:`~repro.observability.metrics.RunMetrics` to collect counters
-    (also returned as ``result.metrics``), and/or an event sink to
-    receive the typed event stream.  With neither (or a ``NullSink``)
-    the historical uninstrumented fast path runs.  Counters are
+    ``metrics`` opts the run into telemetry (:mod:`repro.observability`):
+    pass a :class:`~repro.observability.metrics.RunMetrics` to collect
+    counters (also returned as ``result.metrics``).  Without one the
+    historical uninstrumented fast path runs.  Counters are
     engine-independent: both engines count expression-node evaluations
     at the reference interpreter's granularity (codegen runs the tallied
     variant of its one collapsed artifact, which adds each straight-line
@@ -406,14 +400,14 @@ def run_monitored(
         result.diagnostics = diagnostics
         return result
 
-    telemetry = Telemetry.create(cfg.metrics, cfg.event_sink)
+    metrics = cfg.metrics
     # The *instrumented* specs drive derivation and residual hooks (so hook
     # calls are counted and timed); the result reports through the originals.
-    active_list = instrument_monitors(monitor_list, telemetry)
+    active_list = instrument_monitors(monitor_list, metrics)
     initial = MonitorStateVector.initial(active_list)
     deadline = cfg.deadline()
-    fault_log = _fault_log(cfg.fault_policy, telemetry)
-    start = perf_counter() if telemetry is not None else 0.0
+    fault_log = _fault_log(cfg.fault_policy)
+    start = perf_counter() if metrics is not None else 0.0
     try:
         engine = cfg.engine
         if engine == "codegen":
@@ -421,16 +415,11 @@ def run_monitored(
 
             check_engine_support(engine, getattr(language, "name", str(language)))
             # A run too deep for the host stack is re-run on the reference
-            # derivation when nobody can tell: no event sink saw the first
-            # attempt and no monitor touches the host.  Metrics and faults
-            # restart from where this run found them.
-            rerunnable = (telemetry is None or telemetry.sink is None) and not any(
-                monitor.host_effects() for monitor in monitor_list
-            )
+            # derivation when nobody can tell: no monitor touches the host.
+            # Metrics and faults restart from where this run found them.
+            rerunnable = not any(monitor.host_effects() for monitor in monitor_list)
             saved_metrics = (
-                deepcopy(telemetry.metrics)
-                if rerunnable and telemetry is not None
-                else None
+                deepcopy(metrics) if rerunnable and metrics is not None else None
             )
             try:
                 generated = _generate(language, program, cfg, monitor_list, cache)
@@ -441,21 +430,21 @@ def run_monitored(
                     max_steps=cfg.max_steps,
                     fault_log=fault_log,
                     deadline=deadline,
-                    tally=telemetry.region_tally() if telemetry is not None else None,
+                    tally=metrics.tally if metrics is not None else None,
                 )
             except HostRecursionError:
                 if not rerunnable:
                     raise
                 if saved_metrics is not None:
-                    vars(telemetry.metrics).update(vars(saved_metrics))
-                fault_log = _fault_log(cfg.fault_policy, telemetry)
+                    vars(metrics).update(vars(saved_metrics))
+                fault_log = _fault_log(cfg.fault_policy)
                 engine = "reference"
         if engine == "reference":
             functional = derive_all(
                 language.functional(), active_list, fault_log=fault_log
             )
-            if telemetry is not None:
-                functional = instrument_functional(functional, telemetry)
+            if metrics is not None:
+                functional = instrument_functional(functional, metrics)
             eval_fn = fix(functional)
             answer, final_states = language.run_program(
                 program,
@@ -466,15 +455,19 @@ def run_monitored(
                 deadline=deadline,
             )
     finally:
-        if telemetry is not None:
-            telemetry.metrics.wall_time += perf_counter() - start
+        if metrics is not None:
+            metrics.wall_time += perf_counter() - start
+            if fault_log is not None:
+                for fault in fault_log.faults:
+                    key = fault.monitor_key
+                    metrics.faults[key] = metrics.faults.get(key, 0) + 1
     return MonitoredResult(
         answer=answer,
         states=final_states,
         monitors=tuple(monitor_list),
         faults=fault_log.snapshot() if fault_log is not None else (),
         fault_policy=cfg.fault_policy,
-        metrics=telemetry.metrics if telemetry is not None else None,
+        metrics=metrics,
         diagnostics=diagnostics,
     )
 
@@ -505,12 +498,11 @@ def lint_gate(cfg, language, program, monitors: Sequence[MonitorSpec]) -> Tuple:
     return report.diagnostics
 
 
-def _fault_log(fault_policy: str, telemetry) -> Optional[FaultLog]:
+def _fault_log(fault_policy: str) -> Optional[FaultLog]:
     """A fresh fault log for one run (``None`` under ``propagate``)."""
     if fault_policy == "propagate":
         return None
-    observer = telemetry.fault_observer if telemetry is not None else None
-    return FaultLog(fault_policy, observer=observer)
+    return FaultLog(fault_policy)
 
 
 def _generate(language, program, cfg, monitor_list, cache):

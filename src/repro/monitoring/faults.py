@@ -87,6 +87,13 @@ class MonitorFault:
         return self.render()
 
 
+def fault_tuples(faults) -> List[Tuple[str, str, str, str]]:
+    """Project fault records to comparable ``(key, phase, type, message)``."""
+    return [
+        (f.monitor_key, f.phase, f.error_type, f.message) for f in faults
+    ]
+
+
 class FaultLog:
     """Per-run mutable record of monitor faults and disabled slots.
 
@@ -96,16 +103,11 @@ class FaultLog:
     machine state, and must survive continuation capture.  One log is
     created per ``run_monitored`` call
     and shared by every derivation level.
-
-    ``observer`` (if supplied) is called as ``observer(fault,
-    quarantined)`` after each record — the telemetry layer hooks in here,
-    so fault counts and fault events agree across engines for free.
-    The observer survives :meth:`reset`.
     """
 
-    __slots__ = ("policy", "disabled", "faults", "observer")
+    __slots__ = ("policy", "disabled", "faults")
 
-    def __init__(self, policy: str, observer=None) -> None:
+    def __init__(self, policy: str) -> None:
         check_fault_policy(policy)
         if policy == "propagate":
             raise MonitorError(
@@ -115,17 +117,13 @@ class FaultLog:
         self.policy = policy
         self.disabled: Set[str] = set()
         self.faults: List[MonitorFault] = []
-        self.observer = observer
 
     def record(self, key: str, phase: str, exc: BaseException) -> MonitorFault:
         """Capture ``exc`` from ``key``'s ``phase`` hook; maybe quarantine."""
         fault = MonitorFault.of(key, phase, exc)
         self.faults.append(fault)
-        quarantined = self.policy == "quarantine" and key not in self.disabled
         if self.policy == "quarantine":
             self.disabled.add(key)
-        if self.observer is not None:
-            self.observer(fault, quarantined)
         return fault
 
     def snapshot(self) -> Tuple[MonitorFault, ...]:
@@ -272,4 +270,5 @@ __all__ = [
     "InjectedFault",
     "MonitorFault",
     "check_fault_policy",
+    "fault_tuples",
 ]

@@ -26,12 +26,14 @@ Counter definitions:
   quarantined mid-run.
 * ``state_transitions`` — monitor hook calls that returned a *new* state
   object (monitors are pure, so identity is the transition test).
-* ``faults`` — per slot: monitor exceptions captured by the fault log
-  (always empty under the ``propagate`` policy, where a fault aborts).
+* ``faults`` — per slot: the run's final fault records (always empty
+  under the ``propagate`` policy, where a fault aborts).
 * ``wall_time`` / ``monitor_time`` — seconds; ``monitor_time`` is the
   time spent inside monitor ``pre``/``post`` hooks, ``eval_time`` the
-  remainder.  Times are excluded from equality so metrics from different
-  engines compare equal when the counters agree.
+  remainder.  A post-hoc fold (:func:`repro.tracing.analyze_trace`)
+  evaluates no program, so it charges its whole fold time to both, and
+  its ``eval_time`` is zero.  Times are excluded from equality so
+  metrics from different engines compare equal when the counters agree.
 
 Metrics objects accumulate: pass the same instance to several runs to sum
 them, or call :meth:`RunMetrics.reset` between runs.
@@ -73,6 +75,11 @@ class RunMetrics:
     def eval_time(self) -> float:
         """Wall-clock time spent outside monitor hooks (standard eval)."""
         return max(0.0, self.wall_time - self.monitor_time)
+
+    def tally(self, steps: int, applications: int) -> None:
+        """Add one straight-line region's node counts (codegen's ``_t``)."""
+        self.steps += steps
+        self.applications += applications
 
     def total_activations(self) -> int:
         return sum(self.activations.values())

@@ -1,22 +1,25 @@
-"""Event sinks: where the telemetry stream goes.
+"""Event sinks: where the runtime's lifecycle events go.
 
-A sink is anything with ``emit(event)`` and ``close()``; the runtime emits
-:class:`~repro.observability.events.Event` objects in execution order and
-closes nothing it did not open.  Four sinks cover the common cases:
+A sink is anything with ``emit(kind, payload)`` and ``close()``.  The
+sink, not the emitter, numbers each event: :meth:`EventSink.emit` stamps
+``seq`` and delivers the :class:`~repro.observability.events.Event` under
+the sink's own lock, so ``seq`` follows delivery order even when several
+emitters — a cache, a batch runner, a pool's parent thread — share one
+sink.  The runtime closes nothing it did not open.  Three sinks cover
+the common cases:
 
-* :class:`NullSink` — the *disabled* sink.  The runtime special-cases it:
-  passing a ``NullSink`` (or no sink at all) compiles/derives the
-  completely uninstrumented fast path, so disabled telemetry costs
-  nothing measurable (<2%, gated in ``benchmarks/bench_engines.py``).
 * :class:`InMemorySink` — appends to a list; the test-suite workhorse.
 * :class:`JsonlSink` — one JSON object per line to a file or file-like
-  object; the CLI's ``--trace-out FILE`` uses it, and
+  object; ``repro batch --trace-out FILE`` and the serve daemon's
+  per-worker traces use it, and
   :func:`repro.observability.events.read_events` reads it back.
 * :class:`CallbackSink` — hands each event to a callable; the extension
   point for live dashboards or custom aggregations.
 
-Per-``step`` events are high-volume, so sinks opt in via ``wants_steps``;
-all other event types are always delivered.
+:class:`TaggedSink` decorates any of them with constant payload fields.
+Per-run detail is not on this stream: record the run (``repro record``
+or ``--record-dir``) and fold over the trace (``repro analyze`` /
+``repro replay``).
 """
 
 from __future__ import annotations
@@ -29,12 +32,20 @@ from repro.observability.events import Event
 
 
 class EventSink:
-    """Base class / protocol for event sinks."""
+    """Base class for event sinks: numbers events, subclasses deliver them."""
 
-    #: Opt-in to one event per expression-node evaluation.
-    wants_steps: bool = False
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._seq = 0
 
-    def emit(self, event: Event) -> None:
+    def emit(self, kind: str, payload: Optional[Mapping[str, object]] = None) -> None:
+        """Number one event in delivery order and :meth:`deliver` it."""
+        with self._lock:
+            self._seq += 1
+            self.deliver(Event(self._seq, kind, dict(payload or {})))
+
+    def deliver(self, event: Event) -> None:
+        """Store or forward one numbered event (called under the lock)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -47,27 +58,14 @@ class EventSink:
         self.close()
 
 
-class NullSink(EventSink):
-    """The disabled sink: recognized by the runtime, costs nothing.
-
-    ``run_monitored(..., config=RunConfig(event_sink=NullSink()))`` takes
-    the identical code path as passing no sink at all — no
-    instrumentation is compiled in.  It exists so callers can thread a
-    sink unconditionally and disable telemetry by configuration.
-    """
-
-    def emit(self, event: Event) -> None:  # pragma: no cover - never wired
-        pass
-
-
 class InMemorySink(EventSink):
     """Collects events in :attr:`events` (a plain list)."""
 
-    def __init__(self, *, wants_steps: bool = False) -> None:
-        self.wants_steps = wants_steps
+    def __init__(self) -> None:
+        super().__init__()
         self.events: List[Event] = []
 
-    def emit(self, event: Event) -> None:
+    def deliver(self, event: Event) -> None:
         self.events.append(event)
 
     def of_type(self, kind: str) -> List[Event]:
@@ -77,13 +75,11 @@ class InMemorySink(EventSink):
 class CallbackSink(EventSink):
     """Invokes ``callback(event)`` for every event."""
 
-    def __init__(
-        self, callback: Callable[[Event], None], *, wants_steps: bool = False
-    ) -> None:
+    def __init__(self, callback: Callable[[Event], None]) -> None:
+        super().__init__()
         self.callback = callback
-        self.wants_steps = wants_steps
 
-    def emit(self, event: Event) -> None:
+    def deliver(self, event: Event) -> None:
         self.callback(event)
 
 
@@ -94,8 +90,7 @@ class JsonlSink(EventSink):
     (terminator included) and written with a *single* ``write()`` call
     under the sink's lock, so concurrent producers — batch-runner threads,
     the serve daemon's per-worker streams — can share one sink without
-    ever interleaving half-lines.  (The historical two-``write`` emit let
-    an 8-thread batch corrupt the very trace ``replay()`` folds over.)
+    ever interleaving half-lines, and line order is ``seq`` order.
 
     **Flush policy.** The line is buffered by the underlying file object;
     by default it reaches disk when the sink is closed (or the buffer
@@ -104,12 +99,9 @@ class JsonlSink(EventSink):
     traces are observable while the process is still running.
     """
 
-    def __init__(
-        self, path_or_file, *, wants_steps: bool = False, flush_each: bool = False
-    ) -> None:
-        self.wants_steps = wants_steps
+    def __init__(self, path_or_file, *, flush_each: bool = False) -> None:
+        super().__init__()
         self.flush_each = flush_each
-        self._lock = threading.Lock()
         if hasattr(path_or_file, "write"):
             self._handle = path_or_file
             self._owned = False
@@ -117,12 +109,10 @@ class JsonlSink(EventSink):
             self._handle = open(path_or_file, "w", encoding="utf-8")
             self._owned = True
 
-    def emit(self, event: Event) -> None:
-        line = json.dumps(event.to_dict(), default=str) + "\n"
-        with self._lock:
-            self._handle.write(line)
-            if self.flush_each:
-                self._handle.flush()
+    def deliver(self, event: Event) -> None:
+        self._handle.write(json.dumps(event.to_dict(), default=str) + "\n")
+        if self.flush_each:
+            self._handle.flush()
 
     def close(self) -> None:
         with self._lock:
@@ -138,33 +128,22 @@ class TaggedSink(EventSink):
 
     The serve daemon gives every worker ``TaggedSink(JsonlSink(...),
     {"worker": n})`` so each event in a per-worker trace says which worker
-    produced it — and merged traces stay attributable.  Event fields other
-    than the payload pass through unchanged; a payload key the event
-    already carries wins over the tag.
+    produced it — and merged traces stay attributable.  The inner sink
+    numbers the events; a payload key the event already carries wins over
+    the tag.
     """
 
     def __init__(self, inner: EventSink, tags: Mapping[str, object]) -> None:
         self._inner = inner
         self.tags = dict(tags)
 
-    @property
-    def wants_steps(self) -> bool:  # type: ignore[override]
-        return self._inner.wants_steps
-
-    def emit(self, event: Event) -> None:
-        payload = dict(self.tags)
-        payload.update(event.payload)
-        self._inner.emit(
-            Event(seq=event.seq, type=event.type, slot=event.slot, payload=payload)
-        )
+    def emit(self, kind: str, payload: Optional[Mapping[str, object]] = None) -> None:
+        merged = dict(self.tags)
+        merged.update(payload or {})
+        self._inner.emit(kind, merged)
 
     def close(self) -> None:
         self._inner.close()
-
-
-def is_null_sink(sink: Optional[EventSink]) -> bool:
-    """True when ``sink`` disables event emission entirely."""
-    return sink is None or isinstance(sink, NullSink)
 
 
 __all__ = [
@@ -172,7 +151,5 @@ __all__ = [
     "EventSink",
     "InMemorySink",
     "JsonlSink",
-    "NullSink",
     "TaggedSink",
-    "is_null_sink",
 ]

@@ -29,7 +29,6 @@ fires — the timeout bounds wall clock, it does not preempt.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -346,7 +345,7 @@ def execute_request(
     monitored = outcome.monitored
     faults: Tuple = ()
     if monitored is not None and monitored.faults:
-        from repro.observability.events import fault_tuples
+        from repro.monitoring.faults import fault_tuples
 
         faults = tuple(fault_tuples(monitored.faults))
     return RunResult(
@@ -382,26 +381,16 @@ class BatchRunner:
         cache: Optional[CompilationCache] = None,
         event_sink=None,
     ) -> None:
-        from repro.observability.sinks import is_null_sink
-
         self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
         self.config = RunConfig.checked(config)
         self.cache = cache if cache is not None else CompilationCache()
-        self._event_sink = None if is_null_sink(event_sink) else event_sink
-        self._seq = 0
-        self._seq_lock = threading.Lock()
+        self._event_sink = event_sink
 
     # -- events --------------------------------------------------------------
 
     def _emit(self, event_type: str, payload: Dict[str, object]) -> None:
-        if self._event_sink is None:
-            return
-        from repro.observability.events import Event
-
-        with self._seq_lock:
-            self._seq += 1
-            seq = self._seq
-            self._event_sink.emit(Event(seq=seq, type=event_type, payload=payload))
+        if self._event_sink is not None:
+            self._event_sink.emit(event_type, payload)
 
     # -- execution -----------------------------------------------------------
 

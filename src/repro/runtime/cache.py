@@ -140,8 +140,6 @@ class CompilationCache:
     def __init__(self, maxsize: int = 128, *, event_sink=None) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        from repro.observability.sinks import is_null_sink
-
         self.maxsize = maxsize
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
@@ -149,8 +147,7 @@ class CompilationCache:
         self._misses = 0
         self._evictions = 0
         self._compile_seconds = 0.0
-        self._event_sink = None if is_null_sink(event_sink) else event_sink
-        self._seq = 0
+        self._event_sink = event_sink
         # Memoized Section 6 disjointness verdicts, keyed by (program
         # fingerprint, stack identity).  Bounded like the entry map but
         # kept separate: a verdict is a small string-or-None, and reusing
@@ -170,12 +167,8 @@ class CompilationCache:
 
     def _emit(self, event_type: str, payload: Dict[str, object]) -> None:
         """Emit one cache event (caller holds the lock)."""
-        if self._event_sink is None:
-            return
-        from repro.observability.events import Event
-
-        self._seq += 1
-        self._event_sink.emit(Event(seq=self._seq, type=event_type, payload=payload))
+        if self._event_sink is not None:
+            self._event_sink.emit(event_type, payload)
 
     def stats(self) -> CacheStats:
         with self._lock:

@@ -1,7 +1,7 @@
 """``RunConfig``: one frozen value for every run option the system takes.
 
 The options controlling a single run — ``engine``, ``fault_policy``,
-``max_steps``, ``metrics``, ``event_sink``, ``answers``,
+``max_steps``, ``metrics``, ``answers``,
 ``check_disjointness``, ``timeout``, ``lint`` and the record/replay
 settings — have one spelling: build a :class:`RunConfig` once and pass it
 as ``config=`` to ``run_monitored``, the toolbox ``evaluate``,
@@ -23,7 +23,6 @@ from typing import Dict, Optional
 
 from repro.monitoring.faults import check_fault_policy
 from repro.observability.metrics import RunMetrics
-from repro.observability.sinks import EventSink
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 
 
@@ -43,7 +42,6 @@ class RunConfig:
     fault_policy: str = "propagate"
     max_steps: Optional[int] = None
     metrics: Optional[RunMetrics] = None
-    event_sink: Optional[EventSink] = None
     answers: AnswerAlgebra = STANDARD_ANSWERS
     check_disjointness: bool = True
     timeout: Optional[float] = None
@@ -152,11 +150,6 @@ class RunConfig:
             return None
         return perf_counter() + self.timeout
 
-    def wants_telemetry(self) -> bool:
-        from repro.observability.sinks import is_null_sink
-
-        return self.metrics is not None or not is_null_sink(self.event_sink)
-
     def with_fresh_metrics(self) -> "RunConfig":
         """A copy whose ``metrics`` is a new accumulator (if metrics are on).
 
@@ -168,10 +161,9 @@ class RunConfig:
         return replace(self, metrics=RunMetrics())
 
     #: The JSON-safe subset of the fields — everything a run option can be
-    #: on the far side of a process boundary.  ``metrics``, ``event_sink``
-    #: and ``answers`` are deliberately absent: accumulators and sinks are
-    #: per-process objects (workers attach their own), and answer algebras
-    #: carry functions.
+    #: on the far side of a process boundary.  ``metrics`` and ``answers``
+    #: are deliberately absent: accumulators are per-process objects
+    #: (workers attach their own), and answer algebras carry functions.
     SCALAR_FIELDS = (
         "engine",
         "fault_policy",
@@ -192,9 +184,8 @@ class RunConfig:
 
         ``ProcessPoolRunner`` ships these to workers instead of the config
         object itself; :meth:`from_scalars` rebuilds an equivalent config
-        on the other side.  Non-scalar fields (``metrics``, ``event_sink``,
-        ``answers``) do not cross the boundary — each worker supplies its
-        own.
+        on the other side.  Non-scalar fields (``metrics``, ``answers``)
+        do not cross the boundary — each worker supplies its own.
         """
         return {name: getattr(self, name) for name in self.SCALAR_FIELDS}
 

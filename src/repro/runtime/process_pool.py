@@ -196,7 +196,6 @@ def _worker_main(worker_id: int, request_queue, results, init) -> None:
     crash accounting keys off its own submitted-but-unacked set, not
     these acks alone.
     """
-    from repro.observability.events import Event
     from repro.observability.sinks import JsonlSink, TaggedSink
 
     # A forking parent (``repro serve``) may have turned SIGTERM into
@@ -210,7 +209,6 @@ def _worker_main(worker_id: int, request_queue, results, init) -> None:
         )
     cache = CompilationCache(init["cache_size"], event_sink=sink)
     base_config = RunConfig.from_scalars(dict(init["config"]))
-    seq = itertools.count(1)
 
     for wire in init.get("prewarm", ()):
         try:
@@ -236,15 +234,8 @@ def _worker_main(worker_id: int, request_queue, results, init) -> None:
             result = admission_failure(int(wire.get("index", 0)), wire, exc)
         if sink is not None:
             sink.emit(
-                Event(
-                    seq=next(seq),
-                    type="serve-request",
-                    payload={
-                        "id": request_id,
-                        "ok": result.ok,
-                        "duration": result.duration,
-                    },
-                )
+                "serve-request",
+                {"id": request_id, "ok": result.ok, "duration": result.duration},
             )
         results.send(("done", request_id, result.to_dict()))
     if sink is not None:
@@ -334,8 +325,6 @@ class ProcessPoolRunner:
         event_sink=None,
         start_method: Optional[str] = None,
     ) -> None:
-        from repro.observability.sinks import is_null_sink
-
         self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
         self.config = RunConfig.checked(config)
         if int(queue_depth) < 1:
@@ -351,8 +340,7 @@ class ProcessPoolRunner:
             self._prewarm_wire.append(
                 request_to_wire(admitted, request_id=-1, index=0)
             )
-        self._event_sink = None if is_null_sink(event_sink) else event_sink
-        self._event_seq = 0
+        self._event_sink = event_sink
         if start_method is None:
             start_method = (
                 "fork"
@@ -361,9 +349,6 @@ class ProcessPoolRunner:
             )
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
-        # _emit's own lock: never the pool lock, so events can be emitted
-        # from any pool method regardless of what locks the caller holds.
-        self._seq_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._pending: Dict[int, _Pending] = {}
         self._pool: List[_Worker] = []
@@ -505,14 +490,8 @@ class ProcessPoolRunner:
     # -- events --------------------------------------------------------------
 
     def _emit(self, event_type: str, payload: Dict[str, object]) -> None:
-        if self._event_sink is None:
-            return
-        from repro.observability.events import Event
-
-        with self._seq_lock:
-            self._event_seq += 1
-            seq = self._event_seq
-        self._event_sink.emit(Event(seq=seq, type=event_type, payload=payload))
+        if self._event_sink is not None:
+            self._event_sink.emit(event_type, payload)
 
     # -- submission ----------------------------------------------------------
 

@@ -114,9 +114,7 @@ class Server:
             prewarm=prewarm,
             event_sink=event_sink,
         )
-        from repro.observability.sinks import is_null_sink
-
-        self._event_sink = None if is_null_sink(event_sink) else event_sink
+        self._event_sink = event_sink
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._connections: List[socket.socket] = []
@@ -229,11 +227,8 @@ class Server:
     # -- events / stats ------------------------------------------------------
 
     def _emit(self, event_type: str, payload: Dict[str, object]) -> None:
-        if self._event_sink is None:
-            return
-        from repro.observability.events import Event
-
-        self._event_sink.emit(Event(seq=0, type=event_type, payload=payload))
+        if self._event_sink is not None:
+            self._event_sink.emit(event_type, payload)
 
     def _count(self, key: str, by: int = 1) -> None:
         with self._lock:

@@ -100,7 +100,7 @@ class EvaluationResult:
     """What ``evaluate`` hands back: the answer plus every tool's report.
 
     ``metrics`` is the run's telemetry counters when requested (the
-    config's ``metrics``/``event_sink``), else ``None``.  ``diagnostics``
+    config's ``metrics``), else ``None``.  ``diagnostics``
     carries the static analyzer's findings when the run was configured
     with ``lint="warn"``.
     """
@@ -142,8 +142,8 @@ def evaluate(
     Run options come from ``config`` (a :class:`repro.runtime.RunConfig`;
     ``None`` means the defaults) and mean what they mean for
     :func:`repro.monitoring.derive.run_monitored`.  Telemetry
-    (``metrics``/``event_sink``) works with or without tools attached —
-    an unmonitored evaluation with telemetry runs through the monitoring
+    (``metrics``) works with or without tools attached — an unmonitored
+    evaluation with telemetry runs through the monitoring
     pipeline with an empty stack, which denotes the standard semantics
     (Definition 4.2's fall-through everywhere).  ``cache`` (a
     :class:`repro.runtime.CompilationCache`) memoizes code generation for
@@ -156,7 +156,7 @@ def evaluate(
     run_language = language or chain_language or strict
     expr = parse(program) if isinstance(program, str) else program
 
-    if not monitors and not cfg.wants_telemetry() and cfg.mode == "inline":
+    if not monitors and cfg.metrics is None and cfg.mode == "inline":
         # This fast path bypasses run_monitored, so the lint gate runs here.
         # (Record mode always routes through run_monitored — the recorder
         # must observe the run even with no tools attached.)

@@ -288,7 +288,8 @@ def analyze_trace(
     what they mean on :func:`~repro.monitoring.derive.run_monitored`
     (``metrics=True`` allocates a fresh accumulator); step/application
     counts come from the trace's end record when the recording itself
-    ran with metrics.
+    ran with metrics.  The fold's time is charged to both ``wall_time``
+    and ``monitor_time``: it evaluates no program.
     """
     fold = TraceFold(
         trace,
@@ -304,7 +305,10 @@ def analyze_trace(
     for event in fold.trace.events:
         step(event)
     if fold.metrics is not None:
-        fold.metrics.wall_time += perf_counter() - start
+        # A fold evaluates no program: all of its time is monitoring.
+        elapsed = perf_counter() - start
+        fold.metrics.wall_time += elapsed
+        fold.metrics.monitor_time += elapsed
     return fold.package(fold.metrics)
 
 

@@ -297,25 +297,43 @@ class TestTelemetryFlags:
     def test_trace_out_writes_jsonl(self, capsys, tmp_path):
         import json
 
-        path = tmp_path / "events.jsonl"
-        assert (
-            main(["run", "-e", FAC, "--tools", "profile",
-                  "--trace-out", str(path)])
-            == 0
+        requests = tmp_path / "req.jsonl"
+        requests.write_text(
+            json.dumps({"program": FAC, "tools": "profile", "engine": "codegen"})
+            + "\n"
         )
+        path = tmp_path / "events.jsonl"
+        assert main(["batch", str(requests), "--trace-out", str(path)]) == 0
         events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert any(e["type"] == "monitor-pre" for e in events)
-        assert any(e["type"] == "step" for e in events)
+        assert [e["type"] for e in events] == [
+            "batch-start", "cache-miss", "batch-request", "batch-end"
+        ]
 
-    def test_trace_out_replays_to_profiler_counts(self, capsys, tmp_path):
-        from repro.observability import read_events, replay
+    def test_batch_trace_out_seq_is_line_order(self, capsys, tmp_path):
+        """Cache and batch events share one numbering: the sink's."""
+        import json
 
-        path = tmp_path / "events.jsonl"
-        assert (
-            main(["profile", "-e", PLAIN_FAC, "--trace-out", str(path)]) == 0
+        requests = tmp_path / "req.jsonl"
+        requests.write_text(
+            "".join(
+                json.dumps({"program": f"{n} * {n}", "engine": "codegen"}) + "\n"
+                for n in (1, 2, 1, 3)
+            )
         )
-        summary = replay(read_events(path))
-        assert summary.pre_counts["profile"] == {"fac": 5}
+        path = tmp_path / "events.jsonl"
+        assert main(
+            ["batch", str(requests), "--workers", "2", "--trace-out", str(path)]
+        ) == 0
+        seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()]
+        assert len(seqs) > 4
+        assert seqs == list(range(1, len(seqs) + 1))
+
+    def test_trace_out_is_batch_only(self, capsys, tmp_path):
+        trace = str(tmp_path / "t.trace")
+        for argv in (["run"], ["trace"], ["profile"], ["debug"], ["record", "-o", trace]):
+            with pytest.raises(SystemExit):
+                main(argv + ["-e", "1", "--trace-out", str(tmp_path / "x")])
+            assert "unrecognized arguments: --trace-out" in capsys.readouterr().err
 
     def test_profile_subcommand_metrics(self, capsys):
         assert main(["profile", "-e", PLAIN_FAC, "--metrics"]) == 0

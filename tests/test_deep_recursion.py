@@ -2,11 +2,11 @@
 
 Residual programs recurse on the host stack, whose limit codegen raises to
 100k frames.  A deeper run is repeated on the trampolined reference
-derivation whenever nobody can observe the repeat: no event sink saw the
-first attempt and no monitor touches the host.  The result, reports,
-metrics and fault records are then the reference engine's.  Every other
-deep run raises :class:`~repro.errors.HostRecursionError`, whose message
-points at ``engine='reference'``.
+derivation whenever nobody can observe the repeat: no monitor touches the
+host.  The result, reports, metrics and fault records are then the
+reference engine's.  The two other deep runs — record mode and a debugger
+reading live commands — raise :class:`~repro.errors.HostRecursionError`,
+whose message points at ``engine='reference'``.
 """
 
 import json
@@ -17,7 +17,7 @@ from repro.errors import HostRecursionError, ReproError
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import DebuggerMonitor, ProfilerMonitor
-from repro.observability import InMemorySink, RunMetrics
+from repro.observability import RunMetrics
 from repro.partial_eval.codegen import GeneratedProgram
 from repro.runtime import BatchRunner, RunConfig, RunRequest
 from repro.syntax.parser import parse
@@ -57,8 +57,8 @@ class TestDeepRuns:
         assert total.ok and total.answer == SUM_ANSWER, total.error
         assert total.reports == {"profile": SUM_PROFILE}
 
-    def test_an_event_sink_keeps_the_error(self):
-        config = RunConfig(engine="codegen", event_sink=InMemorySink())
+    def test_record_mode_keeps_the_error(self, tmp_path):
+        config = RunConfig(engine="codegen", mode="record", record_dir=str(tmp_path))
         with pytest.raises(HostRecursionError, match="use engine='reference'"):
             run_monitored(strict, parse(LOOP), [], config=config)
 
@@ -103,11 +103,6 @@ class TestFallbackEqualsReference:
 
 
 class TestObservableRunsKeepTheError:
-    def test_event_sink(self, overflowing):
-        config = RunConfig(engine="codegen", event_sink=InMemorySink())
-        with pytest.raises(HostRecursionError, match="use engine='reference'"):
-            run_monitored(strict, parse(FAC_LABELED), ProfilerMonitor(), config=config)
-
     def test_debugger_reading_live_commands(self, overflowing):
         debugger = DebuggerMonitor([], source=lambda: None)
         with pytest.raises(HostRecursionError):

@@ -311,8 +311,8 @@ def test_metrics_parity(fault_policy, program):
 @pytest.mark.parametrize("fault_policy", ["quarantine", "log"])
 @given(closed_program())
 def test_metrics_parity_under_injected_faults(fault_policy, program):
-    """Fault counts ride the shared FaultLog observer, so they agree
-    across engines by construction — this asserts the whole metrics
+    """Fault counts come from the run's final fault records, so they
+    agree across engines by construction — this asserts the whole metrics
     object anyway, catching any counter the fault paths might skew."""
     from repro.observability import RunMetrics
 

@@ -1,10 +1,10 @@
 """The observability layer: metrics, sinks, events, and stream completeness.
 
 The headline property (Jahier & Ducassé's *sufficiency* of a generic
-trace) is at the bottom: replaying a captured JSONL event stream through
-the :func:`repro.observability.replay` fold reconstructs the profiler's
-final counter environment and the fault log exactly — on both engines,
-under both non-propagate fault policies.
+trace) is at the bottom: folding a run's recorded trace through
+:func:`repro.tracing.analyze_trace` reconstructs the profiler's final
+counter environment, the fault log and the run's metrics exactly — on
+both engines, under both non-propagate fault policies.
 """
 
 import io
@@ -15,20 +15,18 @@ import pytest
 from repro.languages.strict import strict
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor
 from repro.monitoring.derive import run_monitored
+from repro.monitoring.faults import fault_tuples
 from repro.observability import (
     CallbackSink,
     Event,
     InMemorySink,
     JsonlSink,
-    NullSink,
     RunMetrics,
-    Telemetry,
-    fault_tuples,
     read_events,
-    replay,
 )
 from repro.runtime import RunConfig
 from repro.syntax.parser import parse
+from repro.tracing import analyze_trace, record
 
 from tests.fault_injection import FAC_LABELED, flaky_profiler
 
@@ -93,64 +91,42 @@ class TestRunMetrics:
         assert metrics.activations["count"] == 2 * single.activations["count"]
 
 
-# -- the Telemetry gatekeeper ----------------------------------------------------
-
-
-class TestTelemetryCreate:
-    def test_nothing_requested_means_none(self):
-        assert Telemetry.create(None, None) is None
-
-    def test_null_sink_counts_as_no_sink(self):
-        assert Telemetry.create(None, NullSink()) is None
-
-    def test_metrics_alone_activates(self):
-        metrics = RunMetrics()
-        telemetry = Telemetry.create(metrics, None)
-        assert telemetry is not None and telemetry.metrics is metrics
-        assert telemetry.sink is None
-
-    def test_sink_alone_activates_with_fresh_metrics(self):
-        telemetry = Telemetry.create(None, InMemorySink())
-        assert telemetry is not None
-        assert isinstance(telemetry.metrics, RunMetrics)
-
-
 # -- sinks -----------------------------------------------------------------------
 
 
 class TestSinks:
     def test_in_memory_of_type(self):
         sink = InMemorySink()
-        sink.emit(Event(1, "fault", "m"))
-        sink.emit(Event(2, "quarantine", "m"))
-        assert [e.type for e in sink.of_type("fault")] == ["fault"]
+        sink.emit("cache-miss", {"key": "k"})
+        sink.emit("cache-hit", {"key": "k"})
+        assert [e.type for e in sink.of_type("cache-hit")] == ["cache-hit"]
 
     def test_callback_sink(self):
         seen = []
         sink = CallbackSink(seen.append)
-        sink.emit(Event(1, "fault"))
+        sink.emit("batch-start")
         assert seen[0].seq == 1
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with JsonlSink(path) as sink:
-            sink.emit(Event(1, "monitor-pre", "m", {"annotation": "fac"}))
-            sink.emit(Event(2, "fault", "m", {"phase": "pre"}))
+            sink.emit("cache-miss", {"key": "ab12", "compile_time": 0.5})
+            sink.emit("batch-end", {"total": 1})
         events = read_events(path)
         assert events == [
-            Event(1, "monitor-pre", "m", {"annotation": "fac"}),
-            Event(2, "fault", "m", {"phase": "pre"}),
+            Event(1, "cache-miss", {"key": "ab12", "compile_time": 0.5}),
+            Event(2, "batch-end", {"total": 1}),
         ]
 
     def test_jsonl_accepts_file_object_without_closing_it(self):
         buffer = io.StringIO()
         sink = JsonlSink(buffer)
-        sink.emit(Event(1, "step"))
+        sink.emit("batch-start")
         sink.close()
-        assert json.loads(buffer.getvalue())["type"] == "step"
+        assert json.loads(buffer.getvalue())["type"] == "batch-start"
 
     def test_event_dict_round_trip(self):
-        event = Event(3, "state-update", "m", {"phase": "post"})
+        event = Event(3, "worker-exit", {"worker": 1, "pid": 42})
         assert Event.from_dict(event.to_dict()) == event
 
 
@@ -160,12 +136,6 @@ class TestSinks:
 class TestRunTelemetry:
     def test_no_telemetry_means_no_metrics(self):
         result = run_monitored(strict, FAC, LabelCounterMonitor())
-        assert result.metrics is None
-
-    def test_null_sink_means_no_metrics(self):
-        result = run_monitored(
-            strict, FAC, LabelCounterMonitor(), config=RunConfig(event_sink=NullSink())
-        )
         assert result.metrics is None
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -187,40 +157,6 @@ class TestRunTelemetry:
         assert metrics.state_transitions == 5  # counter updates on pre only
         assert metrics.faults == {}
         assert metrics.wall_time > 0.0
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sink_alone_returns_metrics(self, engine):
-        result = run_monitored(
-            strict,
-            FAC,
-            LabelCounterMonitor(),
-            config=RunConfig(engine=engine, event_sink=InMemorySink()),
-        )
-        assert result.metrics is not None and result.metrics.steps > 0
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_step_events_match_step_counter(self, engine):
-        metrics = RunMetrics()
-        sink = InMemorySink(wants_steps=True)
-        run_monitored(
-            strict,
-            FAC,
-            LabelCounterMonitor(),
-            config=RunConfig(engine=engine, metrics=metrics, event_sink=sink),
-        )
-        assert len(sink.of_type("step")) == metrics.steps
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_step_events_opt_in(self, engine):
-        sink = InMemorySink()  # wants_steps=False
-        run_monitored(
-            strict,
-            FAC,
-            LabelCounterMonitor(),
-            config=RunConfig(engine=engine, event_sink=sink),
-        )
-        assert sink.of_type("step") == []
-        assert len(sink.of_type("monitor-pre")) == 5
 
     def test_monitored_result_keeps_original_specs(self):
         monitor = LabelCounterMonitor()
@@ -287,55 +223,57 @@ class TestToolboxTelemetry:
 # -- event-stream completeness ---------------------------------------------------
 
 
+def _record_and_fold(tmp_path, engine, monitor, fault_policy):
+    path = tmp_path / f"{engine}-{fault_policy}.trace"
+    record(strict, FAC, str(path), config=RunConfig(engine=engine, metrics=RunMetrics()))
+    return analyze_trace(str(path), monitor, fault_policy=fault_policy, metrics=True)
+
+
 class TestEventStreamCompleteness:
-    """Replaying a captured JSONL stream reconstructs the run exactly."""
+    """Folding the recorded trace reconstructs the inline run exactly."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("fault_policy", ["quarantine", "log"])
     def test_replay_reconstructs_profiler_and_faults(
         self, tmp_path, engine, fault_policy
     ):
-        path = tmp_path / f"{engine}-{fault_policy}.jsonl"
         metrics = RunMetrics()
-        with JsonlSink(path, wants_steps=True) as sink:
-            result = run_monitored(
-                strict,
-                FAC,
-                flaky_profiler(2),
-                config=RunConfig(
-                    engine=engine,
-                    fault_policy=fault_policy,
-                    metrics=metrics,
-                    event_sink=sink,
-                ),
-            )
+        result = run_monitored(
+            strict,
+            FAC,
+            flaky_profiler(2),
+            config=RunConfig(engine=engine, fault_policy=fault_policy, metrics=metrics),
+        )
         assert result.answer == 24  # fault isolation kept the answer
 
-        summary = replay(read_events(path))
+        folded = _record_and_fold(tmp_path, engine, flaky_profiler(2), fault_policy)
 
-        # The fold's successful-pre counts ARE the profiler's final
-        # counter environment — stream and state agree exactly.
-        assert summary.pre_counts.get("profile", {}) == dict(result.report())
+        # The fold's profiler state IS the inline one's final counter
+        # environment — trace and state agree exactly.
+        assert folded.report() == result.report()
         # The fold's fault records ARE the fault log.
-        assert summary.faults == fault_tuples(result.faults)
-        assert summary.quarantined == list(result.quarantined_keys())
+        assert fault_tuples(folded.faults) == fault_tuples(result.faults)
+        assert folded.quarantined_keys() == result.quarantined_keys()
         # And the aggregates agree with the live metrics.
-        assert summary.steps == metrics.steps
-        assert summary.activations == metrics.activations
-        assert summary.state_transitions == metrics.state_transitions
+        assert folded.metrics == metrics
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_healthy_run_stream_matches_metrics(self, tmp_path, engine):
-        path = tmp_path / "healthy.jsonl"
         metrics = RunMetrics()
-        with JsonlSink(path, wants_steps=True) as sink:
-            result = run_monitored(
-                strict,
-                FAC,
-                ProfilerMonitor(),
-                config=RunConfig(engine=engine, metrics=metrics, event_sink=sink),
-            )
-        summary = replay(read_events(path))
-        assert summary.pre_counts["profile"] == dict(result.report())
-        assert summary.faults == [] and summary.quarantined == []
-        assert summary.steps == metrics.steps
+        result = run_monitored(
+            strict,
+            FAC,
+            ProfilerMonitor(),
+            config=RunConfig(engine=engine, metrics=metrics),
+        )
+        folded = _record_and_fold(tmp_path, engine, ProfilerMonitor(), "propagate")
+        assert folded.report() == result.report()
+        assert folded.faults == () and folded.quarantined_keys() == ()
+        assert folded.metrics == metrics
+
+    def test_fold_time_is_monitoring_time(self, tmp_path):
+        """A fold evaluates no program, so none of its time is standard eval."""
+        folded = _record_and_fold(tmp_path, "reference", ProfilerMonitor(), "propagate")
+        metrics = folded.metrics
+        assert metrics.eval_time == 0
+        assert metrics.monitor_time == metrics.wall_time > 0

@@ -23,7 +23,7 @@ import pytest
 from repro.errors import ReproError
 from repro.monitoring.faults import FlakyMonitor
 from repro.monitors import ProfilerMonitor
-from repro.observability import read_events, replay
+from repro.observability import read_events
 from repro.runtime import (
     OverloadedError,
     ProcessPoolRunner,
@@ -505,9 +505,28 @@ class TestTelemetryAndPrewarm:
             for line in path.read_text().splitlines():
                 record = json.loads(line)  # every line is whole JSON
                 assert record["payload"]["worker"] == worker_id
-            summary = replay(read_events(path))
-            served += summary.serve_requests
+            events = read_events(path)
+            served += sum(event.type == "serve-request" for event in events)
         assert served == 4
+
+    def test_worker_trace_seq_is_line_order(self, tmp_path):
+        """A worker's cache and serve-request events share one numbering."""
+        trace_dir = tmp_path / "traces"
+        with ProcessPoolRunner(
+            workers=1, config=RunConfig(engine="codegen"), trace_dir=str(trace_dir)
+        ) as runner:
+            results = runner.run(
+                [RunRequest(program=FAC % n, tools="profile") for n in (3, 4, 3)]
+            )
+            assert all(result.ok for result in results)
+        [path] = trace_dir.glob("worker-*.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["type"] for record in records] == [
+            "cache-miss", "serve-request",
+            "cache-miss", "serve-request",
+            "cache-hit", "serve-request",
+        ]
+        assert [record["seq"] for record in records] == list(range(1, 7))
 
     def test_prewarm_is_shard_local_and_rewarms_after_restart(self, tmp_path):
         """Each worker compiles only the pre-warm entries routed to it.

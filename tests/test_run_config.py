@@ -35,7 +35,6 @@ class TestRunConfigValue:
         assert cfg.fault_policy == "propagate"
         assert cfg.max_steps is None
         assert cfg.metrics is None
-        assert cfg.event_sink is None
         assert cfg.check_disjointness is True
         assert cfg.timeout is None
 

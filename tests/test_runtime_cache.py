@@ -115,18 +115,15 @@ class TestCacheObservability:
         assert "key" in miss.payload and miss.payload["compile_time"] >= 0
 
     def test_replay_reconstructs_cache_counters(self):
-        from repro.observability import replay
-
         sink = InMemorySink()
         cache = CompilationCache(1, event_sink=sink)
         cache.get_or_compile(strict, parse("1 + 1"), [])
         cache.get_or_compile(strict, parse("1 + 1"), [])
         cache.get_or_compile(strict, parse("2 + 2"), [])
-        summary = replay(sink.events)
         stats = cache.stats()
-        assert summary.cache_hits == stats.hits == 1
-        assert summary.cache_misses == stats.misses == 2
-        assert summary.cache_evictions == stats.evictions == 1
+        assert len(sink.of_type("cache-hit")) == stats.hits == 1
+        assert len(sink.of_type("cache-miss")) == stats.misses == 2
+        assert len(sink.of_type("cache-evict")) == stats.evictions == 1
 
 
 class TestCachedRunParity:
@@ -167,7 +164,7 @@ class TestCachedRunParity:
             config=RunConfig(engine="codegen", fault_policy="quarantine"),
         )
         assert cold.answer == warm.answer == oracle.answer
-        from repro.observability import fault_tuples
+        from repro.monitoring.faults import fault_tuples
 
         assert (
             fault_tuples(cold.faults)
@@ -178,7 +175,7 @@ class TestCachedRunParity:
 
     def test_fault_policies_share_one_entry(self):
         from repro.monitoring.faults import FlakyMonitor, InjectedFault
-        from repro.observability import fault_tuples
+        from repro.monitoring.faults import fault_tuples
 
         program = parse(FAC)
         cache = CompilationCache(4)

@@ -3,24 +3,20 @@
 The serving-path regression (ISSUE PR 7 satellite): ``JsonlSink.emit``
 used to make three separate ``write`` calls per event (payload, newline,
 optional flush ordering), so two threads sharing one sink could
-interleave mid-line and corrupt the JSONL stream — replay tooling then
+interleave mid-line and corrupt the JSONL stream — event readers then
 choked on half-a-record lines.  The fix serializes one pre-rendered
-string per event under a lock; these tests hammer that guarantee and pin
-the :class:`TaggedSink` decorator the process-pool workers wrap around
-it.
+string per event under a lock, the same lock under which the sink
+numbers the event, so line order is ``seq`` order; these tests hammer
+that guarantee and pin the :class:`TaggedSink` decorator the
+process-pool workers wrap around it.
 """
 
 import io
 import json
+import sys
 import threading
 
-from repro.observability import (
-    Event,
-    JsonlSink,
-    TaggedSink,
-    read_events,
-    replay,
-)
+from repro.observability import InMemorySink, JsonlSink, TaggedSink, read_events
 
 THREADS = 8
 EVENTS_PER_THREAD = 250
@@ -28,7 +24,7 @@ EVENTS_PER_THREAD = 250
 
 class TestAtomicEmit:
     def test_eight_threads_every_line_round_trips(self, tmp_path):
-        """The acceptance criterion: 8 writers, every line parses + replays."""
+        """The acceptance criterion: 8 writers, every line parses, in order."""
         path = tmp_path / "hammer.jsonl"
         sink = JsonlSink(path)
         barrier = threading.Barrier(THREADS)
@@ -37,20 +33,22 @@ class TestAtomicEmit:
             barrier.wait()  # maximize contention
             for n in range(EVENTS_PER_THREAD):
                 sink.emit(
-                    Event(
-                        seq=thread_id * EVENTS_PER_THREAD + n,
-                        type="cache-hit",
-                        payload={"thread": thread_id, "n": n, "key": "k" * 40},
-                    )
+                    "cache-hit", {"thread": thread_id, "n": n, "key": "k" * 40}
                 )
 
         threads = [
             threading.Thread(target=writer, args=(i,)) for i in range(THREADS)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         sink.close()
         lines = path.read_text().splitlines()
         assert len(lines) == THREADS * EVENTS_PER_THREAD
@@ -59,8 +57,9 @@ class TestAtomicEmit:
             record = json.loads(line)  # whole, never interleaved
             seen.add((record["payload"]["thread"], record["payload"]["n"]))
         assert len(seen) == THREADS * EVENTS_PER_THREAD  # nothing lost
-        summary = replay(read_events(path))
-        assert summary.cache_hits == THREADS * EVENTS_PER_THREAD
+        events = read_events(path)
+        assert all(event.type == "cache-hit" for event in events)
+        assert [event.seq for event in events] == list(range(1, len(lines) + 1))
 
     def test_emit_is_one_write_call(self):
         """Each event reaches the handle as a single newline-terminated write."""
@@ -72,15 +71,15 @@ class TestAtomicEmit:
                 return super().write(text)
 
         sink = JsonlSink(Recorder())
-        sink.emit(Event(seq=1, type="step", payload={"node": "If"}))
-        sink.emit(Event(seq=2, type="step"))
+        sink.emit("batch-request", {"index": 0})
+        sink.emit("batch-end")
         assert len(writes) == 2
         assert all(w.endswith("\n") and json.loads(w) for w in writes)
 
     def test_flush_each_makes_lines_tailable(self, tmp_path):
         path = tmp_path / "tail.jsonl"
         sink = JsonlSink(path, flush_each=True)
-        sink.emit(Event(seq=1, type="cache-miss", payload={"compile_time": 0.1}))
+        sink.emit("cache-miss", {"compile_time": 0.1})
         # Visible to a concurrent reader *before* close — the daemon's
         # worker traces are tailed while the process is still running.
         assert json.loads(path.read_text().splitlines()[0])["type"] == "cache-miss"
@@ -89,32 +88,30 @@ class TestAtomicEmit:
 
 class TestTaggedSink:
     def test_tags_merge_into_payload(self):
-        inner = JsonlSink(io.StringIO())
-        captured = []
-        inner.emit = lambda event: captured.append(event)
+        inner = InMemorySink()
         sink = TaggedSink(inner, {"worker": 3})
-        sink.emit(Event(seq=1, type="serve-request", payload={"id": 9, "ok": True}))
-        [event] = captured
+        sink.emit("serve-request", {"id": 9, "ok": True})
+        [event] = inner.events
         assert event.payload == {"worker": 3, "id": 9, "ok": True}
         assert event.type == "serve-request"
 
     def test_event_payload_wins_on_collision(self):
-        captured = []
+        inner = InMemorySink()
+        sink = TaggedSink(inner, {"worker": 3, "id": "tag-side"})
+        sink.emit("serve-request", {"id": "event-side"})
+        assert inner.events[0].payload["id"] == "event-side"
+        assert inner.events[0].payload["worker"] == 3
 
-        class Capture:
-            wants_steps = False
-
-            def emit(self, event):
-                captured.append(event)
-
-        sink = TaggedSink(Capture(), {"worker": 3, "id": "tag-side"})
-        sink.emit(Event(seq=1, type="serve-request", payload={"id": "event-side"}))
-        assert captured[0].payload["id"] == "event-side"
-        assert captured[0].payload["worker"] == 3
-
-    def test_wants_steps_and_close_forward(self, tmp_path):
-        inner = JsonlSink(tmp_path / "t.jsonl", wants_steps=True)
+    def test_inner_sink_numbers_the_events(self):
+        inner = InMemorySink()
         sink = TaggedSink(inner, {"worker": 0})
-        assert sink.wants_steps is True
+        sink.emit("cache-miss")
+        inner.emit("cache-hit")
+        sink.emit("serve-request")
+        assert [event.seq for event in inner.events] == [1, 2, 3]
+
+    def test_close_forwards(self, tmp_path):
+        inner = JsonlSink(tmp_path / "t.jsonl")
+        sink = TaggedSink(inner, {"worker": 0})
         sink.close()
         assert inner._handle is None  # owned handle released by close()

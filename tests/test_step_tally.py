@@ -12,7 +12,7 @@ import pytest
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor
-from repro.observability import InMemorySink, RunMetrics
+from repro.observability import RunMetrics
 from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
@@ -47,15 +47,13 @@ CASES = {
 }
 
 
-def _run(program, engine, optimize, sink=None):
+def _run(program, engine, optimize):
     metrics = RunMetrics()
     result = run_monitored(
         strict,
         parse(program),
         [LabelCounterMonitor()],
-        config=RunConfig(
-            engine=engine, optimize=optimize, metrics=metrics, event_sink=sink
-        ),
+        config=RunConfig(engine=engine, optimize=optimize, metrics=metrics),
     )
     return result, metrics
 
@@ -64,8 +62,6 @@ def _run(program, engine, optimize, sink=None):
 def test_tallies_match_the_reference(rule):
     program, optimize = CASES[rule]
     reference, expected = _run(program, "reference", optimize)
-    sink = InMemorySink(wants_steps=True)
-    tallied, metrics = _run(program, "codegen", optimize, sink)
+    tallied, metrics = _run(program, "codegen", optimize)
     assert tallied.answer == reference.answer
     assert metrics == expected, rule
-    assert len(sink.of_type("step")) == metrics.steps
