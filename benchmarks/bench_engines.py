@@ -181,8 +181,8 @@ def _assert_within_budget(label, t_propagate, t_quarantine):
 def test_quarantine_overhead_unmonitored_fast_path(engine):
     """fault_policy='quarantine' with an empty monitor stack is free.
 
-    No monitors means no isolated derivation and nothing to disable —
-    the policy must not tax the plain evaluation fast path.
+    No monitors means no hook to isolate and nothing to disable — the
+    policy must not tax the plain evaluation fast path.
     """
     program = loop_with_trace_hits(1000, 0)
     t_p, t_q = _paired_min(
@@ -201,8 +201,9 @@ def test_quarantine_overhead_unmonitored_fast_path(engine):
 def test_quarantine_overhead_single_monitor_fast_path(engine):
     """A healthy single monitor pays <5% for running isolated.
 
-    This is the single-slot state-vector fast path: the only extra work
-    per activation is the disabled-set membership test around pre/post.
+    This is the single-slot state-vector fast path.  Every policy runs
+    the same hook path on both engines, so a healthy run under
+    quarantine does no work per activation that propagate skips.
     """
     tracer_runs = {
         "propagate": lambda: run_monitored(

@@ -25,7 +25,9 @@ non-zero if the codegen engine misses its gates over the reference
 interpreter (>= 9x on fib, >= 6x on the traced Figure 11 loop).  The
 ``codegen`` section also carries the metrics-on price: a warm-cache
 codegen run with ``RunConfig(metrics=...)`` over the same run without
-(``benchmarks/bench_engines.py`` gates it at <= 4x).
+(``benchmarks/bench_engines.py`` gates it at <= 4x) and, with no gate,
+the hook price: the same warm program under ``profile`` and ``count``
+over an empty stack.
 ``--quick`` shrinks workloads for smoke runs.
 
 Numbers are written to stdout; EXPERIMENTS.md records a reference run.
@@ -45,7 +47,7 @@ sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
 from repro.languages import strict
 from repro.monitoring.derive import run_monitored
-from repro.monitors import ProfilerMonitor, TracerMonitor
+from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
 from repro.observability import RunMetrics
 from repro.partial_eval.codegen import generate_program
 from repro.runtime import CompilationCache, RunConfig
@@ -294,6 +296,42 @@ def measure_metrics_price(repeats: int = 9):
     }
 
 
+def measure_hook_price(repeats: int = 9):
+    """Warm-cache codegen fib 16 under ``profile`` and ``count`` vs no stack.
+
+    The empty stack runs the same program with its annotation erased, so
+    each ratio is the price of the residual hook path on the default
+    ``propagate`` policy, metrics off.  Interleaved min-of-``repeats`` in
+    one process: the sides share the machine's load, so the ratios hold
+    on a 1-core box.  Informational — no gate; ``spread`` is each side's
+    (median - min) / min, the noise to read a change in the ratios against.
+    """
+    program = profiled_fib(16)
+    cache = CompilationCache()
+    config = RunConfig(engine="codegen")
+    stacks = {
+        "empty": [],
+        "profile": [ProfilerMonitor()],
+        "count": [LabelCounterMonitor()],
+    }
+    for stack in stacks.values():  # compile each artifact once
+        run_monitored(strict, program, stack, config=config, cache=cache)
+    times = {side: [] for side in stacks}
+    for _ in range(repeats):
+        for side, stack in stacks.items():
+            start = time.perf_counter()
+            run_monitored(strict, program, stack, config=config, cache=cache)
+            times[side].append(time.perf_counter() - start)
+    best = {side: min(samples) for side, samples in times.items()}
+    return {
+        "workload": "fib16_warm_cache",
+        **{f"{side}_s": best[side] for side in stacks},
+        "profile_ratio": best["profile"] / best["empty"],
+        "count_ratio": best["count"] / best["empty"],
+        "spread": {side: sample_spread(samples) for side, samples in times.items()},
+    }
+
+
 def engines_section(quick: bool = False):
     print("=" * 72)
     print("T-ENG  (engine tiers vs. reference interpreter)")
@@ -362,6 +400,7 @@ def json_report(quick: bool, output: str) -> int:
         "targets_met": codegen_targets_met,
         "noise": noise,
         "metrics_on_vs_off": measure_metrics_price(),
+        "hook_price": measure_hook_price(),
     }
     merge_section(output, "engines", engines_payload)
     merge_section(output, "codegen", codegen_payload)
@@ -378,6 +417,12 @@ def json_report(quick: bool, output: str) -> int:
         f"{price['metrics_off_s'] * 1000:.1f} ms -> "
         f"{price['metrics_on_s'] * 1000:.1f} ms ({price['ratio']:.2f}x, "
         f"gate <= {METRICS_PRICE_BOUND:.0f}x in bench_engines.py)"
+    )
+    hooks = codegen_payload["hook_price"]
+    print(
+        f"hook price (codegen, fib 16, warm cache, informational): "
+        f"empty {hooks['empty_s'] * 1000:.1f} ms, "
+        f"profile {hooks['profile_ratio']:.2f}x, count {hooks['count_ratio']:.2f}x"
     )
     print(f"merged 'engines' and 'codegen' sections into {output}")
 

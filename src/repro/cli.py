@@ -23,7 +23,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.errors import LexError, ParseError, ReproError, format_source_context
-from repro.languages import LANGUAGE_NAMES
+from repro.languages import LANGUAGE_NAMES, parse_source
 
 
 def _read_source(args) -> str:
@@ -35,24 +35,10 @@ def _read_source(args) -> str:
         return handle.read()
 
 
-def _parse_source(source: str, language: str) -> object:
-    if language == "imperative":
-        from repro.languages.imp_syntax import parse_imp
-
-        return parse_imp(source)
-    if language == "exceptions":
-        from repro.languages.exceptions import parse_exc
-
-        return parse_exc(source)
-    from repro.syntax.parser import parse
-
-    return parse(source)
-
-
 def _load_program(args) -> object:
     source = _read_source(args)
     try:
-        return _parse_source(source, args.language)
+        return parse_source(args.language, source)
     except (LexError, ParseError) as exc:
         context = format_source_context(source, exc.location)
         if context:
@@ -78,7 +64,7 @@ def run_config_from_args(args):
     """Build the run's :class:`repro.runtime.RunConfig` from parsed flags.
 
     The one place CLI flags become run options: every evaluating
-    subcommand (run/trace/profile/session/debug/batch) routes through
+    subcommand (run/trace/profile/session/debug/batch/serve) routes through
     here, so a flag means the same thing everywhere.
     """
     from repro.observability import RunMetrics
@@ -379,7 +365,7 @@ def cmd_check(args) -> int:
     source = _read_source(args)
     monitors = _tools(args.monitors)
     try:
-        program = _parse_source(source, args.language)
+        program = parse_source(args.language, source)
     except (LexError, ParseError) as exc:
         # Syntax errors become diagnostics too, so `check --format json`
         # is machine-readable even for unparseable input.
@@ -551,8 +537,8 @@ def cmd_analyze(args) -> int:
 def cmd_serve(args) -> int:
     """Run the long-lived JSONL-over-socket daemon on a process pool."""
     import json
+    from dataclasses import replace
 
-    from repro.runtime import RunConfig
     from repro.runtime.serve import Server
 
     if args.metrics:
@@ -560,14 +546,9 @@ def cmd_serve(args) -> int:
             "serve streams telemetry per worker: use --trace-dir DIR "
             "instead of --metrics"
         )
-    config = RunConfig(
-        engine=args.engine,
-        fault_policy=args.fault_policy,
-        max_steps=args.max_steps,
-        timeout=args.timeout,
-        lint=args.lint,
-        record_dir=args.record_dir,
-    ).validate()
+    # Here --record-dir names where record-mode requests write their
+    # traces; unlike on batch and debug it does not record every request.
+    config = replace(run_config_from_args(args), mode="inline")
     prewarm = []
     if args.prewarm:
         with open(args.prewarm, "r", encoding="utf-8") as handle:

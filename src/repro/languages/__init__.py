@@ -16,7 +16,8 @@ standard continuation semantics in the shape the monitoring derivation
 expects, so ``run_monitored(language, program, monitors)`` works uniformly.
 
 :data:`LANGUAGE_NAMES` is the one table of the names the CLI and request
-records use; :func:`by_name` imports only the language it selects.
+records use; :func:`by_name` imports only the language it selects, and
+:func:`parse_source` only the grammar it parses with.
 """
 
 import sys
@@ -63,3 +64,24 @@ def by_name(name: str):
         known = ", ".join(sorted(LANGUAGE_NAMES))
         raise ReproError(f"unknown language {name!r}; choose one of {known}") from None
     return getattr(sys.modules[__name__], export)
+
+
+def parse_source(name: str, source: str):
+    """Parse ``source`` under the grammar of the language called ``name``.
+
+    ``imperative`` reads ``L_imp`` and ``exceptions`` reads ``L_exc``;
+    every other language (strict, lazy, lazy-data, or a custom language
+    object's name) reads ``L_lambda``.  The CLI, batch and serve records
+    and the trace fold all parse program text through here.
+    """
+    if name == "imperative":
+        from repro.languages.imp_syntax import parse_imp
+
+        return parse_imp(source)
+    if name == "exceptions":
+        from repro.languages.exceptions import parse_exc
+
+        return parse_exc(source)
+    from repro.syntax.parser import parse
+
+    return parse(source)

@@ -14,11 +14,16 @@ Because the result is again a functional of the same shape, the derivation
 can be applied repeatedly — that is Section 6's monitor composition — and
 because the fixpoint is taken *after* derivation, the monitoring behavior
 appears at every level of recursion, inside every closure body.
+
+There is one derivation per monitor whatever the fault policy (Section 7
+extended to monitors that raise, :mod:`repro.monitoring.faults`): a hook
+exception re-raises when the run threads no fault log (``propagate``)
+and otherwise goes to :meth:`~repro.monitoring.faults.FaultLog.record`,
+the rule codegen's residual hooks and the trace fold share.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
 from functools import reduce
 from time import perf_counter
@@ -48,16 +53,19 @@ def derive_functional(
     :class:`~repro.monitoring.state.MonitorStateVector` as its ``ms``
     argument, with a slot for ``monitor.key``.
 
-    When ``fault_log`` is supplied, the monitor's ``pre``/``post`` calls
-    are fault-isolated: an escaping exception is recorded on the log and
-    handled per its policy (quarantine or log) instead of aborting the
-    run.  With ``fault_log=None`` (the default, i.e. the ``propagate``
-    policy) the historical zero-overhead derivation is returned.
+    An exception escaping the monitor's ``pre``/``post`` aborts the run
+    when ``fault_log`` is ``None`` (the ``propagate`` policy).  Otherwise
+    it goes to :meth:`FaultLog.record` and the program's value keeps
+    flowing to the original continuation, so the standard answer is
+    preserved: under ``log`` only that hook's state update is dropped;
+    under ``quarantine`` the slot is disabled, and a disabled slot's
+    annotated terms take the base semantics' unclaimed-annotation path
+    (Definition 4.2), both at new activations and inside already-captured
+    ``post`` continuations.
     """
-    if fault_log is not None:
-        return _derive_isolated(base_functional, monitor, fault_log)
     key = monitor.key
     observes = tuple(monitor.observes)
+    disabled = fault_log.disabled if fault_log is not None else frozenset()
 
     def functional(recur):
         base_eval = base_functional(recur)
@@ -69,96 +77,30 @@ def derive_functional(
             payload = getattr(term, "annotation", None)
             if payload is not None:
                 annotation = monitor.recognize(payload)
-                if annotation is not None:
-                    body = term.body
-                    # updPre = M_pre [[mu]] [[s']] a*
-                    if observes:
-                        inner = ms.view(observes)
-                        pre_state = monitor.pre(
-                            annotation, body, ctx, ms.get(key), inner=inner
-                        )
-                    else:
-                        pre_state = monitor.pre(annotation, body, ctx, ms.get(key))
-                    ms_pre = ms.set(key, pre_state)
-
-                    # kappa_post = { \iota*. (kappa iota*) o updPost }
-                    def kont_post(result, ms_inner) -> Step:
-                        if observes:
-                            post_state = monitor.post(
-                                annotation,
-                                body,
-                                ctx,
-                                result,
-                                ms_inner.get(key),
-                                inner=ms_inner.view(observes),
-                            )
-                        else:
-                            post_state = monitor.post(
-                                annotation, body, ctx, result, ms_inner.get(key)
-                            )
-                        return Bounce(kont, (result, ms_inner.set(key, post_state)))
-
-                    return Bounce(recur, (body, ctx, kont_post, ms_pre))
-            return base_eval(term, ctx, kont, ms)
-
-        return eval_monitored
-
-    return functional
-
-
-def _derive_isolated(
-    base_functional: Functional, monitor: MonitorSpec, fault_log: FaultLog
-) -> Functional:
-    """The fault-isolated twin of :func:`derive_functional`.
-
-    Identical to the plain derivation except that
-
-    * a slot listed in ``fault_log.disabled`` is skipped outright — the
-      annotated term takes the base semantics' unclaimed-annotation path
-      (Definition 4.2), both at new activations and inside already-captured
-      ``post`` continuations;
-    * an exception escaping ``pre``/``post`` is recorded on the log; under
-      ``quarantine`` the slot is disabled for the rest of the run, under
-      ``log`` only that hook's state update is dropped.
-
-    Either way the program's value keeps flowing to the original
-    continuation, so the standard answer is preserved.
-    """
-    key = monitor.key
-    observes = tuple(monitor.observes)
-    disabled = fault_log.disabled
-
-    def functional(recur):
-        base_eval = base_functional(recur)
-
-        def eval_monitored(term, ctx, kont, ms) -> Step:
-            payload = getattr(term, "annotation", None)
-            if payload is not None:
-                annotation = monitor.recognize(payload)
-                if annotation is not None:
-                    if key in disabled:
-                        return base_eval(term, ctx, kont, ms)
+                if annotation is not None and key not in disabled:
                     body = term.body
                     state = ms.get(key)
-                    inner = ms.view(observes) if observes else None
+                    # updPre = M_pre [[mu]] [[s']] a*
                     try:
                         if observes:
                             pre_state = monitor.pre(
-                                annotation, body, ctx, state, inner=inner
+                                annotation, body, ctx, state, inner=ms.view(observes)
                             )
                         else:
                             pre_state = monitor.pre(annotation, body, ctx, state)
                     except Exception as exc:
+                        if fault_log is None:
+                            raise
                         fault_log.record(key, "pre", exc)
                         if key in disabled:  # quarantined just now
                             return base_eval(term, ctx, kont, ms)
                         pre_state = state  # log policy: drop the update
                     ms_pre = ms.set(key, pre_state)
 
+                    # kappa_post = { \iota*. (kappa iota*) o updPost }
                     def kont_post(result, ms_inner) -> Step:
                         if key in disabled:
                             return Bounce(kont, (result, ms_inner))
-                        post_state = ms_inner.get(key)
                         try:
                             if observes:
                                 post_state = monitor.post(
@@ -166,14 +108,16 @@ def _derive_isolated(
                                     body,
                                     ctx,
                                     result,
-                                    post_state,
+                                    ms_inner.get(key),
                                     inner=ms_inner.view(observes),
                                 )
                             else:
                                 post_state = monitor.post(
-                                    annotation, body, ctx, result, post_state
+                                    annotation, body, ctx, result, ms_inner.get(key)
                                 )
                         except Exception as exc:
+                            if fault_log is None:
+                                raise
                             fault_log.record(key, "post", exc)
                             return Bounce(kont, (result, ms_inner))
                         return Bounce(kont, (result, ms_inner.set(key, post_state)))
@@ -406,7 +350,7 @@ def run_monitored(
     active_list = instrument_monitors(monitor_list, metrics)
     initial = MonitorStateVector.initial(active_list)
     deadline = cfg.deadline()
-    fault_log = _fault_log(cfg.fault_policy)
+    fault_log = _fault_log(cfg.fault_policy, metrics)
     start = perf_counter() if metrics is not None else 0.0
     try:
         engine = cfg.engine
@@ -419,7 +363,7 @@ def run_monitored(
             # Metrics and faults restart from where this run found them.
             rerunnable = not any(monitor.host_effects() for monitor in monitor_list)
             saved_metrics = (
-                deepcopy(metrics) if rerunnable and metrics is not None else None
+                metrics.copy() if rerunnable and metrics is not None else None
             )
             try:
                 generated = _generate(language, program, cfg, monitor_list, cache)
@@ -436,8 +380,8 @@ def run_monitored(
                 if not rerunnable:
                     raise
                 if saved_metrics is not None:
-                    vars(metrics).update(vars(saved_metrics))
-                fault_log = _fault_log(cfg.fault_policy)
+                    metrics.restore(saved_metrics)
+                fault_log = _fault_log(cfg.fault_policy, metrics)
                 engine = "reference"
         if engine == "reference":
             functional = derive_all(
@@ -457,10 +401,6 @@ def run_monitored(
     finally:
         if metrics is not None:
             metrics.wall_time += perf_counter() - start
-            if fault_log is not None:
-                for fault in fault_log.faults:
-                    key = fault.monitor_key
-                    metrics.faults[key] = metrics.faults.get(key, 0) + 1
     return MonitoredResult(
         answer=answer,
         states=final_states,
@@ -498,11 +438,13 @@ def lint_gate(cfg, language, program, monitors: Sequence[MonitorSpec]) -> Tuple:
     return report.diagnostics
 
 
-def _fault_log(fault_policy: str) -> Optional[FaultLog]:
+def _fault_log(
+    fault_policy: str, metrics: Optional[RunMetrics]
+) -> Optional[FaultLog]:
     """A fresh fault log for one run (``None`` under ``propagate``)."""
     if fault_policy == "propagate":
         return None
-    return FaultLog(fault_policy)
+    return FaultLog(fault_policy, metrics)
 
 
 def _generate(language, program, cfg, monitor_list, cache):

@@ -19,18 +19,22 @@ per-run *policy* instead:
   enabled; the faulting hook's state update is skipped (the slot keeps
   its previous state) and evaluation continues.
 
-Both engines (the reference derivation in
-:mod:`repro.monitoring.derive` and the residual programs of
-:mod:`repro.partial_eval.codegen`) thread the same :class:`FaultLog`, so
-the differential fault-injection suite can assert that answers,
-surviving monitor states *and* fault records agree under injected
-failures — the soundness-under-fault property made executable.
+:meth:`FaultLog.record` is the one home of that rule: it is the only
+code that records a fault, charges it to the run's ``RunMetrics`` and
+disables a slot.  Every hook path — the reference derivation
+(:mod:`repro.monitoring.derive`), the residual programs of
+:mod:`repro.partial_eval.codegen` and the post-hoc trace fold
+(:mod:`repro.tracing.analyze`) — wraps its hook call in one
+``try``/``except`` that re-raises when no log is threaded (``propagate``)
+and otherwise hands the exception to the log.  So the differential
+fault-injection suite can assert that answers, surviving monitor states
+*and* fault records agree under injected failures — the
+soundness-under-fault property made executable.
 
 :class:`FlakyMonitor` is the injection half: a transformer that wraps
 any spec and raises :class:`InjectedFault` on a chosen hook call
 (deterministically, so both engines fault at the same activation).
 """
-
 from __future__ import annotations
 
 import random
@@ -101,13 +105,16 @@ class FaultLog:
     threads monitor *states*; fault bookkeeping is deliberately kept out
     of it — disabling a slot is a property of the run, not of any single
     machine state, and must survive continuation capture.  One log is
-    created per ``run_monitored`` call
-    and shared by every derivation level.
+    created per ``run_monitored`` call (or trace fold) and shared by
+    every derivation level; ``metrics``, when given, is the run's
+    :class:`~repro.observability.metrics.RunMetrics`, whose per-slot
+    ``faults`` counter each record bumps.  A replay checkpoint rewinds
+    ``faults`` and ``disabled`` in place, so hook paths may hold them.
     """
 
-    __slots__ = ("policy", "disabled", "faults")
+    __slots__ = ("policy", "disabled", "faults", "metrics")
 
-    def __init__(self, policy: str) -> None:
+    def __init__(self, policy: str, metrics=None) -> None:
         check_fault_policy(policy)
         if policy == "propagate":
             raise MonitorError(
@@ -117,11 +124,14 @@ class FaultLog:
         self.policy = policy
         self.disabled: Set[str] = set()
         self.faults: List[MonitorFault] = []
+        self.metrics = metrics
 
     def record(self, key: str, phase: str, exc: BaseException) -> MonitorFault:
         """Capture ``exc`` from ``key``'s ``phase`` hook; maybe quarantine."""
         fault = MonitorFault.of(key, phase, exc)
         self.faults.append(fault)
+        if self.metrics is not None:
+            self.metrics.faults[key] = self.metrics.faults.get(key, 0) + 1
         if self.policy == "quarantine":
             self.disabled.add(key)
         return fault

@@ -17,14 +17,19 @@ three small pieces are woven in, each adding to the run's
   semantic quantity and ``RunMetrics`` compares equal across engines.
 * :class:`InstrumentedSpec` wraps each monitor specification, counting
   activations / hook calls / state transitions and accumulating
-  monitoring wall-clock.  The wrapper is transparent: it delegates
+  monitoring wall-clock.  It is the only code that charges those
+  counters: both engines and the post-hoc trace fold
+  (:class:`repro.tracing.analyze.TraceFold`) call hooks through it when
+  metrics are on.  The wrapper is transparent: it delegates
   ``recognize``/``initial_state``/``report`` and re-raises hook
   exceptions, so fault policies behave identically with metrics on.
 
-Fault counts come from the run's final fault records, which both
-engines keep in one :class:`repro.monitoring.faults.FaultLog`, so they
-agree across engines by construction.  Per-event detail is the recorded
-trace's job (:mod:`repro.tracing`), not this layer's.
+Fault counts are charged by :meth:`repro.monitoring.faults.FaultLog.
+record` as each fault is recorded, on every path, so they agree across
+engines and folds by construction.  A wrapper holds its ``RunMetrics``
+for good, which is why a replay checkpoint rewinds the object in place
+(:meth:`RunMetrics.restore`) rather than swapping it.  Per-event detail
+is the recorded trace's job (:mod:`repro.tracing`), not this layer's.
 """
 
 from __future__ import annotations

@@ -89,15 +89,27 @@ class RunMetrics:
 
     def reset(self) -> None:
         """Zero every counter, ready for a fresh run."""
-        self.steps = 0
-        self.applications = 0
-        self.activations.clear()
-        self.pre_calls.clear()
-        self.post_calls.clear()
-        self.state_transitions = 0
-        self.faults.clear()
-        self.wall_time = 0.0
-        self.monitor_time = 0.0
+        self.restore(RunMetrics())
+
+    def copy(self) -> "RunMetrics":
+        """An independent accumulator with the same counters (times included)."""
+        saved = RunMetrics()
+        saved.restore(self)
+        return saved
+
+    def restore(self, saved: "RunMetrics") -> None:
+        """Rewind this accumulator, in place, to the counters of ``saved``.
+
+        The object keeps its identity — hook wrappers holding it keep
+        charging it — and shares no dict with ``saved``.
+        """
+        for name, value in vars(saved).items():
+            if isinstance(value, dict):
+                counters = getattr(self, name)
+                counters.clear()
+                counters.update(value)
+            else:
+                setattr(self, name, value)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable snapshot (times in seconds)."""

@@ -35,8 +35,8 @@ This module also backs ``engine="codegen"`` (see
 :mod:`repro.monitoring.derive`), which calls :meth:`GeneratedProgram.run`
 with the run options the other engines take: ``initial_ms`` seeds the
 monitor state vector, ``monitors`` supplies the run's own (possibly
-telemetry-wrapped) specs, ``fault_log`` switches the residual hooks onto
-the fault-isolated path (quarantine/log), ``max_steps``/``deadline``
+telemetry-wrapped) specs, ``fault_log`` takes the faults the residual
+hooks catch (quarantine/log), ``max_steps``/``deadline``
 activate a guarded variant of the code, and ``tally`` a *tallied* variant
 — the same collapsed code plus one call per straight-line region adding
 the nodes the reference interpreter evaluates there, so ``RunMetrics``
@@ -203,9 +203,10 @@ class ResidualRuntime:
     immutable and thread-reusable (the compilation cache relies on this).
 
     ``monitors`` are the run's specs: each site binds to the one holding
-    its monitor's key.  ``fault_log`` switches ``pre``/``post`` onto the
-    fault-isolated path (the unclaimed-annotation fallback of
-    quarantine/log policies).
+    its monitor's key.  ``fault_log`` (quarantine/log policies) receives
+    the exceptions ``pre``/``post`` catch; without one they propagate.
+    Either way the hooks are the same two methods, so the ``propagate``
+    path pays nothing for isolation.
     """
 
     #: The empty list value, read by generated code.
@@ -240,9 +241,6 @@ class ResidualRuntime:
         self.guard = None
         self.tally = None
         self.states: Dict[str, object] = {m.key: m.initial_state() for m in monitors}
-        if fault_log is not None:
-            self.pre = self._pre_isolated
-            self.post = self._post_isolated
 
     # -- helpers referenced from generated code --------------------------------
 
@@ -276,71 +274,66 @@ class ResidualRuntime:
         pre_fn, _post_fn, key, annotation, term, observes = self._site_table[site_id]
         states = self.states
         ctx = Environment(local_vars, _INITIAL_ENV)
-        if observes:
-            inner = {k: states[k] for k in observes}
-            states[key] = pre_fn(annotation, term, ctx, states[key], inner=inner)
-        else:
-            states[key] = pre_fn(annotation, term, ctx, states[key])
+        try:
+            if observes:
+                inner = {k: states[k] for k in observes}
+                states[key] = pre_fn(annotation, term, ctx, states[key], inner=inner)
+            else:
+                states[key] = pre_fn(annotation, term, ctx, states[key])
+        except RecursionError:
+            raise  # the host stack overflowed, not the monitor
+        except Exception as exc:
+            if self.fault_log is None:
+                raise
+            self._fault(key, "pre", exc)
 
     def post(self, site_id: int, local_vars: Dict[str, object], value):
         _pre_fn, post_fn, key, annotation, term, observes = self._site_table[site_id]
         states = self.states
         ctx = Environment(local_vars, _INITIAL_ENV)
-        if observes:
-            inner = {k: states[k] for k in observes}
-            states[key] = post_fn(annotation, term, ctx, value, states[key], inner=inner)
-        else:
-            states[key] = post_fn(annotation, term, ctx, value, states[key])
-        return value
-
-    # -- the fault-isolated hook variants (quarantine / log policies) ----------
-    #
-    # Mirror the reference derivation's isolated path: a disabled slot is
-    # the unclaimed-annotation fallback (state untouched, value flows), a
-    # hook exception is recorded on the run's fault log, and under
-    # quarantine the slot stays disabled for the rest of the run — the
-    # post hook re-checks, covering faults raised between pre and post.
-
-    def _pre_isolated(self, site_id: int, local_vars: Dict[str, object]) -> None:
-        log = self.fault_log
-        pre_fn, _post_fn, key, annotation, term, observes = self._site_table[site_id]
-        if key in log.disabled:
-            return
-        ctx = Environment(local_vars, _INITIAL_ENV)
-        state = self.states[key]
         try:
             if observes:
-                inner = {k: self.states[k] for k in observes}
-                new_state = pre_fn(annotation, term, ctx, state, inner=inner)
+                inner = {k: states[k] for k in observes}
+                states[key] = post_fn(
+                    annotation, term, ctx, value, states[key], inner=inner
+                )
             else:
-                new_state = pre_fn(annotation, term, ctx, state)
+                states[key] = post_fn(annotation, term, ctx, value, states[key])
         except RecursionError:
             raise  # the host stack overflowed, not the monitor
         except Exception as exc:
-            log.record(key, "pre", exc)
-            return  # quarantine: now disabled; log: drop the update
-        self.states[key] = new_state
-
-    def _post_isolated(self, site_id: int, local_vars: Dict[str, object], value):
-        log = self.fault_log
-        _pre_fn, post_fn, key, annotation, term, observes = self._site_table[site_id]
-        if key in log.disabled:
-            return value
-        ctx = Environment(local_vars, _INITIAL_ENV)
-        state = self.states[key]
-        try:
-            if observes:
-                inner = {k: self.states[k] for k in observes}
-                new_state = post_fn(annotation, term, ctx, value, state, inner=inner)
-            else:
-                new_state = post_fn(annotation, term, ctx, value, state)
-        except RecursionError:
-            raise  # the host stack overflowed, not the monitor
-        except Exception as exc:
-            log.record(key, "post", exc)
-            return value
-        self.states[key] = new_state
+            if self.fault_log is None:
+                raise
+            self._fault(key, "post", exc)
         return value
+
+    def _fault(self, key: str, phase: str, exc: Exception) -> None:
+        """Hand a hook exception to the run's fault log.
+
+        The failed hook's state update never happened (log policy: the
+        slot keeps its state).  A quarantined slot's sites are rebound to
+        identity hooks, the unclaimed-annotation fallback: state untouched,
+        value flows — the post hook of an activation already open included.
+        """
+        log = self.fault_log
+        log.record(key, phase, exc)
+        if key in log.disabled:
+            self._site_table = [
+                (_keep_pre, _keep_post, key, entry[3], entry[4], None)
+                if entry[2] == key
+                else entry
+                for entry in self._site_table
+            ]
+
+
+def _keep_pre(annotation, term, ctx, state):
+    """A quarantined slot's ``pre``: the state passes through."""
+    return state
+
+
+def _keep_post(annotation, term, ctx, value, state):
+    """A quarantined slot's ``post``: the state passes through."""
+    return state
 
 
 class _Emitter:
@@ -852,8 +845,8 @@ class GeneratedProgram:
 
         ``initial_ms`` seeds the monitor state vector (as the other
         engines' ``run`` does); ``monitors`` replaces the specs for this
-        run with same-keyed ones; ``fault_log`` switches the residual
-        hooks onto the fault-isolated path for this run; ``max_steps`` /
+        run with same-keyed ones; ``fault_log`` isolates this run's hook
+        faults (see :class:`ResidualRuntime`); ``max_steps`` /
         ``deadline`` bound the run at function-entry granularity through
         the guarded code variant; ``tally`` takes the tallied variant's
         per-region node counts.

@@ -3,13 +3,14 @@
 Monitor states are persistent values (the whole framework is built on
 that), so a checkpoint of the :class:`~repro.monitoring.state.
 MonitorStateVector` is one reference — O(1) to take, O(1) to restore.
-The fault records and disabled slots are immutable values too (a tuple
-and a frozenset).  The only mutable pieces of a replay fold are the
-:class:`~repro.observability.metrics.RunMetrics` accumulator and the
-pending pre-context map; those are copied (shallowly — contexts are
-never mutated) both when a checkpoint is *taken* and when it is
-*restored*, so stepping forward from a restore never corrupts the
-stored snapshot.
+The pending pre-context map is copied (shallowly — contexts are never
+mutated).  The fold's two live objects — the
+:class:`~repro.observability.metrics.RunMetrics` its hook wrappers
+charge and the :class:`~repro.monitoring.faults.FaultLog` its hook path
+records into — are copied *out* when a checkpoint is taken and written
+*back in place* when it is restored: the fold keeps its objects, so the
+wrappers and the log stay bound to them, and stepping forward from a
+restore never corrupts the stored snapshot.
 
 The index can persist to a sidecar file next to the trace
 (``<trace>.ckpt``): a JSON envelope naming the trace fingerprint, the
@@ -39,31 +40,14 @@ from repro.observability.metrics import RunMetrics
 SIDECAR_VERSION = 1
 
 
-def copy_metrics(metrics: Optional[RunMetrics]) -> Optional[RunMetrics]:
-    """An independent accumulator with the same counters (times included)."""
-    if metrics is None:
-        return None
-    return RunMetrics(
-        steps=metrics.steps,
-        applications=metrics.applications,
-        activations=dict(metrics.activations),
-        pre_calls=dict(metrics.pre_calls),
-        post_calls=dict(metrics.post_calls),
-        state_transitions=metrics.state_transitions,
-        faults=dict(metrics.faults),
-        wall_time=metrics.wall_time,
-        monitor_time=metrics.monitor_time,
-    )
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     """The complete fold state after ``position`` trace events.
 
-    ``states``, ``faults`` and ``disabled`` are immutable values, shared;
-    ``metrics``/``pending`` are owned by this checkpoint (copied on
-    :meth:`capture` and again on :meth:`restore`), so the snapshot is
-    immune to later mutation by the fold that took or resumed it.
+    ``states`` is an immutable value, shared; ``metrics``, ``pending``,
+    ``faults`` and ``disabled`` are this checkpoint's own copies, so the
+    snapshot is immune to later mutation by the fold that took or
+    resumed it.
     """
 
     position: int
@@ -77,25 +61,30 @@ class Checkpoint:
     @classmethod
     def capture(cls, session) -> "Checkpoint":
         """Snapshot a :class:`~repro.replay.session.ReplaySession`'s fold."""
+        metrics = session.metrics
         return cls(
             position=session.position,
             states=session.states,
             stack=session.stack,
-            metrics=copy_metrics(session.metrics),
+            metrics=metrics.copy() if metrics is not None else None,
             pending=dict(session.pending),
             faults=session.faults,
             disabled=session.disabled,
         )
 
     def restore(self, session) -> None:
-        """Rewind ``session`` to this point."""
+        """Rewind ``session`` to this point, keeping its live objects."""
         session.position = self.position
         session.states = self.states
         session.stack = self.stack
-        session.metrics = copy_metrics(self.metrics)
         session.pending = dict(self.pending)
-        session.faults = self.faults
-        session.disabled = self.disabled
+        if session.metrics is not None and self.metrics is not None:
+            session.metrics.restore(self.metrics)
+        log = session.fault_log
+        if log is not None:
+            log.faults[:] = self.faults
+            log.disabled.clear()
+            log.disabled.update(self.disabled)
 
 
 class CheckpointIndex:
@@ -196,6 +185,5 @@ __all__ = [
     "Checkpoint",
     "CheckpointIndex",
     "SIDECAR_VERSION",
-    "copy_metrics",
     "sidecar_path",
 ]

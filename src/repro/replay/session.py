@@ -34,12 +34,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
-from repro.replay.checkpoints import (
-    Checkpoint,
-    CheckpointIndex,
-    copy_metrics,
-    sidecar_path,
-)
+from repro.replay.checkpoints import Checkpoint, CheckpointIndex, sidecar_path
 from repro.semantics.env import Environment
 from repro.tracing.analyze import TraceAnalysis, TraceFold, recorded_context
 from repro.tracing.schema import Site, Trace, TraceEvent
@@ -207,7 +202,8 @@ class ReplaySession(TraceFold):
         compares the two directly.
         """
         self.seek(len(self.trace.events))
-        return self.package(copy_metrics(self.metrics))
+        metrics = self.metrics
+        return self.package(metrics.copy() if metrics is not None else None)
 
     def save_checkpoints(self) -> bool:
         """Persist the index to the sidecar (if enabled and picklable)."""

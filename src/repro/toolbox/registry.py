@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import MonitorError
-from repro.languages import LANGUAGE_NAMES, by_name
+from repro.languages import LANGUAGE_NAMES, by_name, parse_source
 from repro.languages.base import BaseLanguage
 from repro.languages.strict import strict
 from repro.monitoring.compose import MonitorStack, flatten_monitors
@@ -24,7 +24,6 @@ from repro.monitoring.derive import MonitoredResult, lint_gate, run_monitored
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
 from repro.syntax.ast import Expr
-from repro.syntax.parser import parse
 from repro.toolbox.compose_op import Toolchain
 
 
@@ -154,7 +153,11 @@ def evaluate(
     cfg = RunConfig.checked(config)
     monitors, chain_language = _resolve_tools(tools)
     run_language = language or chain_language or strict
-    expr = parse(program) if isinstance(program, str) else program
+    expr = (
+        parse_source(run_language.name, program)
+        if isinstance(program, str)
+        else program
+    )
 
     if not monitors and cfg.metrics is None and cfg.mode == "inline":
         # This fast path bypasses run_monitored, so the lint gate runs here.

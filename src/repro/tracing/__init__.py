@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "TraceAnalysis": "repro.tracing.analyze",
         "analyze_many": "repro.tracing.analyze",
         "analyze_trace": "repro.tracing.analyze",
-        "parse_program": "repro.tracing.analyze",
         "RecordResult": "repro.tracing.record",
         "RecorderSpec": "repro.tracing.record",
         "TraceWriter": "repro.tracing.record",

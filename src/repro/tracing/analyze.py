@@ -10,20 +10,20 @@ fault records.  The §7 soundness theorem is the license (the monitors
 could not have changed the recorded run), and
 ``tests/test_trace_equivalence.py`` is the machine check.
 
-The fold lives in one place, :class:`TraceFold`, and mirrors the inline
-machinery exactly:
+The fold lives in one place, :class:`TraceFold`, and takes the inline
+hook step rather than a copy of it:
 
 * hook dispatch — at most one monitor claims each site (Section 6
   disjointness, checked here as inline), resolved once per site rather
   than once per event;
-* counters — activations/pre_calls are charged *before* ``pre`` runs
-  (a faulting hook still counts, as in ``InstrumentedSpec``), post_calls
-  before ``post``, state_transitions only on a successful
-  identity-changing return;
-* fault policy — ``propagate`` lets the hook exception escape the fold,
-  ``quarantine`` records the fault and skips the slot's remaining
-  events, ``log`` records and drops just that update — the replica of
-  ``_derive_isolated``'s three behaviors.
+* counters — with metrics on, each claim's hooks are called through
+  :class:`~repro.observability.instrument.InstrumentedSpec`, the code
+  that charges activations, hook calls and state transitions inline;
+* fault policy — ``propagate`` lets the hook exception escape the fold;
+  otherwise it goes to a :class:`~repro.monitoring.faults.FaultLog`,
+  whose ``record`` applies ``quarantine`` (the slot's remaining events
+  are skipped) or ``log`` (just that update is dropped) as it does for
+  both engines.
 
 :func:`analyze_trace` runs the fold straight through;
 :class:`~repro.replay.session.ReplaySession` runs the same fold under a
@@ -37,10 +37,12 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.languages import parse_source
 from repro.monitoring.derive import MonitoredResult, check_disjoint
-from repro.monitoring.faults import MonitorFault, check_fault_policy
+from repro.monitoring.faults import FaultLog, MonitorFault, check_fault_policy
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
+from repro.observability.instrument import instrument_monitors
 from repro.observability.metrics import RunMetrics
 from repro.semantics.env import Environment
 from repro.tracing.schema import (
@@ -53,21 +55,6 @@ from repro.tracing.schema import (
     decode_value,
     read_trace,
 )
-
-
-def parse_program(language_name: str, source: str):
-    """Parse surface syntax under the named language's grammar."""
-    if language_name == "imperative":
-        from repro.languages.imp_syntax import parse_imp
-
-        return parse_imp(source)
-    if language_name == "exceptions":
-        from repro.languages.exceptions import parse_exc
-
-        return parse_exc(source)
-    from repro.syntax.parser import parse
-
-    return parse(source)
 
 
 @dataclass
@@ -98,7 +85,7 @@ def _resolve_program(trace: Trace, program) -> Tuple[object, List[Site]]:
             )
         program = source
     if isinstance(program, str):
-        program = parse_program(trace.language, program)
+        program = parse_source(trace.language, program)
     table = build_site_table(program)
     if len(table) != trace.site_count:
         raise TraceFormatError(
@@ -132,11 +119,14 @@ class TraceFold:
     Construction resolves the trace and its program, checks the stack
     and resolves each site's claim; :meth:`step` applies one recorded
     event and :meth:`package` turns the fold so far into a
-    :class:`TraceAnalysis`.  The fold state — ``states``, ``metrics``,
-    ``pending`` (open ``pre`` contexts by ``(site, occurrence)``),
-    ``faults`` and ``disabled`` — is plain attributes of immutable or
-    shallow-copyable values, so a replay checkpoint captures and restores
-    it whole, quarantines included.
+    :class:`TraceAnalysis`.  The fold state is ``states`` and
+    ``pending`` (open ``pre`` contexts by ``(site, occurrence)``) —
+    immutable or shallow-copyable values — plus two live objects the
+    hook path holds: ``metrics``, charged by the claims'
+    :class:`~repro.observability.instrument.InstrumentedSpec` wrappers,
+    and ``fault_log``, a :class:`~repro.monitoring.faults.FaultLog`
+    (``None`` under ``propagate``).  A replay checkpoint copies the live
+    objects out and writes them back in place, quarantines included.
     """
 
     def __init__(
@@ -160,28 +150,46 @@ class TraceFold:
         if check_disjointness:
             check_disjoint(self.monitors, self.program)
         self.fault_policy = fault_policy
+        self.metrics: Optional[RunMetrics] = (
+            RunMetrics() if metrics is True else metrics or None
+        )
+        self.fault_log: Optional[FaultLog] = (
+            None
+            if fault_policy == "propagate"
+            else FaultLog(fault_policy, self.metrics)
+        )
+        self._disabled = (
+            self.fault_log.disabled if self.fault_log is not None else frozenset()
+        )
 
         # Claim resolution happens once per *site*, not once per event:
         # for each site, the first (and by disjointness only) monitor
-        # whose recognize() accepts the annotation, as (spec, view,
-        # observes, term) — or None for an unclaimed site.
+        # whose recognize() accepts the annotation, as (hook spec, view,
+        # observes, term) — or None for an unclaimed site.  The hook spec
+        # is the monitor's metrics wrapper when the fold has metrics.
+        hooks = instrument_monitors(self.monitors, self.metrics)
         self._claims: List[Optional[tuple]] = []
         for site in self.sites:
             claim = None
-            for spec in self.monitors:
+            for spec, hook in zip(self.monitors, hooks):
                 view = spec.recognize(site.annotation)
                 if view is not None:
-                    claim = (spec, view, tuple(spec.observes), site.body)
+                    claim = (hook, view, tuple(spec.observes), site.body)
                     break
             self._claims.append(claim)
 
         self.states = MonitorStateVector.initial(self.monitors)
-        self.metrics: Optional[RunMetrics] = (
-            RunMetrics() if metrics is True else metrics or None
-        )
         self.pending: Dict[Tuple[int, int], Environment] = {}
-        self.faults: Tuple[MonitorFault, ...] = ()
-        self.disabled: frozenset = frozenset()
+
+    @property
+    def faults(self) -> Tuple[MonitorFault, ...]:
+        """The fault records so far, oldest first."""
+        return self.fault_log.snapshot() if self.fault_log is not None else ()
+
+    @property
+    def disabled(self) -> frozenset:
+        """The slots quarantined so far."""
+        return frozenset(self._disabled)
 
     def step(self, event: TraceEvent) -> None:
         """Apply one event: the hook call it records, charged and isolated."""
@@ -190,17 +198,13 @@ class TraceFold:
             return
         spec, view, observes, term = claim
         key = spec.key
-        if key in self.disabled:
+        if key in self._disabled:
             return
         states = self.states
         state = states.get(key)
-        metrics = self.metrics
         if event.phase == "pre":
             ctx = recorded_context(event)
             self.pending[(event.site, event.occ)] = ctx
-            if metrics is not None:
-                metrics.activations[key] = metrics.activations.get(key, 0) + 1
-                metrics.pre_calls[key] = metrics.pre_calls.get(key, 0) + 1
             try:
                 if observes:
                     new_state = spec.pre(
@@ -209,13 +213,13 @@ class TraceFold:
                 else:
                     new_state = spec.pre(view, term, ctx, state)
             except Exception as exc:
-                self._fault(key, "pre", exc)
+                if self.fault_log is None:
+                    raise
+                self.fault_log.record(key, "pre", exc)
                 return
         else:
             ctx = self.pending.pop((event.site, event.occ), _NO_BINDINGS)
             result = decode_value(event.value)
-            if metrics is not None:
-                metrics.post_calls[key] = metrics.post_calls.get(key, 0) + 1
             try:
                 if observes:
                     new_state = spec.post(
@@ -224,26 +228,12 @@ class TraceFold:
                 else:
                     new_state = spec.post(view, term, ctx, result, state)
             except Exception as exc:
-                self._fault(key, "post", exc)
+                if self.fault_log is None:
+                    raise
+                self.fault_log.record(key, "post", exc)
                 return
         if new_state is not state:
-            if metrics is not None:
-                metrics.state_transitions += 1
             self.states = states.set(key, new_state)
-
-    def _fault(self, key: str, phase: str, exc: Exception) -> None:
-        """Apply the fault policy to ``exc`` from ``key``'s ``phase`` hook.
-
-        ``propagate`` re-raises; ``quarantine`` records and disables the
-        slot; ``log`` records and drops just this update.
-        """
-        if self.fault_policy == "propagate":
-            raise exc
-        self.faults += (MonitorFault.of(key, phase, exc),)
-        if self.fault_policy == "quarantine":
-            self.disabled |= {key}
-        if self.metrics is not None:
-            self.metrics.faults[key] = self.metrics.faults.get(key, 0) + 1
 
     def package(self, metrics: Optional[RunMetrics]) -> TraceAnalysis:
         """The fold so far as a ``TraceAnalysis`` carrying ``metrics``.
@@ -300,16 +290,19 @@ def analyze_trace(
         check_disjointness=check_disjointness,
         allow_truncated=allow_truncated,
     )
+    metrics = fold.metrics
+    monitor_time = metrics.monitor_time if metrics is not None else 0.0
     start = perf_counter()
     step = fold.step
     for event in fold.trace.events:
         step(event)
-    if fold.metrics is not None:
-        # A fold evaluates no program: all of its time is monitoring.
+    if metrics is not None:
+        # A fold evaluates no program: all of its time is monitoring,
+        # charged once (the hook time the wrappers added is part of it).
         elapsed = perf_counter() - start
-        fold.metrics.wall_time += elapsed
-        fold.metrics.monitor_time += elapsed
-    return fold.package(fold.metrics)
+        metrics.wall_time += elapsed
+        metrics.monitor_time = monitor_time + elapsed
+    return fold.package(metrics)
 
 
 def analyze_many(
@@ -342,6 +335,5 @@ __all__ = [
     "TraceFold",
     "analyze_many",
     "analyze_trace",
-    "parse_program",
     "recorded_context",
 ]

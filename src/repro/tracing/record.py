@@ -280,7 +280,7 @@ def _program_source(language_name: str, program, source: Optional[str]):
     language has no pretty-printer), the header carries no program and
     ``analyze`` requires an explicit ``program=``.
     """
-    from repro.tracing.analyze import parse_program
+    from repro.languages import parse_source
 
     if source is None:
         try:
@@ -295,7 +295,7 @@ def _program_source(language_name: str, program, source: Optional[str]):
         except Exception:
             return None
     try:
-        reparsed = parse_program(language_name, source)
+        reparsed = parse_source(language_name, source)
         if len(build_site_table(reparsed)) != len(build_site_table(program)):
             return None
     except Exception:

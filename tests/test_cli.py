@@ -514,3 +514,40 @@ class TestOptimizeFlag:
         )
         captured = capsys.readouterr()
         assert "REP501" in captured.err
+
+
+class TestServeFlags:
+    """repro serve builds its run config from the shared run flags."""
+
+    @pytest.fixture
+    def served_config(self, monkeypatch):
+        from repro.errors import ReproError
+        from repro.runtime import serve
+
+        captured = {}
+
+        class CapturingServer:
+            def __init__(self, *, config, **options):
+                captured["config"] = config
+                raise ReproError("server not started")
+
+        monkeypatch.setattr(serve, "Server", CapturingServer)
+
+        def run(*flags):
+            assert main(["serve", "--socket", "unused.sock", *flags]) == 1
+            return captured["config"]
+
+        return run
+
+    def test_run_flags_reach_the_server(self, served_config):
+        config = served_config(
+            "--optimize", "flow", "--checkpoint-interval", "7", "--engine", "codegen"
+        )
+        assert config.optimize == "flow"
+        assert config.checkpoint_interval == 7
+        assert config.engine == "codegen"
+
+    def test_record_dir_names_where_record_requests_write(self, served_config):
+        config = served_config("--record-dir", "traces")
+        assert config.record_dir == "traces"
+        assert config.mode == "inline"

@@ -35,6 +35,7 @@ from repro.runtime import (
 )
 from repro.runtime.process_pool import _shard, request_from_wire, request_to_wire
 from repro.toolbox.registry import evaluate
+from tests.test_run_batch import LANGUAGE_SOURCES, parsed_reference_answer
 
 FAC = "letrec fac = lambda x. {fac}: if x = 0 then 1 else x * fac (x - 1) in fac %d"
 TRACE_FIB = (
@@ -201,6 +202,16 @@ class TestPoolParity:
         )
         assert [result.ok for result in results] == [True, False, True]
         assert results[1].error_type == "ParseError"
+
+    @pytest.mark.parametrize("language", sorted(LANGUAGE_SOURCES))
+    def test_program_text_parses_with_the_record_language(self, pool, language):
+        from repro.runtime.batch import _render_value
+
+        source = LANGUAGE_SOURCES[language]
+        [result] = pool.run([{"program": source, "language": language}])
+        assert result.ok, result.error
+        expected = parsed_reference_answer(language, source)
+        assert result.answer == _render_value(expected)
 
     def test_repeated_program_routes_to_one_worker(self, pool):
         shard = int(route_key(FAC % 4)[:8], 16) % pool.workers

@@ -226,6 +226,33 @@ class TestFaultPolicySeeks:
         finally:
             os.unlink(path)
 
+    def test_seeks_keep_the_fold_accumulators(self, tmp_path):
+        """A restore rewinds the fold's metrics and fault log in place:
+        the objects its hook wrappers charge stay the session's own."""
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(FAC.replace("{fac(x)}", "{fac}")), path)
+
+        def stack():
+            return [FlakyMonitor(LabelCounterMonitor(), fail_on=3, phase="pre")]
+
+        session = ReplaySession(
+            path, stack(), fault_policy="quarantine", checkpoint_interval=2
+        )
+        metrics, fault_log = session.metrics, session.fault_log
+        session.seek(5)  # past the checkpoints at 2 and 4, and the fault
+        session.seek(0)
+        session.seek(len(session))
+        assert session.metrics is metrics
+        assert session.fault_log is fault_log
+        straight = analyze_trace(
+            path, stack(), fault_policy="quarantine", metrics=True
+        )
+        assert tuple(fault_log.faults) == straight.faults != ()
+        assert fault_log.disabled == {"count"}
+        assert session.analysis().metrics == straight.metrics
+        assert metrics.activations == straight.metrics.activations
+        assert metrics.faults == straight.metrics.faults == {"count": 1}
+
 
 class TestSidecar:
     def test_roundtrip_skips_refolding(self, tmp_path):

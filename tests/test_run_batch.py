@@ -38,6 +38,19 @@ TRACE_FIB = (
     "if n < 2 then n else fib (n - 1) + fib (n - 2) in fib %d"
 )
 PLAIN = "let f = lambda x. x * x in f %d"
+#: Program text in each non-``L_lambda`` grammar, by request language.
+LANGUAGE_SOURCES = {
+    "imperative": "x := 1; while x < 4 do x := x * 2; emit x",
+    "exceptions": "try raise 1 catch e. e + 1",
+}
+
+
+def parsed_reference_answer(language_name, source):
+    """The reference engine's answer for ``source`` parsed by its own grammar."""
+    from repro.languages import by_name, parse_exc, parse_imp
+
+    parser = {"imperative": parse_imp, "exceptions": parse_exc}[language_name]
+    return by_name(language_name).evaluate(parser(source))
 
 
 def _mixed_requests(count):
@@ -361,6 +374,17 @@ class TestMaxStepsAdmission:
             assert "max_steps" in result.error
             assert result.tag == repr(bad)
         assert results[-1].ok and results[-1].answer == 3
+
+
+class TestRecordLanguages:
+    @pytest.mark.parametrize("language", sorted(LANGUAGE_SOURCES))
+    def test_program_text_parses_with_the_record_language(self, language):
+        source = LANGUAGE_SOURCES[language]
+        [result] = run_batch(
+            [{"program": source, "language": language}], workers=1
+        )
+        assert result.ok, result.error
+        assert result.answer == parsed_reference_answer(language, source)
 
 
 class TestResultWireFormat:
