@@ -25,10 +25,13 @@ Diagnostics:
   another monitor: a fault in the guarding monitor (quarantined or
   propagated) changes whether this site is observed.
 
-The verdict is keyed purely by pre-order site id (the same numbering as
-:func:`repro.tracing.schema.build_site_table`), never by node identity,
-so :class:`~repro.runtime.cache.CompilationCache` can memoize it by
-program fingerprint and share it across structurally-equal ASTs.
+The verdict is keyed purely by pre-order site id, never by node
+identity, so :class:`~repro.runtime.cache.CompilationCache` can memoize
+it by program fingerprint and share it across structurally-equal ASTs.
+That id is the one site numbering (:func:`repro.tracing.schema.
+build_site_table`): a trace event's site, codegen's ``_pre(N)`` and
+:class:`~repro.monitoring.sites.SiteTable` use it, so erasure reads
+``erasable_sites`` directly.
 """
 
 from __future__ import annotations

@@ -72,12 +72,6 @@ def run_config_from_args(args):
 
     metrics = RunMetrics() if getattr(args, "metrics", False) else None
     interval = _checkpoint_interval(args)
-    mode = getattr(args, "mode", "inline")
-    record_dir = getattr(args, "record_dir", None)
-    if record_dir and mode == "inline":
-        # --record-dir alone means "record this run": the flag names where
-        # the trace goes, which is only meaningful in record mode.
-        mode = "record"
     try:
         return RunConfig(
             engine=getattr(args, "engine", "reference"),
@@ -86,8 +80,8 @@ def run_config_from_args(args):
             metrics=metrics,
             timeout=getattr(args, "timeout", None),
             lint=getattr(args, "lint", "off"),
-            mode=mode,
-            record_dir=record_dir,
+            mode=getattr(args, "mode", "inline"),
+            record_dir=getattr(args, "record_dir", None),
             checkpoint_interval=interval,
             optimize=getattr(args, "optimize", "none"),
             sample_rate=getattr(args, "sample", 1.0),
@@ -304,11 +298,16 @@ def cmd_session(args) -> int:
 
 
 def cmd_debug(args) -> int:
+    from dataclasses import replace
+
     from repro.monitors.interactive import ConsoleSource, debug
 
     program = _load_program(args)
     source = None if args.command else ConsoleSource()
     config = run_config_from_args(args)
+    if config.record_dir:
+        # --record-dir on debug records the session it runs.
+        config = replace(config, mode="record")
     result = debug(
         program,
         breakpoints=args.breakpoints or None,
@@ -537,7 +536,6 @@ def cmd_analyze(args) -> int:
 def cmd_serve(args) -> int:
     """Run the long-lived JSONL-over-socket daemon on a process pool."""
     import json
-    from dataclasses import replace
 
     from repro.runtime.serve import Server
 
@@ -546,9 +544,7 @@ def cmd_serve(args) -> int:
             "serve streams telemetry per worker: use --trace-dir DIR "
             "instead of --metrics"
         )
-    # Here --record-dir names where record-mode requests write their
-    # traces; unlike on batch and debug it does not record every request.
-    config = replace(run_config_from_args(args), mode="inline")
+    config = run_config_from_args(args)
     prewarm = []
     if args.prewarm:
         with open(args.prewarm, "r", encoding="utf-8") as handle:

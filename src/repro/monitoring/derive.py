@@ -350,7 +350,7 @@ def run_monitored(
     active_list = instrument_monitors(monitor_list, metrics)
     initial = MonitorStateVector.initial(active_list)
     deadline = cfg.deadline()
-    fault_log = _fault_log(cfg.fault_policy, metrics)
+    fault_log = FaultLog.for_policy(cfg.fault_policy, metrics)
     start = perf_counter() if metrics is not None else 0.0
     try:
         engine = cfg.engine
@@ -381,7 +381,7 @@ def run_monitored(
                     raise
                 if saved_metrics is not None:
                     metrics.restore(saved_metrics)
-                fault_log = _fault_log(cfg.fault_policy, metrics)
+                fault_log = FaultLog.for_policy(cfg.fault_policy, metrics)
                 engine = "reference"
         if engine == "reference":
             functional = derive_all(
@@ -436,15 +436,6 @@ def lint_gate(cfg, language, program, monitors: Sequence[MonitorSpec]) -> Tuple:
 
         print(report.render(), file=sys.stderr)
     return report.diagnostics
-
-
-def _fault_log(
-    fault_policy: str, metrics: Optional[RunMetrics]
-) -> Optional[FaultLog]:
-    """A fresh fault log for one run (``None`` under ``propagate``)."""
-    if fault_policy == "propagate":
-        return None
-    return FaultLog(fault_policy, metrics)
 
 
 def _generate(language, program, cfg, monitor_list, cache):

@@ -126,6 +126,11 @@ class FaultLog:
         self.faults: List[MonitorFault] = []
         self.metrics = metrics
 
+    @classmethod
+    def for_policy(cls, policy: str, metrics=None) -> "Optional[FaultLog]":
+        """A fresh log for one run or fold; ``None`` under ``propagate``."""
+        return None if policy == "propagate" else cls(policy, metrics)
+
     def record(self, key: str, phase: str, exc: BaseException) -> MonitorFault:
         """Capture ``exc`` from ``key``'s ``phase`` hook; maybe quarantine."""
         fault = MonitorFault.of(key, phase, exc)

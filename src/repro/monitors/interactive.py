@@ -20,7 +20,6 @@ replayable artifact for ``repro replay``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -170,18 +169,9 @@ def debug(
     started = perf_counter()
 
     if cfg.mode == "record":
-        from repro.runtime.cache import program_fingerprint
-        from repro.tracing.record import _next_trace_path, record
-        from repro.tracing.schema import TraceError
+        from repro.tracing.record import record_to_dir
 
-        if not cfg.record_dir:
-            raise TraceError(
-                "debug(mode='record') needs record_dir on the RunConfig "
-                "(where the session trace goes)"
-            )
-        os.makedirs(cfg.record_dir, exist_ok=True)
-        path = _next_trace_path(cfg.record_dir, program_fingerprint(program))
-        outcome = record(language, program, path, config=cfg, live=monitor)
+        outcome = record_to_dir(language, program, cfg, live=monitor)
         state = outcome.live_state
         return DebugResult(
             answer=outcome.answer,

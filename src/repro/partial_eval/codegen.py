@@ -24,8 +24,12 @@ generic apply dispatch.
 Monitoring actions appear in the residual code as explicit ``_pre(site,
 {...})`` / ``_post(site, {...}, value)`` calls — literally "extra code to
 perform the monitoring actions ... 'embedded' into the program"
-(Abstract).  Unclaimed annotations are erased at generation time
-(obliviousness, Definition 7.1, for free).  The runtime threads monitor
+(Abstract).  ``site`` is the node's pre-order site id, the id of trace
+events and of the flow verdict, indexing the one
+:class:`~repro.monitoring.sites.SiteTable` the recorder and the trace
+fold use too.  Unclaimed annotations, and sites a flow verdict proved
+unreachable, are erased at generation time (obliviousness, Definition
+7.1, for free).  The runtime threads monitor
 states through a cell; since evaluation is sequential and deterministic,
 this is observationally identical to the pure state-passing of the
 semantics, and the test suite checks answer *and* final-state agreement
@@ -74,6 +78,7 @@ from repro.errors import (
 )
 from repro.monitoring.compose import MonitorLike, flatten_monitors, validate_observations
 from repro.monitoring.derive import check_disjoint
+from repro.monitoring.sites import SiteBinding, SiteTable
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
@@ -123,17 +128,6 @@ def _bind(scope: Dict[str, str], frame: Dict[str, str]) -> Dict[str, str]:
     names the way the reference interpreter's environment does.
     """
     return {**frame, **{name: py for name, py in scope.items() if name not in frame}}
-
-
-class _Site:
-    """One instrumented program point in the residual code."""
-
-    __slots__ = ("monitor", "annotation", "term")
-
-    def __init__(self, monitor: MonitorSpec, annotation, term: Expr) -> None:
-        self.monitor = monitor
-        self.annotation = annotation
-        self.term = term
 
 
 # The host recursion limit is process-global, so concurrent runs (the
@@ -198,13 +192,13 @@ class ResidualRuntime:
     """The runtime the generated module links against.
 
     Carries the primitive implementations, the apply/error helpers,
-    the site table, and the mutable monitor-state cell the residual hooks
-    update.  One runtime instance per run, so the generated code itself is
-    immutable and thread-reusable (the compilation cache relies on this).
+    the run's :class:`~repro.monitoring.sites.SiteBinding`, and the
+    mutable monitor-state cell the residual hooks update.  One runtime
+    instance per run, so the generated code itself is immutable and
+    thread-reusable (the compilation cache relies on this).
 
-    ``monitors`` are the run's specs: each site binds to the one holding
-    its monitor's key.  ``fault_log`` (quarantine/log policies) receives
-    the exceptions ``pre``/``post`` catch; without one they propagate.
+    The binding's fault log (quarantine/log policies) receives the
+    exceptions ``pre``/``post`` catch; without one they propagate.
     Either way the hooks are the same two methods, so the ``propagate``
     path pays nothing for isolation.
     """
@@ -213,34 +207,17 @@ class ResidualRuntime:
     nil = NIL
 
     def __init__(
-        self,
-        sites: Sequence[_Site],
-        monitors: Sequence[MonitorSpec],
-        locations: Sequence,
-        fault_log=None,
+        self, binding: SiteBinding, locations: Sequence, states: Dict[str, object]
     ) -> None:
         self.prims = _PRIM_INSTANCES
-        # Flattened per-site dispatch table: the hot hooks index one tuple
-        # instead of chasing site -> monitor -> pre/key/observes attributes
-        # on every activation.
-        by_key = {monitor.key: monitor for monitor in monitors}
-        specs = [by_key[site.monitor.key] for site in sites]
-        self._site_table = [
-            (
-                spec.pre,
-                spec.post,
-                spec.key,
-                site.annotation,
-                site.term,
-                tuple(spec.observes) if spec.observes else None,
-            )
-            for site, spec in zip(sites, specs)
-        ]
+        self.binding = binding
+        # The hot hooks index the binding's entry list (updated in place
+        # on quarantine) by the site id the generated call passes.
+        self._site_table = binding.entries
         self.locations = locations
-        self.fault_log = fault_log
         self.guard = None
         self.tally = None
-        self.states: Dict[str, object] = {m.key: m.initial_state() for m in monitors}
+        self.states = states
 
     # -- helpers referenced from generated code --------------------------------
 
@@ -283,9 +260,7 @@ class ResidualRuntime:
         except RecursionError:
             raise  # the host stack overflowed, not the monitor
         except Exception as exc:
-            if self.fault_log is None:
-                raise
-            self._fault(key, "pre", exc)
+            self.binding.fault(key, "pre", exc)
 
     def post(self, site_id: int, local_vars: Dict[str, object], value):
         _pre_fn, post_fn, key, annotation, term, observes = self._site_table[site_id]
@@ -302,38 +277,8 @@ class ResidualRuntime:
         except RecursionError:
             raise  # the host stack overflowed, not the monitor
         except Exception as exc:
-            if self.fault_log is None:
-                raise
-            self._fault(key, "post", exc)
+            self.binding.fault(key, "post", exc)
         return value
-
-    def _fault(self, key: str, phase: str, exc: Exception) -> None:
-        """Hand a hook exception to the run's fault log.
-
-        The failed hook's state update never happened (log policy: the
-        slot keeps its state).  A quarantined slot's sites are rebound to
-        identity hooks, the unclaimed-annotation fallback: state untouched,
-        value flows — the post hook of an activation already open included.
-        """
-        log = self.fault_log
-        log.record(key, phase, exc)
-        if key in log.disabled:
-            self._site_table = [
-                (_keep_pre, _keep_post, key, entry[3], entry[4], None)
-                if entry[2] == key
-                else entry
-                for entry in self._site_table
-            ]
-
-
-def _keep_pre(annotation, term, ctx, state):
-    """A quarantined slot's ``pre``: the state passes through."""
-    return state
-
-
-def _keep_post(annotation, term, ctx, value, state):
-    """A quarantined slot's ``post``: the state passes through."""
-    return state
 
 
 class _Emitter:
@@ -391,6 +336,13 @@ _INLINE_INT_BINOPS = {
 }
 
 
+def _unannotated(expr: Expr) -> Expr:
+    """``expr`` under its annotation layers (the letrec knot strips them)."""
+    while isinstance(expr, Annotated):
+        expr = expr.body
+    return expr
+
+
 def _is_int_literal(atom: str) -> bool:
     """Whether a generated atom is an integer literal (repr of an int)."""
     return atom.lstrip("-").isdigit()
@@ -408,25 +360,16 @@ class _Generator:
     execs a variant lazily, so the plain fast path stays call-free.
     """
 
-    def __init__(
-        self,
-        monitors: Sequence[MonitorSpec],
-        *,
-        erased: frozenset = frozenset(),
-    ) -> None:
-        self.monitors = list(monitors)
-        self.sites: List[_Site] = []
+    def __init__(self, table: SiteTable) -> None:
+        self.table = table
+        #: Pre-order ids of the sites whose hooks were emitted.
+        self.sites: List[int] = []
         self.locations: List[object] = []
         self.counter = itertools.count()
         self.emitter = _Emitter()
         #: The open straight-line region:
         #: ``[tally line, indent, steps, applications]``.
         self._region: Optional[list] = None
-        #: ``id()``s of Annotated nodes the flow analysis proved
-        #: unreachable: their hooks are erased (the per-site dispatch
-        #: table never sees them), which is observation-free because the
-        #: residual code there never executes.
-        self.erased = erased
         #: Python names statically known to be residual functions —
         #: applications through them skip the generic ``_apply`` dispatch.
         self.known_fns: set = set()
@@ -528,18 +471,10 @@ class _Generator:
             # is a known function to every (mutually recursive) body.
             self.known_fns.update(py_names.values())
             for name, bound in expr.bindings:
-                lam = bound
-                while isinstance(lam, Annotated):
-                    lam = lam.body
-                returned = lam.body if isinstance(lam, Lam) else lam
-                while isinstance(returned, Annotated):
-                    returned = returned.body
-                if isinstance(returned, Lam):
+                if isinstance(_unannotated(_unannotated(bound).body), Lam):
                     self.fn_returns_fn.add(py_names[name])
             for name, bound in expr.bindings:
-                lam = bound
-                while isinstance(lam, Annotated):
-                    lam = lam.body
+                lam = _unannotated(bound)
                 assert isinstance(lam, Lam)
                 # Figure 2 builds the recursive Fun values directly, so
                 # the bound lambdas are not separately counted nodes.
@@ -573,10 +508,7 @@ class _Generator:
         param_py = _mangle(param) + f"_{next(self.counter)}"
         emitter.emit(f"def {fn_name}({param_py}):")
         self.known_fns.add(fn_name)
-        returned = body
-        while isinstance(returned, Annotated):
-            returned = returned.body
-        if isinstance(returned, Lam):
+        if isinstance(_unannotated(body), Lam):
             self.fn_returns_fn.add(fn_name)
         inner = _bind(scope, {param: param_py})
         outer_region = self._region
@@ -703,27 +635,20 @@ class _Generator:
 
     def _gen_annotated(self, expr: Annotated, scope: Dict[str, str]) -> str:
         self._charge(1)
-        if id(expr) in self.erased:
-            # Statically unreachable site (optimize="flow"): generate it
-            # exactly like an unrecognized annotation.
+        site_id = self.table.index[id(expr.body)]
+        if self.table.claims[site_id] is None:
+            # Unrecognized annotation, or a site the flow analysis proved
+            # unreachable: erased at specialization time.
             return self.gen(expr.body, scope)
-        for monitor in reversed(self.monitors):
-            annotation = monitor.recognize(expr.annotation)
-            if annotation is not None:
-                site_id = len(self.sites)
-                self.sites.append(_Site(monitor, annotation, expr.body))
-                locals_literal = (
-                    "{" + ", ".join(f"{src!r}: {py}" for src, py in scope.items()) + "}"
-                )
-                self.emitter.emit(f"_pre({site_id}, {locals_literal})")
-                body_atom = self.gen(expr.body, scope)
-                out = self.fresh()
-                self.emitter.emit(
-                    f"{out} = _post({site_id}, {locals_literal}, {body_atom})"
-                )
-                return out
-        # Unrecognized annotation: erased at specialization time.
-        return self.gen(expr.body, scope)
+        self.sites.append(site_id)
+        locals_literal = (
+            "{" + ", ".join(f"{src!r}: {py}" for src, py in scope.items()) + "}"
+        )
+        self.emitter.emit(f"_pre({site_id}, {locals_literal})")
+        body_atom = self.gen(expr.body, scope)
+        out = self.fresh()
+        self.emitter.emit(f"{out} = _post({site_id}, {locals_literal}, {body_atom})")
+        return out
 
     # -- whole program ------------------------------------------------------------
 
@@ -797,19 +722,24 @@ class GeneratedProgram:
     across metrics-on and metrics-off runs, on this basis.
 
     ``source`` is the plain variant.  Each variant (plain, guarded,
-    tallied, both) is exec'd on its first use, once.
+    tallied, both) is exec'd on its first use, once.  ``table`` is the
+    (program, stack) :class:`~repro.monitoring.sites.SiteTable` the
+    generated ``_pre``/``_post`` site ids index; ``sites`` are the ids
+    of the sites whose hooks the source calls.
     """
 
     def __init__(
         self,
         source: str,
-        sites: Sequence[_Site],
+        table: SiteTable,
+        sites: Sequence[int],
         monitors: Tuple[MonitorSpec, ...],
         locations: Sequence,
         variant_factory: Callable[[bool, bool], Callable],
     ) -> None:
         self.source = source
-        self._sites = list(sites)
+        self.table = table
+        self.sites = tuple(sites)
         self.monitors = monitors
         self._locations = tuple(locations)
         self._variant_factory = variant_factory
@@ -846,17 +776,19 @@ class GeneratedProgram:
         ``initial_ms`` seeds the monitor state vector (as the other
         engines' ``run`` does); ``monitors`` replaces the specs for this
         run with same-keyed ones; ``fault_log`` isolates this run's hook
-        faults (see :class:`ResidualRuntime`); ``max_steps`` /
+        faults (see :class:`~repro.monitoring.sites.SiteBinding`); ``max_steps`` /
         ``deadline`` bound the run at function-entry granularity through
         the guarded code variant; ``tally`` takes the tallied variant's
         per-region node counts.
         """
         specs = self.monitors if monitors is None else tuple(monitors)
-        runtime = ResidualRuntime(
-            self._sites, specs, self._locations, fault_log=fault_log
-        )
         if initial_ms is not None:
-            runtime.states = {m.key: initial_ms.get(m.key) for m in specs}
+            states = {m.key: initial_ms.get(m.key) for m in specs}
+        else:
+            states = {m.key: m.initial_state() for m in specs}
+        runtime = ResidualRuntime(
+            self.table.bind(specs, fault_log), self._locations, states
+        )
         guarded = max_steps is not None or deadline is not None
         entry = self._resolve_entry(guarded, tally is not None)
         if guarded:
@@ -884,7 +816,7 @@ class GeneratedProgram:
 
     @property
     def site_count(self) -> int:
-        return len(self._sites)
+        return len(self.sites)
 
 
 #: Shared primitive instances for residual runtimes.
@@ -916,28 +848,6 @@ def _register_displays(entry: Callable, displays: Dict[str, str]) -> None:
                 stack.append(const)
 
 
-def _erased_nodes(program: Expr, flow) -> frozenset:
-    """Translate a flow verdict's site ids into this AST's node ids.
-
-    The cached :class:`~repro.analysis.flow.FlowAnalysis` is keyed by
-    pre-order site id (stable across structurally-equal programs); the
-    generator needs node identity, so the mapping is recomputed per
-    generation with the same walk ``build_site_table`` uses.
-    """
-    if flow is None:
-        return frozenset()
-    erasable = flow.erasable_sites
-    erased = set()
-    site_id = 0
-    for node in program.walk():
-        if getattr(node, "annotation", None) is None:
-            continue
-        if site_id in erasable:
-            erased.add(id(node))
-        site_id += 1
-    return frozenset(erased)
-
-
 def _exec_variant(generator: _Generator, guarded: bool, tallied: bool) -> Callable:
     """Exec one code variant of a generated module; return its entry."""
     variants = ("guard",) * guarded + ("tally",) * tallied
@@ -962,19 +872,21 @@ def generate_program(
     bounded and metrics-on runs all execute the same collapsed code.
 
     ``flow`` (a :class:`~repro.analysis.flow.FlowAnalysis` for the same
-    program x stack) erases monitoring hooks at sites the analysis
-    proved unreachable; monitors none of whose claimed sites survive
-    drop out of the per-site dispatch table entirely.  Observable
-    behavior is unchanged — erased code can never run.
+    program x stack) erases monitoring hooks at the site ids the analysis
+    proved unreachable.  Observable behavior is unchanged — erased code
+    can never run.
     """
     monitor_list = flatten_monitors(monitors)
     validate_observations(monitor_list)
     if check_disjointness:
         check_disjoint(monitor_list, program)
-    generator = _Generator(monitor_list, erased=_erased_nodes(program, flow))
+    erased = flow.erasable_sites if flow is not None else frozenset()
+    table = SiteTable(program, monitor_list, erased=erased)
+    generator = _Generator(table)
     generator.generate_module(program)
     return GeneratedProgram(
         generator.emitter.source(),
+        table,
         generator.sites,
         tuple(monitor_list),
         generator.locations,

@@ -10,11 +10,14 @@ charge and the :class:`~repro.monitoring.faults.FaultLog` its hook path
 records into — are copied *out* when a checkpoint is taken and written
 *back in place* when it is restored: the fold keeps its objects, so the
 wrappers and the log stay bound to them, and stepping forward from a
-restore never corrupts the stored snapshot.
+restore never corrupts the stored snapshot.  Restoring the disabled set
+rebinds the fold's :class:`~repro.monitoring.sites.SiteBinding`, so the
+slots quarantined at the checkpoint, and only those, have identity hooks.
 
 The index can persist to a sidecar file next to the trace
 (``<trace>.ckpt``): a JSON envelope naming the trace fingerprint, the
-monitor-stack identity, and the cadence, around a base64 pickle of the
+fold identity (each spec's ``cache_identity()``, the fault policy and
+whether metrics are on) and the cadence, around a base64 pickle of the
 checkpoints.  On load, any mismatch — different program, different
 stack, different interval, unreadable pickle — silently yields "no
 index" and the session rebuilds from scratch; a sidecar is a cache,
@@ -37,7 +40,7 @@ from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
 
 #: Bump when the sidecar envelope or Checkpoint layout changes.
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,7 @@ class Checkpoint:
             log.faults[:] = self.faults
             log.disabled.clear()
             log.disabled.update(self.disabled)
+            session.binding.rebind()
 
 
 class CheckpointIndex:

@@ -44,13 +44,6 @@ def _site_label(site: Site) -> str:
     return getattr(site.annotation, "name", None) or site.rendered
 
 
-def _stack_identity(monitors: Sequence[MonitorSpec]) -> str:
-    """A cheap stack fingerprint for sidecar validation."""
-    return "|".join(
-        f"{type(spec).__name__}:{spec.key}" for spec in monitors
-    )
-
-
 class ReplaySession(TraceFold):
     """One trace fold with a cursor, a checkpoint index and a call stack.
 
@@ -89,7 +82,16 @@ class ReplaySession(TraceFold):
         self._origin = Checkpoint.capture(self)
 
         fingerprint = str(self.trace.header.get("fingerprint", ""))
-        identity = _stack_identity(self.monitors)
+        # A checkpoint holds states, fault records and counters, which
+        # depend on every spec's configuration, the fault policy and
+        # whether metrics are on: a sidecar serves only that exact fold.
+        identity = repr(
+            (
+                tuple(spec.cache_identity() for spec in self.monitors),
+                fault_policy,
+                self.metrics is not None,
+            )
+        )
         self._sidecar_key = (fingerprint, identity)
         self._sidecar = (
             sidecar_path(self.trace.path)

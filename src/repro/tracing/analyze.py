@@ -13,17 +13,18 @@ could not have changed the recorded run), and
 The fold lives in one place, :class:`TraceFold`, and takes the inline
 hook step rather than a copy of it:
 
-* hook dispatch — at most one monitor claims each site (Section 6
-  disjointness, checked here as inline), resolved once per site rather
-  than once per event;
+* hook dispatch — events name sites by the pre-order id codegen's
+  ``_pre`` calls pass, and the fold indexes the same
+  :class:`~repro.monitoring.sites.SiteTable`: each site's claim (the
+  outermost recognizing monitor, as inline) is resolved once, not per event;
 * counters — with metrics on, each claim's hooks are called through
   :class:`~repro.observability.instrument.InstrumentedSpec`, the code
   that charges activations, hook calls and state transitions inline;
 * fault policy — ``propagate`` lets the hook exception escape the fold;
-  otherwise it goes to a :class:`~repro.monitoring.faults.FaultLog`,
-  whose ``record`` applies ``quarantine`` (the slot's remaining events
-  are skipped) or ``log`` (just that update is dropped) as it does for
-  both engines.
+  otherwise :meth:`~repro.monitoring.sites.SiteBinding.fault` records
+  it in a :class:`~repro.monitoring.faults.FaultLog` and, under
+  ``quarantine``, rebinds the slot's sites to identity hooks as codegen
+  does; under ``log`` just that update is dropped.
 
 :func:`analyze_trace` runs the fold straight through;
 :class:`~repro.replay.session.ReplaySession` runs the same fold under a
@@ -39,19 +40,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.languages import parse_source
 from repro.monitoring.derive import MonitoredResult, check_disjoint
-from repro.monitoring.faults import FaultLog, MonitorFault, check_fault_policy
+from repro.monitoring.faults import FaultLog, MonitorFault
+from repro.monitoring.sites import SiteTable
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.observability.instrument import instrument_monitors
 from repro.observability.metrics import RunMetrics
 from repro.semantics.env import Environment
 from repro.tracing.schema import (
-    Site,
     Trace,
     TraceError,
     TraceEvent,
     TraceFormatError,
-    build_site_table,
     decode_value,
     read_trace,
 )
@@ -75,7 +75,8 @@ def _resolve_trace(trace: Union[str, Trace], allow_truncated: bool) -> Trace:
     return read_trace(trace, allow_truncated=allow_truncated)
 
 
-def _resolve_program(trace: Trace, program) -> Tuple[object, List[Site]]:
+def _resolve_program(trace: Trace, program):
+    """The trace's program as an AST (parsed from the header if not given)."""
     if program is None:
         source = trace.program_source
         if source is None:
@@ -86,14 +87,7 @@ def _resolve_program(trace: Trace, program) -> Tuple[object, List[Site]]:
         program = source
     if isinstance(program, str):
         program = parse_source(trace.language, program)
-    table = build_site_table(program)
-    if len(table) != trace.site_count:
-        raise TraceFormatError(
-            f"{trace.path}: program has {len(table)} annotated sites but the "
-            f"trace was recorded over {trace.site_count} — not the program "
-            "this trace came from"
-        )
-    return program, table
+    return program
 
 
 #: The context of a hook whose ``pre`` recorded no bindings.
@@ -117,16 +111,16 @@ class TraceFold:
     """One monitor stack folded over one trace, one event at a time.
 
     Construction resolves the trace and its program, checks the stack
-    and resolves each site's claim; :meth:`step` applies one recorded
-    event and :meth:`package` turns the fold so far into a
+    and binds the (program, stack) site table; :meth:`step` applies one
+    recorded event and :meth:`package` turns the fold so far into a
     :class:`TraceAnalysis`.  The fold state is ``states`` and
     ``pending`` (open ``pre`` contexts by ``(site, occurrence)``) —
-    immutable or shallow-copyable values — plus two live objects the
+    immutable or shallow-copyable values — plus the live objects the
     hook path holds: ``metrics``, charged by the claims'
     :class:`~repro.observability.instrument.InstrumentedSpec` wrappers,
-    and ``fault_log``, a :class:`~repro.monitoring.faults.FaultLog`
-    (``None`` under ``propagate``).  A replay checkpoint copies the live
-    objects out and writes them back in place, quarantines included.
+    ``fault_log`` (``None`` under ``propagate``) and its ``binding``.  A
+    replay checkpoint copies metrics and log out, writes them back in
+    place and rebinds.
     """
 
     def __init__(
@@ -142,41 +136,30 @@ class TraceFold:
     ) -> None:
         from repro.monitoring.compose import flatten_monitors, validate_observations
 
-        check_fault_policy(fault_policy)
         self.trace = _resolve_trace(trace, allow_truncated)
         self.monitors: List[MonitorSpec] = flatten_monitors(monitors)
         validate_observations(self.monitors)
-        self.program, self.sites = _resolve_program(self.trace, program)
+        self.program = _resolve_program(self.trace, program)
+        table = SiteTable(self.program, self.monitors)
+        if len(table.sites) != self.trace.site_count:
+            raise TraceFormatError(
+                f"{self.trace.path}: program has {len(table.sites)} annotated sites "
+                f"but the trace was recorded over {self.trace.site_count} — "
+                "not the program this trace came from"
+            )
+        self.sites = table.sites
         if check_disjointness:
             check_disjoint(self.monitors, self.program)
         self.fault_policy = fault_policy
         self.metrics: Optional[RunMetrics] = (
             RunMetrics() if metrics is True else metrics or None
         )
-        self.fault_log: Optional[FaultLog] = (
-            None
-            if fault_policy == "propagate"
-            else FaultLog(fault_policy, self.metrics)
+        self.fault_log = FaultLog.for_policy(fault_policy, self.metrics)
+        # Hooks are called through the metrics wrappers when metrics are on.
+        self.binding = table.bind(
+            instrument_monitors(self.monitors, self.metrics), self.fault_log
         )
-        self._disabled = (
-            self.fault_log.disabled if self.fault_log is not None else frozenset()
-        )
-
-        # Claim resolution happens once per *site*, not once per event:
-        # for each site, the first (and by disjointness only) monitor
-        # whose recognize() accepts the annotation, as (hook spec, view,
-        # observes, term) — or None for an unclaimed site.  The hook spec
-        # is the monitor's metrics wrapper when the fold has metrics.
-        hooks = instrument_monitors(self.monitors, self.metrics)
-        self._claims: List[Optional[tuple]] = []
-        for site in self.sites:
-            claim = None
-            for spec, hook in zip(self.monitors, hooks):
-                view = spec.recognize(site.annotation)
-                if view is not None:
-                    claim = (hook, view, tuple(spec.observes), site.body)
-                    break
-            self._claims.append(claim)
+        self._entries = self.binding.entries
 
         self.states = MonitorStateVector.initial(self.monitors)
         self.pending: Dict[Tuple[int, int], Environment] = {}
@@ -189,17 +172,15 @@ class TraceFold:
     @property
     def disabled(self) -> frozenset:
         """The slots quarantined so far."""
-        return frozenset(self._disabled)
+        log = self.fault_log
+        return frozenset(log.disabled) if log is not None else frozenset()
 
     def step(self, event: TraceEvent) -> None:
         """Apply one event: the hook call it records, charged and isolated."""
-        claim = self._claims[event.site]
-        if claim is None:
+        entry = self._entries[event.site]
+        if entry is None:
             return
-        spec, view, observes, term = claim
-        key = spec.key
-        if key in self._disabled:
-            return
+        pre, post, key, view, term, observes = entry
         states = self.states
         state = states.get(key)
         if event.phase == "pre":
@@ -207,30 +188,24 @@ class TraceFold:
             self.pending[(event.site, event.occ)] = ctx
             try:
                 if observes:
-                    new_state = spec.pre(
-                        view, term, ctx, state, inner=states.view(observes)
-                    )
+                    new_state = pre(view, term, ctx, state, inner=states.view(observes))
                 else:
-                    new_state = spec.pre(view, term, ctx, state)
+                    new_state = pre(view, term, ctx, state)
             except Exception as exc:
-                if self.fault_log is None:
-                    raise
-                self.fault_log.record(key, "pre", exc)
+                self.binding.fault(key, "pre", exc)
                 return
         else:
             ctx = self.pending.pop((event.site, event.occ), _NO_BINDINGS)
             result = decode_value(event.value)
             try:
                 if observes:
-                    new_state = spec.post(
+                    new_state = post(
                         view, term, ctx, result, state, inner=states.view(observes)
                     )
                 else:
-                    new_state = spec.post(view, term, ctx, result, state)
+                    new_state = post(view, term, ctx, result, state)
             except Exception as exc:
-                if self.fault_log is None:
-                    raise
-                self.fault_log.record(key, "post", exc)
+                self.binding.fault(key, "post", exc)
                 return
         if new_state is not state:
             self.states = states.set(key, new_state)
@@ -323,7 +298,7 @@ def analyze_many(
     ``metrics``, ...).
     """
     resolved = _resolve_trace(trace, allow_truncated)
-    resolved_program, _ = _resolve_program(resolved, program)
+    resolved_program = _resolve_program(resolved, program)
     return [
         analyze_trace(resolved, stack, program=resolved_program, **options)
         for stack in stacks

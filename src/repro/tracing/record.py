@@ -11,6 +11,11 @@ Soundness (§7) is what licenses this: the recorder cannot change the
 answer, and the trace it writes is — by the equivalence property suite —
 enough to reconstruct what any monitor stack would have observed.
 
+A site records when the filter stack's
+:class:`~repro.monitoring.sites.SiteTable` (the one codegen and the fold
+index, by the same pre-order ids) claims it, a ``sites=`` selector picks
+it and the flow verdict, under ``optimize="flow"``, does not erase it.
+
 Sampling is decided per activation by a pure function of ``(seed, site,
 occurrence)`` (:func:`repro.tracing.schema.sample_includes`), never of
 wall clock or thread identity, so a sampled trace is byte-identical
@@ -28,6 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationTimeout
+from repro.monitoring.sites import SiteTable
 from repro.monitoring.spec import MonitorSpec
 from repro.monitors.common import context_lookup
 from repro.tracing.schema import (
@@ -112,14 +118,6 @@ class TraceWriter:
                 self._handle.flush()
 
 
-@dataclass(frozen=True)
-class _SitePlan:
-    """Per-site recording decisions, fixed before the run starts."""
-
-    site: Site
-    enabled: bool
-
-
 class RecorderSpec(MonitorSpec):
     """The all-claiming monitor that writes the trace.
 
@@ -130,7 +128,9 @@ class RecorderSpec(MonitorSpec):
 
     The spec carries mutable recording state (the writer, occurrence
     counters, the pending-activation LIFOs), so instances are single-run
-    and must never be shared or compilation-cached.
+    and must never be shared or compilation-cached.  ``sites`` are the
+    enabled sites, found from a hook call by ``id(term)`` as
+    :attr:`~repro.monitoring.sites.SiteTable.index` finds them.
 
     ``live`` tees a second monitor through the recorder: the cascade
     strips annotations as it recurses (Section 6), so a recorder stacked
@@ -146,7 +146,7 @@ class RecorderSpec(MonitorSpec):
     def __init__(
         self,
         writer: TraceWriter,
-        plans: Sequence[_SitePlan],
+        sites: Sequence[Site],
         *,
         sample_rate: float = 1.0,
         seed: int = 0,
@@ -154,10 +154,7 @@ class RecorderSpec(MonitorSpec):
         live: Optional[MonitorSpec] = None,
     ) -> None:
         self._writer = writer
-        self._plans = tuple(plans)
-        self._by_body = {
-            id(plan.site.body): plan for plan in plans if plan.enabled
-        }
+        self._by_body = {id(site.body): site for site in sites}
         self._rate = float(sample_rate)
         self._seed = int(seed)
         self._encode = _encode_for_mode(values)
@@ -189,18 +186,18 @@ class RecorderSpec(MonitorSpec):
 
     # MFun: write events -------------------------------------------------------
     def pre(self, annotation, term, ctx, state, inner=None):
-        plan = self._by_body.get(id(term))
-        if plan is not None:
-            site_id = plan.site.site_id
+        site = self._by_body.get(id(term))
+        if site is not None:
+            site_id = site.site_id
             occ = self._occ.get(site_id, 0) + 1
             self._occ[site_id] = occ
             include = sample_includes(self._seed, site_id, occ, self._rate)
             self._pending.setdefault(site_id, []).append((occ, include))
             if include:
                 record: Dict[str, object] = {"t": "pre", "s": site_id, "o": occ}
-                if plan.site.params:
+                if site.params:
                     bindings = {}
-                    for param in plan.site.params:
+                    for param in site.params:
                         value = context_lookup(ctx, param)
                         if value is not None:
                             bindings[param] = self._encode(value)
@@ -217,9 +214,9 @@ class RecorderSpec(MonitorSpec):
         return state
 
     def post(self, annotation, term, ctx, result, state, inner=None):
-        plan = self._by_body.get(id(term))
-        if plan is not None:
-            site_id = plan.site.site_id
+        site = self._by_body.get(id(term))
+        if site is not None:
+            site_id = site.site_id
             pending = self._pending.get(site_id)
             if pending:
                 occ, include = pending.pop()
@@ -251,25 +248,6 @@ class RecordResult:
     metrics: object = None
     #: Final state of the ``live`` tee monitor, when one was supplied.
     live_state: object = None
-
-
-def _site_plans(
-    sites: Sequence[Site],
-    monitors: Sequence[MonitorSpec],
-    selectors: Optional[Sequence[str]],
-) -> List[_SitePlan]:
-    """Combine the two per-site filters: monitor claims and ``--sites``."""
-    plans = []
-    for site in sites:
-        enabled = True
-        if monitors:
-            enabled = any(
-                m.recognize(site.annotation) is not None for m in monitors
-            )
-        if enabled and selectors:
-            enabled = any(site_matches(site, sel) for sel in selectors)
-        plans.append(_SitePlan(site=site, enabled=enabled))
-    return plans
 
 
 def _program_source(language_name: str, program, source: Optional[str]):
@@ -349,23 +327,21 @@ def record(
             f"values must be one of {', '.join(VALUE_MODES)}, got {values!r}"
         )
     filter_monitors = flatten_monitors(list(monitors)) if monitors else []
-    site_table = build_site_table(program)
-    plans = _site_plans(site_table, filter_monitors, sites)
+    erased = frozenset()
     if cfg.optimize == "flow":
-        # Static --sites filter: claim-flow analysis proves which sites can
-        # never fire; disabling them is fold-equivalent (they produce zero
-        # events either way) and shrinks the header's enabled_sites list.
+        # Claim-flow analysis proves which sites can never fire; disabling
+        # them is fold-equivalent (they produce zero events either way)
+        # and shrinks the header's enabled_sites list.
         from repro.analysis.flow import analyze_flow
 
-        erasable = analyze_flow(program, filter_monitors).erasable_sites
-        if erasable:
-            plans = [
-                replace(plan, enabled=False)
-                if plan.site.site_id in erasable
-                else plan
-                for plan in plans
-            ]
-    enabled = [plan.site.site_id for plan in plans if plan.enabled]
+        erased = analyze_flow(program, filter_monitors).erasable_sites
+    table = SiteTable(program, filter_monitors, erased=erased)
+    enabled = [
+        site
+        for site, claim in zip(table.sites, table.claims)
+        if (claim is not None if filter_monitors else site.site_id not in erased)
+        and (not sites or any(site_matches(site, sel) for sel in sites))
+    ]
     language_name = getattr(language, "name", "strict")
 
     from repro.runtime.cache import program_fingerprint
@@ -377,18 +353,18 @@ def record(
         "engine": cfg.engine,
         "program": _program_source(language_name, program, source),
         "fingerprint": program_fingerprint(program),
-        "sites": len(site_table),
-        "site_annotations": [plan.site.rendered for plan in plans],
+        "sites": len(table.sites),
+        "site_annotations": [site.rendered for site in table.sites],
         "sample": {"rate": cfg.sample_rate, "seed": cfg.trace_seed},
         "values": values,
     }
-    if len(enabled) != len(site_table):
-        header["enabled_sites"] = enabled
+    if len(enabled) != len(table.sites):
+        header["enabled_sites"] = [site.site_id for site in enabled]
 
     writer = TraceWriter(out, header)
     recorder = RecorderSpec(
         writer,
-        plans,
+        enabled,
         sample_rate=cfg.sample_rate,
         seed=cfg.trace_seed,
         values=values,
@@ -441,7 +417,7 @@ def record(
         answer=result.answer,
         trace=writer.path,
         events=writer.events,
-        sites=len(site_table),
+        sites=len(table.sites),
         enabled_sites=len(enabled),
         sampled_out=recorder.sampled_out,
         metrics=result.metrics,
@@ -455,11 +431,21 @@ _trace_counter = itertools.count(1)
 _trace_lock = threading.Lock()
 
 
-def _next_trace_path(record_dir: str, fingerprint: str) -> str:
+def record_to_dir(language, program, cfg, **options) -> RecordResult:
+    """:func:`record` into a fresh trace file under ``cfg.record_dir``."""
+    from repro.runtime.cache import program_fingerprint
+
+    if not cfg.record_dir:
+        raise TraceError(
+            "mode='record' needs record_dir on the RunConfig (where trace "
+            "files go) — or call repro.tracing.record() with an explicit path"
+        )
+    os.makedirs(cfg.record_dir, exist_ok=True)
     with _trace_lock:
         serial = next(_trace_counter)
-    name = f"trace-{fingerprint[:12]}-{os.getpid()}-{serial}.jsonl"
-    return os.path.join(record_dir, name)
+    name = f"trace-{program_fingerprint(program)[:12]}-{os.getpid()}-{serial}.jsonl"
+    path = os.path.join(cfg.record_dir, name)
+    return record(language, program, path, config=cfg, **options)
 
 
 def record_run(language, program, monitors: Sequence[MonitorSpec], cfg):
@@ -473,16 +459,8 @@ def record_run(language, program, monitors: Sequence[MonitorSpec], cfg):
     """
     from repro.monitoring.derive import MonitoredResult
     from repro.monitoring.state import MonitorStateVector
-    from repro.runtime.cache import program_fingerprint
 
-    if not cfg.record_dir:
-        raise TraceError(
-            "mode='record' needs record_dir on the RunConfig (where trace "
-            "files go) — or call repro.tracing.record() with an explicit path"
-        )
-    os.makedirs(cfg.record_dir, exist_ok=True)
-    path = _next_trace_path(cfg.record_dir, program_fingerprint(program))
-    outcome = record(language, program, path, monitors=monitors, config=cfg)
+    outcome = record_to_dir(language, program, cfg, monitors=monitors)
     return MonitoredResult(
         answer=outcome.answer,
         states=MonitorStateVector.initial([]),

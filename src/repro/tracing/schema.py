@@ -245,9 +245,9 @@ def _render_annotation(payload: object) -> str:
 def build_site_table(program) -> List[Site]:
     """Enumerate the program's annotated nodes in deterministic pre-order.
 
-    Every engine passes the annotated node's *body* object as the hook's
-    ``term`` argument, so ``id(site.body)`` is the recorder's O(1) key
-    from a live hook call back to its site id.
+    The one site numbering: trace events, the flow verdict and codegen's
+    ``_pre``/``_post`` calls (through
+    :class:`~repro.monitoring.sites.SiteTable`) all use these ids.
     """
     sites: List[Site] = []
     for node in program.walk():

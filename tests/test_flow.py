@@ -205,8 +205,8 @@ class TestCodegenErasure:
         erased = generate_program(
             program, stack, check_disjointness=False, flow=flow
         )
-        assert len(erased._sites) == len(plain._sites) - 1
-        assert {s.annotation.render() for s in erased._sites} == {"q"}
+        assert erased.site_count == plain.site_count - 1
+        assert {erased.table.claims[i].view.render() for i in erased.sites} == {"q"}
 
     def test_erasure_preserves_answer_and_states(self):
         program = parse(DEAD_BRANCH)
@@ -227,7 +227,7 @@ class TestCodegenErasure:
         erased = generate_program(
             program, stack, check_disjointness=False, flow=flow
         )
-        assert all(s.monitor.key != "trace" for s in erased._sites)
+        assert all(erased.table.claims[i].key != "trace" for i in erased.sites)
         # The state vector keeps the full stack: reports stay complete.
         _, states = erased.run()
         assert states.get("trace") is not None
@@ -285,7 +285,7 @@ class TestRunConfigAndCache:
         erased = cache.get_or_compile(
             strict, program, stack, engine="codegen", optimize="flow"
         )
-        assert len(erased._sites) == len(plain._sites) - 1
+        assert erased.site_count == plain.site_count - 1
         # Distinct cache entries: asking again returns each unchanged.
         assert (
             cache.get_or_compile(strict, program, stack, engine="codegen")

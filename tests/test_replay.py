@@ -287,6 +287,41 @@ class TestSidecar:
         session.seek(len(session))
         assert session.analysis().answer == 120
 
+    def test_fold_identity_keys_the_sidecar(self, tmp_path):
+        # A checkpoint's states, faults and counters depend on the specs'
+        # configuration, the fault policy and whether metrics are on.
+        path = str(tmp_path / "t.jsonl")
+        labelled = FAC.replace("{fac(x)}", "{fac}")
+        record(strict, parse(labelled), path)
+
+        def session(policy, metrics, fail_on=3, interval=3):
+            return ReplaySession(
+                path,
+                [FlakyMonitor(LabelCounterMonitor(), fail_on=fail_on)],
+                fault_policy=policy,
+                metrics=metrics,
+                checkpoint_interval=interval,
+                use_sidecar=True,
+            )
+
+        saved = session("quarantine", False)
+        saved.seek(len(saved))
+        assert saved.save_checkpoints()
+
+        loaded = session("log", True)
+        loaded.seek(5)
+        fresh = session("log", True, interval=10**9)
+        fresh.seek(5)
+        assert loaded.disabled == fresh.disabled == frozenset()
+        assert loaded.metrics == fresh.metrics
+        assert loaded.metrics.pre_calls == {"count": 5}
+        assert loaded.states.get("count") == fresh.states.get("count")
+
+        for fail_on in (3, 4):
+            other = session("quarantine", False, fail_on=fail_on)
+            reused = other.checkpoints.nearest(len(other)) is not None
+            assert reused == (fail_on == 3)
+
     def test_stack_mismatch_rebuilds(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         record(strict, parse(FAC), path)

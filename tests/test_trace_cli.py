@@ -7,6 +7,7 @@ never a traceback.
 """
 
 import json
+import os
 
 import pytest
 
@@ -223,3 +224,36 @@ class TestRecordModeRunAndBatch:
         assert result["trace"].endswith(".jsonl")
         assert main(["analyze", result["trace"], "--monitors", "count"]) == 0
         assert "'fac': 6" in capsys.readouterr().out
+
+
+class TestRecordDirFlag:
+    """``--record-dir`` names a directory; only record mode writes to it."""
+
+    def _batch(self, tmp_path, *flags):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps({"program": "1 + 2"}) + "\n")
+        out_path = tmp_path / "results.jsonl"
+        record_dir = tmp_path / "rd"
+        argv = ["batch", str(requests), "--output", str(out_path)]
+        assert main(argv + ["--record-dir", str(record_dir), *flags]) == 0
+        [result] = [json.loads(line) for line in out_path.read_text().splitlines()]
+        traces = os.listdir(record_dir) if record_dir.exists() else []
+        return result, traces
+
+    def test_batch_record_dir_alone_records_nothing(self, tmp_path):
+        result, traces = self._batch(tmp_path)
+        assert result["ok"] is True
+        assert result.get("trace") is None
+        assert traces == []
+
+    def test_batch_mode_record_with_record_dir_records(self, tmp_path):
+        result, traces = self._batch(tmp_path, "--mode", "record")
+        assert result["trace"].endswith(".jsonl")
+        assert [os.path.basename(result["trace"])] == traces
+
+    def test_debug_record_dir_records_the_session(self, capsys, tmp_path):
+        record_dir = tmp_path / "sessions"
+        argv = ["debug", "-e", FAC, "--command", "continue"]
+        assert main(argv + ["--record-dir", str(record_dir)]) == 0
+        assert "session recorded to" in capsys.readouterr().out
+        assert len(os.listdir(record_dir)) == 1
