@@ -11,9 +11,9 @@ resolves claims itself.  Sites are numbered by the pre-order walk of
 flow verdict are, so a residual ``_pre(N)``, a trace event at site ``N``
 and the flow verdict's site ``N`` name one annotated node.
 
-:meth:`SiteTable.bind` makes one run's :class:`SiteBinding`: the hook
-entries bound to the run's (possibly metrics-wrapped) specs and fault
-log.  Quarantine is a rebinding: a disabled slot's sites get identity
+:class:`SiteBinding` binds a table to one run: its hook entries call the
+run's (possibly metrics-wrapped) specs and feed its fault log.  Quarantine
+is a rebinding: a disabled slot's sites get identity
 hooks, the unclaimed-annotation fallback.
 """
 
@@ -46,10 +46,10 @@ class SiteTable:
 
     ``claims[i]`` is site ``i``'s :class:`Claim`, ``None`` when no
     monitor recognizes it or ``erased`` (the site ids a flow verdict
-    proved unreachable) holds it.  ``index`` maps
-    ``id(site.body)`` — the ``term`` every engine hands a hook — to the
-    site id.  The table is pure in (program, stack), so it is cached with
-    the codegen artifact.
+    proved unreachable) holds it.  ``index`` maps a node's
+    :func:`site_key` to its :class:`~repro.tracing.schema.Site`.  The
+    table is pure in (program, stack), so it is cached with the codegen
+    artifact.
     """
 
     __slots__ = ("sites", "claims", "index")
@@ -66,19 +66,24 @@ class SiteTable:
             None if site.site_id in erased else _claim(monitors, site)
             for site in self.sites
         )
-        self.index = {id(site.body): site.site_id for site in self.sites}
+        self.index = {site_key(s.annotation, s.body): s for s in self.sites}
 
-    def bind(self, specs: Sequence[MonitorSpec], fault_log=None) -> "SiteBinding":
-        """One run's hook entries, calling ``specs`` (matched by key)."""
-        return SiteBinding(self, specs, fault_log)
+
+def site_key(annotation, body) -> Tuple[int, int]:
+    """An annotated node's key, as codegen and a recorder's hook see it.
+
+    Not the body alone: the simplifier substitutes one ``Const``/``Var``
+    object at every occurrence, so two annotated nodes may share a body.
+    """
+    return (id(annotation), id(body))
 
 
 class SiteBinding:
-    """A :class:`SiteTable` bound to one run's specs and fault log.
+    """A :class:`SiteTable` bound to one run's specs (by key) and fault log.
 
-    ``entries[i]`` is ``(pre, post, key, view, term, observes)`` for site
-    ``i``, or ``None`` where nothing claims it.  The list is updated in
-    place, never replaced, so hook paths may hold it.
+    ``entries[i]`` is ``(pre, post, key, view, body, observes)`` for site
+    ``i`` (every engine's hooks get the body as ``term``), ``None`` where
+    nothing claims it; the list is updated in place, so hooks may hold it.
     """
 
     __slots__ = ("table", "specs", "fault_log", "entries")
@@ -100,15 +105,12 @@ class SiteBinding:
         for site, claim in zip(self.table.sites, self.table.claims):
             if claim is None:
                 entries.append(None)
-                continue
-            key, view = claim
-            term = site.body  # every engine hands hooks the node's body
-            if key in disabled:
-                entries.append((_keep_pre, _keep_post, key, view, term, None))
+            elif claim.key in disabled:
+                entries.append((_keep_pre, _keep_post, *claim, site.body, None))
             else:
-                spec = self.specs[key]
+                spec = self.specs[claim.key]
                 observes = tuple(spec.observes) or None
-                entries.append((spec.pre, spec.post, key, view, term, observes))
+                entries.append((spec.pre, spec.post, *claim, site.body, observes))
         self.entries[:] = entries
 
     def fault(self, key: str, phase: str, exc: Exception) -> None:
@@ -138,4 +140,4 @@ def _keep_post(annotation, term, ctx, value, state):
     return state
 
 
-__all__ = ["Claim", "SiteBinding", "SiteTable"]
+__all__ = ["Claim", "SiteBinding", "SiteTable", "site_key"]

@@ -78,7 +78,7 @@ from repro.errors import (
 )
 from repro.monitoring.compose import MonitorLike, flatten_monitors, validate_observations
 from repro.monitoring.derive import check_disjoint
-from repro.monitoring.sites import SiteBinding, SiteTable
+from repro.monitoring.sites import SiteBinding, SiteTable, site_key
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
@@ -635,7 +635,7 @@ class _Generator:
 
     def _gen_annotated(self, expr: Annotated, scope: Dict[str, str]) -> str:
         self._charge(1)
-        site_id = self.table.index[id(expr.body)]
+        site_id = self.table.index[site_key(expr.annotation, expr.body)].site_id
         if self.table.claims[site_id] is None:
             # Unrecognized annotation, or a site the flow analysis proved
             # unreachable: erased at specialization time.
@@ -787,7 +787,7 @@ class GeneratedProgram:
         else:
             states = {m.key: m.initial_state() for m in specs}
         runtime = ResidualRuntime(
-            self.table.bind(specs, fault_log), self._locations, states
+            SiteBinding(self.table, specs, fault_log), self._locations, states
         )
         guarded = max_steps is not None or deadline is not None
         entry = self._resolve_entry(guarded, tally is not None)

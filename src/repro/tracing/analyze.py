@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.languages import parse_source
 from repro.monitoring.derive import MonitoredResult, check_disjoint
 from repro.monitoring.faults import FaultLog, MonitorFault
-from repro.monitoring.sites import SiteTable
+from repro.monitoring.sites import SiteBinding, SiteTable
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
 from repro.observability.instrument import instrument_monitors
@@ -156,8 +156,8 @@ class TraceFold:
         )
         self.fault_log = FaultLog.for_policy(fault_policy, self.metrics)
         # Hooks are called through the metrics wrappers when metrics are on.
-        self.binding = table.bind(
-            instrument_monitors(self.monitors, self.metrics), self.fault_log
+        self.binding = SiteBinding(
+            table, instrument_monitors(self.monitors, self.metrics), self.fault_log
         )
         self._entries = self.binding.entries
 

@@ -30,10 +30,10 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationTimeout
-from repro.monitoring.sites import SiteTable
+from repro.monitoring.sites import SiteTable, site_key
 from repro.monitoring.spec import MonitorSpec
 from repro.monitors.common import context_lookup
 from repro.tracing.schema import (
@@ -128,9 +128,8 @@ class RecorderSpec(MonitorSpec):
 
     The spec carries mutable recording state (the writer, occurrence
     counters, the pending-activation LIFOs), so instances are single-run
-    and must never be shared or compilation-cached.  ``sites`` are the
-    enabled sites, found from a hook call by ``id(term)`` as
-    :attr:`~repro.monitoring.sites.SiteTable.index` finds them.
+    and must never be shared or compilation-cached.  ``sites`` is the
+    :attr:`~repro.monitoring.sites.SiteTable.index` of the enabled sites.
 
     ``live`` tees a second monitor through the recorder: the cascade
     strips annotations as it recurses (Section 6), so a recorder stacked
@@ -146,7 +145,7 @@ class RecorderSpec(MonitorSpec):
     def __init__(
         self,
         writer: TraceWriter,
-        sites: Sequence[Site],
+        sites: Mapping[Tuple[int, int], Site],
         *,
         sample_rate: float = 1.0,
         seed: int = 0,
@@ -154,7 +153,7 @@ class RecorderSpec(MonitorSpec):
         live: Optional[MonitorSpec] = None,
     ) -> None:
         self._writer = writer
-        self._by_body = {id(site.body): site for site in sites}
+        self._sites = sites
         self._rate = float(sample_rate)
         self._seed = int(seed)
         self._encode = _encode_for_mode(values)
@@ -186,7 +185,7 @@ class RecorderSpec(MonitorSpec):
 
     # MFun: write events -------------------------------------------------------
     def pre(self, annotation, term, ctx, state, inner=None):
-        site = self._by_body.get(id(term))
+        site = self._sites.get(site_key(annotation, term))
         if site is not None:
             site_id = site.site_id
             occ = self._occ.get(site_id, 0) + 1
@@ -214,7 +213,7 @@ class RecorderSpec(MonitorSpec):
         return state
 
     def post(self, annotation, term, ctx, result, state, inner=None):
-        site = self._by_body.get(id(term))
+        site = self._sites.get(site_key(annotation, term))
         if site is not None:
             site_id = site.site_id
             pending = self._pending.get(site_id)
@@ -336,12 +335,13 @@ def record(
 
         erased = analyze_flow(program, filter_monitors).erasable_sites
     table = SiteTable(program, filter_monitors, erased=erased)
-    enabled = [
-        site
-        for site, claim in zip(table.sites, table.claims)
-        if (claim is not None if filter_monitors else site.site_id not in erased)
+    enabled = {
+        key: site
+        for key, site in table.index.items()
+        if (table.claims[site.site_id] or not filter_monitors)
+        and site.site_id not in erased
         and (not sites or any(site_matches(site, sel) for sel in sites))
-    ]
+    }
     language_name = getattr(language, "name", "strict")
 
     from repro.runtime.cache import program_fingerprint
@@ -359,7 +359,7 @@ def record(
         "values": values,
     }
     if len(enabled) != len(table.sites):
-        header["enabled_sites"] = [site.site_id for site in enabled]
+        header["enabled_sites"] = [site.site_id for site in enabled.values()]
 
     writer = TraceWriter(out, header)
     recorder = RecorderSpec(

@@ -9,7 +9,9 @@ These tests pin the two things that buys:
   as the inline cascade resolves it, so a fold over a recording agrees
   with the inline run even when disjointness is not enforced;
 * one numbering — a residual program's ``_pre(N)``, a recorded event's
-  site ``N`` and the flow verdict's site ``N`` name one annotated node.
+  site ``N`` and the flow verdict's site ``N`` name one annotated node,
+  also where two annotated nodes share one body object (the simplifier
+  substitutes one ``Const``/``Var`` object at every occurrence).
 """
 
 import os
@@ -26,6 +28,7 @@ from repro.monitoring.derive import run_monitored
 from repro.monitoring.sites import SiteTable
 from repro.monitors import LabelCounterMonitor
 from repro.partial_eval.codegen import generate_program
+from repro.partial_eval.postprocess import simplify
 from repro.replay import ReplaySession
 from repro.runtime import RunConfig
 from repro.syntax.parser import parse
@@ -78,6 +81,46 @@ class TestClaimOrder:
         ).analysis()
         assert folded.reports() == inline.reports()
         assert replayed.reports() == inline.reports()
+
+
+#: After simplification ``{a}`` and ``{b}`` annotate one ``Const`` (the
+#: first) or one ``Var`` object (the second), with the counts given.
+SHARED_BODY = [
+    ("let x = 5 in ({a}: x) + ({b}: x)", {"a": 1, "b": 1}),
+    (
+        "letrec f = lambda y. let x = y in ({a}: x) + ({b}: x) in f 3 + f 4",
+        {"a": 2, "b": 2},
+    ),
+]
+
+
+@pytest.mark.parametrize("source,counts", SHARED_BODY)
+class TestSharedBody:
+    """Two annotated nodes over one body object stay two sites."""
+
+    def test_simplifier_shares_the_body(self, source, counts):
+        sites = build_site_table(simplify(parse(source)))
+        assert len(sites) == 2 and sites[0].body is sites[1].body
+
+    @pytest.mark.parametrize("engine", ["reference", "codegen"])
+    @pytest.mark.parametrize("optimize", ["none", "flow"])
+    def test_engines_and_fold_count_each_site(
+        self, source, counts, engine, optimize, tmp_path
+    ):
+        program = simplify(parse(source))
+        config = RunConfig(engine=engine, optimize=optimize)
+        inline = run_monitored(strict, program, [LabelCounterMonitor()], config=config)
+        assert inline.reports() == {"count": counts}
+        path = str(tmp_path / "t.jsonl")
+        record(strict, program, path, config=config)
+        folded = analyze_trace(path, [LabelCounterMonitor()], program=program)
+        assert folded.reports() == inline.reports()
+
+    def test_residual_names_both_sites(self, source, counts):
+        generated = generate_program(
+            simplify(parse(source)), [LabelCounterMonitor()]
+        )
+        assert _emitted(generated.source) == {0, 1}
 
 
 #: Toolbox stacks whose claims are disjoint over the generated programs.
@@ -140,3 +183,4 @@ def test_trace_flow_and_residual_share_site_ids(program, names, engine):
         assert flow_sites[event.site].rendered == "{" + rendered + "}"
         assert flow_sites[event.site].reachable
         assert event.site in emitted
+
