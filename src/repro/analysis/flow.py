@@ -41,8 +41,9 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.cfg import reachable_nodes
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.stack import _claimants, _render_annotation
+from repro.analysis.stack import _claimants
 from repro.errors import NO_LOCATION, SourceLocation
+from repro.syntax.annotations import render_annotation
 from repro.syntax.ast import Annotated, Lam, Letrec
 
 __all__ = ["FlowAnalysis", "SiteFlow", "analyze_flow", "flow_diagnostics"]
@@ -53,6 +54,8 @@ class SiteFlow:
     """The flow verdict for one annotation site (pre-order ``site_id``)."""
 
     site_id: int
+    #: :func:`~repro.syntax.annotations.render_annotation`'s text, as in
+    #: a trace header; :attr:`shown` adds the braces.
     rendered: str
     location: SourceLocation
     reachable: bool
@@ -64,6 +67,11 @@ class SiteFlow:
     #: True for an annotation layer wrapping a ``letrec``-bound lambda —
     #: unreachable by construction in every engine.
     letrec_wrapper: bool = False
+
+    @property
+    def shown(self) -> str:
+        """The annotation as written in source: ``{rendered}``."""
+        return "{" + self.rendered + "}"
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,12 @@ class FlowAnalysis:
         return {s.site_id: s.claimants for s in self.sites}
 
     def alphabet(self, key: str) -> Tuple[str, ...]:
-        """Monitor ``key``'s may-trigger alphabet: the rendered
-        annotations of every reachable site it claims, in site order."""
+        """Monitor ``key``'s may-trigger alphabet: the annotations (as
+        shown, braces included) of every reachable site it claims, in site
+        order."""
         return tuple(
             dict.fromkeys(
-                s.rendered
+                s.shown
                 for s in self.sites
                 if s.reachable and key in s.claimants
             )
@@ -129,7 +138,7 @@ def analyze_flow(program, monitors: Sequence = ()) -> FlowAnalysis:
         sites.append(
             SiteFlow(
                 site_id=len(sites),
-                rendered=_render_annotation(node.annotation),
+                rendered=render_annotation(node.annotation),
                 location=getattr(node, "location", NO_LOCATION),
                 reachable=reachable,
                 claimants=claimed,
@@ -179,7 +188,7 @@ def flow_diagnostics(flow: FlowAnalysis) -> List[Diagnostic]:
         if not site.reachable:
             if site.letrec_wrapper:
                 message = (
-                    f"annotation {site.rendered} wraps a letrec-bound "
+                    f"annotation {site.shown} wraps a letrec-bound "
                     "lambda: the recursive knot is tied without evaluating "
                     "the binding, so this hook can never fire"
                 )
@@ -189,7 +198,7 @@ def flow_diagnostics(flow: FlowAnalysis) -> List[Diagnostic]:
                 )
             else:
                 message = (
-                    f"annotation site {site.rendered} is statically "
+                    f"annotation site {site.shown} is statically "
                     "unreachable: no execution path evaluates it"
                 )
                 hint = (
@@ -202,7 +211,7 @@ def flow_diagnostics(flow: FlowAnalysis) -> List[Diagnostic]:
                     severity="warning",
                     message=message,
                     location=site.location,
-                    span=len(site.rendered),
+                    span=len(site.shown),
                     hint=hint,
                 )
             )
@@ -230,11 +239,11 @@ def flow_diagnostics(flow: FlowAnalysis) -> List[Diagnostic]:
             Diagnostic(
                 code="REP503",
                 severity="info",
-                message=f"site {site.rendered} is reachable only inside "
+                message=f"site {site.shown} is reachable only inside "
                 f"an activation of monitor(s) {shown}; a fault there can "
                 "suppress or reorder this observation",
                 location=site.location,
-                span=len(site.rendered),
+                span=len(site.shown),
                 hint="under fault_policy='quarantine' the program keeps "
                 "running without the guarding hook; under 'propagate' a "
                 "fault there aborts before this site fires",

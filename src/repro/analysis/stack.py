@@ -25,17 +25,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import NO_LOCATION, Diagnostic
 from repro.monitoring.spec import MonitorSpec
-from repro.syntax.annotations import Tagged
-
-
-def _render_annotation(annotation: object) -> str:
-    render = getattr(annotation, "render", None)
-    if callable(render):
-        try:
-            return "{" + render() + "}"
-        except Exception:
-            pass
-    return repr(annotation)
+from repro.syntax.annotations import Tagged, render_annotation
 
 
 def _claimants(
@@ -114,7 +104,7 @@ def analyze_stack(
         annotation = getattr(node, "annotation", None)
         if annotation is None:
             continue
-        shown = _render_annotation(annotation)
+        shown = "{" + render_annotation(annotation) + "}"
         claimed = _claimants(monitors, annotation)
         # L_imp's AnnotatedCmd carries no source location (commands are
         # rebuilt by desugaring); the lint still applies, just unlocated.

@@ -23,7 +23,9 @@ Event types (:data:`EVENT_TYPES`):
 * ``worker-start`` / ``worker-exit`` / ``worker-crash`` — a process-pool
   worker (:mod:`repro.runtime.process_pool`) came up, shut down cleanly,
   or died unexpectedly (``payload``: ``worker``, ``pid``; ``worker-crash``
-  adds ``in_flight``, the id of the request it took down, if any).
+  adds ``exitcode``, ``in_flight``, the id of the request it took down,
+  if any, and ``failed``, 1 if it was running one and 0 if idle — its
+  queued requests go to the replacement).
 * ``serve-request`` — one request finished inside a worker (``payload``:
   ``id``, ``ok``, ``duration``, plus the ``worker`` tag its
   :class:`~repro.observability.sinks.TaggedSink` merges in).

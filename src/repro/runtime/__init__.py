@@ -16,8 +16,10 @@ single-run monitoring pipeline:
   tying config + cache + pool together;
 * :mod:`repro.runtime.process_pool` — :class:`ProcessPoolRunner`, the
   multi-core tier: forked workers with pre-warmed per-worker caches,
-  program-fingerprint request routing, bounded-queue backpressure
-  (:class:`OverloadedError`) and crash detection + restart;
+  program-fingerprint request routing, bounded per-worker backpressure
+  (:class:`OverloadedError`) and crash detection + restart (a crash
+  fails only the request in flight; queued requests go to the
+  replacement);
 * :mod:`repro.runtime.serve` — :class:`Server`, the long-lived
   JSONL-over-socket daemon (``repro serve``) in front of the process
   pool.

@@ -3,8 +3,8 @@
 The thread-pooled :class:`~repro.runtime.batch.BatchRunner` buys cache
 sharing and interleaved I/O, but monitored evaluation is pure Python and
 the GIL serializes it — CPU-heavy traffic never scales past one core.
-:class:`ProcessPoolRunner` is the scale-out tier (ROADMAP item 2): it
-forks N worker processes, each holding its own pre-warmed
+:class:`ProcessPoolRunner` is the scale-out tier: it forks N worker
+processes, each holding its own pre-warmed
 :class:`~repro.runtime.cache.CompilationCache`, and routes requests to
 workers **by program fingerprint**, so every repeat of a program lands on
 the worker that already compiled it and warm cache hits shard cleanly.
@@ -18,29 +18,34 @@ pool to the sequential oracle on both engines).
 **The serialization boundary.** Requests cross to workers as small wire
 dicts — the program (surface syntax or a picklable AST), tool *names*,
 the language name, and the scalar :meth:`~repro.runtime.config.RunConfig.
-scalars` of the config.  Results come back as rendered
-:meth:`~repro.runtime.batch.RunResult.to_dict` projections and are
-rebuilt with :meth:`~repro.runtime.batch.RunResult.from_dict`; the
-in-process-only fields (``metrics``, live sinks) never cross.  Anything
-that cannot cross fails *that request* with a clean ``ok=False`` result,
-never the pool.
+scalars` of the config — pickled once, at submission.  Results come back
+as rendered :meth:`~repro.runtime.batch.RunResult.to_dict` projections
+and are rebuilt with :meth:`~repro.runtime.batch.RunResult.from_dict`;
+the in-process-only fields (``metrics``, live sinks) never cross.
+Anything that cannot cross fails *that request* with a clean
+``ok=False`` result, never the pool.
+
+**Dispatch.** Each worker talks to the parent over its own duplex pipe.
+The requests routed to a worker wait in a parent-side deque, and the
+parent sends the next one only when the worker is ready and idle — after
+its ``("ready", pid)`` message or its ``("done", id, result)`` for the
+last one.  At most one request is ever in a pipe, so the parent always
+knows which request a worker holds.
 
 Operational guarantees:
 
-* **bounded queues / backpressure** — each worker's request queue holds at
-  most ``queue_depth`` entries; a non-blocking submit against a full queue
-  raises :class:`OverloadedError` (an explicit rejection the serve daemon
-  turns into an ``"Overloaded"`` JSONL record — never a silent drop);
+* **bounded backpressure** — at most ``queue_depth`` requests
+  wait for a worker; a non-blocking submit to a full worker raises
+  :class:`OverloadedError` (an explicit rejection the serve daemon turns
+  into an ``"Overloaded"`` JSONL record — never a silent drop), and a
+  blocking one waits until the worker takes its next request;
 * **crash detection + restart** — a worker that dies (OOM-killed,
-  segfaulted C extension, ``SIGKILL``) is detected, every request it had
-  accepted (the one it was running *and* any still queued to it — the
-  parent cannot always tell which one was dequeued when the process
-  died) fails with ``error_type="WorkerCrashed"``, a replacement worker
-  is forked, and the pool keeps serving — no future ever hangs on a dead
-  worker.  Each worker owns its request queue *and* its result pipe, and
-  both are replaced with it: a worker killed halfway through a read or a
-  write leaves its lock or a truncated message on channels nobody uses
-  again, never on one its siblings share;
+  segfaulted C extension, ``SIGKILL``) wakes the parent through its
+  process sentinel; only the request it was running fails, with
+  ``error_type="WorkerCrashed"``, and is never resent.  A replacement
+  worker is started on a fresh pipe and serves the dead worker's queued
+  requests once it is ready — those never reached the dead process, and
+  by the soundness theorem any worker gives them the same answer;
 * **per-request cooperative timeouts** — exactly the batch runner's,
   enforced by the trampoline deadline inside the worker;
 * **per-worker telemetry** — with ``trace_dir`` set, each worker streams
@@ -57,14 +62,14 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import signal
 import threading
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_for_readable
-from time import monotonic, perf_counter
-from typing import Dict, List, Optional, Sequence, Union
+from time import perf_counter
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 # What every request runs (the lint gate, codegen, the toolbox) is
 # imported here, in the parent, so forked workers inherit it instead of
@@ -87,16 +92,24 @@ from repro.runtime.batch import (
 from repro.runtime.cache import CompilationCache, program_fingerprint
 from repro.runtime.config import RunConfig
 
-#: Per-worker request-queue depth before submissions are rejected.
+#: How many requests may wait for one worker before submissions are
+#: rejected (non-blocking) or wait (blocking).
 DEFAULT_QUEUE_DEPTH = 32
 
 #: How long ``close()`` waits for a worker to drain and exit before
 #: terminating it.
 _SHUTDOWN_GRACE = 5.0
 
+#: Workers fork where the platform can (inheriting the imports above),
+#: else spawn.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
 
 class OverloadedError(ReproError):
-    """A non-blocking submit found the target worker's queue full.
+    """A non-blocking submit found ``queue_depth`` requests already waiting
+    for the target worker.
 
     The explicit backpressure signal: callers (the serve daemon) turn it
     into an ``ok=False`` / ``error_type="Overloaded"`` rejection so the
@@ -110,28 +123,18 @@ class OverloadedError(ReproError):
 def request_to_wire(
     request: RunRequest, *, request_id: int, index: int
 ) -> Dict[str, object]:
-    """Project a request onto the process boundary (picklable dict).
+    """Project a request onto the process boundary.
 
     Programs cross as source text or AST (frozen dataclasses pickle
-    cleanly); tools cross as names or picklable specs — a tools object
-    pickle rejects fails admission here, before it can wedge the queue's
-    feeder thread; configs cross as their scalar fields only.
+    cleanly); tools cross as names or picklable specs; configs cross as
+    their scalar fields only.  :func:`_encode` pickles the result.
     """
     config = request.config.scalars() if request.config is not None else None
-    tools = request.tools
-    if not _is_plain_tools(tools):
-        try:
-            pickle.dumps(tools)
-        except Exception as exc:
-            raise ValueError(
-                "tools cannot cross the process boundary (not picklable: "
-                f"{exc}); pass toolbox names such as 'profile & trace'"
-            ) from None
     return {
         "id": request_id,
         "index": index,
         "program": request.program,
-        "tools": tools,
+        "tools": request.tools,
         "language": getattr(request.language, "name", None),
         "config": config,
         "timeout": request.timeout,
@@ -152,12 +155,16 @@ def request_from_wire(wire: Dict[str, object]) -> RunRequest:
     )
 
 
-def _is_plain_tools(tools: object) -> bool:
-    if isinstance(tools, str):
-        return True
-    if isinstance(tools, (list, tuple)):
-        return all(isinstance(item, str) for item in tools)
-    return False
+def _encode(wire: Dict[str, object]) -> bytes:
+    """Pickle a wire once, at admission, so that a request which cannot
+    cross (typically tools holding a lambda) fails its own slot."""
+    try:
+        return pickle.dumps(wire)
+    except Exception as exc:
+        raise ValueError(
+            "request cannot cross the process boundary (not picklable: "
+            f"{exc}); pass tools as toolbox names such as 'profile & trace'"
+        ) from None
 
 
 def route_key(program: object) -> str:
@@ -181,20 +188,18 @@ def _shard(program: object, workers: int) -> int:
     return int(route_key(program)[:8], 16) % workers
 
 
+
+
 # -- the worker process -------------------------------------------------------
 
 
-def _worker_main(worker_id: int, request_queue, results, init) -> None:
-    """One worker: pre-warm its shard, then loop requests until ``None``.
+def _worker_main(worker_id: int, conn, init) -> None:
+    """One worker: pre-warm its shard, then serve requests until ``None``.
 
-    Runs in the child process.  Protocol (messages on ``results``, this
-    worker's own pipe, of which it holds the only write end):
-    ``("ready", pid)`` once warm, ``("start", id)`` when a request is
-    picked up, ``("done", id, result_dict)`` when it finishes.  The
-    start/done pair tells the parent which request was running if this
-    process dies mid-run — but delivery races death, so the parent's
-    crash accounting keys off its own submitted-but-unacked set, not
-    these acks alone.
+    Runs in the child process.  ``conn`` is this worker's own duplex pipe.
+    The worker sends ``("ready", pid)`` once warm, then answers each
+    request it receives with ``("done", id, result_dict)``; the parent
+    sends the next request only after that answer.
     """
     from repro.observability.sinks import JsonlSink, TaggedSink
 
@@ -218,13 +223,12 @@ def _worker_main(worker_id: int, request_queue, results, init) -> None:
         except Exception:
             pass  # pre-warming is best-effort; real requests still compile
 
-    results.send(("ready", os.getpid()))
+    conn.send(("ready", os.getpid()))
     while True:
-        wire = request_queue.get()
+        wire = conn.recv()
         if wire is None:
             break
         request_id = wire["id"]
-        results.send(("start", request_id))
         try:
             request = request_from_wire(wire)
             result = execute_request(
@@ -237,7 +241,7 @@ def _worker_main(worker_id: int, request_queue, results, init) -> None:
                 "serve-request",
                 {"id": request_id, "ok": result.ok, "duration": result.duration},
             )
-        results.send(("done", request_id, result.to_dict()))
+        conn.send(("done", request_id, result.to_dict()))
     if sink is not None:
         sink.close()
 
@@ -252,44 +256,36 @@ class _Pending:
     request_id: int
     index: int
     tag: Optional[str]
-    worker: int
     future: "Future[RunResult]" = field(default_factory=Future)
-    started: bool = False
 
 
 class _Worker:
-    """Parent-side handle: the process, its bounded request queue and the
-    read end of its result pipe."""
+    """Parent-side handle: the process, the parent's end of its pipe, the
+    requests waiting for it and the one it is running."""
 
-    def __init__(self, worker_id: int, ctx, queue_depth: int) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.queue = ctx.Queue(maxsize=queue_depth)
-        self.results = None
+        #: ``(request id, pickled wire)`` pairs, oldest first.
+        self.waiting: Deque[Tuple[int, bytes]] = deque()
+        self.running: Optional[int] = None
+        self.conn = None
         self.process = None
-        self.current: Optional[int] = None  # in-flight request id
-        # Every request id handed to this worker's queue and not yet
-        # "done"-acked.  ``current`` alone cannot be trusted for crash
-        # accounting: a worker that dies after dequeuing a request but
-        # before its "start" message is delivered leaves ``current`` unset
-        # — the unacked set is the ground truth of what this worker owes.
-        self.inflight: Dict[int, None] = {}
         self.ready = False
-        self.restarts = 0
 
-    def spawn(self, ctx, init) -> None:
+    def spawn(self, init) -> None:
         self.ready = False
-        self.current = None
-        self.results, writer = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
+        self.running = None
+        self.conn, child = _CONTEXT.Pipe(duplex=True)
+        self.process = _CONTEXT.Process(
             target=_worker_main,
-            args=(self.worker_id, self.queue, writer, init),
+            args=(self.worker_id, child, init),
             daemon=True,
             name=f"repro-worker-{self.worker_id}",
         )
         self.process.start()
-        # The child now holds the only write end, so its death is this
-        # pipe's end of file.
-        writer.close()
+        # The child now holds the only copy of its end, so its death is
+        # this pipe's end of file.
+        child.close()
 
 
 class ProcessPoolRunner:
@@ -323,7 +319,6 @@ class ProcessPoolRunner:
         trace_dir: Optional[str] = None,
         prewarm: Sequence[Union[RunRequest, Dict]] = (),
         event_sink=None,
-        start_method: Optional[str] = None,
     ) -> None:
         self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
         self.config = RunConfig.checked(config)
@@ -337,23 +332,20 @@ class ProcessPoolRunner:
             admitted = admit(index, entry, self.config)
             if isinstance(admitted, RunResult):
                 raise ValueError(f"prewarm entry {index}: {admitted.error}")
-            self._prewarm_wire.append(
-                request_to_wire(admitted, request_id=-1, index=0)
-            )
+            wire = request_to_wire(admitted, request_id=-1, index=0)
+            _encode(wire)  # an entry that cannot cross fails here, not in a worker
+            self._prewarm_wire.append(wire)
         self._event_sink = event_sink
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
-        self._lock = threading.Lock()
+        # One lock for all pool state; the collector notifies it whenever a
+        # worker becomes ready or takes its next request.
+        self._changed = threading.Condition(threading.Lock())
         self._ids = itertools.count(1)
         self._pending: Dict[int, _Pending] = {}
         self._pool: List[_Worker] = []
         self._collector: Optional[threading.Thread] = None
         self._started = False
+        self._up = False  # every worker reported ready once
+        self._startup_error: Optional[str] = None
         self._closing = False
         self._crashes = 0
 
@@ -361,47 +353,37 @@ class ProcessPoolRunner:
 
     def start(self) -> "ProcessPoolRunner":
         """Fork the workers and wait until every one reports ready."""
-        with self._lock:
+        with self._changed:
             if self._started:
                 return self
             self._started = True
             for worker_id in range(self.workers):
-                worker = _Worker(worker_id, self._ctx, self.queue_depth)
-                worker.spawn(self._ctx, self._worker_init(worker_id))
+                worker = _Worker(worker_id)
+                worker.spawn(self._worker_init(worker_id))
                 self._pool.append(worker)
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-pool-collector", daemon=True
         )
         self._collector.start()
-        deadline = monotonic() + 60.0
-        while monotonic() < deadline:
-            started = None
-            with self._lock:
-                if all(worker.ready for worker in self._pool):
-                    started = [
-                        (worker.worker_id, worker.process.pid)
-                        for worker in self._pool
-                    ]
-                dead = [
-                    worker
-                    for worker in self._pool
-                    if not worker.ready and not worker.process.is_alive()
-                ]
-            if started is not None:
-                # Emit outside the pool lock: the sink is arbitrary user
-                # code and must never run under (or re-take) self._lock.
-                for worker_id, pid in started:
-                    self._emit("worker-start", {"worker": worker_id, "pid": pid})
-                return self
-            if dead:
-                self.close()
-                raise ReproError(
-                    f"worker {dead[0].worker_id} died during startup "
-                    f"(exit code {dead[0].process.exitcode})"
-                )
-            threading.Event().wait(0.01)
-        self.close()
-        raise ReproError("process pool failed to become ready within 60s")
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._startup_error is not None
+                or all(worker.ready for worker in self._pool),
+                timeout=60.0,
+            )
+            failure = self._startup_error
+            if failure is None and not all(worker.ready for worker in self._pool):
+                failure = "process pool failed to become ready within 60s"
+            self._up = failure is None
+            started = [(worker.worker_id, worker.process.pid) for worker in self._pool]
+        if failure is not None:
+            self.close()
+            raise ReproError(failure)
+        # Emit outside the pool lock: the sink is arbitrary user code and
+        # must never run under (or re-take) it.
+        for worker_id, pid in started:
+            self._emit("worker-start", {"worker": worker_id, "pid": pid})
+        return self
 
     def _worker_init(self, worker_id: int) -> Dict[str, object]:
         trace_path = None
@@ -422,17 +404,15 @@ class ProcessPoolRunner:
 
     def close(self) -> None:
         """Drain, stop the workers, and fail any still-pending futures."""
-        with self._lock:
+        with self._changed:
             if self._closing or not self._started:
                 self._closing = True
                 return
             self._closing = True
             pool = list(self._pool)
-        for worker in pool:
-            try:
-                worker.queue.put(None, timeout=0.5)
-            except queue_module.Full:
-                pass  # will be terminated below
+            for worker in pool:
+                self._dispatch(worker)  # an idle worker with nothing queued stops
+            self._changed.notify_all()
         for worker in pool:
             worker.process.join(timeout=_SHUTDOWN_GRACE)
             if worker.process.is_alive():
@@ -442,11 +422,11 @@ class ProcessPoolRunner:
                 "worker-exit",
                 {"worker": worker.worker_id, "pid": worker.process.pid},
             )
-        with self._lock:
+        with self._changed:
             leftovers = list(self._pending.values())
             self._pending.clear()
         for pending in leftovers:
-            self._resolve_exceptionless(
+            self._resolve(
                 pending,
                 RunResult(
                     index=pending.index,
@@ -457,13 +437,8 @@ class ProcessPoolRunner:
                 ),
             )
         if self._collector is not None:
+            # It closes each pipe as its worker's process ends.
             self._collector.join(timeout=_SHUTDOWN_GRACE)
-            if self._collector.is_alive():
-                return  # still reading the pipes: leave them open
-        for worker in pool:
-            if worker.results is not None:
-                worker.results.close()
-                worker.results = None
 
     def __enter__(self) -> "ProcessPoolRunner":
         return self.start()
@@ -474,17 +449,18 @@ class ProcessPoolRunner:
     # -- introspection -------------------------------------------------------
 
     def worker_pids(self) -> List[int]:
-        with self._lock:
+        with self._changed:
             return [worker.process.pid for worker in self._pool]
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
+        with self._changed:
             return {
                 "workers": len(self._pool),
                 "queue_depth": self.queue_depth,
                 "pending": len(self._pending),
+                # Every crash restarts its worker: one counter, two names.
                 "crashes": self._crashes,
-                "restarts": sum(worker.restarts for worker in self._pool),
+                "restarts": self._crashes,
             }
 
     # -- events --------------------------------------------------------------
@@ -506,69 +482,45 @@ class ProcessPoolRunner:
 
         Admission failures (bad record, unpicklable tools) resolve the
         returned future immediately with a diagnostic ``ok=False`` result.
-        With ``block=False`` a full worker queue raises
-        :class:`OverloadedError` instead of waiting — the daemon's
-        backpressure path.  With ``block=True`` the submit *waits* for
-        space, which is the batch path's flow control.
+        When ``queue_depth`` requests already wait for the target worker,
+        ``block=False`` raises :class:`OverloadedError` — the daemon's
+        backpressure path — and ``block=True`` waits until the worker takes
+        its next request, which is the batch path's flow control.
         """
         if not self._started:
             self.start()
-        if self._closing:
-            raise ReproError("process pool is closed")
         request = admit(index, request, self.config)
         if isinstance(request, RunResult):
             return self._failed_future(request)
         request_id = next(self._ids)
         try:
-            wire = request_to_wire(request, request_id=request_id, index=index)
+            payload = _encode(
+                request_to_wire(request, request_id=request_id, index=index)
+            )
         except Exception as exc:
             return self._failed_future(
                 admission_failure(index, {"tag": request.tag}, exc)
             )
-        with self._lock:
+        with self._changed:
+            if self._closing:
+                raise ReproError("process pool is closed")
             worker = self._pool[_shard(request.program, len(self._pool))]
-            pending = _Pending(
-                request_id=request_id,
-                index=index,
-                tag=request.tag,
-                worker=worker.worker_id,
-            )
+            if not block and len(worker.waiting) >= self.queue_depth:
+                raise OverloadedError(
+                    f"worker {worker.worker_id} already has {self.queue_depth} "
+                    "requests waiting; back off and retry"
+                )
+            pending = _Pending(request_id=request_id, index=index, tag=request.tag)
             self._pending[request_id] = pending
-            worker.inflight[request_id] = None
-        try:
-            if block:
-                self._put_waiting(worker, request_id, wire)
-            else:
-                worker.queue.put_nowait(wire)
-        except queue_module.Full:
-            with self._lock:
-                self._pending.pop(request_id, None)
-                worker.inflight.pop(request_id, None)
-            raise OverloadedError(
-                f"worker {worker.worker_id} queue is full "
-                f"(depth {self.queue_depth}); back off and retry"
-            ) from None
+            # close() fails a request still pending when it ends, so a
+            # submitter waiting here gives up as soon as the pool closes.
+            self._changed.wait_for(
+                lambda: self._closing or len(worker.waiting) < self.queue_depth
+            )
+            if not self._closing:
+                worker.waiting.append((request_id, payload))
+                self._dispatch(worker)
         return pending.future
-
-    def _put_waiting(self, worker: _Worker, request_id: int, wire) -> None:
-        """Wait for queue space without ever waiting on a retired queue.
-
-        A crash hands the worker a fresh queue and nothing reads the old
-        one again, so a plain blocking ``put`` waiting on it would never
-        return.  Poll instead: stop once the request is no longer pending
-        (a crash or ``close()`` has already resolved its future), and
-        otherwise retry on whatever queue the worker holds now.
-        """
-        while True:
-            with self._lock:
-                if request_id not in self._pending:
-                    return
-                target = worker.queue
-            try:
-                target.put(wire, timeout=0.1)
-                return
-            except queue_module.Full:
-                continue
 
     def run(self, requests: Sequence[Union[RunRequest, Dict]]) -> List[RunResult]:
         """Run every request; results in submission order, never raising."""
@@ -600,159 +552,128 @@ class ProcessPoolRunner:
         return future
 
     @staticmethod
-    def _resolve_exceptionless(pending: _Pending, result: RunResult) -> None:
+    def _resolve(pending: _Pending, result: RunResult) -> None:
         if not pending.future.done():
             pending.future.set_result(result)
+
+    def _dispatch(self, worker: _Worker) -> None:
+        """Send a ready, idle ``worker`` its next request — or, once the
+        pool is closing and nothing waits for it, the stop message.
+
+        Called with the lock held.
+        """
+        if not worker.ready or worker.running is not None:
+            return
+        try:
+            if worker.waiting:
+                request_id, payload = worker.waiting[0]
+                worker.conn.send_bytes(payload)
+                worker.waiting.popleft()
+                worker.running = request_id
+            elif self._closing:
+                worker.conn.send(None)
+                worker.ready = False  # it takes nothing more
+        except OSError:
+            # The worker is dead, and the request never reached it: it
+            # stays queued for the replacement the collector starts.
+            worker.ready = False
 
     # -- the collector thread ------------------------------------------------
 
     def _collect_loop(self) -> None:
-        """Drain every worker's result pipe; restart crashed workers."""
+        """Read every worker's pipe; restart a worker whose process died.
+
+        Waits on each pipe *and* each process sentinel: a process forked
+        elsewhere while a pipe was being set up may hold a copy of its
+        child end, and then the pipe never reads end of file — but the
+        sentinel still fires.  Runs until every worker's pipe is closed.
+        """
         while True:
-            if self._closing:
-                with self._lock:
-                    drained = not self._pending
-                if drained:
-                    return
-            with self._lock:
-                readers = {
-                    worker.results: worker
-                    for worker in self._pool
-                    if worker.results is not None
-                }
-            ready = wait_for_readable(list(readers), timeout=0.05)
-            if not ready:
-                self._check_liveness()
-                continue
-            for reader in ready:
-                worker = readers[reader]
-                try:
-                    message = reader.recv()
-                except (EOFError, OSError):
-                    # End of file, possibly halfway through a message: the
-                    # worker exited or died, and only its own pipe knows.
-                    self._pipe_closed(worker)
-                    continue
-                self._receive(worker, message)
+            with self._changed:
+                handles = {}
+                for worker in self._pool:
+                    if worker.conn is not None:
+                        handles[worker.conn] = worker
+                        handles[worker.process.sentinel] = worker
+            if not handles:
+                return
+            ready = wait_for_readable(list(handles))
+            for worker in dict.fromkeys(handles[handle] for handle in ready):
+                self._drain(worker, died=worker.process.sentinel in ready)
+
+    def _drain(self, worker: _Worker, *, died: bool) -> None:
+        """Take every message ``worker`` sent; retire it if it died."""
+        try:
+            while worker.conn.poll():
+                self._receive(worker, worker.conn.recv())
+        except (EOFError, OSError):
+            # End of file, possibly halfway through a message: the worker
+            # exited or died, and only its own pipe knows.
+            died = True
+        if died:
+            self._retire(worker)
 
     def _receive(self, worker: _Worker, message) -> None:
-        kind = message[0]
-        if kind == "ready":
-            with self._lock:
+        pending = None
+        with self._changed:
+            if message[0] == "ready":
                 worker.ready = True
-        elif kind == "start":
-            with self._lock:
-                worker.current = message[1]
-                pending = self._pending.get(message[1])
-                if pending is not None:
-                    pending.started = True
-        elif kind == "done":
-            _, request_id, payload = message
-            with self._lock:
-                if worker.current == request_id:
-                    worker.current = None
-                worker.inflight.pop(request_id, None)
+            else:
+                _, request_id, payload = message
+                worker.running = None
                 pending = self._pending.pop(request_id, None)
-            if pending is not None:
-                self._resolve_exceptionless(pending, RunResult.from_dict(payload))
+            self._dispatch(worker)
+            self._changed.notify_all()
+        if pending is not None:
+            self._resolve(pending, RunResult.from_dict(payload))
 
-    def _pipe_closed(self, worker: _Worker) -> None:
-        """``worker``'s pipe ended: retire it on close, else restart."""
-        if self._closing:
-            worker.results.close()
-            worker.results = None
-            return
-        worker.process.join(timeout=_SHUTDOWN_GRACE)  # for its exit code
-        self._restart(worker)
-
-    def _check_liveness(self) -> None:
-        """Restart a dead worker whose pipe never showed end of file.
-
-        A dead worker's pipe normally reads end of file once its last
-        complete messages are drained, and :meth:`_pipe_closed` restarts
-        it.  A process forked elsewhere while the pipe was being set up
-        may hold a copy of its write end, though, and then no end of file
-        ever comes; this poll catches that case.
-        """
-        if self._closing:
-            return
-        with self._lock:
-            dead = [
-                worker
-                for worker in self._pool
-                if not worker.process.is_alive() and not worker.results.poll()
-            ]
-        for worker in dead:
-            if self._closing:
+    def _retire(self, worker: _Worker) -> None:
+        """``worker``'s process ended: start a replacement — or, while the
+        pool is still starting or already closing, only close its pipe."""
+        dead = worker.process
+        dead.join(timeout=_SHUTDOWN_GRACE)  # for its exit code
+        with self._changed:
+            worker.conn.close()
+            if not self._up or self._closing:
+                worker.conn, worker.ready = None, False
+                if not self._up and self._startup_error is None:
+                    self._startup_error = (
+                        f"worker {worker.worker_id} died during startup "
+                        f"(exit code {dead.exitcode})"
+                    )
+                self._changed.notify_all()
                 return
-            self._restart(worker)
-
-    def _restart(self, worker: _Worker) -> None:
-        """Fail every unacked request of a dead worker; fork a replacement.
-
-        ``worker.current`` (the "start"-acked request) is not enough: a
-        worker can die *after* dequeuing a request but *before* its
-        "start" message is delivered, leaving a request that is neither
-        current nor still in the queue — its future would never resolve.
-        So a crash fails the whole unacked set for that worker (running
-        *and* queued requests alike) rather than guessing which single
-        one was in flight; nothing submitted to a dead worker can hang.
-
-        The replacement gets a fresh request queue and a fresh result
-        pipe: a worker killed while idle in ``queue.get()`` dies holding
-        the queue's read lock, and one killed mid-``send`` leaves a
-        truncated message.  Wires left in the old queue belong to
-        requests that were just failed, so dropping them loses nothing.
-        """
-        exitcode = worker.process.exitcode
-        pid = worker.process.pid
-        with self._lock:
-            in_flight = worker.current
-            lost = [
-                pending
-                for request_id in list(worker.inflight)
-                for pending in (self._pending.pop(request_id, None),)
-                if pending is not None
-            ]
-            worker.inflight.clear()
-            worker.restarts += 1
+            in_flight = worker.running
+            lost = self._pending.pop(in_flight, None)
             self._crashes += 1
-            # Never join the stale queue's feeder thread at exit.
-            worker.queue.cancel_join_thread()
-            worker.queue = self._ctx.Queue(maxsize=self.queue_depth)
-            worker.results.close()
-            worker.spawn(self._ctx, self._worker_init(worker.worker_id))
+            worker.spawn(self._worker_init(worker.worker_id))
         self._emit(
             "worker-crash",
             {
                 "worker": worker.worker_id,
-                "pid": pid,
-                "exitcode": exitcode,
+                "pid": dead.pid,
+                "exitcode": dead.exitcode,
                 "in_flight": in_flight,
-                "failed": len(lost),
+                "failed": int(lost is not None),
             },
         )
         self._emit(
             "worker-start",
             {"worker": worker.worker_id, "pid": worker.process.pid},
         )
-        for pending in lost:
-            ran = pending.started or pending.request_id == in_flight
-            self._resolve_exceptionless(
-                pending,
+        if lost is not None:
+            # Never resent: a request that killed its worker once may do so
+            # again.  The queued ones go to the replacement.
+            self._resolve(
+                lost,
                 RunResult(
-                    index=pending.index,
+                    index=lost.index,
                     ok=False,
-                    tag=pending.tag,
+                    tag=lost.tag,
                     error=(
-                        f"worker {worker.worker_id} (pid {pid}) died with "
-                        f"exit code {exitcode} "
-                        + (
-                            "while running this request"
-                            if ran
-                            else "with this request queued on it"
-                        )
-                        + "; a replacement worker was started"
+                        f"worker {worker.worker_id} (pid {dead.pid}) died with "
+                        f"exit code {dead.exitcode} while running this request; "
+                        "a replacement worker was started"
                     ),
                     error_type="WorkerCrashed",
                 ),

@@ -1,11 +1,11 @@
 """``repro serve``: a long-lived JSONL-over-socket monitored-evaluation daemon.
 
-The millions-of-users entry point (ROADMAP item 2): a :class:`Server`
-binds a unix-domain socket (``socket_path=``) or a TCP port (``port=``),
+A :class:`Server` binds a unix-domain socket (``socket_path=``) or a
+TCP port (``port=``),
 accepts any number of concurrent client connections, and routes every
 request line through a :class:`~repro.runtime.process_pool.
 ProcessPoolRunner` — real multi-core parallelism with fingerprint-sharded
-warm caches, per-request cooperative timeouts, bounded-queue
+warm caches, per-request cooperative timeouts, bounded per-worker
 backpressure, and crash-isolated workers.
 
 **Protocol.**  One JSON object per line, in both directions.  A request
@@ -29,8 +29,9 @@ Admission control happens before execution, in this order: unparseable
 JSON → ``ProtocolError``; an invalid record (unknown key, missing
 program, an invalid option such as a non-positive ``timeout`` or
 ``max_steps``) → a diagnostic ``ok=False`` record;
-a full worker queue → an explicit ``Overloaded`` rejection (HTTP-429
-moral equivalent — never a silent drop); and with ``lint="error"`` on
+``queue_depth`` requests already waiting for the target worker → an
+explicit ``Overloaded`` rejection (HTTP-429 moral equivalent — never a
+silent drop); and with ``lint="error"`` on
 the server config, the static analyzer rejects failing programs with
 their diagnostics attached (``StaticAnalysisError``), the program never
 executing.

@@ -184,6 +184,24 @@ def tagged(tool: str, payload: "Annotation | str") -> Tagged:
     return Tagged(tool, payload)
 
 
+def render_annotation(annotation: object) -> str:
+    """An annotation's surface text without its braces (``p0``,
+    ``trace: f(n)``), falling back to ``str`` for a value that cannot
+    render itself.
+
+    The one rendering: trace headers, ``--sites`` selectors and the
+    analyzer's flow verdict all carry this text; the analyzer adds the
+    braces where it shows a site in a message.
+    """
+    render = getattr(annotation, "render", None)
+    if callable(render):
+        try:
+            return render()
+        except Exception:
+            pass
+    return str(annotation)
+
+
 def untag(annotation: Annotation, tool: Optional[str] = None) -> Optional[Annotation]:
     """Return the payload of a :class:`Tagged` annotation for ``tool``.
 

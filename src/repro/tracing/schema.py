@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.syntax.annotations import render_annotation
 
 #: Bump when a record's shape changes incompatibly.  The reader refuses
 #: versions outside :data:`READ_VERSIONS` with :class:`TraceVersionError`
@@ -232,16 +233,6 @@ def _annotation_params(payload: object) -> Tuple[str, ...]:
     return ()
 
 
-def _render_annotation(payload: object) -> str:
-    render = getattr(payload, "render", None)
-    if render is not None:
-        try:
-            return render()
-        except Exception:
-            pass
-    return str(payload)
-
-
 def build_site_table(program) -> List[Site]:
     """Enumerate the program's annotated nodes in deterministic pre-order.
 
@@ -260,7 +251,7 @@ def build_site_table(program) -> List[Site]:
                 annotation=payload,
                 body=node.body,
                 params=_annotation_params(payload),
-                rendered=_render_annotation(payload),
+                rendered=render_annotation(payload),
             )
         )
     return sites

@@ -159,7 +159,7 @@ def _assert_erasable_sites_inert(program):
     program = _label_sites(program)
     flow = analyze_flow(program, [LabelCounterMonitor()])
     assert [site.rendered for site in flow.sites] == [
-        f"{{s{site.site_id}}}" for site in flow.sites
+        f"s{site.site_id}" for site in flow.sites
     ]
     result = run_monitored(
         imperative,

@@ -5,10 +5,10 @@ the answers: routing by program fingerprint, per-worker caches and the
 process boundary may change *where* a request runs, never *what* it
 returns — the soundness theorem (Section 7) is what licenses the
 sharding.  Beyond parity, the pool owes its callers the operational
-guarantees a daemon is built on: a dead worker fails every request it
-had accepted (running or queued — no future ever hangs) and is
-replaced; a full queue is an explicit :class:`OverloadedError`, never a
-silent drop; a bad record fails its own slot with a diagnostic result;
+guarantees a daemon is built on: a dead worker fails only the request
+it was running, never resends it, and is replaced, and its queued
+requests go to the replacement (no future ever hangs); a full worker is
+an explicit :class:`OverloadedError`, never a silent drop; a bad record fails its own slot with a diagnostic result;
 a record's config keys overlay the pool's config instead of shedding
 its lint gate and timeout.
 """
@@ -33,7 +33,12 @@ from repro.runtime import (
     Runtime,
     route_key,
 )
-from repro.runtime.process_pool import _shard, request_from_wire, request_to_wire
+from repro.runtime.process_pool import (
+    _encode,
+    _shard,
+    request_from_wire,
+    request_to_wire,
+)
 from repro.toolbox.registry import evaluate
 from tests.test_run_batch import LANGUAGE_SOURCES, parsed_reference_answer
 
@@ -135,7 +140,7 @@ class TestWireFormat:
     def test_unpicklable_tools_rejected_at_admission(self):
         request = RunRequest(program=PLAIN % 1, tools=(lambda state: state,))
         with pytest.raises(ValueError, match="process boundary"):
-            request_to_wire(request, request_id=1, index=0)
+            _encode(request_to_wire(request, request_id=1, index=0))
 
 
 class TestRunResultRoundTrip:
@@ -306,7 +311,7 @@ class TestCrashRecovery:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline and victim_pid is None:
                 for worker in runner._pool:
-                    if worker.current is not None:
+                    if worker.running is not None:
                         victim_pid = worker.process.pid
                 time.sleep(0.01)
             assert victim_pid is not None, "request never reached a worker"
@@ -322,15 +327,14 @@ class TestCrashRecovery:
             assert stats["crashes"] == 1
             assert stats["restarts"] == 1
 
-    def test_crash_resolves_queued_requests_too(self):
-        """No future submitted to a dead worker may hang.
+    def test_queued_requests_move_to_the_replacement(self):
+        """A crash fails only the request in flight; the queued ones run.
 
-        The historical race: a worker that died after dequeuing a request
-        but before its "start" ack was delivered left a request that was
-        neither ``worker.current`` nor in the queue — its future never
-        resolved.  Crash accounting now fails the worker's whole unacked
-        set, so everything it had accepted (running *and* queued) comes
-        back ``WorkerCrashed`` instead of blocking forever.
+        The parent sends a worker its next request only after the last
+        one is done, so requests still queued never reached the dead
+        process and the replacement serves them.  The 15 s bound also
+        shows the blocker is not resent: its 30 s loop would hold the
+        queued requests past it.
         """
         with ProcessPoolRunner(workers=1, queue_depth=8) as runner:
             blocker = runner.submit(
@@ -344,27 +348,34 @@ class TestCrashRecovery:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline and victim_pid is None:
                 for worker in runner._pool:
-                    if worker.current is not None:
+                    if worker.running is not None:
                         victim_pid = worker.process.pid
                 time.sleep(0.01)
             assert victim_pid is not None, "request never reached the worker"
             os.kill(victim_pid, signal.SIGKILL)
+            started = time.monotonic()
             results = [
                 future.result(timeout=15) for future in [blocker, *queued]
             ]
-            assert all(result.ok is False for result in results)
-            assert {result.error_type for result in results} == {"WorkerCrashed"}
+            assert time.monotonic() - started < 15
+            assert results[0].ok is False
+            assert results[0].error_type == "WorkerCrashed"
             assert "running this request" in results[0].error
+            assert [(r.ok, r.answer) for r in results[1:]] == [
+                (True, 0), (True, 1), (True, 4)
+            ]
+            assert [r.tag for r in results[1:]] == [f"queued-{n}" for n in range(3)]
             # The replacement worker keeps serving new traffic.
             after = runner.run([RunRequest(program=PLAIN % 6)])[0]
             assert after.ok and after.answer == 36
             assert runner.stats()["pending"] == 0
 
     def test_crash_releases_a_submitter_waiting_on_a_full_queue(self):
-        """A batch ``run()`` blocked on a full queue returns when the worker dies.
+        """A batch ``run()`` blocked on a full worker finishes when it dies.
 
-        The replacement worker reads a fresh queue, so a ``put`` still
-        waiting on the old one must give up instead of waiting forever.
+        The dead worker's queued request passes to the replacement, which
+        takes it once ready; that frees the slot the waiting submitter
+        needs, and all three batch requests are answered.
         """
         import threading
 
@@ -373,9 +384,9 @@ class TestCrashRecovery:
                 RunRequest(program=LOOP, timeout=30.0, tag="running")
             )
             deadline = time.monotonic() + 10.0
-            while runner._pool[0].current is None and time.monotonic() < deadline:
+            while runner._pool[0].running is None and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert runner._pool[0].current is not None, "blocker never started"
+            assert runner._pool[0].running is not None, "blocker never started"
             results = []
             batch = threading.Thread(
                 target=lambda: results.extend(
@@ -384,7 +395,7 @@ class TestCrashRecovery:
                 daemon=True,
             )
             batch.start()
-            # The first request fills the depth-1 queue; the second waits.
+            # The first request fills the depth-1 worker; the second waits.
             while runner.stats()["pending"] < 3 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert runner.stats()["pending"] == 3
@@ -392,16 +403,58 @@ class TestCrashRecovery:
             batch.join(timeout=15)
             assert not batch.is_alive(), "run() hung on the dead worker's queue"
             assert blocker.result(timeout=5).error_type == "WorkerCrashed"
-            assert [r.error_type for r in results[:2]] == ["WorkerCrashed"] * 2
-            assert results[2].ok and results[2].answer == 4
+            assert [(r.ok, r.answer) for r in results] == [
+                (True, 0), (True, 1), (True, 4)
+            ]
+
+    def test_random_kills_lose_only_requests_in_flight(self):
+        """Kills racing a stream of submissions fail one request at most each.
+
+        Three workers on any core count, depth-4 deques and ten SIGKILLs
+        at random points of dispatch: every future resolves, every ``ok``
+        answer is right, and the failures are exactly the requests the
+        ``worker-crash`` events report in flight — never a queued one.
+        """
+        import random
+        import threading
+
+        from repro.observability.sinks import InMemorySink
+
+        rng = random.Random(7)
+        sink = InMemorySink()
+        with ProcessPoolRunner(workers=3, queue_depth=4, event_sink=sink) as runner:
+
+            def kill_some():
+                for _ in range(10):
+                    time.sleep(rng.uniform(0.0, 0.03))
+                    try:
+                        os.kill(runner.worker_pids()[rng.randrange(3)], signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass  # already dead, not yet replaced
+
+            killer = threading.Thread(target=kill_some, daemon=True)
+            killer.start()
+            futures = [
+                runner.submit(RunRequest(program=PLAIN % n)) for n in range(300)
+            ]
+            killer.join(timeout=15)
+            assert not killer.is_alive()
+            results = [future.result(timeout=30) for future in futures]
+        assert all(r.answer == n * n for n, r in enumerate(results) if r.ok)
+        failed = [r for r in results if not r.ok]
+        assert {r.error_type for r in failed} <= {"WorkerCrashed"}
+        assert all("running this request" in r.error for r in failed)
+        crashes = [e.payload for e in sink.events if e.type == "worker-crash"]
+        assert len(failed) == sum(crash["failed"] for crash in crashes)
+        assert len(crashes) <= 10
 
     def test_sigkill_during_result_writes_leaves_the_pool_serving(self):
         """Workers SIGKILLed while writing results must not wedge the pool.
 
-        Each worker writes to its own result pipe, so a worker killed
-        halfway through a message leaves the truncated bytes on a pipe
-        nobody reads again: its unacked requests fail, and its
-        replacement and its sibling keep serving.  A result channel shared
+        Each worker writes to its own pipe, so a worker killed halfway
+        through a message leaves the truncated bytes on a pipe nobody
+        reads again: its in-flight request fails, and its replacement and
+        its sibling keep serving.  A result channel shared
         by every worker would let the victim die holding its write lock,
         and then no worker could ever reply again.
         """

@@ -31,6 +31,7 @@ from repro.partial_eval.codegen import generate_program
 from repro.partial_eval.postprocess import simplify
 from repro.replay import ReplaySession
 from repro.runtime import RunConfig
+from repro.syntax.annotations import render_annotation
 from repro.syntax.parser import parse
 from repro.toolbox.registry import make_tool
 from repro.tracing import analyze_trace, read_trace, record
@@ -178,9 +179,9 @@ def test_trace_flow_and_residual_share_site_ids(program, names, engine):
     recorded = trace.header["site_annotations"]
     emitted = _emitted(generate_program(program, monitors).source)
     for event in trace.events:
-        rendered = sites[event.site].rendered
+        rendered = render_annotation(sites[event.site].annotation)
         assert recorded[event.site] == rendered
-        assert flow_sites[event.site].rendered == "{" + rendered + "}"
+        assert flow_sites[event.site].rendered == rendered
         assert flow_sites[event.site].reachable
         assert event.site in emitted
 
