@@ -8,9 +8,10 @@ sharding.  Beyond parity, the pool owes its callers the operational
 guarantees a daemon is built on: a dead worker fails only the request
 it was running, never resends it, and is replaced, and its queued
 requests go to the replacement (no future ever hangs); a full worker is
-an explicit :class:`OverloadedError`, never a silent drop; a bad record fails its own slot with a diagnostic result;
-a record's config keys overlay the pool's config instead of shedding
-its lint gate and timeout.
+an explicit :class:`OverloadedError`, never a silent drop; a bad record
+fails its own slot with a diagnostic result; a record's config keys
+overlay the pool's config instead of shedding its lint gate and
+timeout.
 """
 
 import json
