@@ -23,10 +23,8 @@ non-zero if the warm-cache speedup falls below the CI gate (2x).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-import time
 from statistics import median
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,6 +37,8 @@ from repro.runtime import CompilationCache, RunConfig, RunRequest, run_batch
 from repro.syntax.parser import parse
 from repro.toolbox.registry import make_tool
 
+from benchmarks.reporting import bench_arguments, interleaved, merge_section
+
 WORKERS = 4
 REPEATS = 3
 GATE_SPEEDUP = 2.0   # CI fails below this
@@ -46,15 +46,6 @@ TARGET_SPEEDUP = 3.0  # the acceptance bar recorded in the report
 #: The cached disjointness admission must never be slower than the
 #: legacy per-run annotation walk it replaces (ratio cached/legacy).
 DISJOINT_GATE_RATIO = 1.0
-
-
-def best_time(thunk, repeats: int = REPEATS) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk()
-        times.append(time.perf_counter() - start)
-    return median(times)
 
 
 def _balanced_sum(lo: int, hi: int, salt: int) -> str:
@@ -132,8 +123,7 @@ def bench_disjoint_admission(quick: bool) -> dict:
         for _ in range(admissions):
             cache.check_disjoint(monitors, program)
 
-    t_legacy = best_time(legacy)
-    t_cached = best_time(cached)
+    t_legacy, t_cached = map(median, interleaved([legacy, cached], REPEATS))
     ratio = t_cached / t_legacy
     stats = cache.disjoint_stats()
     return {
@@ -152,20 +142,25 @@ def run_matrix(quick: bool) -> dict:
     programs, requests = build_workload(quick)
     total = len(requests)
 
-    t_seq_cold = best_time(lambda: sequential_cold(requests))
-
-    # Cold pooled: a fresh cache per timing run — distinct programs still
-    # compile exactly once each inside the batch (within-batch sharing).
-    t_pool_cold = best_time(
-        lambda: run_batch(requests, workers=WORKERS, cache=CompilationCache(32))
-    )
-
     # Warm arms share one pre-warmed cache: steady-state serving traffic.
     warm_cache = CompilationCache(32)
     run_batch(requests, workers=WORKERS, cache=warm_cache)
-    t_seq_warm = best_time(lambda: run_batch(requests, workers=1, cache=warm_cache))
-    t_pool_warm = best_time(
-        lambda: run_batch(requests, workers=WORKERS, cache=warm_cache)
+    t_seq_cold, t_pool_cold, t_seq_warm, t_pool_warm = map(
+        median,
+        interleaved(
+            [
+                lambda: sequential_cold(requests),
+                # Cold pooled: a fresh cache per timing run — distinct
+                # programs still compile exactly once each inside the
+                # batch (within-batch sharing).
+                lambda: run_batch(
+                    requests, workers=WORKERS, cache=CompilationCache(32)
+                ),
+                lambda: run_batch(requests, workers=1, cache=warm_cache),
+                lambda: run_batch(requests, workers=WORKERS, cache=warm_cache),
+            ],
+            REPEATS,
+        ),
     )
 
     stats = warm_cache.stats()
@@ -240,28 +235,12 @@ def print_matrix(result: dict) -> None:
     )
 
 
-def merge_into_report(result: dict, path: str) -> None:
-    """Add/replace the ``batch`` section without clobbering the others'."""
-    from benchmarks.reporting import merge_section
-
-    merge_section(path, "batch", result)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller workload for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_report.json"),
-        help="report file to merge the 'batch' section into",
-    )
-    args = parser.parse_args(argv)
+    args = bench_arguments(__doc__.splitlines()[0]).parse_args(argv)
 
     result = run_matrix(args.quick)
     print_matrix(result)
-    merge_into_report(result, args.output)
+    merge_section(args.output, "batch", result)
     print(f"\nmerged 'batch' section into {args.output}")
     if not result["gate_met"]:
         print(

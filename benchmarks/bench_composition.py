@@ -7,7 +7,6 @@ expected shape: cost grows with the monitoring activity each added
 monitor performs, not with some super-linear interaction term.
 """
 
-import time
 from statistics import median
 
 import pytest
@@ -17,6 +16,8 @@ from repro.monitoring.derive import run_monitored
 from repro.monitoring.state import MonitorStateVector, SingleSlotVector
 from repro.monitors import CollectingMonitor, LabelCounterMonitor, ProfilerMonitor
 from repro.syntax.parser import parse
+
+from benchmarks.reporting import interleaved
 
 PROGRAM = parse(
     """
@@ -71,8 +72,9 @@ class TestSingleSlotFastPath:
         """``set`` on one slot must not pay the k-slot dict-copy cost.
 
         A microbenchmark guard rather than a pytest-benchmark row so it
-        can assert: median-of-7 over a tight loop, with a generous 1.25x
-        bound (the fast path measures ~2-3x quicker in practice).
+        can assert: interleaved median-of-7 over a tight loop, with a
+        generous 1.25x bound (the fast path measures ~2-3x quicker in
+        practice).
         """
         single = MonitorStateVector.initial(STACKS[1])
         triple = MonitorStateVector.initial(STACKS[3])
@@ -84,15 +86,12 @@ class TestSingleSlotFastPath:
                 for i in range(rounds):
                     v = v.set(key, i)
 
-            times = []
-            for _ in range(7):
-                start = time.perf_counter()
-                thunk()
-                times.append(time.perf_counter() - start)
-            return median(times)
+            return thunk
 
-        t_single = spin(single, "profile")
-        t_triple = spin(triple, "profile")
+        t_single, t_triple = map(
+            median,
+            interleaved([spin(single, "profile"), spin(triple, "profile")], 7),
+        )
         assert t_single <= 1.25 * t_triple, (
             f"single-slot set ({t_single:.4f}s) not faster than "
             f"3-slot dict set ({t_triple:.4f}s)"

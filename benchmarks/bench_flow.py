@@ -23,10 +23,8 @@ The script merges a ``"flow"`` section into ``BENCH_report.json``
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-import time
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _REPO_ROOT)
@@ -38,6 +36,7 @@ from repro.monitors import LabelCounterMonitor, TracerMonitor
 from repro.runtime import CompilationCache
 from repro.syntax.parser import parse
 
+from benchmarks.reporting import bench_arguments, interleaved, merge_section
 from benchmarks.workloads import loop_with_trace_hits, traced_fib
 
 #: A workload with provably-dead surface: a constant-false branch hiding
@@ -65,10 +64,11 @@ def measure_verdicts(quick: bool):
     """Per-workload: cold analyze_flow wall time + what it proved."""
     rows = []
     for name, program in _workloads(quick):
-        start = time.perf_counter()
-        flow = analyze_flow(program, _stack())
-        elapsed = time.perf_counter() - start
-        stats = flow.stats()
+        flows = []
+        [[elapsed]] = interleaved(
+            [lambda: flows.append(analyze_flow(program, _stack()))], 1
+        )
+        stats = flows[0].stats()
         rows.append(
             {
                 "workload": name,
@@ -90,16 +90,18 @@ def measure_cache_hits(quick: bool):
     """
     requests = 10 if quick else 50
     cache = CompilationCache(maxsize=64)
-    start = time.perf_counter()
-    for _ in range(requests):
-        cache.get_or_compile(
-            strict,
-            parse(DEAD_SURFACE),
-            _stack(),
-            engine="codegen",
-            optimize="flow",
-        )
-    elapsed = time.perf_counter() - start
+
+    def serve():
+        for _ in range(requests):
+            cache.get_or_compile(
+                strict,
+                parse(DEAD_SURFACE),
+                _stack(),
+                engine="codegen",
+                optimize="flow",
+            )
+
+    [[elapsed]] = interleaved([serve], 1)
     stats = cache.flow_stats()
     total = stats["hits"] + stats["misses"]
     return {
@@ -140,21 +142,10 @@ def print_matrix(result) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller workload for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_report.json"),
-        help="report file to merge the 'flow' section into",
-    )
-    args = parser.parse_args(argv)
+    args = bench_arguments(__doc__.splitlines()[0]).parse_args(argv)
 
     result = run_matrix(args.quick)
     print_matrix(result)
-    from benchmarks.reporting import merge_section
-
     merge_section(args.output, "flow", result)
     print(f"\nmerged 'flow' section into {args.output}")
     return 0

@@ -24,11 +24,9 @@ and a human reads them.  The script merges a ``"replay"`` section into
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
-import time
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _REPO_ROOT)
@@ -39,6 +37,7 @@ from repro.replay import ReplaySession
 from repro.runtime.config import RunConfig
 from repro.tracing import record
 
+from benchmarks.reporting import bench_arguments, interleaved, merge_section
 from benchmarks.workloads import loop_with_trace_hits
 
 from repro.languages.strict import strict
@@ -65,15 +64,6 @@ def _record_trace(iterations: int) -> str:
     return path
 
 
-def _timed(thunk, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def measure_seek_to_midpoint(path: str) -> dict:
     checkpointed = ReplaySession(path, _stack(), checkpoint_interval=INTERVAL)
     total = len(checkpointed)
@@ -90,8 +80,7 @@ def measure_seek_to_midpoint(path: str) -> dict:
         refolder.seek(total)
         refolder.seek(total // 2)
 
-    with_ckpt = _timed(seek_checkpointed)
-    without = _timed(seek_refold)
+    with_ckpt, without = map(min, interleaved([seek_checkpointed, seek_refold], 5))
     return {
         "events": total,
         "interval": INTERVAL,
@@ -117,8 +106,9 @@ def measure_backward_walk(path: str) -> dict:
     refolder = ReplaySession(path, _stack(), checkpoint_interval=10**9)
     refolder.seek(len(refolder))
 
-    with_ckpt = _timed(lambda: walk(checkpointed), repeats=3)
-    without = _timed(lambda: walk(refolder), repeats=3)
+    with_ckpt, without = map(
+        min, interleaved([lambda: walk(checkpointed), lambda: walk(refolder)], 3)
+    )
     return {
         "steps": 16,
         "checkpointed_ms": with_ckpt * 1000,
@@ -162,21 +152,10 @@ def print_matrix(result: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller trace for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_report.json"),
-        help="report file to merge the 'replay' section into",
-    )
-    args = parser.parse_args(argv)
+    args = bench_arguments(__doc__.splitlines()[0]).parse_args(argv)
 
     result = run_matrix(args.quick)
     print_matrix(result)
-    from benchmarks.reporting import merge_section
-
     merge_section(args.output, "replay", result)
     print(f"\nmerged 'replay' section into {args.output}")
     return 0

@@ -32,10 +32,9 @@ gate fails.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-import time
+from contextlib import ExitStack
 from statistics import median
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,6 +49,8 @@ from repro.runtime import (
     run_batch,
 )
 from repro.syntax.parser import parse
+
+from benchmarks.reporting import bench_arguments, interleaved, merge_section
 
 WORKERS = 4
 SCALING = (1, 2, 4)
@@ -68,15 +69,6 @@ FAC_DEEP = (
     "letrec fac = lambda x. {fac}: if x = 0 then 1 else x * fac (x - 1) "
     "in letrec go = lambda k. if k = 0 then 0 else fac 40 + go (k - 1) in go %d"
 )
-
-
-def best_time(thunk, repeats: int = REPEATS) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk()
-        times.append(time.perf_counter() - start)
-    return median(times)
 
 
 def build_workload(quick: bool):
@@ -103,18 +95,24 @@ def build_workload(quick: bool):
     return programs, requests
 
 
-def thread_baseline(requests) -> float:
-    """Warm thread pool at ``WORKERS`` — the GIL-bound tier."""
+def time_tiers(requests):
+    """Median seconds per batch: the thread pool, then each process pool.
+
+    Every tier runs warm — the thread pool's cache and each process
+    pool's per-worker caches are pre-warmed by an untimed pass — and the
+    tiers take turns, one batch each per round.
+    """
     cache = CompilationCache(64)
     run_batch(requests, workers=WORKERS, cache=cache)  # warm, untimed
-    return best_time(lambda: run_batch(requests, workers=WORKERS, cache=cache))
-
-
-def process_tier(requests, workers: int) -> float:
-    """Warm process pool at ``workers`` — per-worker caches pre-warmed."""
-    with ProcessPoolRunner(workers=workers, cache_size=64) as pool:
-        pool.run(requests)  # warm every shard, untimed
-        return best_time(lambda: pool.run(requests))
+    tiers = [lambda: run_batch(requests, workers=WORKERS, cache=cache)]
+    with ExitStack() as stack:
+        for workers in SCALING:
+            pool = stack.enter_context(
+                ProcessPoolRunner(workers=workers, cache_size=64)
+            )
+            pool.run(requests)  # warm every shard, untimed
+            tiers.append(lambda pool=pool: pool.run(requests))
+        return [median(samples) for samples in interleaved(tiers, REPEATS)]
 
 
 def run_matrix(quick: bool) -> dict:
@@ -122,10 +120,10 @@ def run_matrix(quick: bool) -> dict:
     programs, requests = build_workload(quick)
     total = len(requests)
 
-    t_thread = thread_baseline(requests)
-    scaling = {}
-    for workers in SCALING:
-        scaling[str(workers)] = total / process_tier(requests, workers)
+    t_thread, *t_pools = time_tiers(requests)
+    scaling = {
+        str(workers): total / seconds for workers, seconds in zip(SCALING, t_pools)
+    }
     t_process = total / scaling[str(WORKERS)]
 
     speedup = (total / t_process) / (total / t_thread)
@@ -200,28 +198,12 @@ def print_matrix(result: dict) -> None:
         )
 
 
-def merge_into_report(result: dict, path: str) -> None:
-    """Add/replace the ``serve`` section without clobbering the others'."""
-    from benchmarks.reporting import merge_section
-
-    merge_section(path, "serve", result)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller workload for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_report.json"),
-        help="report file to merge the 'serve' section into",
-    )
-    args = parser.parse_args(argv)
+    args = bench_arguments(__doc__.splitlines()[0]).parse_args(argv)
 
     result = run_matrix(args.quick)
     print_matrix(result)
-    merge_into_report(result, args.output)
+    merge_section(args.output, "serve", result)
     print(f"\nmerged 'serve' section into {args.output}")
     if not result["gate"]["met"]:
         gate = result["gate"]

@@ -26,10 +26,9 @@ gate fails.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-import time
+import tempfile
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, _REPO_ROOT)
@@ -46,29 +45,16 @@ from repro.monitors import (
 from repro.runtime.config import RunConfig
 from repro.tracing import analyze_many, record
 
+from benchmarks.reporting import bench_arguments, interleaved, merge_section
 from benchmarks.workloads import loop_with_trace_hits
 
 #: The gate: recording may cost at most this factor over the plain
 #: unmonitored codegen run on the sparse-traced Figure 11 loop.
 RECORD_OVERHEAD_BUDGET = 1.5
-TIMER_EPSILON = 1e-3  # seconds
 
 #: Figure 11 regime: fixed program work, a thin traced slice.
 TOTAL_ITERATIONS = 20_000
 TRACED_ITERATIONS = 200
-
-
-def _paired_min(thunk_a, thunk_b, repeats=9):
-    """Interleaved min-of-N timing (see ``bench_engines._paired_min``)."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        thunk_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
 
 
 def _null_out():
@@ -93,7 +79,7 @@ def measure_record_overhead(total=TOTAL_ITERATIONS, traced=TRACED_ITERATIONS):
                 config=config,
             )
 
-    t_plain, t_record = _paired_min(plain, recorded)
+    t_plain, t_record = map(min, interleaved([plain, recorded], 9))
     return {
         "workload": f"loop({total}, traced={traced})",
         "plain_codegen_ms": t_plain * 1e3,
@@ -103,30 +89,14 @@ def measure_record_overhead(total=TOTAL_ITERATIONS, traced=TRACED_ITERATIONS):
     }
 
 
-def test_record_overhead_within_budget():
-    """The tentpole's cost gate: record ≤ 1.5x unmonitored codegen."""
-    result = measure_record_overhead()
-    assert (
-        result["record_codegen_ms"]
-        <= result["plain_codegen_ms"] * RECORD_OVERHEAD_BUDGET
-        + TIMER_EPSILON * 1e3
-    ), (
-        f"record mode above {RECORD_OVERHEAD_BUDGET}x over plain codegen: "
-        f"plain {result['plain_codegen_ms']:.2f} ms vs "
-        f"record {result['record_codegen_ms']:.2f} ms "
-        f"({result['overhead']:.2f}x)"
-    )
-
-
 def measure_posthoc_amortization(total=20_000, traced=2_000, repeats=3):
     """Informational: fold N stacks over one trace vs N inline runs.
 
     The folds run one after another; their win comes from not re-running
     the program.
     """
-    import tempfile
-
     program = loop_with_trace_hits(total, traced)
+    config = RunConfig(engine="codegen")
 
     def stacks():
         return [
@@ -136,32 +106,27 @@ def measure_posthoc_amortization(total=20_000, traced=2_000, repeats=3):
             [LabelCounterMonitor()],
         ]
 
+    def inline():
+        for stack in stacks():
+            run_monitored(strict, program, stack, config=config)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
-        start = time.perf_counter()
-        record(
-            strict,
-            program,
-            path,
-            monitors=[TracerMonitor()],
-            config=RunConfig(engine="codegen"),
-        )
-        t_record = time.perf_counter() - start
-
-        t_inline = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for stack in stacks():
-                run_monitored(
-                    strict, program, stack, config=RunConfig(engine="codegen")
+        [[t_record]] = interleaved(
+            [
+                lambda: record(
+                    strict, program, path, monitors=[TracerMonitor()], config=config
                 )
-            t_inline = min(t_inline, time.perf_counter() - start)
-
-        t_fold = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            analyze_many(path, stacks(), check_disjointness=False)
-            t_fold = min(t_fold, time.perf_counter() - start)
+            ],
+            1,
+        )
+        t_inline, t_fold = map(
+            min,
+            interleaved(
+                [inline, lambda: analyze_many(path, stacks(), check_disjointness=False)],
+                repeats,
+            ),
+        )
 
     return {
         "workload": f"loop({total}, traced={traced})",
@@ -209,21 +174,10 @@ def print_matrix(result: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller workload for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_report.json"),
-        help="report file to merge the 'trace' section into",
-    )
-    args = parser.parse_args(argv)
+    args = bench_arguments(__doc__.splitlines()[0]).parse_args(argv)
 
     result = run_matrix(args.quick)
     print_matrix(result)
-    from benchmarks.reporting import merge_section
-
     merge_section(args.output, "trace", result)
     print(f"\nmerged 'trace' section into {args.output}")
     if not result["gate"]["met"]:

@@ -3,7 +3,8 @@
 Run:  python benchmarks/report.py            # full text report
       python benchmarks/report.py --json     # engine comparison -> BENCH_report.json
 
-This regenerates, in one screenful, the numbers the paper reports in
+The text report is the home of EXPERIMENTS.md's T-SPEC and F-11 rows.
+It regenerates, in one screenful, the numbers the paper reports in
 Section 9.1 and Figure 11:
 
 * the tracer's slowdown over the standard interpreter (paper: ~11% —
@@ -17,28 +18,33 @@ Section 9.1 and Figure 11:
   residual native code (:mod:`repro.partial_eval.codegen`) — on the
   same workloads.
 
+Before timing, every Section 9.1 program must answer fib 15 = 610 and
+every Figure 11 run must print exactly as many ``receives`` lines as it
+has trace hits.  ``benchmarks/e2e/paper.py`` re-measures the §9.1
+ratios and the Figure 11 slope as the end-to-end benchmark's rows.
+
 ``--json`` runs only the engine comparison and **merges** machine-
 readable ``engines`` and ``codegen`` sections into ``BENCH_report.json``
 at the repository root (CI's benchmark smoke test), preserving the
-``batch`` section written by ``benchmarks/bench_batch.py``.  It exits
-non-zero if the codegen engine misses its gates over the reference
-interpreter (>= 9x on fib, >= 6x on the traced Figure 11 loop).  The
-``codegen`` section also carries the metrics-on price: a warm-cache
-codegen run with ``RunConfig(metrics=...)`` over the same run without
+sections the other bench scripts write.  It is the one place the codegen
+speedup gate is measured and enforced: interleaved min-of-9 against the
+reference interpreter, >= 9x on unmonitored fib 14 and >= 6x on the
+traced Figure 11 loop (5000 iterations, 100 traced); on a single-core or
+noisy box a miss is demoted to a loud notice.  The ``codegen`` section
+also carries the metrics-on price: a warm-cache codegen run with
+``RunConfig(metrics=...)`` over the same run without
 (``benchmarks/bench_engines.py`` gates it at <= 4x) and, with no gate,
 the hook price: the same warm program under ``profile`` and ``count``
 over an empty stack.
-``--quick`` shrinks workloads for smoke runs.
+``--quick`` shrinks the ungated workloads for smoke runs.
 
 Numbers are written to stdout; EXPERIMENTS.md records a reference run.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-import time
 from statistics import median
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,7 +58,13 @@ from repro.observability import RunMetrics
 from repro.partial_eval.codegen import generate_program
 from repro.runtime import CompilationCache, RunConfig
 
-from benchmarks.reporting import noise_reasons, sample_spread
+from benchmarks.reporting import (
+    bench_arguments,
+    interleaved,
+    merge_section,
+    noise_reasons,
+    sample_spread,
+)
 from benchmarks.workloads import (
     loop_with_trace_hits,
     plain_fib,
@@ -60,17 +72,17 @@ from benchmarks.workloads import (
     traced_fib,
 )
 
+#: The Section 9.1 program, fib 15, and its answer.
 FIB_N = 15
+FIB_ANSWER = 610
+#: The text rows' statistic: median of this many interleaved rounds.
 REPEATS = 5
 
 
-def best_time(thunk, repeats: int = REPEATS) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk()
-        times.append(time.perf_counter() - start)
-    return median(times)
+def _check(label: str, got, want) -> None:
+    """Refuse to time a run that answers wrongly."""
+    if got != want:
+        raise AssertionError(f"{label}: expected {want!r}, got {got!r}")
 
 
 def pct_slower(slow: float, fast: float) -> float:
@@ -89,13 +101,25 @@ def section_9_1() -> None:
     plain = plain_fib(FIB_N)
     traced = traced_fib(FIB_N)
     tracer = TracerMonitor()
-
-    t_std = best_time(lambda: strict.evaluate(plain))
-    t_mon = best_time(lambda: run_monitored(strict, traced, tracer))
     residual = generate_program(traced, tracer)
-    t_residual = best_time(lambda: residual.run())
     residual_plain = generate_program(plain)
-    t_residual_plain = best_time(lambda: residual_plain.run())
+    runs = {
+        "standard interpreter": lambda: strict.evaluate(plain),
+        "monitored interpreter": lambda: run_monitored(strict, traced, tracer).answer,
+        "instrumented program": lambda: residual.run()[0],
+        "plain residual program": residual_plain.evaluate,
+    }
+    for label, run in runs.items():
+        _check(f"T-SPEC {label}", run(), FIB_ANSWER)
+    # Obliviousness: the standard semantics runs the annotated program too.
+    _check(
+        "T-SPEC standard interpreter, annotated program",
+        strict.evaluate(traced),
+        FIB_ANSWER,
+    )
+    t_std, t_mon, t_residual, t_residual_plain = map(
+        median, interleaved(list(runs.values()), REPEATS)
+    )
 
     print(f"standard interpreter                 {t_std * 1000:8.1f} ms")
     print(f"monitored interpreter (full trace)   {t_mon * 1000:8.1f} ms")
@@ -111,8 +135,16 @@ def section_9_1() -> None:
     # the overhead at a low-activity operating point too (see F-11).
     sparse = loop_with_trace_hits(2000, 50)
     sparse_plain = loop_with_trace_hits(2000, 0)
-    t_sparse_mon = best_time(lambda: run_monitored(strict, sparse, tracer))
-    t_sparse_std = best_time(lambda: strict.evaluate(sparse_plain))
+    t_sparse_mon, t_sparse_std = map(
+        median,
+        interleaved(
+            [
+                lambda: run_monitored(strict, sparse, tracer),
+                lambda: strict.evaluate(sparse_plain),
+            ],
+            REPEATS,
+        ),
+    )
     print(
         f"measured (sparse tracing, 2.5% of calls): "
         f"{pct_slower(t_sparse_mon, t_sparse_std):6.1f}% slower"
@@ -135,16 +167,25 @@ def figure_11() -> None:
     tracer = TracerMonitor()
 
     baseline_program = loop_with_trace_hits(total, 0)
-    t_baseline = best_time(lambda: strict.evaluate(baseline_program))
+    _check("F-11 standard interpreter", strict.evaluate(baseline_program), total)
+    runs = [lambda: strict.evaluate(baseline_program)]
+    for hits in hit_counts:
+        program = loop_with_trace_hits(total, hits)
+        result = run_monitored(strict, program, tracer)
+        _check(f"F-11 answer at {hits} hits", result.answer, total)
+        _check(
+            f"F-11 receives lines at {hits} hits",
+            result.report("trace").count("receives"),
+            hits,
+        )
+        runs.append(lambda program=program: run_monitored(strict, program, tracer))
+    t_baseline, *times = map(median, interleaved(runs, REPEATS))
     print(f"standard interpreter baseline: {t_baseline * 1000:8.1f} ms")
     print()
     print(f"{'trace hits':>10}  {'time (ms)':>10}  {'overhead vs std':>16}")
 
-    points = []
-    for hits in hit_counts:
-        program = loop_with_trace_hits(total, hits)
-        t = best_time(lambda: run_monitored(strict, program, tracer))
-        points.append((hits, t))
+    points = list(zip(hit_counts, times))
+    for hits, t in points:
         print(f"{hits:>10}  {t * 1000:>10.1f}  {pct_slower(t, t_baseline):>15.1f}%")
 
     # Least-squares slope: cost per trace printout.
@@ -169,91 +210,72 @@ def figure_11() -> None:
     print()
 
 
-def measure_engines(quick: bool = False, repeats: int = REPEATS):
-    """Time both execution engines end-to-end on the T-ENG workloads.
-
-    Returns a list of row dicts: workload name, per-engine medians (in
-    seconds) and the codegen engine's speedup over the reference.
-    Timings go through the public API, so the codegen rows include
-    compilation.
-    """
-    # Timings include compilation (public-API, end-to-end), so the gated
-    # fib row keeps its full size even under --quick: the codegen tier's
-    # fixed compile cost (~0.3 ms of source emission + exec) must stay a
-    # small share of the run being measured or the ratio sags toward the
-    # gate.  Only the ungated loop row shrinks.
-    fib_n = FIB_N
-    loop_n = 1000 if quick else 2000
-    tracer = TracerMonitor()
-
-    workloads = [
-        (
-            "fib_unmonitored",
-            plain_fib(fib_n),
-            lambda p, engine: strict.evaluate(p, engine=engine),
-        ),
-        (
-            "loop_unmonitored",
-            loop_with_trace_hits(loop_n, 0),
-            lambda p, engine: strict.evaluate(p, engine=engine),
-        ),
-        (
-            "fib_traced_monitored",
-            traced_fib(fib_n),
-            lambda p, engine: run_monitored(
-                strict, p, tracer, config=RunConfig(engine=engine)
-            ),
-        ),
-        # Figure 11's shape: fixed work, a 2% slice of traced iterations.
-        # This is the monitored row that gates *engine* overhead — the
-        # fully-traced fib row above is dominated by the tracer's own hook
-        # cost, which both engines share — so its size is fixed (not
-        # shrunk by --quick) to keep the measured ratio stable.
-        (
-            "loop_traced_monitored",
-            loop_with_trace_hits(5000, 100),
-            lambda p, engine: run_monitored(
-                strict, p, tracer, config=RunConfig(engine=engine)
-            ),
-        ),
-    ]
-
-    rows = []
-    for name, program, run in workloads:
-        # Interleave the engines round by round so machine-load drift
-        # lands on both alike — the gated *ratios* stay stable even when
-        # absolute timings wander.
-        times = {"reference": [], "codegen": []}
-        for _ in range(repeats):
-            for engine in times:
-                start = time.perf_counter()
-                run(program, engine)
-                times[engine].append(time.perf_counter() - start)
-        t_ref = median(times["reference"])
-        t_gen = median(times["codegen"])
-        rows.append(
-            {
-                "workload": name,
-                "monitored": name.endswith("monitored")
-                and not name.endswith("unmonitored"),
-                "reference_s": t_ref,
-                "codegen_s": t_gen,
-                "codegen_speedup_vs_reference": t_ref / t_gen,
-                "reference_spread": sample_spread(times["reference"]),
-                "codegen_spread": sample_spread(times["codegen"]),
-            }
-        )
-    return rows
-
-
 #: The codegen tier's gates over the reference interpreter.  They carry
 #: forward the old two-step chain: codegen >= 3x the retired staged
 #: closure engine, which was held to >= 3x reference unmonitored and >= 2x
-#: monitored (benchmarks/bench_engines.py holds the same bounds).
+#: monitored.  Measured headroom is far larger (21-41x on fib 14, 20-32x
+#: on the traced loop).
 CODEGEN_TARGETS = {
     "vs_reference_unmonitored": 9.0,
     "vs_reference_monitored": 6.0,
 }
+
+#: The gate's statistic: min of this many interleaved rounds per engine.
+ENGINE_REPEATS = 9
+#: The gated fib row: small enough that codegen's fixed compile cost is a
+#: real share of the run, which makes the ratio the stricter one.
+ENGINE_FIB_N = 14
+
+
+def measure_engines(quick: bool = False):
+    """Time both execution engines end-to-end on the T-ENG workloads.
+
+    Returns a list of row dicts: workload name, per-engine minima (in
+    seconds), each side's spread and the codegen engine's speedup over
+    the reference.  Timings go through the public API, so the codegen
+    rows include compilation.
+    """
+    # The gated rows (fib, the traced loop) keep their size under --quick;
+    # only the ungated plain loop shrinks.
+    loop_n = 1000 if quick else 2000
+    tracer = TracerMonitor()
+
+    def evaluate(program, engine):
+        return strict.evaluate(program, engine=engine)
+
+    def monitored(program, engine):
+        return run_monitored(strict, program, tracer, config=RunConfig(engine=engine))
+
+    workloads = [
+        ("fib_unmonitored", plain_fib(ENGINE_FIB_N), evaluate),
+        ("loop_unmonitored", loop_with_trace_hits(loop_n, 0), evaluate),
+        ("fib_traced_monitored", traced_fib(ENGINE_FIB_N), monitored),
+        # Figure 11's shape: fixed work, a 2% slice of traced iterations.
+        # This is the monitored row that gates *engine* overhead — the
+        # fully-traced fib row above is dominated by the tracer's own hook
+        # cost, which both engines share and which bounds any ratio near 1x.
+        ("loop_traced_monitored", loop_with_trace_hits(5000, 100), monitored),
+    ]
+
+    rows = []
+    for name, program, run in workloads:
+        reference, codegen = interleaved(
+            [lambda: run(program, "reference"), lambda: run(program, "codegen")],
+            ENGINE_REPEATS,
+        )
+        t_ref, t_gen = min(reference), min(codegen)
+        rows.append(
+            {
+                "workload": name,
+                "monitored": run is monitored,
+                "reference_s": t_ref,
+                "codegen_s": t_gen,
+                "codegen_speedup_vs_reference": t_ref / t_gen,
+                "reference_spread": sample_spread(reference),
+                "codegen_spread": sample_spread(codegen),
+            }
+        )
+    return rows
 
 
 #: Metrics-on codegen runs execute the cached collapsed artifact (its
@@ -280,13 +302,8 @@ def measure_metrics_price(repeats: int = 9):
 
     run(None)
     run(RunMetrics())  # compile, then build the tallied variant
-    times = {"off": [], "on": []}
-    for _ in range(repeats):
-        for side, metrics in (("off", None), ("on", RunMetrics())):
-            start = time.perf_counter()
-            run(metrics)
-            times[side].append(time.perf_counter() - start)
-    t_off, t_on = min(times["off"]), min(times["on"])
+    off, on = interleaved([lambda: run(None), lambda: run(RunMetrics())], repeats)
+    t_off, t_on = min(off), min(on)
     return {
         "workload": "fib16_profile_warm_cache",
         "metrics_off_s": t_off,
@@ -314,14 +331,15 @@ def measure_hook_price(repeats: int = 9):
         "profile": [ProfilerMonitor()],
         "count": [LabelCounterMonitor()],
     }
-    for stack in stacks.values():  # compile each artifact once
-        run_monitored(strict, program, stack, config=config, cache=cache)
-    times = {side: [] for side in stacks}
-    for _ in range(repeats):
-        for side, stack in stacks.items():
-            start = time.perf_counter()
-            run_monitored(strict, program, stack, config=config, cache=cache)
-            times[side].append(time.perf_counter() - start)
+    runs = [
+        lambda stack=stack: run_monitored(
+            strict, program, stack, config=config, cache=cache
+        )
+        for stack in stacks.values()
+    ]
+    for run in runs:  # compile each artifact once
+        run()
+    times = dict(zip(stacks, interleaved(runs, repeats)))
     best = {side: min(samples) for side, samples in times.items()}
     return {
         "workload": "fib16_warm_cache",
@@ -361,13 +379,11 @@ def json_report(quick: bool, output: str) -> int:
     Merges ``engines`` and ``codegen`` sections into the report file (via
     :mod:`benchmarks.reporting`), preserving sections other scripts wrote.
     """
-    from benchmarks.reporting import merge_section
-
-    rows = measure_engines(quick=quick, repeats=3 if quick else REPEATS)
+    rows = measure_engines(quick=quick)
     by_name = {row["workload"]: row for row in rows}
     engines_payload = {
         "quick": quick,
-        "repeats": 3 if quick else REPEATS,
+        "repeats": ENGINE_REPEATS,
         "workloads": rows,
     }
     # Gate rows: fib (the Section 9.1 headline) for unmonitored, the
@@ -449,23 +465,13 @@ def json_report(quick: bool, output: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="paper-style benchmark report (Section 9.1 / Figure 11 / T-ENG)"
+    parser = bench_arguments(
+        "paper-style benchmark report (Section 9.1 / Figure 11 / T-ENG)"
     )
     parser.add_argument(
         "--json",
         action="store_true",
         help="run only the engine comparison and write BENCH_report.json",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads and fewer repeats (CI smoke test)",
-    )
-    parser.add_argument(
-        "--output",
-        default=os.path.join(_REPO_ROOT, "BENCH_report.json"),
-        help="JSON output path (default: BENCH_report.json at the repo root)",
     )
     args = parser.parse_args(argv)
 

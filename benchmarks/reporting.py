@@ -1,5 +1,10 @@
-"""Shared section-merging for ``BENCH_report.json``, and the noise check
-every timing gate demotes itself with.
+"""The one timing harness for ``benchmarks/``: the interleaved timing
+loop, the noise check every timing gate demotes itself with, the
+``--quick``/``--output`` arguments and section-merging for
+``BENCH_report.json``.
+
+:func:`interleaved` is the only timing loop in the bench scripts; each
+caller picks its statistic (``min`` or ``median``) explicitly.
 
 Every bench script contributes its own top-level section (``engines``,
 ``codegen``, ``batch``, …) to one report file at the repository root.
@@ -11,10 +16,57 @@ section, write back.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import time
 from statistics import median
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
+
+#: The merged report every script writes into unless ``--output`` says
+#: otherwise: ``BENCH_report.json`` at the repository root.
+DEFAULT_OUTPUT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "BENCH_report.json",
+)
+
+#: The absolute slack a ratio gate allows for timer granularity (seconds).
+TIMER_EPSILON = 1e-3
+
+
+def interleaved(
+    thunks: Sequence[Callable[[], object]], repeats: int
+) -> List[List[float]]:
+    """Time each thunk ``repeats`` times, round-robin; seconds per call.
+
+    One round calls every thunk once, in order, and the next round starts
+    only when it ends, so machine-load drift lands on every side alike.
+    Returns one sample list per thunk, in the order given.  A one-shot
+    cold timing is ``repeats=1``.
+    """
+    samples: List[List[float]] = [[] for _ in thunks]
+    for _ in range(repeats):
+        for thunk, times in zip(thunks, samples):
+            start = time.perf_counter()
+            thunk()
+            times.append(time.perf_counter() - start)
+    return samples
+
+
+def bench_arguments(description: str) -> argparse.ArgumentParser:
+    """The arguments every bench script takes: ``--quick`` and ``--output``."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--quick", action="store_true", help="smaller workload for CI smoke runs"
+    )
+    parser.add_argument(
+        "--output",
+        default=DEFAULT_OUTPUT,
+        help="report file to merge this script's sections into "
+        "(default: BENCH_report.json at the repository root)",
+    )
+    return parser
+
 
 #: Above this relative spread — (median - min) / min over a gate's
 #: samples — the box is too loaded for a hard ratio gate: a deterministic

@@ -249,6 +249,17 @@ def _worker_main(worker_id: int, conn, init) -> None:
 # -- the parent-side pool -----------------------------------------------------
 
 
+def _closed_result(index: int, tag: Optional[str]) -> RunResult:
+    """The result of a request the pool closed before it completed."""
+    return RunResult(
+        index=index,
+        ok=False,
+        tag=tag,
+        error="process pool closed before this request completed",
+        error_type="PoolClosed",
+    )
+
+
 @dataclass
 class _Pending:
     """One submitted-but-unfinished request, parent side."""
@@ -426,16 +437,7 @@ class ProcessPoolRunner:
             leftovers = list(self._pending.values())
             self._pending.clear()
         for pending in leftovers:
-            self._resolve(
-                pending,
-                RunResult(
-                    index=pending.index,
-                    ok=False,
-                    tag=pending.tag,
-                    error="process pool closed before this request completed",
-                    error_type="PoolClosed",
-                ),
-            )
+            self._resolve(pending, _closed_result(pending.index, pending.tag))
         if self._collector is not None:
             # It closes each pipe as its worker's process ends.
             self._collector.join(timeout=_SHUTDOWN_GRACE)
@@ -529,10 +531,17 @@ class ProcessPoolRunner:
         total = len(requests)
         self._emit("batch-start", {"total": total, "workers": self.workers})
         start = perf_counter()
-        futures = [
-            self.submit(request, index=index)
-            for index, request in enumerate(requests)
-        ]
+        futures = []
+        for index, request in enumerate(requests):
+            try:
+                futures.append(self.submit(request, index=index))
+            except ReproError:
+                # close() ran while this batch was still submitting: the
+                # slot fails as a request close() found pending would.
+                if not self._closing:
+                    raise
+                tag = admit(index, request, self.config).tag
+                futures.append(self._failed_future(_closed_result(index, tag)))
         results = [future.result() for future in futures]
         succeeded = sum(1 for result in results if result.ok)
         self._emit(

@@ -516,6 +516,47 @@ class TestBackpressure:
         with pytest.raises(ReproError, match="closed"):
             runner.submit(RunRequest(program=PLAIN % 1))
 
+    def test_close_during_run_fails_unsubmitted_slots(self):
+        """``close()`` while ``run()`` is still submitting never raises.
+
+        One worker of depth 1: the first request runs, the second waits
+        in the worker's deque and the third blocks its submitter, so the
+        fourth is never submitted before ``close()``.  Every slot comes
+        back in order with its index and tag; the slots the closing pool
+        never ran fail as ``PoolClosed``.
+        """
+        import threading
+
+        requests = [RunRequest(program=LOOP, timeout=1.0, tag="slot-0")]
+        requests += [
+            RunRequest(program=PLAIN % n, tag=f"slot-{n}") for n in (1, 2, 3)
+        ]
+        results, errors = [], []
+
+        def run_batch():
+            try:
+                results.extend(runner.run(requests))
+            except Exception as exc:  # the regression: run() raised
+                errors.append(exc)
+
+        with ProcessPoolRunner(workers=1, queue_depth=1) as runner:
+            batch = threading.Thread(target=run_batch, daemon=True)
+            batch.start()
+            deadline = time.monotonic() + 10.0
+            while runner.stats()["pending"] < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert runner.stats()["pending"] == 3, "the third submit never blocked"
+            runner.close()
+            batch.join(timeout=15)
+        assert not batch.is_alive(), "run() hung after close()"
+        assert errors == []
+        assert [(r.index, r.tag) for r in results] == [
+            (n, f"slot-{n}") for n in range(4)
+        ]
+        assert results[0].error_type == "EvaluationTimeout"
+        assert (results[1].ok, results[1].answer) == (True, 1)
+        assert [r.error_type for r in results[2:]] == ["PoolClosed", "PoolClosed"]
+
 
 class TestParentEventSink:
     def test_start_with_event_sink_does_not_deadlock(self):
