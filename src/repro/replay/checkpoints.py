@@ -15,14 +15,14 @@ rebinds the fold's :class:`~repro.monitoring.sites.SiteBinding`, so the
 slots quarantined at the checkpoint, and only those, have identity hooks.
 
 The index can persist to a sidecar file next to the trace
-(``<trace>.ckpt``): a JSON envelope naming the trace fingerprint, the
-fold identity (each spec's ``cache_identity()``, the fault policy and
-whether metrics are on) and the cadence, around a base64 pickle of the
-checkpoints.  On load, any mismatch — different program, different
-stack, different interval, unreadable pickle — silently yields "no
-index" and the session rebuilds from scratch; a sidecar is a cache,
-never a source of truth.  Only load sidecars you wrote: they are
-pickles.
+(``<trace>.ckpt``): a JSON envelope naming the fold's ``checkpoints``
+:func:`~repro.runtime.cache.artifact_key` — the program folded, each
+spec's ``cache_identity``, a digest of the trace file's bytes, the
+fault policy, whether metrics are on and the interval — around a base64
+pickle of the checkpoints.  On load, a different key, envelope version
+or an unreadable pickle silently yields "no index" and the session
+rebuilds from scratch; a sidecar is a cache, never a source of truth.
+Only load sidecars you wrote: they are pickles.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
 
 #: Bump when the sidecar envelope or Checkpoint layout changes.
-SIDECAR_VERSION = 2
+SIDECAR_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,15 @@ class CheckpointIndex:
 
     # -- sidecar persistence ---------------------------------------------------
 
-    def save(self, path: str, *, fingerprint: str, stack: str) -> bool:
-        """Write the sidecar; ``False`` (no file) if any state resists pickle."""
+    def save(self, path: str, *, key: Tuple) -> bool:
+        """Write the sidecar under ``key``; ``False`` if any state resists pickle."""
         try:
             blob = pickle.dumps(self._points, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return False
         envelope = {
             "sidecar_version": SIDECAR_VERSION,
-            "fingerprint": fingerprint,
-            "stack": stack,
-            "interval": self.interval,
+            "key": repr(key),
             "checkpoints": len(self._points),
             "data": base64.b64encode(blob).decode("ascii"),
         }
@@ -157,17 +155,15 @@ class CheckpointIndex:
 
     @classmethod
     def load(
-        cls, path: str, *, fingerprint: str, stack: str, interval: int
+        cls, path: str, *, key: Tuple, interval: int
     ) -> Optional["CheckpointIndex"]:
-        """Reload a sidecar if it matches this trace+stack+cadence exactly."""
+        """Reload a sidecar if it was saved under exactly ``key``."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 envelope = json.load(handle)
             if (
                 envelope.get("sidecar_version") != SIDECAR_VERSION
-                or envelope.get("fingerprint") != fingerprint
-                or envelope.get("stack") != stack
-                or envelope.get("interval") != interval
+                or envelope.get("key") != repr(key)
             ):
                 return None
             points = pickle.loads(base64.b64decode(envelope["data"]))

@@ -30,6 +30,7 @@ fault-record equality against :func:`analyze_trace`.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.monitoring.spec import MonitorSpec
@@ -81,18 +82,6 @@ class ReplaySession(TraceFold):
         self.stack: Tuple[Tuple[int, str], ...] = ()
         self._origin = Checkpoint.capture(self)
 
-        fingerprint = str(self.trace.header.get("fingerprint", ""))
-        # A checkpoint holds states, fault records and counters, which
-        # depend on every spec's configuration, the fault policy and
-        # whether metrics are on: a sidecar serves only that exact fold.
-        identity = repr(
-            (
-                tuple(spec.cache_identity() for spec in self.monitors),
-                fault_policy,
-                self.metrics is not None,
-            )
-        )
-        self._sidecar_key = (fingerprint, identity)
         self._sidecar = (
             sidecar_path(self.trace.path)
             if use_sidecar and self.trace.path not in ("<trace>", "<stream>")
@@ -100,11 +89,24 @@ class ReplaySession(TraceFold):
         )
         self.checkpoints = None
         if self._sidecar is not None:
-            self.checkpoints = CheckpointIndex.load(
-                self._sidecar,
-                fingerprint=fingerprint,
-                stack=identity,
+            from repro.runtime.cache import artifact_key
+
+            with open(self.trace.path, "rb") as handle:
+                trace_digest = hashlib.sha256(handle.read()).hexdigest()
+            # A checkpoint is the fold of this trace's bytes under this
+            # program, stack, policy and metrics setting: a sidecar
+            # serves only that exact fold.
+            self._sidecar_key = artifact_key(
+                "checkpoints",
+                self.program,
+                self.monitors,
+                trace=trace_digest,
+                fault_policy=fault_policy,
+                metrics=self.metrics is not None,
                 interval=checkpoint_interval,
+            )
+            self.checkpoints = CheckpointIndex.load(
+                self._sidecar, key=self._sidecar_key, interval=checkpoint_interval
             )
         if self.checkpoints is None:
             self.checkpoints = CheckpointIndex(checkpoint_interval)
@@ -211,10 +213,7 @@ class ReplaySession(TraceFold):
         """Persist the index to the sidecar (if enabled and picklable)."""
         if self._sidecar is None:
             return False
-        fingerprint, identity = self._sidecar_key
-        return self.checkpoints.save(
-            self._sidecar, fingerprint=fingerprint, stack=identity
-        )
+        return self.checkpoints.save(self._sidecar, key=self._sidecar_key)
 
 
 __all__ = ["ReplaySession"]

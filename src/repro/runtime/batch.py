@@ -17,7 +17,7 @@ thread pool, with the guarantees a serving layer needs:
 
 Compilation is shared through a :class:`~repro.runtime.cache.
 CompilationCache`, so a batch of repeated programs compiles each distinct
-(program, monitor stack, fault policy) once.  Threads buy concurrency for
+(program, language, monitor stack, optimization level) once.  Threads buy concurrency for
 cache hits and interleaved I/O, not CPU parallelism (the GIL); the win of
 a warm pool is the amortized compile, which is exactly what
 ``benchmarks/bench_batch.py`` measures.

@@ -1,35 +1,36 @@
-"""A thread-safe LRU cache for generated programs.
+"""One artifact identity, and the thread-safe LRU memos it keys.
 
 Code generation (:mod:`repro.partial_eval.codegen`) pays its cost once
 per (program, monitor stack) and amortizes it over runs — but only if
 someone holds on to the :class:`~repro.partial_eval.codegen.GeneratedProgram`.
-In a serving setting the "someone" is this cache: requests arrive as
-(program, tools) pairs, most of them repeats, and the cache turns the
-steady state into pure execution with zero compilation.
+In a serving setting the "someone" is :class:`CompilationCache`:
+requests arrive as (program, tools) pairs, most of them repeats, and the
+cache turns the steady state into pure execution with zero compilation.
 
-The key (:func:`cache_key`) captures everything that affects the
-generated code:
+Every derived artifact is a function of exactly the inputs it reads, and
+:func:`artifact_key` states them once: the **program fingerprint** (a
+SHA-256 of the AST's canonical ``repr``), the **monitor-stack identity**
+(each spec's :meth:`~repro.monitoring.spec.MonitorSpec.cache_identity`,
+structural for scalar-configured specs and object identity for anything
+it cannot prove inert — always sound, sometimes a missed hit), and what
+:data:`ARTIFACT_INPUTS` declares for the artifact's kind:
 
-* the **program fingerprint** — a SHA-256 of the AST's canonical ``repr``;
-* the **language** name;
-* the **monitor-stack identity** — each spec's
-  :meth:`~repro.monitoring.spec.MonitorSpec.cache_identity`, which is
-  structural for scalar-configured specs and degrades to object identity
-  for anything it cannot prove inert (always sound, sometimes a missed
-  hit);
-* the **optimization level** (flow-erased artifacts differ in source).
+* ``program`` (:func:`cache_key`) — the language and the optimization
+  level (flow-erased artifacts differ in source);
+* ``disjoint`` and ``flow`` — the Section 6 and claim-flow verdicts read
+  nothing more;
+* ``checkpoints`` (:mod:`repro.replay.checkpoints`) — a digest of the
+  trace file's bytes, the fault policy, metrics on/off and the interval.
 
-Nothing else changes the generated code, so nothing else is keyed: the
-fault policy, resource limits and telemetry are per-run choices.  Cached
-programs are **thread-reusable**: per-run mutable state (the run's
-possibly instrumented specs, monitor states, the fault log, the resource
-guard, the step tally) lives on the runtime object each
-``GeneratedProgram.run`` builds, never in the generated code.
-
-Hits, misses and evictions are counted (:meth:`CompilationCache.stats`)
-and — when the cache is built with an ``event_sink`` — surfaced on the
-observability event stream as ``cache-hit``/``cache-miss``/``cache-evict``
-events carrying a short key digest.
+Resource limits, telemetry and the fault policy are per-run choices that
+leave generated code alone.  Cached programs are **thread-reusable**:
+per-run mutable state (the run's possibly instrumented specs, monitor
+states, the fault log, the resource guard, the step tally) lives on the
+runtime object each ``GeneratedProgram.run`` builds, never in the code.
+The program memo counts hits, misses and evictions
+(:meth:`CompilationCache.stats`) and, given an ``event_sink``, emits
+them as ``cache-hit``/``cache-miss``/``cache-evict`` events carrying a
+short key digest.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 # Digest memo keyed by id(): AST __eq__/__hash__ are structural (and thus
 # O(tree)), so a WeakKeyDictionary would cost as much as the digest it
@@ -75,6 +76,37 @@ def program_fingerprint(program) -> str:
     return digest
 
 
+#: What each artifact kind reads beyond the program fingerprint and the
+#: stack's ``cache_identity`` tuple, in key order.
+ARTIFACT_INPUTS: Dict[str, Tuple[str, ...]] = {
+    "program": ("language", "optimize"),
+    "disjoint": (),
+    "flow": (),
+    "checkpoints": ("trace", "fault_policy", "metrics", "interval"),
+}
+
+
+def artifact_key(kind: str, program, monitors: Sequence, **inputs) -> Tuple:
+    """The identity of one derived artifact (a hashable tuple).
+
+    Two requests share an artifact exactly when their keys are equal,
+    that is when they agree on the program, the stack and every input
+    :data:`ARTIFACT_INPUTS` declares for ``kind``.  Passing an input the
+    kind does not declare, or leaving one out, is a ``TypeError``.
+    """
+    declared = ARTIFACT_INPUTS[kind]
+    if inputs.keys() != set(declared):
+        raise TypeError(
+            f"a {kind!r} artifact reads {list(declared)}, got {sorted(inputs)}"
+        )
+    return (
+        kind,
+        program_fingerprint(program),
+        tuple(monitor.cache_identity() for monitor in monitors),
+        *(inputs[name] for name in declared),
+    )
+
+
 def cache_key(
     language,
     program,
@@ -82,17 +114,13 @@ def cache_key(
     *,
     optimize: str = "none",
 ) -> Tuple:
-    """The full cache key for one compilation request (hashable).
-
-    ``optimize`` keeps flow-erased artifacts apart from their unoptimized
-    twins (the generated source differs even though behavior is
-    identical).
-    """
-    return (
-        program_fingerprint(program),
-        getattr(language, "name", str(language)),
-        tuple(monitor.cache_identity() for monitor in monitors),
-        optimize,
+    """The key of one compiled program: :func:`artifact_key`'s ``program``."""
+    return artifact_key(
+        "program",
+        program,
+        monitors,
+        language=getattr(language, "name", str(language)),
+        optimize=optimize,
     )
 
 
@@ -127,59 +155,78 @@ class CacheStats:
         return out
 
 
-class CompilationCache:
-    """An LRU mapping from :func:`cache_key` to generated programs.
+class _Memo:
+    """One bounded LRU map from artifact keys to artifacts.
 
-    All operations are guarded by one lock; compilation itself runs under
-    the lock too, which both guarantees each key is compiled at most once
-    and costs nothing in practice (the GIL serializes the CPU-bound
-    compiler anyway).  ``maxsize`` bounds memory: inserting beyond it
-    evicts the least-recently-used entry.
+    :meth:`get` builds a missing entry under the memo's lock, so each key
+    is built once; inserting beyond ``maxsize`` evicts the least recently
+    used entry.  Given an ``event_sink``, each hit, miss and eviction is
+    also a ``cache-*`` event.
+    """
+
+    def __init__(self, maxsize: int, event_sink=None) -> None:
+        self.lock = threading.Lock()
+        self.entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        self.counts = CacheStats(maxsize=maxsize)
+        self._event_sink = event_sink
+
+    def _emit(self, event_type: str, key: Tuple, **payload) -> None:
+        if self._event_sink is not None:
+            self._event_sink.emit(event_type, {"key": _key_digest(key), **payload})
+
+    def get(self, key: Tuple, build):
+        """The entry for ``key``, calling ``build()`` to make it on a miss."""
+        counts = self.counts
+        with self.lock:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                counts.hits += 1
+                self._emit("cache-hit", key)
+                return self.entries[key]
+            start = perf_counter()
+            entry = build()
+            elapsed = perf_counter() - start
+            counts.misses += 1
+            counts.compile_seconds += elapsed
+            self._emit("cache-miss", key, compile_time=elapsed)
+            self.entries[key] = entry
+            while len(self.entries) > counts.maxsize:
+                evicted, _ = self.entries.popitem(last=False)
+                counts.evictions += 1
+                self._emit("cache-evict", evicted)
+            return entry
+
+    def stats(self) -> CacheStats:
+        with self.lock:
+            return replace(self.counts, size=len(self.entries))
+
+    def verdict_stats(self) -> Dict[str, int]:
+        stats = self.stats()
+        return {"hits": stats.hits, "misses": stats.misses, "size": stats.size}
+
+
+class CompilationCache:
+    """Generated programs and the verdicts that admit them, memoized.
+
+    Three :class:`_Memo` LRUs keyed by :func:`artifact_key`: programs,
+    bounded by ``maxsize``, and the disjointness and flow verdicts, each
+    bounded by ``max(maxsize, 128)`` — a verdict is a small value, and
+    sharing the program LRU would let verdict churn evict code.
+    Compiling under the program memo's lock guarantees each key is
+    compiled once and costs nothing in practice (the GIL serializes the
+    CPU-bound compiler anyway).
     """
 
     def __init__(self, maxsize: int = 128, *, event_sink=None) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._compile_seconds = 0.0
-        self._event_sink = event_sink
-        # Memoized Section 6 disjointness verdicts, keyed by (program
-        # fingerprint, stack identity).  Bounded like the entry map but
-        # kept separate: a verdict is a small string-or-None, and reusing
-        # the program LRU would let verdict churn evict code.
-        self._disjoint: "OrderedDict[Tuple, Optional[str]]" = OrderedDict()
-        self._disjoint_hits = 0
-        self._disjoint_misses = 0
-        # Memoized claim-flow verdicts (repro.analysis.flow), keyed like
-        # the disjointness memo.  A FlowAnalysis is keyed purely by
-        # pre-order site id, so one verdict serves every structurally
-        # equal program object.
-        self._flow: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._flow_hits = 0
-        self._flow_misses = 0
-
-    # -- observability -------------------------------------------------------
-
-    def _emit(self, event_type: str, payload: Dict[str, object]) -> None:
-        """Emit one cache event (caller holds the lock)."""
-        if self._event_sink is not None:
-            self._event_sink.emit(event_type, payload)
+        self._programs = _Memo(maxsize, event_sink)
+        self._disjoint = _Memo(max(maxsize, 128))
+        self._flow = _Memo(max(maxsize, 128))
 
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                compile_seconds=self._compile_seconds,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-            )
+        return self._programs.stats()
 
     # -- the cache proper ----------------------------------------------------
 
@@ -211,47 +258,29 @@ class CompilationCache:
             raise ValueError(
                 f"optimize must be 'none' or 'flow', got {optimize!r}"
             )
-        key = cache_key(language, program, monitors, optimize=optimize)
-        # The flow verdict is memoized under its own lock, so fetch it
-        # before taking the entry lock (no nesting).  A hit wastes one
-        # memo lookup; optimize="flow" is opt-in, so the default path
-        # pays nothing.
+        # Fetched before the program memo's lock is taken: no lock is
+        # ever held while taking another.
         flow = self.flow_verdict(monitors, program) if optimize == "flow" else None
-        digest = _key_digest(key)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                self._emit("cache-hit", {"key": digest})
-                return entry
 
-            start = perf_counter()
+        def compile_program():
             from repro.partial_eval.codegen import generate_program
 
             # Disjointness is the caller's concern (and separately
             # memoized by check_disjoint).
-            generated = generate_program(
+            return generate_program(
                 program, monitors, check_disjointness=False, flow=flow
             )
-            elapsed = perf_counter() - start
-            self._misses += 1
-            self._compile_seconds += elapsed
-            self._emit("cache-miss", {"key": digest, "compile_time": elapsed})
-            self._entries[key] = generated
-            while len(self._entries) > self.maxsize:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self._evictions += 1
-                self._emit("cache-evict", {"key": _key_digest(evicted_key)})
-            return generated
+
+        key = cache_key(language, program, monitors, optimize=optimize)
+        return self._programs.get(key, compile_program)
 
     def check_disjoint(self, monitors: Sequence, program) -> None:
         """The memoized form of :func:`repro.monitoring.derive.check_disjoint`.
 
         The Section 6 disjointness verdict is a pure function of the
         program's annotations and the stack's ``recognize`` predicates,
-        so it is computed once per (program fingerprint, stack identity)
-        and replayed on every warm run — turning the per-run O(program)
+        so it is computed once per ``disjoint`` :func:`artifact_key` and
+        replayed on every warm run — turning the per-run O(program)
         annotation walk into one dict lookup.  Raises
         :class:`~repro.errors.MonitorError` exactly like the uncached
         check when the verdict is bad.
@@ -259,32 +288,16 @@ class CompilationCache:
         from repro.errors import MonitorError
         from repro.monitoring.derive import disjoint_verdict
 
-        key = (
-            program_fingerprint(program),
-            tuple(monitor.cache_identity() for monitor in monitors),
+        verdict = self._disjoint.get(
+            artifact_key("disjoint", program, monitors),
+            lambda: disjoint_verdict(monitors, program),
         )
-        with self._lock:
-            if key in self._disjoint:
-                self._disjoint.move_to_end(key)
-                verdict = self._disjoint[key]
-                self._disjoint_hits += 1
-            else:
-                verdict = disjoint_verdict(monitors, program)
-                self._disjoint[key] = verdict
-                self._disjoint_misses += 1
-                while len(self._disjoint) > max(self.maxsize, 128):
-                    self._disjoint.popitem(last=False)
         if verdict is not None:
             raise MonitorError(verdict)
 
     def disjoint_stats(self) -> Dict[str, int]:
         """Hit/miss counters of the disjointness memo (for benchmarks)."""
-        with self._lock:
-            return {
-                "hits": self._disjoint_hits,
-                "misses": self._disjoint_misses,
-                "size": len(self._disjoint),
-            }
+        return self._disjoint.verdict_stats()
 
     def flow_verdict(self, monitors: Sequence, program):
         """The memoized claim-flow verdict (:func:`repro.analysis.flow
@@ -292,53 +305,35 @@ class CompilationCache:
 
         Like :meth:`check_disjoint`, the verdict is a pure function of
         the program and the stack's ``recognize`` predicates, keyed by
-        (program fingerprint, stack identity) and bounded separately from
-        the program LRU.  Returns the shared
+        the ``flow`` :func:`artifact_key`.  A FlowAnalysis is keyed purely
+        by pre-order site id, so one verdict serves every structurally
+        equal program object.  Returns the shared
         :class:`~repro.analysis.flow.FlowAnalysis` (frozen — safe across
         threads).
         """
         from repro.analysis.flow import analyze_flow
 
-        key = (
-            program_fingerprint(program),
-            tuple(monitor.cache_identity() for monitor in monitors),
+        return self._flow.get(
+            artifact_key("flow", program, monitors),
+            lambda: analyze_flow(program, monitors),
         )
-        with self._lock:
-            cached = self._flow.get(key)
-            if cached is not None:
-                self._flow.move_to_end(key)
-                self._flow_hits += 1
-                return cached
-        verdict = analyze_flow(program, monitors)
-        with self._lock:
-            self._flow[key] = verdict
-            self._flow_misses += 1
-            while len(self._flow) > max(self.maxsize, 128):
-                self._flow.popitem(last=False)
-        return verdict
 
     def flow_stats(self) -> Dict[str, int]:
         """Hit/miss counters of the claim-flow memo (for benchmarks)."""
-        with self._lock:
-            return {
-                "hits": self._flow_hits,
-                "misses": self._flow_misses,
-                "size": len(self._flow),
-            }
+        return self._flow.verdict_stats()
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._disjoint.clear()
-            self._flow.clear()
+        for memo in (self._programs, self._disjoint, self._flow):
+            with memo.lock:
+                memo.entries.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        with self._programs.lock:
+            return len(self._programs.entries)
 
     def __contains__(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._entries
+        with self._programs.lock:
+            return key in self._programs.entries
 
     def __repr__(self) -> str:
         stats = self.stats()
@@ -349,8 +344,10 @@ class CompilationCache:
 
 
 __all__ = [
+    "ARTIFACT_INPUTS",
     "CacheStats",
     "CompilationCache",
+    "artifact_key",
     "cache_key",
     "program_fingerprint",
 ]

@@ -17,7 +17,7 @@ runtime for per-request timeouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import Dict, Optional
 
@@ -160,25 +160,6 @@ class RunConfig:
             return self
         return replace(self, metrics=RunMetrics())
 
-    #: The JSON-safe subset of the fields — everything a run option can be
-    #: on the far side of a process boundary.  ``metrics`` and ``answers``
-    #: are deliberately absent: accumulators are per-process objects
-    #: (workers attach their own), and answer algebras carry functions.
-    SCALAR_FIELDS = (
-        "engine",
-        "fault_policy",
-        "max_steps",
-        "check_disjointness",
-        "timeout",
-        "lint",
-        "mode",
-        "record_dir",
-        "sample_rate",
-        "trace_seed",
-        "checkpoint_interval",
-        "optimize",
-    )
-
     def scalars(self) -> Dict[str, object]:
         """The config's JSON-safe fields, for the process-pool wire format.
 
@@ -196,6 +177,17 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown run config scalar(s): {sorted(unknown)}")
         return cls(**data).validate()  # type: ignore[arg-type]
+
+
+#: The JSON-safe subset of the fields — everything a run option can be on
+#: the far side of a process boundary.  ``metrics`` and ``answers`` are
+#: deliberately absent: accumulators are per-process objects (workers
+#: attach their own), and answer algebras carry functions.
+RunConfig.SCALAR_FIELDS = tuple(
+    field.name
+    for field in fields(RunConfig)
+    if field.name not in ("metrics", "answers")
+)
 
 
 def _is_int(value: object) -> bool:

@@ -50,6 +50,15 @@ FAC = (
     "if x = 0 then 1 else x * fac (x - 1) in fac 5"
 )
 LOOP = "letrec loop = lambda x. {loop}: loop (x + 1) in loop 0"
+# Two labelled sites; SWAPPED exchanges the labels (same site count).
+TWO_SITES = (
+    "letrec f = lambda n. if n = 0 then 0 "
+    "else ({a}: f (n - 1)) + ({b}: 1) in f 6"
+)
+SWAPPED = (
+    "letrec f = lambda n. if n = 0 then 0 "
+    "else ({b}: f (n - 1)) + ({a}: 1) in f 6"
+)
 
 ENGINES = ("reference", "codegen")
 
@@ -321,6 +330,59 @@ class TestSidecar:
             other = session("quarantine", False, fail_on=fail_on)
             reused = other.checkpoints.nearest(len(other)) is not None
             assert reused == (fail_on == 3)
+
+    @staticmethod
+    def _counting(path, **kwargs):
+        return ReplaySession(
+            path,
+            [LabelCounterMonitor()],
+            checkpoint_interval=3,
+            use_sidecar=True,
+            **kwargs,
+        )
+
+    def _assert_every_position_fresh(self, path):
+        loaded = self._counting(path)
+        fresh = ReplaySession(path, [LabelCounterMonitor()])
+        for position in range(len(fresh) + 1):
+            loaded.seek(position)
+            fresh.seek(position)
+            assert loaded.states.get("count") == fresh.states.get("count"), position
+
+    def test_rerecorded_trace_rebuilds(self, tmp_path):
+        # A checkpoint is a fold over the trace's events: recording the
+        # same program again, over fewer sites, must retire the sidecar.
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(TWO_SITES), path)
+        first = self._counting(path)
+        first.seek(len(first))
+        assert first.save_checkpoints()
+        record(strict, parse(TWO_SITES), path, sites=["b"])
+        self._assert_every_position_fresh(path)
+
+    def test_program_override_keys_the_sidecar(self, tmp_path):
+        # The sidecar is keyed on the program folded, not on the
+        # program the trace header names.
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(TWO_SITES), path)
+        swapped = self._counting(path, program=parse(SWAPPED))
+        swapped.seek(len(swapped))
+        assert swapped.save_checkpoints()
+        self._assert_every_position_fresh(path)
+
+    def test_old_envelope_version_is_ignored(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(TWO_SITES), path)
+        first = self._counting(path)
+        first.seek(len(first))
+        assert first.save_checkpoints()
+        assert len(self._counting(path).checkpoints) > 0
+        with open(sidecar_path(path), encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["sidecar_version"] = 2
+        with open(sidecar_path(path), "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        assert len(self._counting(path).checkpoints) == 0
 
     def test_stack_mismatch_rebuilds(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
