@@ -143,21 +143,31 @@ def _check_arities(monitor: MonitorSpec) -> List[Diagnostic]:
 # -- purity scan -------------------------------------------------------------
 
 
-def _parse_hook(func) -> Optional[ast.AST]:
-    """Best-effort AST of ``func``'s definition (FunctionDef or Lambda).
-
-    Memoized per code object: every monitor built from the same hook
-    definition shares one parse, however many linted requests name it.
-    """
+def _hook_code(func) -> Optional[CodeType]:
     func = inspect.unwrap(getattr(func, "__func__", func))
-    code = getattr(func, "__code__", None)
-    return None if code is None else _parse_code(code)
+    return getattr(func, "__code__", None)
 
 
 @lru_cache(maxsize=1024)
-def _parse_code(code: CodeType) -> Optional[ast.AST]:
+def _purity_findings(code: CodeType) -> Tuple[Tuple[str, str], ...]:
+    """``(kind, detail)`` per red flag in the hook compiled to ``code``.
+
+    Memoized per code object: every monitor built from the same hook
+    definition shares one parse and one scan, however many linted
+    requests name it.  Only the findings outlive the call, and each
+    monitor renders them under its own key.
+    """
     node = _parse_from_file(code)
-    return node if node is not None else _parse_from_getsource(code)
+    if node is None:
+        node = _parse_from_getsource(code)
+    if node is None:
+        return ()
+    scanner = _PurityScanner(_param_names(node))
+    try:
+        scanner.run(node)
+    except Exception:
+        return ()  # a heuristic must never take the analyzer down
+    return tuple(scanner.findings)
 
 
 def _parse_from_file(code: CodeType) -> Optional[ast.AST]:
@@ -348,15 +358,10 @@ def _scan_purity(monitor: MonitorSpec) -> List[Diagnostic]:
     for hook, func, _ in _hook_callables(monitor):
         if hook == "recognize":
             continue  # recognize returns a view; mutation is unusual there
-        node = _parse_hook(func)
-        if node is None:
+        code = _hook_code(func)
+        if code is None:
             continue
-        scanner = _PurityScanner(_param_names(node))
-        try:
-            scanner.run(node)
-        except Exception:
-            continue  # a heuristic must never take the analyzer down
-        for kind, detail in scanner.findings:
+        for kind, detail in _purity_findings(code):
             if kind == "write":
                 diagnostics.append(
                     Diagnostic(

@@ -30,7 +30,6 @@ fault-record equality against :func:`analyze_trace`.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.monitoring.spec import MonitorSpec
@@ -82,25 +81,25 @@ class ReplaySession(TraceFold):
         self.stack: Tuple[Tuple[int, str], ...] = ()
         self._origin = Checkpoint.capture(self)
 
+        # A checkpoint is the fold of the bytes read_trace parsed under
+        # this program, stack, policy and metrics setting, from empty
+        # counters: a sidecar serves only that exact fold, and a fold into
+        # an accumulator that already holds counts neither loads nor saves.
+        fresh_counters = self.metrics is None or self.metrics == RunMetrics()
         self._sidecar = (
             sidecar_path(self.trace.path)
-            if use_sidecar and self.trace.path not in ("<trace>", "<stream>")
+            if use_sidecar and self.trace.digest is not None and fresh_counters
             else None
         )
         self.checkpoints = None
         if self._sidecar is not None:
             from repro.runtime.cache import artifact_key
 
-            with open(self.trace.path, "rb") as handle:
-                trace_digest = hashlib.sha256(handle.read()).hexdigest()
-            # A checkpoint is the fold of this trace's bytes under this
-            # program, stack, policy and metrics setting: a sidecar
-            # serves only that exact fold.
             self._sidecar_key = artifact_key(
                 "checkpoints",
                 self.program,
                 self.monitors,
-                trace=trace_digest,
+                trace=self.trace.digest,
                 fault_policy=fault_policy,
                 metrics=self.metrics is not None,
                 interval=checkpoint_interval,

@@ -46,6 +46,9 @@ Operational guarantees:
   worker is started on a fresh pipe and serves the dead worker's queued
   requests once it is ready — those never reached the dead process, and
   by the soundness theorem any worker gives them the same answer;
+* **no orphans** — a forked worker closes the parent-side pipe ends it
+  inherited, so a killed parent (``SIGKILL``, OOM) is end of file to
+  every worker, which then exits;
 * **per-request cooperative timeouts** — exactly the batch runner's,
   enforced by the trampoline deadline inside the worker;
 * **per-worker telemetry** — with ``trace_dir`` set, each worker streams
@@ -71,12 +74,22 @@ from multiprocessing.connection import wait as wait_for_readable
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-# What every request runs (the lint gate, codegen, the toolbox) is
-# imported here, in the parent, so forked workers inherit it instead of
-# each compiling the same modules again.
+# What every request runs (the lint gate, codegen, the toolbox and its
+# monitors) is imported here, in the parent, so forked workers inherit it
+# instead of each importing the same modules on its first request.
 import repro.analysis.scope  # noqa: F401
 import repro.analysis.specs  # noqa: F401
 import repro.analysis.stack  # noqa: F401
+import repro.monitors.callgraph  # noqa: F401
+import repro.monitors.collecting  # noqa: F401
+import repro.monitors.counters  # noqa: F401
+import repro.monitors.coverage  # noqa: F401
+import repro.monitors.demon  # noqa: F401
+import repro.monitors.history  # noqa: F401
+import repro.monitors.profiler  # noqa: F401
+import repro.monitors.statistics  # noqa: F401
+import repro.monitors.stepper  # noqa: F401
+import repro.monitors.tracer  # noqa: F401
 import repro.partial_eval.codegen  # noqa: F401
 import repro.toolbox.registry  # noqa: F401
 from repro.errors import ReproError
@@ -193,16 +206,23 @@ def _shard(program: object, workers: int) -> int:
 # -- the worker process -------------------------------------------------------
 
 
-def _worker_main(worker_id: int, conn, init) -> None:
+def _worker_main(worker_id: int, conn, init, parent_ends) -> None:
     """One worker: pre-warm its shard, then serve requests until ``None``.
 
     Runs in the child process.  ``conn`` is this worker's own duplex pipe.
     The worker sends ``("ready", pid)`` once warm, then answers each
     request it receives with ``("done", id, result_dict)``; the parent
-    sends the next request only after that answer.
+    sends the next request only after that answer.  It stops at ``None``
+    or at end of file, when the parent is gone.
+
+    ``parent_ends`` are the parent's ends of this worker's pipe and of
+    every other worker's, which a forked child inherits; closing them
+    leaves the parent the only holder, so its death is end of file here.
     """
     from repro.observability.sinks import JsonlSink, TaggedSink
 
+    for end in parent_ends:
+        end.close()
     # A forking parent (``repro serve``) may have turned SIGTERM into
     # KeyboardInterrupt; ``close()``'s ``terminate()`` must still kill us.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -225,7 +245,10 @@ def _worker_main(worker_id: int, conn, init) -> None:
 
     conn.send(("ready", os.getpid()))
     while True:
-        wire = conn.recv()
+        try:
+            wire = conn.recv()
+        except EOFError:
+            break
         if wire is None:
             break
         request_id = wire["id"]
@@ -283,13 +306,20 @@ class _Worker:
         self.process = None
         self.ready = False
 
-    def spawn(self, init) -> None:
+    def spawn(self, init, pool: Sequence["_Worker"]) -> None:
         self.ready = False
         self.running = None
         self.conn, child = _CONTEXT.Pipe(duplex=True)
+        parent_ends = []
+        if _CONTEXT.get_start_method() == "fork":
+            parent_ends = [self.conn] + [
+                worker.conn
+                for worker in pool
+                if worker is not self and worker.conn is not None
+            ]
         self.process = _CONTEXT.Process(
             target=_worker_main,
-            args=(self.worker_id, child, init),
+            args=(self.worker_id, child, init, parent_ends),
             daemon=True,
             name=f"repro-worker-{self.worker_id}",
         )
@@ -370,7 +400,7 @@ class ProcessPoolRunner:
             self._started = True
             for worker_id in range(self.workers):
                 worker = _Worker(worker_id)
-                worker.spawn(self._worker_init(worker_id))
+                worker.spawn(self._worker_init(worker_id), self._pool)
                 self._pool.append(worker)
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-pool-collector", daemon=True
@@ -655,7 +685,7 @@ class ProcessPoolRunner:
             in_flight = worker.running
             lost = self._pending.pop(in_flight, None)
             self._crashes += 1
-            worker.spawn(self._worker_init(worker.worker_id))
+            worker.spawn(self._worker_init(worker.worker_id), self._pool)
         self._emit(
             "worker-crash",
             {

@@ -15,12 +15,15 @@ Notable points:
 * ``--`` and ``#`` start line comments.
 * ``::`` is the infix list constructor (the paper writes ``:``, which would
   be ambiguous with the annotation separator).
+
+The whole lexical grammar is :data:`TOKEN_TABLE`: one regular expression
+per token kind, tried in order at the cursor as one compiled pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple
 
 from repro.errors import LexError, SourceLocation
 
@@ -58,34 +61,43 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators must be listed before their prefixes.
-OPERATORS = (
-    "::",
-    "++",
-    "/=",
-    "<=",
-    ">=",
-    "->",
-    "&&",
-    "||",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "=",
-    "<",
-    ">",
+#: Whitespace and comments: no token, but their newlines count lines.
+_TRIVIA = "TRIVIA"
+
+_STRING_BODY = r'"(?:[^"\\\n]|\\[nt"\\])*'
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+#: ``(kind, pattern)`` in the order the alternatives are tried: the first
+#: that matches at the cursor wins, so a float beats an int, a comment
+#: beats ``-``, and ``::``/``:=`` beat ``:``.  Digits are Unicode decimals
+#: (``\d``), exactly what ``int()`` and ``float()`` accept.
+TOKEN_TABLE = (
+    (_TRIVIA, r"(?:[ \t\r\n]+|(?:\#|--)[^\n]*)+"),
+    (FLOAT, r"\d+\.\d+"),
+    (INT, r"\d+"),
+    (IDENT, r"[A-Za-z_][A-Za-z0-9_'!?]*"),
+    (STRING, _STRING_BODY + '"'),
+    (ANNOT, r"\{[^{}]*\}"),
+    (OP, r"::|:=|\+\+|/=|<=|>=|->|&&|\|\||[-+*/%=<>]"),
+    (COLON, ":"),
+    (LPAREN, r"\("),
+    (RPAREN, r"\)"),
+    (LBRACKET, r"\["),
+    (RBRACKET, r"\]"),
+    (COMMA, ","),
+    (SEMI, ";"),
+    (DOT, r"\."),
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789'!?")
+#: One group per row; ``match.lastindex`` indexes :data:`_KINDS`.
+_MASTER = re.compile("|".join(f"({pattern})" for _, pattern in TOKEN_TABLE))
+_KINDS = (None,) + tuple(kind for kind, _ in TOKEN_TABLE)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+_ANNOT_PREFIX = re.compile(r"\{[^{}]*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     location: SourceLocation
@@ -94,185 +106,57 @@ class Token:
         return f"Token({self.kind}, {self.value!r} @ {self.location})"
 
 
-class Lexer:
-    """A straightforward single-pass lexer producing a token list."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # Internal helpers ------------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.pos)
-
-    def _peek(self, ahead: int = 0) -> Optional[str]:
-        index = self.pos + ahead
-        if index < len(self.source):
-            return self.source[index]
-        return None
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch is None:
-                return
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#" or (ch == "-" and self._peek(1) == "-"):
-                while self._peek() not in (None, "\n"):
-                    self._advance()
-                continue
-            return
-
-    # Token scanners --------------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        start = self._location()
-        text = []
-        while self._peek() is not None and self._peek().isdigit():
-            text.append(self._advance())
-        if self._peek() == "." and (self._peek(1) or "").isdigit():
-            text.append(self._advance())
-            while self._peek() is not None and self._peek().isdigit():
-                text.append(self._advance())
-            return Token(FLOAT, "".join(text), start)
-        return Token(INT, "".join(text), start)
-
-    def _scan_identifier(self) -> Token:
-        start = self._location()
-        text = []
-        while self._peek() is not None and self._peek() in _IDENT_CONT:
-            text.append(self._advance())
-        word = "".join(text)
-        kind = KEYWORD if word in KEYWORDS else IDENT
-        return Token(kind, word, start)
-
-    def _scan_string(self) -> Token:
-        start = self._location()
-        self._advance()  # opening quote
-        text = []
-        while True:
-            ch = self._peek()
-            if ch is None or ch == "\n":
-                raise LexError("unterminated string literal", start)
-            if ch == '"':
-                self._advance()
-                return Token(STRING, "".join(text), start)
-            if ch == "\\":
-                self._advance()
-                escape = self._peek()
-                if escape is None:
-                    raise LexError("unterminated escape sequence", start)
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if escape not in mapping:
-                    raise LexError(f"unknown escape: \\{escape}", self._location())
-                text.append(mapping[escape])
-                self._advance()
-                continue
-            text.append(self._advance())
-
-    def _scan_annotation(self) -> Token:
-        start = self._location()
-        self._advance()  # opening brace
-        text = []
-        while True:
-            ch = self._peek()
-            if ch is None:
-                raise LexError("unterminated annotation (missing '}')", start)
-            if ch == "}":
-                self._advance()
-                return Token(ANNOT, "".join(text), start)
-            if ch == "{":
-                raise LexError("nested '{' inside annotation", self._location())
-            text.append(self._advance())
-
-    # Public API ------------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            ch = self._peek()
-            start = self._location()
-            if ch is None:
-                yield Token(EOF, "", start)
-                return
-            if ch.isdigit():
-                yield self._scan_number()
-                continue
-            if ch in _IDENT_START:
-                yield self._scan_identifier()
-                continue
-            if ch == '"':
-                yield self._scan_string()
-                continue
-            if ch == "{":
-                yield self._scan_annotation()
-                continue
-            if ch == "(":
-                self._advance()
-                yield Token(LPAREN, "(", start)
-                continue
-            if ch == ")":
-                self._advance()
-                yield Token(RPAREN, ")", start)
-                continue
-            if ch == "[":
-                self._advance()
-                yield Token(LBRACKET, "[", start)
-                continue
-            if ch == "]":
-                self._advance()
-                yield Token(RBRACKET, "]", start)
-                continue
-            if ch == ",":
-                self._advance()
-                yield Token(COMMA, ",", start)
-                continue
-            if ch == ";":
-                self._advance()
-                yield Token(SEMI, ";", start)
-                continue
-            if ch == ".":
-                self._advance()
-                yield Token(DOT, ".", start)
-                continue
-            # '::' and ':=' must win over ':'
-            if ch == ":" and self._peek(1) == ":":
-                self._advance(2)
-                yield Token(OP, "::", start)
-                continue
-            if ch == ":" and self._peek(1) == "=":
-                self._advance(2)
-                yield Token(OP, ":=", start)
-                continue
-            if ch == ":":
-                self._advance()
-                yield Token(COLON, ":", start)
-                continue
-            for op in OPERATORS:
-                if self.source.startswith(op, self.pos):
-                    self._advance(len(op))
-                    yield Token(OP, op, start)
-                    break
-            else:
-                raise LexError(f"unexpected character {ch!r}", start)
-
-
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` completely (including the trailing EOF token)."""
-    return list(Lexer(source).tokens())
+    tokens: List[Token] = []
+    match = _MASTER.match
+    line = 1
+    pos = line_start = 0
+    end = len(source)
+    while pos < end:
+        found = match(source, pos)
+        if found is None:
+            raise _lex_error(source, pos, line, line_start)
+        kind = _KINDS[found.lastindex]
+        start, pos = pos, found.end()
+        if kind is not _TRIVIA:
+            text = found.group()
+            if kind is IDENT:
+                if text in KEYWORDS:
+                    kind = KEYWORD
+            elif kind is STRING:
+                text = _ESCAPE.sub(lambda escape: _ESCAPES[escape.group(1)], text[1:-1])
+            elif kind is ANNOT:
+                text = text[1:-1]
+            tokens.append(Token(kind, text, SourceLocation(line, start - line_start + 1, start)))
+            if kind is not ANNOT:
+                continue
+        newlines = source.count("\n", start, pos)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", start, pos) + 1
+    tokens.append(Token(EOF, "", SourceLocation(line, pos - line_start + 1, pos)))
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, line_start: int) -> LexError:
+    """Why no token starts at ``pos``: a bad string, annotation or character."""
+    start = SourceLocation(line, pos - line_start + 1, pos)
+    char = source[pos]
+    if char == '"':
+        stop = _STRING_PREFIX.match(source, pos).end()
+        if stop + 1 < len(source) and source[stop] == "\\":
+            escape = source[stop + 1]
+            where = SourceLocation(line, stop + 1 - line_start + 1, stop + 1)
+            return LexError(f"unknown escape: \\{escape}", where)
+        if stop < len(source) and source[stop] == "\\":
+            return LexError("unterminated escape sequence", start)
+        return LexError("unterminated string literal", start)
+    if char == "{":
+        stop = _ANNOT_PREFIX.match(source, pos).end()
+        if stop == len(source):
+            return LexError("unterminated annotation (missing '}')", start)
+        line += source.count("\n", pos, stop)
+        column = stop - source.rfind("\n", 0, stop)
+        return LexError("nested '{' inside annotation", SourceLocation(line, column, stop))
+    return LexError(f"unexpected character {char!r}", start)

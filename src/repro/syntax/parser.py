@@ -1,18 +1,16 @@
 """Recursive-descent parser for the ``L_lambda`` surface syntax.
 
-Grammar (operator precedence from loosest to tightest)::
+Grammar::
 
     expr    := 'lambda' IDENT+ '.' expr
              | 'if' expr 'then' expr 'else' expr
              | 'let' IDENT '=' expr 'in' expr
              | 'letrec' binding ('and' binding)* 'in' expr
-             | cons
+             | binary
     binding := IDENT '=' expr                 -- must bind a lambda
-    cons    := logic ('::' cons)?             -- right associative
-    logic   := cmp (('&&' | '||') cmp)*       -- desugar to and/or
-    cmp     := add (('=' | '/=' | '<' | '<=' | '>' | '>=') add)?
-    add     := mul (('+' | '-' | '++') mul)*
-    mul     := unary (('*' | '/' | '%') unary)*
+    binary  := unary (OP unary)*              -- BINARY_OPERATORS, loosest first:
+               '::' (right) < '&&' '||' (left, and/or) < one comparison
+               < '+' '-' '++' (left) < '*' '/' '%' (left)
     unary   := '-' unary | appl
     appl    := atom atom*                     -- application, left associative
     atom    := INT | FLOAT | STRING | 'true' | 'false' | IDENT
@@ -34,10 +32,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.errors import ParseError
+from repro.errors import NO_LOCATION, ParseError
 from repro.syntax import lexer
 from repro.syntax.annotations import parse_annotation_text
-from repro.errors import NO_LOCATION
 from repro.syntax.ast import (
     Annotated,
     App,
@@ -52,9 +49,18 @@ from repro.syntax.ast import (
 )
 from repro.syntax.lexer import Token, tokenize
 
-_COMPARISONS = frozenset({"=", "/=", "<", "<=", ">", ">="})
-_ADDITIVE = frozenset({"+", "-", "++"})
-_MULTIPLICATIVE = frozenset({"*", "/", "%"})
+#: Infix operator -> ``(level, associativity, primitive)``, loosest level
+#: first.  A ``None`` associativity allows one operator of that level per
+#: operand chain: ``a < b < c`` leaves the second ``<`` unparsed.
+BINARY_OPERATORS = {
+    "::": (1, "right", "cons"),
+    "&&": (2, "left", "and"),
+    "||": (2, "left", "or"),
+    **{op: (3, None, op) for op in ("=", "/=", "<", "<=", ">", ">=")},
+    **{op: (4, "left", op) for op in ("+", "-", "++")},
+    **{op: (5, "left", op) for op in ("*", "/", "%")},
+}
+_TIGHTEST = max(level for level, _, _ in BINARY_OPERATORS.values())
 
 #: Token kinds that may begin an ``atom`` — used to detect application
 #: arguments during juxtaposition parsing.
@@ -135,7 +141,7 @@ class Parser:
             return self._parse_let()
         if token.kind == lexer.KEYWORD and token.value == "letrec":
             return self._parse_letrec()
-        return self._parse_cons()
+        return self._parse_binary()
 
     def _parse_lambda(self) -> Expr:
         start = self._expect(lexer.KEYWORD, "lambda")
@@ -226,47 +232,26 @@ class Parser:
             body = self._parse_atom()
         return Annotated(annotation, body).at(token.location)
 
-    def _parse_cons(self) -> Expr:
-        head = self._parse_logic()
-        if self._check(lexer.OP, "::"):
-            op = self._advance()
-            tail = self._parse_cons()  # right associative
-            return App(App(Var("cons").at(op.location), head), tail).at(op.location)
-        return head
+    def _parse_binary(self, min_level: int = 1) -> Expr:
+        """Precedence climbing over :data:`BINARY_OPERATORS`.
 
-    def _parse_logic(self) -> Expr:
-        left = self._parse_comparison()
-        while self._peek().kind == lexer.OP and self._peek().value in ("&&", "||"):
-            op = self._advance()
-            name = "and" if op.value == "&&" else "or"
-            right = self._parse_comparison()
-            left = App(App(Var(name).at(op.location), left), right).at(op.location)
-        return left
-
-    def _parse_comparison(self) -> Expr:
-        left = self._parse_additive()
-        token = self._peek()
-        if token.kind == lexer.OP and token.value in _COMPARISONS:
-            op = self._advance()
-            right = self._parse_additive()
-            return App(App(Var(op.value).at(op.location), left), right).at(op.location)
-        return left
-
-    def _parse_additive(self) -> Expr:
-        left = self._parse_multiplicative()
-        while self._peek().kind == lexer.OP and self._peek().value in _ADDITIVE:
-            op = self._advance()
-            right = self._parse_multiplicative()
-            left = App(App(Var(op.value).at(op.location), left), right).at(op.location)
-        return left
-
-    def _parse_multiplicative(self) -> Expr:
+        Each infix operator becomes a curried application of its primitive
+        located at the operator.  After combining at a level, the loop only
+        takes operators no tighter than it (``max_level``): tighter ones
+        were the right operand's, or were refused by a ``None`` level.
+        """
         left = self._parse_unary()
-        while self._peek().kind == lexer.OP and self._peek().value in _MULTIPLICATIVE:
-            op = self._advance()
-            right = self._parse_unary()
-            left = App(App(Var(op.value).at(op.location), left), right).at(op.location)
-        return left
+        max_level = _TIGHTEST
+        while True:
+            op = self._peek()
+            entry = BINARY_OPERATORS.get(op.value) if op.kind == lexer.OP else None
+            if entry is None or not min_level <= entry[0] <= max_level:
+                return left
+            level, associativity, primitive = entry
+            self._advance()
+            right = self._parse_binary(level if associativity == "right" else level + 1)
+            left = App(App(Var(primitive).at(op.location), left), right).at(op.location)
+            max_level = level if associativity else level - 1
 
     def _parse_unary(self) -> Expr:
         token = self._peek()

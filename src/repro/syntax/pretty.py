@@ -23,33 +23,19 @@ from repro.syntax.ast import (
     Letrec,
     Var,
 )
+from repro.syntax.parser import BINARY_OPERATORS
 
-# Precedence levels, mirroring the parser (looser binds less tightly).
+# Precedence levels: the parser's BINARY_OPERATORS levels, with every
+# special form looser and application and atoms tighter.
 _PREC_EXPR = 0  # lambda / if / let / letrec / annotation
-_PREC_CONS = 1
-_PREC_LOGIC = 2
-_PREC_CMP = 3
-_PREC_ADD = 4
-_PREC_MUL = 5
-_PREC_APP = 6
-_PREC_ATOM = 7
+_PREC_APP = max(level for level, _, _ in BINARY_OPERATORS.values()) + 1
+_PREC_ATOM = _PREC_APP + 1
 
-_INFIX_PRECEDENCE = {
-    "::": _PREC_CONS,
-    "&&": _PREC_LOGIC,
-    "||": _PREC_LOGIC,
-    "=": _PREC_CMP,
-    "/=": _PREC_CMP,
-    "<": _PREC_CMP,
-    "<=": _PREC_CMP,
-    ">": _PREC_CMP,
-    ">=": _PREC_CMP,
-    "+": _PREC_ADD,
-    "-": _PREC_ADD,
-    "++": _PREC_ADD,
-    "*": _PREC_MUL,
-    "/": _PREC_MUL,
-    "%": _PREC_MUL,
+#: Primitive -> infix spelling, where the two differ (``cons`` -> ``::``).
+_SPELLINGS = {
+    primitive: op
+    for op, (_, _, primitive) in BINARY_OPERATORS.items()
+    if primitive != op
 }
 
 
@@ -65,8 +51,8 @@ def _binary_parts(expr: Expr):
         and isinstance(expr.fn.fn, Var)
     ):
         name = expr.fn.fn.name
-        name = {"cons": "::", "and": "&&", "or": "||"}.get(name, name)
-        if name in _INFIX_PRECEDENCE:
+        name = _SPELLINGS.get(name, name)
+        if name in BINARY_OPERATORS:
             return name, expr.fn.arg, expr.arg
     return None
 
@@ -114,7 +100,7 @@ def _render(expr: Expr, required: int) -> str:
     if isinstance(expr, Var):
         if expr.name == "nil":
             return "[]"
-        if expr.name in _INFIX_PRECEDENCE:
+        if expr.name in BINARY_OPERATORS:
             return f"({expr.name})"  # operator section, e.g. (+)
         return expr.name
 
@@ -166,12 +152,12 @@ def _render(expr: Expr, required: int) -> str:
         parts = _binary_parts(expr)
         if parts is not None:
             op, left, right = parts
-            level = _INFIX_PRECEDENCE[op]
-            if op == "::":  # right associative
+            level, associativity, _ = BINARY_OPERATORS[op]
+            if associativity == "right":
                 text = f"{_render(left, level + 1)} {op} {_render(right, level)}"
-            elif level == _PREC_CMP:  # non-associative
+            elif associativity is None:
                 text = f"{_render(left, level + 1)} {op} {_render(right, level + 1)}"
-            else:  # left associative
+            else:
                 text = f"{_render(left, level)} {op} {_render(right, level + 1)}"
             return _parenthesize(text, level, required)
         text = f"{_render(expr.fn, _PREC_APP)} {_render(expr.arg, _PREC_ATOM)}"

@@ -312,6 +312,8 @@ class Trace:
     its wall-clock budget after ``deadline["events"]`` events — the trace
     is *complete as a record of that truncated run*, which is different
     from ``truncated``, where the recorder itself died mid-write).
+    ``digest`` is the SHA-256 of the bytes :func:`read_trace` parsed
+    (``None`` for a trace built in memory).
     """
 
     header: Dict[str, object]
@@ -321,6 +323,7 @@ class Trace:
     truncated: bool = False
     inputs: List[TraceInput] = field(default_factory=list)
     deadline: Optional[Dict[str, object]] = None
+    digest: Optional[str] = None
 
     @property
     def version(self) -> int:
@@ -422,8 +425,9 @@ def read_trace(path: str, *, allow_truncated: bool = False) -> Trace:
       ``allow_truncated=True``, which keeps the readable prefix and sets
       ``trace.truncated``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.decode("utf-8").splitlines()
     numbered = [(i, line) for i, line in enumerate(lines, 1) if line.strip()]
     if not numbered:
         raise TraceFormatError(f"{path}: empty trace file (no header record)")
@@ -449,7 +453,12 @@ def read_trace(path: str, *, allow_truncated: bool = False) -> Trace:
             raise _located(path, lineno, "malformed JSON record") from None
 
     header = _parse_header(records[0][1], path)
-    trace = Trace(header=header, path=path, truncated=truncated)
+    trace = Trace(
+        header=header,
+        path=path,
+        truncated=truncated,
+        digest=hashlib.sha256(data).hexdigest(),
+    )
     site_count = trace.site_count
     for lineno, record in records[1:]:
         if not isinstance(record, dict):

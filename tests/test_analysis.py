@@ -28,7 +28,7 @@ from repro.analysis import (
     render_text,
 )
 from repro.errors import MonitorError
-from repro.monitoring.spec import FunctionSpec
+from repro.monitoring.spec import FunctionSpec, MonitorSpec
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
 from repro.syntax.annotations import Label
 from repro.syntax.parser import parse
@@ -268,7 +268,7 @@ class TestSpecPass:
     def test_shared_hook_flagged_under_each_monitors_key(self):
         """The hook scan is memoized per code object, but each monitor
         sharing a mutating hook still gets its own REP304."""
-        from repro.analysis.specs import _parse_hook
+        from repro.analysis.specs import _purity_findings
 
         for key in ("first", "second"):
             spec = FunctionSpec(
@@ -278,7 +278,36 @@ class TestSpecPass:
             assert finding.code == "REP304"
             assert finding.subject == f"{key}.pre"
             assert repr(key) in finding.message
-        assert _parse_hook(_impure_pre) is _parse_hook(_impure_pre)
+        code = _impure_pre.__code__
+        assert _purity_findings(code) is _purity_findings(code)
+
+    def test_one_class_two_keys_keep_their_own_subjects(self):
+        """Two instances of one spec class share the memoized scan of its
+        hook methods; each renders the findings under its own key."""
+        from repro.analysis.specs import _purity_findings
+
+        class Mutating(MonitorSpec):
+            def __init__(self, key):
+                self.key = key
+
+            def recognize(self, annotation):
+                return annotation
+
+            def initial_state(self):
+                return {}
+
+            def pre(self, annotation, term, ctx, state):
+                state["hits"] = 1
+                return state
+
+        _purity_findings.cache_clear()
+        for key in ("left", "right"):
+            [finding] = analyze_spec(Mutating(key))
+            assert finding.code == "REP304"
+            assert finding.subject == f"{key}.pre"
+            assert f"pre of monitor {key!r}" in finding.message
+        info = _purity_findings.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # pre and post, once each
 
     def test_hook_scan_reads_the_file_without_inspect_getsource(self, monkeypatch):
         """``inspect.getsource`` calls ``realpath`` on every loaded module,
@@ -286,13 +315,13 @@ class TestSpecPass:
         hook's file itself and keeps getsource only as a fallback."""
         import inspect
 
-        from repro.analysis.specs import _parse_code
+        from repro.analysis.specs import _purity_findings
 
         def unavailable(obj):
             raise OSError("inspect.getsource is not used for file-backed hooks")
 
         monkeypatch.setattr(inspect, "getsource", unavailable)
-        _parse_code.cache_clear()
+        _purity_findings.cache_clear()
         findings = analyze_spec(_spec(_impure_pre))
         assert "REP304" in _codes(findings)
 

@@ -450,6 +450,36 @@ class TestDebug:
         assert "=> 24" in out
 
 
+class TestCheckLexicalErrors:
+    def test_superscript_digit_is_a_located_diagnostic(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "-e", "x²"],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"),
+        )
+        assert proc.returncode == 1
+        assert "REP002] 1:2: unexpected character '²'" in proc.stdout
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+    def test_batch_record_reports_a_lex_error(self, capsys, tmp_path):
+        import json
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text('{"program": "x\\u00b2"}\n', encoding="utf-8")
+        assert main(["batch", str(requests)]) == 1  # a failed record
+        record = json.loads(capsys.readouterr().out)
+        assert record["error_type"] == "LexError"
+        assert record["error"] == "lexical error at 1:2: unexpected character '²'"
+
+
 class TestCheckpointIntervalValidation:
     """--checkpoint-interval is rejected at flag level, not as a traceback."""
 

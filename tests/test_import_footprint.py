@@ -77,3 +77,17 @@ def test_lint_off_runs_load_no_analysis_passes():
     passes = ("repro.analysis.scope", "repro.analysis.specs", "repro.analysis.stack")
     leaked = sorted(m for m in passes if m in loaded)
     assert leaked == [], f"a lint-off run loaded {leaked}"
+
+
+def test_pool_parent_imports_every_toolbox_monitor():
+    # Forked workers inherit the parent's modules: a toolbox monitor the
+    # parent left out costs every worker an import on its first request.
+    _loaded_after(
+        "import sys\n"
+        "import repro.runtime.process_pool\n"
+        "before = set(sys.modules)\n"
+        "from repro.toolbox.registry import TOOLBOX\n"
+        "for make in TOOLBOX.values():\n"
+        "    make()\n"
+        "assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
+    )

@@ -141,6 +141,27 @@ class TestLocations:
         assert "@" in str(exc.value)
 
 
+class TestDigits:
+    """Numbers are Unicode decimal digits: exactly what ``int()`` accepts."""
+
+    @pytest.mark.parametrize("source", ["x²", "1²", "²"])
+    def test_superscript_is_an_unexpected_character(self, source):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        where = source.index("²")
+        assert exc.value.location.offset == where
+        assert str(exc.value) == (
+            f"lexical error at 1:{where + 1}: unexpected character '²'"
+        )
+
+    def test_other_decimal_digits_are_numbers(self):
+        from repro.syntax.parser import parse
+
+        tokens = tokenize("٣ + 1")
+        assert (tokens[0].kind, tokens[0].value) == (lexer.INT, "٣")
+        assert parse("٣ + 1") == parse("3 + 1")
+
+
 class TestPunctuation:
     def test_brackets_and_parens(self):
         assert kinds("([,])")[:5] == [

@@ -488,6 +488,58 @@ class TestCrashRecovery:
                 assert result.ok, f"worker {worker}: {result.error}"
 
 
+def _gone(pid: int) -> bool:
+    """``pid`` has exited: no such process, or an unreaped zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+class TestKilledParent:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = (
+            "import time\n"
+            "from repro.runtime.process_pool import ProcessPoolRunner\n"
+            "pool = ProcessPoolRunner(workers=2).start()\n"
+            "print(*pool.worker_pids(), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not all(map(_gone, pids)):
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _gone(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            for pid in pids:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
 class TestBackpressure:
     def test_full_queue_raises_overloaded(self):
         with ProcessPoolRunner(workers=1, queue_depth=1) as runner:

@@ -370,6 +370,56 @@ class TestSidecar:
         assert swapped.save_checkpoints()
         self._assert_every_position_fresh(path)
 
+    def test_sidecar_is_keyed_on_the_bytes_read_trace_parsed(self, tmp_path):
+        # A trace read, then rewritten on disk before the session opens:
+        # the session folds the bytes it was given, so its checkpoints
+        # must not be keyed on (and served for) the new file.
+        import hashlib
+
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(TWO_SITES), path)
+        read_first = read_trace(path)
+        with open(path, "rb") as handle:
+            assert read_first.digest == hashlib.sha256(handle.read()).hexdigest()
+        record(strict, parse(TWO_SITES), path, sites=["b"])
+        stale = self._counting(read_first)
+        stale.seek(len(stale))
+        assert stale.save_checkpoints()
+        self._assert_every_position_fresh(path)
+
+    def test_used_accumulator_neither_loads_nor_saves(self, tmp_path):
+        # Checkpoints carry the counters the fold started from: a session
+        # folding into an accumulator that already holds counts must not
+        # hand its checkpoints to a fresh metrics=True session, nor adopt
+        # checkpoints a fresh session saved.
+        path = str(tmp_path / "t.jsonl")
+        record(strict, parse(FAC.replace("{fac(x)}", "{fac}")), path)
+        used = RunMetrics()
+        for _ in range(2):
+            analyze_trace(path, [LabelCounterMonitor()], metrics=used)
+        assert used != RunMetrics()
+        dirty = self._counting(path, metrics=used)
+        dirty.seek(len(dirty))
+        assert not dirty.save_checkpoints()
+        assert not os.path.exists(sidecar_path(path))
+
+        clean = self._counting(path)
+        clean.seek(len(clean))
+        assert clean.save_checkpoints()
+        fresh = ReplaySession(path, [LabelCounterMonitor()])
+        fresh.seek(6)
+        loaded = self._counting(path)
+        assert len(loaded.checkpoints) > 0
+        loaded.seek(6)
+        assert loaded.metrics == fresh.metrics
+        assert fresh.metrics.pre_calls == {"count": 6}
+
+        before = used.copy()
+        again = self._counting(path, metrics=used)
+        assert len(again.checkpoints) == 0
+        again.seek(6)
+        assert used.pre_calls == {"count": before.pre_calls["count"] + 6}
+
     def test_old_envelope_version_is_ignored(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         record(strict, parse(TWO_SITES), path)
