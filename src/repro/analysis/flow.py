@@ -11,8 +11,8 @@ combines the abstract-interpretation reachability of
   and record mode can skip tracing them without observable difference;
 * the claim-flow map ``site -> {claiming monitors}``;
 * each monitor's *may-trigger alphabet* — the static event alphabet a
-  temporal/DFA monitor class (ROADMAP item 5a) needs for vacuity and
-  alphabet-disjointness checks.
+  temporal/DFA monitor class would need for vacuity and
+  alphabet-disjointness checks (no such class exists yet).
 
 Diagnostics:
 

@@ -31,7 +31,7 @@ import linecache
 import textwrap
 from functools import lru_cache
 from types import CodeType
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.monitoring.spec import FunctionSpec, MonitorSpec
@@ -71,17 +71,49 @@ PROBE_CODES = {
 # -- arity checks ------------------------------------------------------------
 
 
-def _bind_ok(func, arg_count: int, keywords: Sequence[str] = ()) -> Optional[str]:
+def _bind_problem(func, arg_count: int) -> Optional[str]:
     """None if ``func`` accepts ``arg_count`` positionals, else the error."""
     try:
         signature = inspect.signature(func)
     except (TypeError, ValueError):
         return None  # C-level or otherwise opaque: nothing to check
     try:
-        signature.bind(*([None] * arg_count), **{k: None for k in keywords})
+        signature.bind(*([None] * arg_count))
     except TypeError as exc:
         return str(exc)
     return None
+
+
+#: :func:`_bind_ok` verdicts, at most this many before the memo is cleared.
+_BIND_MEMO_SIZE = 1024
+_bind_verdicts: Dict[tuple, Optional[str]] = {}
+
+
+def _bind_ok(func, arg_count: int) -> Optional[str]:
+    """:func:`_bind_problem`, memoized on what ``inspect.signature`` reads.
+
+    That is a function's code, how many positional defaults it has, which
+    keyword-only parameters have one, and whether it is bound; so every
+    monitor built from one hook definition shares one verdict.  A callable
+    without ``__code__``, or one whose signature is declared elsewhere
+    (``__wrapped__``, ``__signature__``), is checked every time.
+    """
+    plain = getattr(func, "__func__", func)
+    code = getattr(plain, "__code__", None)
+    if code is None or hasattr(plain, "__wrapped__") or hasattr(plain, "__signature__"):
+        return _bind_problem(func, arg_count)
+    key = (
+        code,
+        len(plain.__defaults__ or ()),
+        frozenset(plain.__kwdefaults__ or ()),
+        plain is not func,
+        arg_count,
+    )
+    if key not in _bind_verdicts:
+        if len(_bind_verdicts) >= _BIND_MEMO_SIZE:
+            _bind_verdicts.clear()
+        _bind_verdicts[key] = _bind_problem(func, arg_count)
+    return _bind_verdicts[key]
 
 
 def _hook_callables(monitor: MonitorSpec) -> List[Tuple[str, object, int]]:

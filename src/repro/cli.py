@@ -24,6 +24,12 @@ from typing import List, Optional, Sequence
 
 from repro.errors import LexError, ParseError, ReproError, format_source_context
 from repro.languages import LANGUAGE_NAMES, parse_source
+from repro.runtime.config import OPTIONS, RunConfig
+
+
+def _read_file(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _read_source(args) -> str:
@@ -31,8 +37,7 @@ def _read_source(args) -> str:
         return args.expression
     if args.program is None:
         raise ReproError("provide a program file or -e EXPRESSION")
-    with open(args.program, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return _read_file(args.program)
 
 
 def _load_program(args) -> object:
@@ -52,63 +57,55 @@ def _language(args):
     return by_name(args.language)
 
 
+def _names(text: Optional[str]) -> Optional[List[str]]:
+    """A comma-separated flag's names, or ``None`` when it was not given."""
+    if not text:
+        return None
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _tools(names: Optional[str]) -> List:
-    if not names:
-        return []
     from repro.toolbox.registry import make_tool
 
-    return [make_tool(name.strip()) for name in names.split(",") if name.strip()]
+    return [make_tool(name) for name in _names(names) or ()]
+
+
+def _read_jsonl(path: str) -> List[object]:
+    """The JSON value of every line of ``path`` ('-' for stdin), skipping
+    blank and ``#`` lines; a bad line is an error naming its number."""
+    import json
+
+    text = sys.stdin.read() if path == "-" else _read_file(path)
+    records = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise ReproError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def run_config_from_args(args):
     """Build the run's :class:`repro.runtime.RunConfig` from parsed flags.
 
-    The one place CLI flags become run options: every evaluating
-    subcommand (run/trace/profile/session/debug/batch/serve) routes through
-    here, so a flag means the same thing everywhere.
+    The dataclass supplies every default (a flag left out sets nothing),
+    and each value is checked under its flag's name, the name the user typed.
     """
     from repro.observability import RunMetrics
-    from repro.runtime import RunConfig
 
-    metrics = RunMetrics() if getattr(args, "metrics", False) else None
-    interval = _checkpoint_interval(args)
+    values = {name: getattr(args, name) for name in OPTIONS if hasattr(args, name)}
     try:
-        return RunConfig(
-            engine=getattr(args, "engine", "reference"),
-            fault_policy=getattr(args, "fault_policy", "propagate"),
-            max_steps=getattr(args, "max_steps", None),
-            metrics=metrics,
-            timeout=getattr(args, "timeout", None),
-            lint=getattr(args, "lint", "off"),
-            mode=getattr(args, "mode", "inline"),
-            record_dir=getattr(args, "record_dir", None),
-            checkpoint_interval=interval,
-            optimize=getattr(args, "optimize", "none"),
-            sample_rate=getattr(args, "sample", 1.0),
-            trace_seed=getattr(args, "seed", 0),
-        ).validate()
+        for name, value in values.items():
+            OPTIONS[name].check_value(value, OPTIONS[name].flag)
     except ValueError as exc:
         # Validation failures are user input errors, not crashes: surface
         # them the way every other CLI error is surfaced.
         raise ReproError(str(exc)) from None
-
-
-def _checkpoint_interval(args) -> int:
-    """Resolve ``--checkpoint-interval``, rejecting non-positive values.
-
-    Validated here — at flag-parsing time, with the flag named — rather
-    than letting ``RunConfig.validate()``'s ValueError escape ``main()``
-    as a traceback.  ``0`` is an error, not "use the default": silently
-    mapping it to 512 would hide the typo.
-    """
-    interval = getattr(args, "checkpoint_interval", None)
-    if interval is None:
-        return 512
-    if isinstance(interval, bool) or not isinstance(interval, int) or interval < 1:
-        raise ReproError(
-            f"--checkpoint-interval must be a positive integer, got {interval!r}"
-        )
-    return interval
+    if values.pop("metrics", False):
+        values["metrics"] = RunMetrics()
+    return RunConfig(**values)
 
 
 def _print_metrics(metrics) -> None:
@@ -183,11 +180,7 @@ def _annotated_run(args, tool_name: str, style: str) -> int:
 
     program = _load_program(args)
     language = _language(args)
-    functions = (
-        [name.strip() for name in args.functions.split(",")]
-        if args.functions
-        else None
-    )
+    functions = _names(args.functions)
     annotated = annotate_function_bodies(
         program, functions, style=style, namespace=tool_name
     )
@@ -247,7 +240,7 @@ def cmd_compile(args) -> int:
     program = _load_program(args)
     monitors = _tools(args.tools)
     flow = None
-    if getattr(args, "optimize", "none") == "flow":
+    if run_config_from_args(args).optimize == "flow":
         from repro.analysis.flow import analyze_flow
 
         flow = analyze_flow(program, monitors)
@@ -283,11 +276,7 @@ def cmd_session(args) -> int:
     result = session.evaluate(
         args.eval,
         tools=args.tools,
-        functions=(
-            [name.strip() for name in args.functions.split(",")]
-            if args.functions
-            else None
-        ),
+        functions=_names(args.functions),
         config=config,
     )
     print(_render_answer(result.answer))
@@ -330,16 +319,13 @@ def cmd_replay(args) -> int:
     from repro.monitors.interactive import ConsoleSource
     from repro.replay import ReplayDebugger, ReplaySession, default_stack
 
-    program = None
-    if args.program:
-        with open(args.program, "r", encoding="utf-8") as handle:
-            program = handle.read()
+    config = run_config_from_args(args)
     session = ReplaySession(
         args.trace,
         default_stack(capacity=args.capacity),
-        program=program,
-        fault_policy=args.fault_policy,
-        checkpoint_interval=_checkpoint_interval(args),
+        program=_read_file(args.program) if args.program else None,
+        fault_policy=config.fault_policy,
+        checkpoint_interval=config.checkpoint_interval,
         allow_truncated=args.allow_truncated,
         use_sidecar=args.sidecar,
     )
@@ -406,23 +392,10 @@ def cmd_batch(args) -> int:
     from repro.runtime import BatchRunner, CompilationCache
 
     config = run_config_from_args(args)
-    if args.requests == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.requests, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
     # Records are admitted by the runner: a bad one (unknown key, missing
     # program, invalid option) fails its own slot with a diagnostic
     # ok=False result in the output JSONL; the rest of the batch still runs.
-    requests = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            requests.append(json.loads(line))
-        except ValueError as exc:
-            raise ReproError(f"{args.requests}:{lineno}: {exc}") from None
+    requests = _read_jsonl(args.requests)
 
     sink = JsonlSink(args.trace_out) if args.trace_out else None
     cache = CompilationCache(args.cache_size, event_sink=sink)
@@ -466,11 +439,7 @@ def cmd_record(args) -> int:
     language = _language(args)
     tools = _tools(args.tools)
     config = run_config_from_args(args)
-    sites = (
-        [name.strip() for name in args.sites.split(",") if name.strip()]
-        if args.sites
-        else None
-    )
+    sites = _names(args.sites)
     result = record(
         language,
         program,
@@ -498,6 +467,7 @@ def cmd_analyze(args) -> int:
     """Fold monitor stacks over a recorded trace (post-hoc monitoring)."""
     from repro.tracing import analyze_many, read_trace
 
+    config = run_config_from_args(args)
     trace = read_trace(args.trace, allow_truncated=args.allow_truncated)
     if args.list_sites:
         for site_id, rendered in enumerate(trace.site_annotations):
@@ -509,16 +479,12 @@ def cmd_analyze(args) -> int:
             "provide at least one --monitors stack to fold (or --list-sites)"
         )
     stacks = [_tools(spec) for spec in args.monitors]
-    program = None
-    if args.program:
-        with open(args.program, "r", encoding="utf-8") as handle:
-            program = handle.read()
     results = analyze_many(
         trace,
         stacks,
-        program=program,
-        fault_policy=args.fault_policy,
-        metrics=True if args.metrics else None,
+        program=_read_file(args.program) if args.program else None,
+        fault_policy=config.fault_policy,
+        metrics=True if config.metrics is not None else None,
         allow_truncated=args.allow_truncated,
     )
     for spec_text, result in zip(args.monitors, results):
@@ -535,29 +501,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the long-lived JSONL-over-socket daemon on a process pool."""
-    import json
-
     from repro.runtime.serve import Server
 
-    if args.metrics:
-        raise ReproError(
-            "serve streams telemetry per worker: use --trace-dir DIR "
-            "instead of --metrics"
-        )
     config = run_config_from_args(args)
-    prewarm = []
-    if args.prewarm:
-        with open(args.prewarm, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    prewarm.append(json.loads(line))
-                except ValueError as exc:
-                    raise ReproError(
-                        f"{args.prewarm}:{lineno}: {exc}"
-                    ) from None
+    prewarm = _read_jsonl(args.prewarm) if args.prewarm else []
     server = Server(
         workers=args.workers,
         config=config,
@@ -604,85 +551,30 @@ def cmd_serve(args) -> int:
 # Argument parsing ------------------------------------------------------------------
 
 
-def add_run_flags(parser: argparse.ArgumentParser, *, engine: bool = True) -> None:
-    """Declare the shared run-option flags on ``parser``.
-
-    One source of truth for ``--max-steps``, ``--engine``,
-    ``--fault-policy``, ``--timeout`` and ``--metrics``:
-    every evaluating subcommand calls this, and
-    :func:`run_config_from_args` turns the parsed result into the
-    :class:`repro.runtime.RunConfig` the library consumes — so the flags
-    cannot drift between subcommands.
+def add_run_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare, in table order, the flag of every row of
+    :data:`repro.runtime.config.OPTIONS` whose ``commands`` name ``command``;
+    each stores under its ``RunConfig`` field's name, and only when given.
     """
-    parser.add_argument(
-        "--max-steps", type=int, default=None, help="evaluation step budget"
-    )
-    if engine:
-        _add_engine_argument(parser)
-    _add_fault_policy_argument(parser)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per evaluation (cooperative)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        dest="checkpoint_interval",
-        type=int,
-        default=None,
-        metavar="EVENTS",
-        help="replay checkpoint spacing in trace events (default 512; "
-        "smaller = faster backward seeks, more checkpoints)",
-    )
-    parser.add_argument(
-        "--lint",
-        choices=("off", "warn", "error"),
-        default="off",
-        help="run the static analyzer before executing: warn prints "
-        "diagnostics, error rejects programs with error-severity findings",
-    )
-    parser.add_argument(
-        "--optimize",
-        choices=("none", "flow"),
-        default="none",
-        help="static optimization level: flow runs the claim-flow analysis "
-        "and erases monitor hooks at provably-unreachable sites (codegen "
-        "engine) — observable behavior is unchanged",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect run telemetry and print a metrics summary after the answer",
-    )
-
-
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.languages.base import ENGINES, engine_help
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help=engine_help(),
-    )
-
-
-def _add_fault_policy_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.monitoring.faults import FAULT_POLICIES
-
-    parser.add_argument(
-        "--fault-policy",
-        dest="fault_policy",
-        choices=FAULT_POLICIES,
-        default="propagate",
-        help=(
-            "what a monitor exception does: propagate aborts the run "
-            "(default), quarantine disables the faulting monitor and keeps "
-            "the standard answer, log records faults and keeps monitoring"
-        ),
-    )
+    for option in OPTIONS.values():
+        if command not in option.commands:
+            continue
+        if option.type is bool:
+            kind = {"action": "store_true"}
+        else:
+            choices = option.choices
+            kind = {
+                "choices": choices() if callable(choices) else choices,
+                "type": option.type,
+                "metavar": option.metavar,
+            }
+        parser.add_argument(
+            option.flag,
+            dest=option.name,
+            default=argparse.SUPPRESS,
+            help=option.help() if callable(option.help) else option.help,
+            **kind,
+        )
 
 
 def _add_debugger_arguments(parser: argparse.ArgumentParser) -> None:
@@ -721,32 +613,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    run_parser = subparsers.add_parser("run", help="evaluate a program")
+    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        subparser = subparsers.add_parser(name, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    run_parser = command("run", cmd_run, help="evaluate a program")
     _add_program_arguments(run_parser)
     run_parser.add_argument(
         "--tools", help="comma-separated toolbox monitors (profile,trace,...)"
     )
-    add_run_flags(run_parser)
-    run_parser.set_defaults(handler=cmd_run)
 
-    trace_parser = subparsers.add_parser(
-        "trace", help="auto-annotate functions and trace calls"
-    )
-    _add_program_arguments(trace_parser)
-    trace_parser.add_argument("--functions", help="comma-separated function names")
-    add_run_flags(trace_parser)
-    trace_parser.set_defaults(handler=cmd_trace)
+    for name, handler in (("trace", cmd_trace), ("profile", cmd_profile)):
+        annotated = command(
+            name, handler, help=f"auto-annotate functions and {name} calls"
+        )
+        _add_program_arguments(annotated)
+        annotated.add_argument("--functions", help="comma-separated function names")
 
-    profile_parser = subparsers.add_parser(
-        "profile", help="auto-annotate functions and profile calls"
-    )
-    _add_program_arguments(profile_parser)
-    profile_parser.add_argument("--functions", help="comma-separated function names")
-    add_run_flags(profile_parser)
-    profile_parser.set_defaults(handler=cmd_profile)
-
-    spec_parser = subparsers.add_parser(
-        "specialize", help="partially evaluate with respect to static inputs"
+    spec_parser = command(
+        "specialize", cmd_specialize,
+        help="partially evaluate with respect to static inputs",
     )
     _add_program_arguments(spec_parser)
     spec_parser.add_argument(
@@ -760,37 +647,26 @@ def build_parser() -> argparse.ArgumentParser:
     spec_parser.add_argument(
         "--simplify", action="store_true", help="post-process the residual program"
     )
-    spec_parser.set_defaults(handler=cmd_specialize)
 
-    compile_parser = subparsers.add_parser(
-        "compile",
+    compile_parser = command(
+        "compile", cmd_compile,
         help="specialize a program + monitor stack to codegen-engine Python",
     )
     _add_program_arguments(compile_parser)
     compile_parser.add_argument("--tools", help="comma-separated toolbox monitors")
     compile_parser.add_argument(
         "--emit-source",
-        dest="emit_source",
         action="store_true",
         help="print the full residual Python source instead of the summary",
     )
     compile_parser.add_argument(
         "--output",
         metavar="FILE",
-        default=None,
         help="write --emit-source output to FILE instead of stdout",
     )
-    compile_parser.add_argument(
-        "--optimize",
-        choices=("none", "flow"),
-        default="none",
-        help="'flow' erases hooks at statically-unreachable sites and "
-        "drops monitors the claim-flow analysis proves can never fire",
-    )
-    compile_parser.set_defaults(handler=cmd_compile)
 
-    session_parser = subparsers.add_parser(
-        "session", help="evaluate against a saved session file"
+    session_parser = command(
+        "session", cmd_session, help="evaluate against a saved session file"
     )
     session_parser.add_argument("session_file", help="file written by Session.save")
     session_parser.add_argument("--eval", required=True, help="expression to evaluate")
@@ -799,17 +675,14 @@ def build_parser() -> argparse.ArgumentParser:
     session_parser.add_argument(
         "--language", choices=sorted(LANGUAGE_NAMES), default="strict"
     )
-    add_run_flags(session_parser)
-    session_parser.set_defaults(handler=cmd_session)
 
-    check_parser = subparsers.add_parser(
-        "check", help="statically analyze a program (no execution)"
+    check_parser = command(
+        "check", cmd_check, help="statically analyze a program (no execution)"
     )
     _add_program_arguments(check_parser)
     check_parser.add_argument(
         "--monitors",
         "--tools",
-        dest="monitors",
         help="comma-separated toolbox monitors the program will run under "
         "(enables the annotation/stack and monitor-spec passes)",
     )
@@ -823,38 +696,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-probe",
         dest="probe",
         action="store_false",
-        default=True,
         help="skip the dynamic probe pass over the monitor specs",
     )
     check_parser.add_argument(
         "--flow",
         action="store_true",
-        default=False,
         help="run the claim-flow & reachability pass (REP5xx): unreachable "
         "annotation sites, monitors no reachable site can trigger, and "
         "sites reachable only through quarantinable paths",
     )
-    check_parser.set_defaults(handler=cmd_check)
 
-    batch_parser = subparsers.add_parser(
-        "batch", help="run many requests concurrently from a JSONL file"
+    batch_parser = command(
+        "batch", cmd_batch, help="run many requests concurrently from a JSONL file"
     )
     batch_parser.add_argument(
         "requests",
         help="JSONL file of requests ('-' for stdin); each line is an object "
-        "with 'program' plus optional tools/language/timeout/tag and the "
-        "config keys engine/fault_policy/max_steps/lint/mode/record_dir/"
-        "sample_rate/trace_seed",
+        "with 'program' plus optional tools/language/tag and the run options "
+        + "/".join(name for name, row in OPTIONS.items() if "batch" in row.records),
     )
     batch_parser.add_argument(
         "--workers",
         type=int,
-        default=None,
         help="worker threads (default 4; 1 = sequential)",
     )
     batch_parser.add_argument(
         "--cache-size",
-        dest="cache_size",
         type=int,
         default=128,
         help="generated-program cache capacity (LRU entries)",
@@ -862,14 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument(
         "--output",
         metavar="FILE",
-        default=None,
         help="write result JSONL to FILE instead of stdout",
     )
     batch_parser.add_argument(
         "--trace-out",
-        dest="trace_out",
         metavar="FILE",
-        default=None,
         help="write the cache and batch lifecycle events to FILE as JSON lines",
     )
     batch_parser.add_argument(
@@ -877,25 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print batch and cache statistics to stderr",
     )
-    batch_parser.add_argument(
-        "--mode",
-        choices=("inline", "record"),
-        default="inline",
-        help="default execution mode for requests: inline runs monitors "
-        "live, record writes an event trace per request (see --record-dir)",
-    )
-    batch_parser.add_argument(
-        "--record-dir",
-        dest="record_dir",
-        metavar="DIR",
-        default=None,
-        help="directory record-mode requests write their traces into",
-    )
-    add_run_flags(batch_parser)
-    batch_parser.set_defaults(handler=cmd_batch)
 
-    record_parser = subparsers.add_parser(
-        "record",
+    record_parser = command(
+        "record", cmd_record,
         help="run a program once, writing a minimal event trace for "
         "post-hoc monitoring (see 'repro analyze')",
     )
@@ -915,23 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser.add_argument(
         "--sites",
         metavar="NAMES",
-        default=None,
         help="comma-separated site filter: annotation names, renderings, "
         "or site ids",
-    )
-    record_parser.add_argument(
-        "--sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="deterministic activation sampling rate in [0, 1] "
-        "(default 1.0 = record everything)",
-    )
-    record_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="sampling seed (same seed + program => byte-identical trace)",
     )
     record_parser.add_argument(
         "--values",
@@ -939,18 +772,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="record full values (default) or short content fingerprints",
     )
-    add_run_flags(record_parser)
-    record_parser.set_defaults(handler=cmd_record)
 
-    analyze_parser = subparsers.add_parser(
-        "analyze",
+    analyze_parser = command(
+        "analyze", cmd_analyze,
         help="fold monitor stacks over a recorded trace (post-hoc monitoring)",
     )
     analyze_parser.add_argument("trace", help="trace file written by 'repro record'")
     analyze_parser.add_argument(
         "--monitors",
         "--tools",
-        dest="monitors",
         action="append",
         metavar="STACK",
         help="a comma-separated monitor stack to fold (repeat the flag to "
@@ -959,46 +789,34 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument(
         "--program",
         metavar="FILE",
-        default=None,
         help="the recorded program's source (required when the trace does "
         "not embed it)",
     )
     analyze_parser.add_argument(
         "--allow-truncated",
-        dest="allow_truncated",
         action="store_true",
         help="analyze the readable prefix of a trace whose recorder "
         "crashed mid-write",
     )
     analyze_parser.add_argument(
         "--list-sites",
-        dest="list_sites",
         action="store_true",
         help="print the trace's annotated-site table",
     )
-    _add_fault_policy_argument(analyze_parser)
-    analyze_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="reconstruct and print RunMetrics for each folded stack",
-    )
-    analyze_parser.set_defaults(handler=cmd_analyze)
 
-    serve_parser = subparsers.add_parser(
-        "serve",
+    serve_parser = command(
+        "serve", cmd_serve,
         help="long-lived JSONL-over-socket serving daemon over a process pool",
     )
     transport = serve_parser.add_mutually_exclusive_group(required=True)
     transport.add_argument(
         "--socket",
         metavar="PATH",
-        default=None,
         help="listen on a unix-domain socket at PATH",
     )
     transport.add_argument(
         "--port",
         type=int,
-        default=None,
         help="listen on a TCP port (0 picks an ephemeral port)",
     )
     serve_parser.add_argument(
@@ -1009,19 +827,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers",
         type=int,
-        default=None,
         help="worker processes (default 4); requests shard by program fingerprint",
     )
     serve_parser.add_argument(
         "--cache-size",
-        dest="cache_size",
         type=int,
         default=128,
         help="per-worker generated-program cache capacity (LRU entries)",
     )
     serve_parser.add_argument(
         "--queue-depth",
-        dest="queue_depth",
         type=int,
         default=32,
         help="per-worker request queue bound; beyond it submissions are "
@@ -1029,47 +844,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--trace-dir",
-        dest="trace_dir",
         metavar="DIR",
-        default=None,
         help="stream worker-tagged telemetry to DIR/worker-N.jsonl (one "
         "JSONL sink per worker, flushed per event)",
     )
     serve_parser.add_argument(
-        "--record-dir",
-        dest="record_dir",
-        metavar="DIR",
-        default=None,
-        help="directory record-mode requests ({\"mode\": \"record\"}) write "
-        "their event traces into; the response carries the trace path",
-    )
-    serve_parser.add_argument(
         "--prewarm",
         metavar="FILE",
-        default=None,
         help="JSONL requests compiled into the caches at startup, each on "
         "the worker it routes to",
     )
-    add_run_flags(serve_parser)
-    serve_parser.set_defaults(handler=cmd_serve)
 
-    debug_parser = subparsers.add_parser("debug", help="scriptable/interactive debugger")
+    debug_parser = command("debug", cmd_debug, help="scriptable/interactive debugger")
     _add_program_arguments(debug_parser)
     _add_debugger_arguments(debug_parser)
-    debug_parser.add_argument(
-        "--record-dir",
-        dest="record_dir",
-        metavar="DIR",
-        default=None,
-        help="record the session as a replayable trace into DIR "
-        "(every command you type becomes part of the trace; "
-        "step through it later with 'repro replay')",
-    )
-    add_run_flags(debug_parser)
-    debug_parser.set_defaults(handler=cmd_debug)
 
-    replay_parser = subparsers.add_parser(
-        "replay",
+    replay_parser = command(
+        "replay", cmd_replay,
         help="time-travel debugger over a recorded trace "
         "(back/goto/rewind plus omniscient queries)",
     )
@@ -1079,7 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument(
         "--program",
         metavar="FILE",
-        default=None,
         help="the recorded program's source (required when the trace does "
         "not embed it; enables the 'source' command)",
     )
@@ -1094,7 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument(
         "--allow-truncated",
-        dest="allow_truncated",
         action="store_true",
         help="replay the readable prefix of a trace whose recorder "
         "crashed mid-write",
@@ -1105,9 +894,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="load/save a checkpoint sidecar next to the trace "
         "(TRACE.ckpt) so later sessions seek without refolding",
     )
-    add_run_flags(replay_parser, engine=False)
-    replay_parser.set_defaults(handler=cmd_replay)
 
+    # Last, so each subcommand lists its own flags before the run options.
+    for name, subparser in subparsers.choices.items():
+        add_run_flags(subparser, name)
     return parser
 
 
@@ -1116,10 +906,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.cache import CompilationCache
-from repro.runtime.config import RunConfig
+from repro.runtime.config import OPTIONS, RunConfig
 
 #: Default worker-pool width for :func:`run_batch`.
 DEFAULT_WORKERS = 4
@@ -42,31 +42,15 @@ DEFAULT_WORKERS = 4
 
 def language_by_name(name: Optional[str]):
     """Resolve a language module by CLI name (``None`` → strict)."""
-    if name is None or isinstance(name, str) and not name:
-        return None
-    if not isinstance(name, str):
-        return name  # already a language object
+    if not isinstance(name, str) or not name:
+        return name or None  # a language object already, or the default
     from repro.languages import by_name
 
     return by_name(name)
 
 
-#: The record keys that overlay the base :class:`RunConfig`.
-CONFIG_KEYS = (
-    "engine",
-    "fault_policy",
-    "max_steps",
-    "lint",
-    "mode",
-    "record_dir",
-    "sample_rate",
-    "trace_seed",
-)
-
-#: Every key a batch or serve record may carry.
-REQUEST_KEYS = frozenset(
-    ("program", "tools", "language", "timeout", "tag") + CONFIG_KEYS
-)
+#: The keys of a batch or serve record that are not run options.
+REQUEST_FIELDS = frozenset(("program", "tools", "language", "tag"))
 
 
 @dataclass(frozen=True)
@@ -89,37 +73,30 @@ class RunRequest:
 
     @classmethod
     def from_dict(
-        cls, data: Dict[str, object], *, base: Optional[RunConfig] = None
+        cls,
+        data: Dict[str, object],
+        *,
+        base: Optional[RunConfig] = None,
+        surface: str = "batch",
     ) -> "RunRequest":
         """Build a request from a JSONL record (the ``repro batch`` format).
 
-        Recognized keys: ``program`` (required), ``tools``, ``language``,
-        ``timeout``, ``tag``, and the config keys ``engine``,
-        ``fault_policy``, ``max_steps``, ``lint``, ``mode``,
-        ``record_dir``, ``sample_rate`` and ``trace_seed``.  ``base``
-        (the runner's or the CLI's config) supplies defaults; a record's
-        config keys override only the fields they name.  The overlaid
-        config (with the record's ``timeout``) is validated here, so a
-        bad record fails at admission.
+        Keys: ``program`` (required), ``tools``, ``language``, ``tag`` and
+        the run options that :data:`repro.runtime.config.OPTIONS` lets a
+        ``surface`` record set, laid over ``base`` (the runner's config) by
+        :meth:`RunConfig.overlay`: a bad or loosening record fails here.
         """
-        unknown = set(data) - REQUEST_KEYS
+        unknown = set(data) - REQUEST_FIELDS - set(OPTIONS)
         if unknown:
-            raise ValueError(f"unknown batch request key(s): {sorted(unknown)}")
+            raise ValueError(f"unknown {surface} request key(s): {sorted(unknown)}")
         if "program" not in data:
-            raise ValueError("batch request is missing its 'program'")
-        overrides = {key: data[key] for key in CONFIG_KEYS if key in data}
-        config = replace(base or RunConfig(), **overrides) if overrides else base
-        timeout = data.get("timeout")
-        effective = config or RunConfig()
-        if timeout is not None:
-            effective = replace(effective, timeout=timeout)
-        effective.validate()
+            raise ValueError(f"{surface} request is missing its 'program'")
+        options = {key: data[key] for key in data if key not in REQUEST_FIELDS}
         return cls(
             program=data["program"],
             tools=data.get("tools", ()),
             language=language_by_name(data.get("language")),
-            config=config,
-            timeout=timeout,
+            config=(base or RunConfig()).overlay(options, surface) if options else base,
             tag=data.get("tag"),
         )
 
@@ -161,8 +138,7 @@ class RunResult:
 
         ``duration`` (seconds of wall clock spent on the request) is always
         present: it is what ``--stats`` and serving clients read latency
-        from — historically it was measured but dropped here, so batch and
-        serve JSONL output carried no latency field at all.
+        from.
         """
         show = render if render is not None else _render_value
         out: Dict[str, object] = {"index": self.index, "ok": self.ok}
@@ -236,21 +212,23 @@ def _render_value(value: object) -> object:
 
 
 def admit(
-    index: int, request: Union[RunRequest, Dict], base: RunConfig
+    index: int,
+    request: Union[RunRequest, Dict],
+    base: RunConfig,
+    surface: str = "batch",
 ) -> Union[RunRequest, RunResult]:
     """Admit one submission: a dict record becomes a :class:`RunRequest`.
 
     The one admission step both pools share — they differ only in how
-    they execute what this returns.  ``base`` is the runner's config: a
-    record's config keys overlay it rather than replacing it wholesale,
-    so a record can never shed the runner's lint gate or timeout.  A
-    record :meth:`RunRequest.from_dict` rejects comes back as its
+    they execute what this returns.  ``base`` is the runner's config,
+    which a ``surface`` record's options overlay (:meth:`RunRequest.
+    from_dict`); a record rejected there comes back as its
     :func:`admission_failure` result instead.
     """
     if isinstance(request, RunRequest):
         return request
     try:
-        return RunRequest.from_dict(request, base=base)
+        return RunRequest.from_dict(request, base=base, surface=surface)
     except Exception as exc:
         return admission_failure(index, request, exc)
 
@@ -310,37 +288,21 @@ def execute_request(
             config=cfg,
             cache=cache,
         )
-    except StaticAnalysisError as exc:
-        # Rejected at admission: the program never executed.  The
-        # structured findings ride along so the JSONL consumer can
-        # show codes and source locations, not just a message.
-        return RunResult(
-            index=index,
-            ok=False,
-            tag=request.tag,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            duration=perf_counter() - start,
-            diagnostics=tuple(exc.diagnostics),
-        )
-    except EvaluationTimeout as exc:
-        return RunResult(
-            index=index,
-            ok=False,
-            tag=request.tag,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            timed_out=True,
-            duration=perf_counter() - start,
-        )
     except Exception as exc:
+        # A lint rejection (the program never executed) carries its
+        # structured findings, so the JSONL consumer can show codes and
+        # source locations, not just a message.
         return RunResult(
             index=index,
             ok=False,
             tag=request.tag,
             error=str(exc),
             error_type=type(exc).__name__,
+            timed_out=isinstance(exc, EvaluationTimeout),
             duration=perf_counter() - start,
+            diagnostics=(
+                tuple(exc.diagnostics) if isinstance(exc, StaticAnalysisError) else ()
+            ),
         )
     monitored = outcome.monitored
     faults: Tuple = ()
@@ -409,16 +371,12 @@ class BatchRunner:
         self._emit("batch-start", {"total": total, "workers": self.workers})
         start = perf_counter()
         results: List[Optional[RunResult]] = [None] * total
-        rejected = [
-            entry for entry in normalized if isinstance(entry, RunResult)
-        ]
-        runnable = [
-            (index, entry)
-            for index, entry in enumerate(normalized)
-            if isinstance(entry, RunRequest)
-        ]
-        for failure in rejected:
-            results[failure.index] = self._finish(failure)
+        runnable = []
+        for index, entry in enumerate(normalized):
+            if isinstance(entry, RunResult):
+                results[index] = self._finish(entry)
+            else:
+                runnable.append((index, entry))
         if self.workers <= 1 or len(runnable) <= 1:
             for index, request in runnable:
                 results[index] = self._finish(self._execute(index, request))

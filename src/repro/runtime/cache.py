@@ -43,6 +43,8 @@ from dataclasses import asdict, dataclass, replace
 from time import perf_counter
 from typing import Dict, Sequence, Tuple
 
+from repro.runtime.config import OPTIONS
+
 # Digest memo keyed by id(): AST __eq__/__hash__ are structural (and thus
 # O(tree)), so a WeakKeyDictionary would cost as much as the digest it
 # saves.  The weakref finalizer evicts on collection; the identity check
@@ -254,10 +256,7 @@ class CompilationCache:
             raise ValueError(
                 f"cache has no compiler for engine {engine!r}; expected 'codegen'"
             )
-        if optimize not in ("none", "flow"):
-            raise ValueError(
-                f"optimize must be 'none' or 'flow', got {optimize!r}"
-            )
+        OPTIONS["optimize"].check_value(optimize)
         # Fetched before the program memo's lock is taken: no lock is
         # ever held while taking another.
         flow = self.flow_verdict(monitors, program) if optimize == "flow" else None

@@ -18,10 +18,11 @@ runtime for per-request timeouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
-from repro.monitoring.faults import check_fault_policy
+from repro.monitoring.faults import FAULT_POLICIES, check_fault_policy
 from repro.observability.metrics import RunMetrics
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 
@@ -35,7 +36,9 @@ class RunConfig:
     ``metrics`` is a *mutable accumulator*: sharing one config across
     concurrent runs shares the counters too, which is why the batch
     runner swaps in a fresh ``RunMetrics`` per request
-    (:meth:`with_fresh_metrics`).
+    (:meth:`with_fresh_metrics`).  How each field is checked, spelled on
+    the command line and admitted from a record is its row of
+    :data:`OPTIONS`.
     """
 
     engine: str = "reference"
@@ -79,54 +82,15 @@ class RunConfig:
     optimize: str = "none"
 
     def validate(self) -> "RunConfig":
-        """Check the enumerated fields; returns ``self`` for chaining."""
-        from repro.analysis.diagnostics import check_lint_level
-        from repro.languages.base import check_engine
+        """Check every field against its row of :data:`OPTIONS`; returns ``self``.
 
-        check_engine(self.engine)
-        check_fault_policy(self.fault_policy)
-        check_lint_level(self.lint)
-        # Batch and serve records set these straight from JSON, so the
-        # type is checked too: a bool is not a budget, and a fractional
-        # step budget would split the engines.
-        if self.max_steps is not None and not (
-            _is_int(self.max_steps) and self.max_steps > 0
-        ):
-            raise ValueError(
-                f"max_steps must be a positive integer, got {self.max_steps!r}"
-            )
-        if self.timeout is not None:
-            if not _is_number(self.timeout):
-                raise ValueError(
-                    f"timeout must be a number of seconds, got {self.timeout!r}"
-                )
-            if self.timeout <= 0:
-                raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-        if self.mode not in ("inline", "record"):
-            raise ValueError(
-                f"mode must be 'inline' or 'record', got {self.mode!r}"
-            )
-        if not _is_number(self.sample_rate):
-            raise ValueError(
-                f"sample_rate must be a number, got {self.sample_rate!r}"
-            )
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be within [0, 1], got {self.sample_rate!r}"
-            )
-        if not _is_int(self.trace_seed):
-            raise ValueError(
-                f"trace_seed must be an integer, got {self.trace_seed!r}"
-            )
-        if not _is_int(self.checkpoint_interval) or self.checkpoint_interval < 1:
-            raise ValueError(
-                "checkpoint_interval must be a positive integer, got "
-                f"{self.checkpoint_interval!r}"
-            )
-        if self.optimize not in ("none", "flow"):
-            raise ValueError(
-                f"optimize must be 'none' or 'flow', got {self.optimize!r}"
-            )
+        A field still holding its default object is skipped, so checking
+        the defaults costs one ``is`` per row.
+        """
+        for name, option in OPTIONS.items():
+            value = getattr(self, name)
+            if value is not _DEFAULTS[name]:
+                option.check_value(value)
         return self
 
     @classmethod
@@ -161,33 +125,88 @@ class RunConfig:
         return replace(self, metrics=RunMetrics())
 
     def scalars(self) -> Dict[str, object]:
-        """The config's JSON-safe fields, for the process-pool wire format.
-
-        ``ProcessPoolRunner`` ships these to workers instead of the config
-        object itself; :meth:`from_scalars` rebuilds an equivalent config
-        on the other side.  Non-scalar fields (``metrics``, ``answers``)
-        do not cross the boundary — each worker supplies its own.
-        """
-        return {name: getattr(self, name) for name in self.SCALAR_FIELDS}
+        """The config's ``scalar`` fields, which ``ProcessPoolRunner`` ships
+        to workers and :meth:`from_scalars` rebuilds a config from; each
+        worker supplies its own ``metrics`` and ``answers``."""
+        return {name: getattr(self, name) for name in _SCALARS}
 
     @classmethod
     def from_scalars(cls, data: Dict[str, object]) -> "RunConfig":
         """Rebuild a validated config from :meth:`scalars` output."""
-        unknown = set(data) - set(cls.SCALAR_FIELDS)
+        unknown = set(data) - set(_SCALARS)
         if unknown:
             raise ValueError(f"unknown run config scalar(s): {sorted(unknown)}")
         return cls(**data).validate()  # type: ignore[arg-type]
 
+    def overlay(self, record: Dict[str, object], surface: str) -> "RunConfig":
+        """This runner's config with a record's option keys laid over it.
 
-#: The JSON-safe subset of the fields — everything a run option can be on
-#: the far side of a process boundary.  ``metrics`` and ``answers`` are
-#: deliberately absent: accumulators are per-process objects (workers
-#: attach their own), and answer algebras carry functions.
-RunConfig.SCALAR_FIELDS = tuple(
-    field.name
-    for field in fields(RunConfig)
-    if field.name not in ("metrics", "answers")
-)
+        Each key must be one its row of :data:`OPTIONS` lets a ``surface``
+        (``"batch"`` or ``"serve"``) record set, each value is checked, and
+        a row's ``tighter`` rule keeps a record from loosening the runner's
+        lint gate, timeout or step budget.  ``ValueError`` names the key.
+        """
+        for key, value in record.items():
+            option = OPTIONS.get(key)
+            if option is None or surface not in option.records:
+                raise ValueError(
+                    f"a {surface} record may not set {key!r}: "
+                    "the runner's own configuration decides it"
+                )
+            if value is not _DEFAULTS[key]:
+                option.check_value(value)
+            runner = getattr(self, key)
+            if option.tighter is not None and not option.tighter(value, runner):
+                raise ValueError(
+                    f"{key} {value!r} would loosen the runner's {key} {runner!r}"
+                )
+        return replace(self, **record)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One row of :data:`OPTIONS`: how a ``RunConfig`` field is checked,
+    spelled on the command line and admitted from a record.
+
+    ``check`` returns what a bad value must be instead (the words after
+    "must be") or ``None``; with no ``check``, a value must be among the
+    ``choices``.  The subcommands in ``commands`` take ``flag`` with
+    ``help``, ``choices``, ``type`` (``bool``: a switch) and ``metavar``,
+    any of which a function returns when it lives in a module this one
+    must not import.  ``records`` names the surfaces (``"batch"``,
+    ``"serve"``) whose records may set the field, ``tighter(value,
+    runner)`` whether a record's value is no looser than the runner's.
+    ``scalar`` fields cross the process boundary.
+    """
+
+    name: str
+    check: Optional[Callable[[object], Optional[str]]] = None
+    choices: Union[Tuple[str, ...], Callable[[], Tuple[str, ...]], None] = None
+    flag: Optional[str] = None
+    commands: FrozenSet[str] = frozenset()
+    help: Union[str, Callable[[], str]] = ""
+    type: Optional[type] = None
+    metavar: Optional[str] = None
+    records: FrozenSet[str] = frozenset()
+    tighter: Optional[Callable[[object, object], bool]] = None
+    scalar: bool = True
+
+    def check_value(self, value: object, name: Optional[str] = None) -> None:
+        """Raise ``ValueError`` naming ``name`` (the field by default) when
+        ``value`` is bad; the engine, fault-policy and lint checks raise
+        their own modules' errors."""
+        if self.check is not None:
+            problem = self.check(value)
+        elif self.choices is None or value in self.choices:
+            return
+        else:
+            problem = " or ".join(map(repr, self.choices))
+        if problem is not None:
+            raise ValueError(f"{name or self.name} must be {problem}, got {value!r}")
+
+
+# Records set fields straight from JSON, so the checks test types too: a
+# bool is not a budget, and a fractional step budget would split the engines.
 
 
 def _is_int(value: object) -> bool:
@@ -198,4 +217,143 @@ def _is_number(value: object) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-__all__ = ["RunConfig"]
+def _count(value: object) -> Optional[str]:
+    return None if _is_int(value) and value > 0 else "a positive integer"
+
+
+def _seconds(value: object) -> Optional[str]:
+    if not _is_number(value):
+        return "a number of seconds"
+    return None if value > 0 else "positive"
+
+
+def _rate(value: object) -> Optional[str]:
+    if not _is_number(value):
+        return "a number"
+    return None if 0.0 <= value <= 1.0 else "within [0, 1]"
+
+
+def _path(value: object) -> Optional[str]:
+    fine = isinstance(value, str) or hasattr(value, "__fspath__")
+    return None if fine else "a directory path"
+
+
+def _at_most(value: object, runner: object) -> bool:
+    return runner is None or (value is not None and value <= runner)
+
+
+# The engine and lint rows read modules that importing ``RunConfig`` must
+# not load (the engines, the analyzer), so they import them on first use;
+# cached, because an import statement costs more than the check.
+
+
+@lru_cache(maxsize=None)
+def _engines():
+    from repro.languages import base
+
+    return base
+
+
+@lru_cache(maxsize=None)
+def _linter():
+    from repro.analysis import diagnostics
+
+    return diagnostics
+
+
+def _lint_at_least(value: object, runner: object) -> bool:
+    levels = _linter().LINT_LEVELS
+    return levels.index(value) >= levels.index(runner)
+
+
+#: The subcommands that evaluate a program (or replay one) and take the
+#: shared run flags.
+_RUNS = frozenset("run trace profile session debug batch record serve replay".split())
+
+#: The record surfaces: ``repro batch`` records and ``repro serve`` requests.
+_RECORDS = frozenset(("batch", "serve"))
+
+#: One row per ``RunConfig`` field, in the order subcommands declare the
+#: flags: the one place an option's check, flag, help and record
+#: admission are decided.  ``validate``, the CLI's ``add_run_flags`` and
+#: ``run_config_from_args``, record admission (:meth:`RunConfig.overlay`)
+#: and the process-pool wire format all read it.
+_ROWS = (
+    Option("mode", choices=("inline", "record"), records=_RECORDS,
+           flag="--mode", commands=frozenset({"batch"}),
+           help="default execution mode for requests: inline runs monitors "
+           "live, record writes an event trace per request (see --record-dir)"),
+    # Not from a serve request: the daemon decides where traces go.
+    Option("record_dir", check=_path, records=frozenset({"batch"}),
+           flag="--record-dir", commands=frozenset({"batch", "serve", "debug"}),
+           metavar="DIR",
+           help="directory record-mode requests write their traces into; "
+           "debug records its session there, for 'repro replay'"),
+    Option("sample_rate", check=_rate, records=_RECORDS,
+           flag="--sample", commands=frozenset({"record"}), type=float,
+           metavar="RATE",
+           help="deterministic activation sampling rate in [0, 1] "
+           "(default 1.0 = record everything)"),
+    Option("trace_seed", records=_RECORDS,
+           check=lambda value: None if _is_int(value) else "an integer",
+           flag="--seed", commands=frozenset({"record"}), type=int, metavar="SEED",
+           help="sampling seed (same seed + program => byte-identical trace)"),
+    Option("max_steps", check=_count, records=_RECORDS,
+           tighter=_at_most, flag="--max-steps", commands=_RUNS, type=int,
+           help="evaluation step budget"),
+    Option("engine", check=lambda value: _engines().check_engine(value),
+           choices=lambda: _engines().ENGINES, records=_RECORDS,
+           flag="--engine", commands=_RUNS - {"replay"},
+           help=lambda: _engines().engine_help()),
+    Option("fault_policy", check=check_fault_policy, choices=FAULT_POLICIES,
+           records=_RECORDS, flag="--fault-policy", commands=_RUNS | {"analyze"},
+           help="what a monitor exception does: propagate aborts the run "
+           "(default), quarantine disables the faulting monitor and keeps "
+           "the standard answer, log records faults and keeps monitoring"),
+    Option("timeout", check=_seconds, records=_RECORDS,
+           tighter=_at_most, flag="--timeout", commands=_RUNS, type=float,
+           metavar="SECONDS",
+           help="wall-clock budget per evaluation (cooperative)"),
+    # Only a replay session reads the interval, and no record replays.
+    Option("checkpoint_interval", check=_count,
+           flag="--checkpoint-interval", commands=_RUNS, type=int,
+           metavar="EVENTS",
+           help="replay checkpoint spacing in trace events (default 512; "
+           "smaller = faster backward seeks, more checkpoints)"),
+    Option("lint", check=lambda value: _linter().check_lint_level(value),
+           choices=lambda: _linter().LINT_LEVELS, records=_RECORDS,
+           tighter=_lint_at_least, flag="--lint", commands=_RUNS,
+           help="run the static analyzer before executing: warn prints "
+           "diagnostics, error rejects programs with error-severity findings"),
+    Option("optimize", choices=("none", "flow"), records=_RECORDS,
+           flag="--optimize", commands=_RUNS | {"compile"},
+           help="static optimization level: flow runs the claim-flow analysis "
+           "and erases monitor hooks at provably-unreachable sites (codegen "
+           "engine) — observable behavior is unchanged"),
+    # Serve streams telemetry per worker instead (its --trace-dir).
+    Option("metrics", scalar=False,
+           flag="--metrics", commands=_RUNS - {"serve"} | {"analyze"}, type=bool,
+           help="collect run telemetry and print a metrics summary after the "
+           "answer"),
+    Option("answers", scalar=False),
+    # A record may not skip the §6 disjointness check.
+    Option("check_disjointness"),
+)
+
+#: One row per ``RunConfig`` field, in the order subcommands declare the
+#: flags: the one place an option's check, flag, help and record
+#: admission are decided.  ``validate``, the CLI's ``add_run_flags`` and
+#: ``run_config_from_args``, record admission (:meth:`RunConfig.overlay`)
+#: and the process-pool wire format all read it.
+OPTIONS: Dict[str, Option] = {option.name: option for option in _ROWS}
+
+#: A field holding its default object is valid by construction: neither
+#: ``validate`` nor record admission checks it.
+_DEFAULTS = {field.name: field.default for field in fields(RunConfig)}
+
+#: The JSON-safe fields: everything a run option can be on the far side of
+#: a process boundary.
+_SCALARS = tuple(name for name, option in OPTIONS.items() if option.scalar)
+
+
+__all__ = ["OPTIONS", "Option", "RunConfig"]

@@ -509,11 +509,14 @@ class ProcessPoolRunner:
         *,
         index: int = 0,
         block: bool = True,
+        surface: str = "batch",
     ) -> "Future[RunResult]":
         """Route one request to its fingerprint shard; resolve on completion.
 
         Admission failures (bad record, unpicklable tools) resolve the
-        returned future immediately with a diagnostic ``ok=False`` result.
+        returned future immediately with a diagnostic ``ok=False`` result;
+        ``surface`` picks the options a dict record may set (see
+        :func:`~repro.runtime.batch.admit`).
         When ``queue_depth`` requests already wait for the target worker,
         ``block=False`` raises :class:`OverloadedError` — the daemon's
         backpressure path — and ``block=True`` waits until the worker takes
@@ -521,7 +524,7 @@ class ProcessPoolRunner:
         """
         if not self._started:
             self.start()
-        request = admit(index, request, self.config)
+        request = admit(index, request, self.config, surface)
         if isinstance(request, RunResult):
             return self._failed_future(request)
         request_id = next(self._ids)

@@ -9,11 +9,11 @@ warm caches, per-request cooperative timeouts, bounded per-worker
 backpressure, and crash-isolated workers.
 
 **Protocol.**  One JSON object per line, in both directions.  A request
-line is exactly the ``repro batch`` record format (``program`` plus
-optional ``tools``/``language``/``timeout``/``tag`` and the config keys
-``engine``/``fault_policy``/``max_steps``/``lint``/``mode``/
-``record_dir``/``sample_rate``/``trace_seed``) with one extra optional
-key:
+line is the ``repro batch`` record format (``program`` plus optional
+``tools``/``language``/``tag`` and the run options whose ``serve`` column
+in :data:`repro.runtime.config.OPTIONS` admits them — not ``record_dir``:
+the daemon's own ``--record-dir`` decides where traces go) with one extra
+optional key:
 
 * ``id`` — an opaque client correlation token, echoed verbatim on the
   response line.
@@ -28,6 +28,7 @@ sequence number for clients that prefer positional bookkeeping.
 Admission control happens before execution, in this order: unparseable
 JSON → ``ProtocolError``; an invalid record (unknown key, missing
 program, an invalid option such as a non-positive ``timeout`` or
+``max_steps``, or one that loosens the server's ``lint``, ``timeout`` or
 ``max_steps``) → a diagnostic ``ok=False`` record;
 ``queue_depth`` requests already waiting for the target worker → an
 explicit ``Overloaded`` rejection (HTTP-429 moral equivalent — never a
@@ -375,7 +376,9 @@ class Server:
             track_done()
 
         try:
-            future = self._pool.submit(record, index=index, block=False)
+            future = self._pool.submit(
+                record, index=index, block=False, surface="serve"
+            )
         except OverloadedError as exc:
             self._count("rejected")
             rejection = {

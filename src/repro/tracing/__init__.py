@@ -1,4 +1,4 @@
-"""Record/analyze: the trace-analysis monitoring backend (ROADMAP item 3).
+"""Record/analyze: the trace-analysis monitoring backend.
 
 Run a program once at full engine speed with the all-claiming recorder
 (:mod:`repro.tracing.record`), producing a minimal versioned event trace

@@ -260,6 +260,21 @@ class TestSpecPass:
         findings = analyze_spec(bad)
         assert "REP302" in _codes(findings)
 
+    def test_hooks_sharing_code_keep_their_own_arity_verdicts(self):
+        """The arity check is memoized per code object, but defaults change
+        what a hook accepts: two hooks over one code object with different
+        defaults get their own verdicts, in either order."""
+        import types
+
+        def pre(annotation, term, ctx, state, extra=None):
+            return state
+
+        bare = types.FunctionType(pre.__code__, pre.__globals__, "pre")
+        assert bare.__code__ is pre.__code__ and bare.__defaults__ is None
+        for hooks in ((pre, bare), (bare, pre)):
+            verdicts = ["REP301" in _codes(analyze_spec(_spec(h))) for h in hooks]
+            assert verdicts == [hook is bare for hook in hooks]
+
     def test_impure_param_write_flagged(self):
         findings = analyze_spec(_spec(_impure_pre))
         assert "REP304" in _codes(findings)

@@ -309,13 +309,17 @@ class TestTimeoutAdmission:
                 {"program": PLAIN % 1, "timeout": -2},
                 {"program": PLAIN % 2, "timeout": "soon"},
                 {"program": PLAIN % 3, "timeout": True},
+                # Not a timeout, but a type error the same admission catches
+                # (it used to surface mid-run as os.path's TypeError).
+                {"program": PLAIN % 5, "mode": "record", "record_dir": 5},
                 {"program": PLAIN % 4},
             ],
             workers=1,
         )
-        assert [result.ok for result in results] == [False, False, False, True]
-        assert all(result.error_type == "ValueError" for result in results[:3])
-        assert results[3].answer == 16
+        assert [result.ok for result in results] == [False] * 4 + [True]
+        assert all(result.error_type == "ValueError" for result in results[:4])
+        assert "record_dir must be a directory path" in results[3].error
+        assert results[4].answer == 16
 
     def test_bad_request_timeout_fails_slot_not_batch(self):
         requests = [
@@ -340,6 +344,91 @@ class TestTimeoutAdmission:
         results = run_batch([{"program": loop, "timeout": 0.2}], workers=1)
         assert results[0].timed_out is True
         assert results[0].error_type == "EvaluationTimeout"
+
+
+COUNTDOWN = "letrec count = lambda n. if n = 0 then 0 else count (n - 1) in count %d"
+
+
+class TestOptionAdmission:
+    """What a record may set is decided by the option table
+    (``repro.runtime.config.OPTIONS``), and a record can only tighten the
+    runner's lint gate, timeout and step budget."""
+
+    def test_record_cannot_loosen_the_runners_gate(self):
+        runner = BatchRunner(
+            workers=1, config=RunConfig(lint="error", timeout=0.5, max_steps=10**6)
+        )
+        loosening = [
+            {"program": "foo 1", "lint": "off"},
+            {"program": "foo 1", "lint": "warn"},
+            {"program": COUNTDOWN % 200_000, "timeout": 30},
+            {"program": COUNTDOWN % 200_000, "timeout": None},
+            {"program": PLAIN % 2, "max_steps": 10**7},
+            {"program": PLAIN % 2, "max_steps": None},
+        ]
+        results = runner.run(loosening)
+        for record, result in zip(loosening, results):
+            key = (set(record) - {"program"}).pop()
+            assert result.ok is False, record
+            assert result.error_type == "ValueError", record
+            assert f"would loosen the runner's {key}" in result.error
+            assert result.duration == 0.0  # rejected at admission, never run
+
+    def test_record_may_tighten_the_runners_gate(self):
+        runner = BatchRunner(workers=1, config=RunConfig(timeout=5, max_steps=10**6))
+        results = runner.run(
+            [
+                {"program": "foo 1", "lint": "error"},
+                {"program": COUNTDOWN % 200_000, "max_steps": 1000},
+                {"program": "letrec loop = lambda x. loop x in loop 0", "timeout": 0.2},
+                {"program": PLAIN % 3, "timeout": 1, "max_steps": 100},
+            ]
+        )
+        assert results[0].error_type == "StaticAnalysisError"
+        assert results[1].error_type == "StepLimitExceeded"
+        assert results[2].timed_out is True
+        assert results[3].ok and results[3].answer == 9
+
+    def test_cli_lint_error_gate_holds_against_records(self, tmp_path, capsys):
+        from repro.cli import main
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            json.dumps({"program": "foo 1", "lint": "off"}) + "\n", encoding="utf-8"
+        )
+        assert main(["batch", str(requests), "--lint", "error"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["ok"] is False
+        assert "would loosen the runner's lint 'error'" in record["error"]
+
+    def test_optimize_record_matches_the_flag(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def batch(record, *flags):
+            requests = tmp_path / "requests.jsonl"
+            requests.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            assert main(["batch", str(requests), *flags]) == 0
+            out = json.loads(capsys.readouterr().out)
+            del out["duration"]
+            return out
+
+        program = {"program": "1 + 2"}
+        assert batch(program, "--optimize", "flow") == {
+            "index": 0, "ok": True, "answer": 3
+        }
+        assert batch(dict(program, optimize="flow")) == batch(
+            program, "--optimize", "flow"
+        )
+        monitored = {"program": FAC % 5, "tools": "count", "engine": "codegen"}
+        assert batch(dict(monitored, optimize="flow")) == batch(
+            monitored, "--optimize", "flow"
+        )
+
+    def test_checkpoint_interval_is_not_a_record_option(self):
+        # Only a replay session reads the interval, and no record replays.
+        (result,) = run_batch([{"program": PLAIN % 2, "checkpoint_interval": 8}])
+        assert result.ok is False and result.error_type == "ValueError"
+        assert "may not set 'checkpoint_interval'" in result.error
 
 
 class TestMaxStepsAdmission:

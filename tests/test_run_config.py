@@ -59,6 +59,17 @@ class TestRunConfigValue:
         with pytest.raises(ValueError, match="max_steps"):
             RunConfig(max_steps=bad).validate()
 
+    def test_every_field_has_one_option_row(self):
+        from repro.runtime.config import OPTIONS
+
+        names = [field.name for field in dataclasses.fields(RunConfig)]
+        assert sorted(OPTIONS) == sorted(names)
+        # Everything but the accumulator and the answer algebra crosses
+        # the process boundary.
+        assert sorted(RunConfig().scalars()) == sorted(
+            set(names) - {"metrics", "answers"}
+        )
+
     def test_checked_rejects_non_config(self):
         with pytest.raises(TypeError, match="RunConfig"):
             RunConfig.checked("codegen")

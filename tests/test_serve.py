@@ -187,6 +187,67 @@ class TestAdmissionControl:
             assert by_id["ok"]["ok"] and by_id["ok"]["answer"] == 4
 
 
+class TestServeAdmission:
+    """A request cannot loosen the daemon's gate or pick its trace
+    directory; what a request may set is the option table's ``serve``
+    column."""
+
+    def test_request_cannot_loosen_the_gate(self, tmp_path):
+        countdown = (
+            "letrec count = lambda n. if n = 0 then 0 else count (n - 1) "
+            "in count 200000"
+        )
+        with Server(
+            workers=1,
+            socket_path=str(tmp_path / "gate.sock"),
+            config=RunConfig(lint="error", timeout=0.5),
+        ) as daemon:
+            responses = _roundtrip(
+                daemon.address,
+                [
+                    {"id": "lint", "program": "foo 1", "lint": "off"},
+                    {"id": "timeout", "program": countdown, "timeout": 30},
+                    {"id": "tighter", "program": PLAIN % 3, "timeout": 0.4},
+                ],
+                expect=3,
+            )
+        by_id = {record["id"]: record for record in responses}
+        for key in ("lint", "timeout"):
+            assert by_id[key]["ok"] is False
+            assert by_id[key]["error_type"] == "ValueError"
+            assert f"would loosen the runner's {key}" in by_id[key]["error"]
+        assert by_id["tighter"]["ok"] and by_id["tighter"]["answer"] == 9
+
+    def test_trace_directory_is_the_daemons(self, tmp_path):
+        allowed, elsewhere = tmp_path / "allowed", tmp_path / "elsewhere"
+        with Server(
+            workers=1,
+            socket_path=str(tmp_path / "traces.sock"),
+            config=RunConfig(record_dir=str(allowed)),
+        ) as daemon:
+            responses = _roundtrip(
+                daemon.address,
+                [
+                    {
+                        "id": "elsewhere",
+                        "program": PLAIN % 2,
+                        "mode": "record",
+                        "record_dir": str(elsewhere),
+                    },
+                    {"id": "recorded", "program": PLAIN % 2, "mode": "record"},
+                    {"id": "flow", "program": "1 + 2", "optimize": "flow"},
+                ],
+                expect=3,
+            )
+        by_id = {record["id"]: record for record in responses}
+        assert by_id["elsewhere"]["ok"] is False
+        assert "may not set 'record_dir'" in by_id["elsewhere"]["error"]
+        assert not elsewhere.exists()
+        assert by_id["recorded"]["ok"]
+        assert os.path.dirname(by_id["recorded"]["trace"]) == str(allowed)
+        assert by_id["flow"]["ok"] and by_id["flow"]["answer"] == 3
+
+
 class TestServeTelemetry:
     def test_worker_trace_files_parse_with_worker_tags(self, tmp_path):
         path = tmp_path / "traced.sock"
