@@ -42,8 +42,10 @@ DEFAULT_WORKERS = 4
 
 def language_by_name(name: Optional[str]):
     """Resolve a language module by CLI name (``None`` → strict)."""
-    if not isinstance(name, str) or not name:
-        return name or None  # a language object already, or the default
+    if name is None or isinstance(name, str) and not name:
+        return None
+    if not isinstance(name, str):
+        return name  # already a language object
     from repro.languages import by_name
 
     return by_name(name)
@@ -86,7 +88,7 @@ class RunRequest:
         ``surface`` record set, laid over ``base`` (the runner's config) by
         :meth:`RunConfig.overlay`: a bad or loosening record fails here.
         """
-        unknown = set(data) - REQUEST_FIELDS - set(OPTIONS)
+        unknown = set(data) - REQUEST_FIELDS - OPTIONS.keys()
         if unknown:
             raise ValueError(f"unknown {surface} request key(s): {sorted(unknown)}")
         if "program" not in data:

@@ -169,14 +169,13 @@ class Option:
     spelled on the command line and admitted from a record.
 
     ``check`` returns what a bad value must be instead (the words after
-    "must be") or ``None``; with no ``check``, a value must be among the
-    ``choices``.  The subcommands in ``commands`` take ``flag`` with
-    ``help``, ``choices``, ``type`` (``bool``: a switch) and ``metavar``,
-    any of which a function returns when it lives in a module this one
-    must not import.  ``records`` names the surfaces (``"batch"``,
-    ``"serve"``) whose records may set the field, ``tighter(value,
-    runner)`` whether a record's value is no looser than the runner's.
-    ``scalar`` fields cross the process boundary.
+    "must be") or ``None``; with no ``check``, a value must be one of the
+    ``choices``.  The subcommands in ``commands`` take ``flag`` (a switch
+    if ``type`` is ``bool``); a ``choices`` or ``help`` kept in a module
+    this one must not import is a function returning it.  ``records``
+    names the surfaces (``"batch"``, ``"serve"``) whose records may set the
+    field, ``tighter(value, runner)`` whether a record's value is no looser
+    than the runner's.
     """
 
     name: str
@@ -273,11 +272,6 @@ _RUNS = frozenset("run trace profile session debug batch record serve replay".sp
 #: The record surfaces: ``repro batch`` records and ``repro serve`` requests.
 _RECORDS = frozenset(("batch", "serve"))
 
-#: One row per ``RunConfig`` field, in the order subcommands declare the
-#: flags: the one place an option's check, flag, help and record
-#: admission are decided.  ``validate``, the CLI's ``add_run_flags`` and
-#: ``run_config_from_args``, record admission (:meth:`RunConfig.overlay`)
-#: and the process-pool wire format all read it.
 _ROWS = (
     Option("mode", choices=("inline", "record"), records=_RECORDS,
            flag="--mode", commands=frozenset({"batch"}),
@@ -332,19 +326,20 @@ _ROWS = (
            "engine) — observable behavior is unchanged"),
     # Serve streams telemetry per worker instead (its --trace-dir).
     Option("metrics", scalar=False,
-           flag="--metrics", commands=_RUNS - {"serve"} | {"analyze"}, type=bool,
+           flag="--metrics", commands=(_RUNS - {"serve"}) | {"analyze"},
+           type=bool,
            help="collect run telemetry and print a metrics summary after the "
            "answer"),
+    # An answer algebra carries functions, which cannot cross a process.
     Option("answers", scalar=False),
     # A record may not skip the §6 disjointness check.
     Option("check_disjointness"),
 )
 
 #: One row per ``RunConfig`` field, in the order subcommands declare the
-#: flags: the one place an option's check, flag, help and record
-#: admission are decided.  ``validate``, the CLI's ``add_run_flags`` and
-#: ``run_config_from_args``, record admission (:meth:`RunConfig.overlay`)
-#: and the process-pool wire format all read it.
+#: flags: the one place an option's check, spelling and record admission
+#: are decided, read by ``validate``, the CLI, :meth:`RunConfig.overlay`
+#: and the process-pool wire format.
 OPTIONS: Dict[str, Option] = {option.name: option for option in _ROWS}
 
 #: A field holding its default object is valid by construction: neither
