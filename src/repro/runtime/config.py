@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from repro.monitoring.faults import FAULT_POLICIES, check_fault_policy
 from repro.observability.metrics import RunMetrics
@@ -141,8 +141,8 @@ class RunConfig:
     def overlay(self, record: Dict[str, object], surface: str) -> "RunConfig":
         """This runner's config with a record's option keys laid over it.
 
-        Each key must be one its row of :data:`OPTIONS` lets a ``surface``
-        (``"batch"`` or ``"serve"``) record set, each value is checked, and
+        Each key's row of :data:`OPTIONS` must let a ``surface`` (``"batch"``
+        or ``"serve"``) record set it, each value is checked, and
         a row's ``tighter`` rule keeps a record from loosening the runner's
         lint gate, timeout or step budget.  ``ValueError`` names the key.
         """
@@ -163,8 +163,7 @@ class RunConfig:
         return replace(self, **record)
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One row of :data:`OPTIONS`: how a ``RunConfig`` field is checked,
     spelled on the command line and admitted from a record.
 
