@@ -1,29 +1,30 @@
-"""Benchmark the multi-process serving tier: process pool vs thread pool.
+"""Benchmark the multi-process serving tier: process pool vs in-process batch.
 
 Run:  python benchmarks/bench_serve.py            # full workload -> stdout
       python benchmarks/bench_serve.py --quick    # CI smoke (smaller workload)
 
 Measures the T-SERVE matrix for EXPERIMENTS.md: throughput (requests per
 second) of the :class:`repro.runtime.ProcessPoolRunner` against the
-thread-pooled :func:`repro.runtime.run_batch` baseline on a **CPU-bound
-mixed workload** — distinct mid-sized programs (so fingerprint routing
-spreads them over the workers) with monitor stacks attached, each
-request tens of milliseconds of pure-Python evaluation.  This is the
-workload the GIL serializes: threads cannot scale it, processes can.
+in-process sequential :func:`repro.runtime.run_batch` baseline on a
+**CPU-bound mixed workload** — distinct mid-sized programs (so
+fingerprint routing spreads them over the workers) with monitor stacks
+attached, each request tens of milliseconds of pure-Python evaluation.
+One process runs this workload on one core, whatever its thread count
+(the GIL); processes can scale it.
 
 Both arms run warm (caches pre-warmed by an untimed pass) so the
 comparison isolates *execution* parallelism, not compile amortization —
 that is ``bench_batch.py``'s story.  A per-worker scaling table (1, 2, 4
 workers) shows where the curve bends.
 
-**The gate is honest about the machine.**  The ISSUE acceptance bar —
-process pool >= 2x thread pool at 4 workers — presumes >= 4 cores; on a
+**The gate is honest about the machine.**  The acceptance bar — process
+pool >= 2x the in-process run at 4 workers — presumes >= 4 cores; on a
 1-core CI box the speedup is physically capped at 1x and gating on 2x
 would only test the container, not the code.  So: with >= 4 cores the
 2x gate applies; below that the gate degrades to an overhead bound (the
-process pool must stay within 2x of thread throughput — IPC and pickling
-must not eat the tier).  Which gate applied is recorded in the report
-(``gate.mode``/``gate.cpu_count``), never silently dropped.
+process pool must stay within 2x of in-process throughput — IPC and
+pickling must not eat the tier).  Which gate applied is recorded in the
+report (``gate.mode``/``gate.cpu_count``), never silently dropped.
 
 The script merges a ``"serve"`` section into ``BENCH_report.json``
 (preserving the other sections) and exits non-zero if the applicable
@@ -55,11 +56,11 @@ from benchmarks.reporting import bench_arguments, interleaved, merge_section
 WORKERS = 4
 SCALING = (1, 2, 4)
 REPEATS = 3
-#: The multi-core bar: process pool >= 2x thread pool at 4 workers
-#: (applies when the machine has >= 4 cores).
+#: The multi-core bar: process pool >= 2x the in-process run at 4
+#: workers (applies when the machine has >= 4 cores).
 GATE_SPEEDUP = 2.0
 #: The fallback bound on core-starved machines: the process tier may not
-#: be worse than half the thread tier's throughput (IPC overhead cap).
+#: be worse than half the in-process throughput (IPC overhead cap).
 GATE_OVERHEAD_RATIO = 0.5
 #: Cores needed before the full speedup gate is meaningful.
 GATE_MIN_CPUS = 4
@@ -96,15 +97,15 @@ def build_workload(quick: bool):
 
 
 def time_tiers(requests):
-    """Median seconds per batch: the thread pool, then each process pool.
+    """Median seconds per batch: in process, then each process pool.
 
-    Every tier runs warm — the thread pool's cache and each process
-    pool's per-worker caches are pre-warmed by an untimed pass — and the
-    tiers take turns, one batch each per round.
+    Every tier runs warm — the in-process cache and each process pool's
+    per-worker caches are pre-warmed by an untimed pass — and the tiers
+    take turns, one batch each per round.
     """
     cache = CompilationCache(64)
-    run_batch(requests, workers=WORKERS, cache=cache)  # warm, untimed
-    tiers = [lambda: run_batch(requests, workers=WORKERS, cache=cache)]
+    run_batch(requests, cache=cache)  # warm, untimed
+    tiers = [lambda: run_batch(requests, cache=cache)]
     with ExitStack() as stack:
         for workers in SCALING:
             pool = stack.enter_context(
@@ -120,13 +121,13 @@ def run_matrix(quick: bool) -> dict:
     programs, requests = build_workload(quick)
     total = len(requests)
 
-    t_thread, *t_pools = time_tiers(requests)
+    t_in_process, *t_pools = time_tiers(requests)
     scaling = {
         str(workers): total / seconds for workers, seconds in zip(SCALING, t_pools)
     }
     t_process = total / scaling[str(WORKERS)]
 
-    speedup = (total / t_process) / (total / t_thread)
+    speedup = t_in_process / t_process
     gate_mode = "speedup" if cpu_count >= GATE_MIN_CPUS else "overhead"
     if gate_mode == "speedup":
         gate_met = speedup >= GATE_SPEEDUP
@@ -139,9 +140,9 @@ def run_matrix(quick: bool) -> dict:
         "workers": WORKERS,
         "repeats": REPEATS,
         "cpu_count": cpu_count,
-        "seconds": {"thread_pool": t_thread, "process_pool": t_process},
+        "seconds": {"in_process": t_in_process, "process_pool": t_process},
         "throughput_rps": {
-            "thread_pool": total / t_thread,
+            "in_process": total / t_in_process,
             "process_pool": total / t_process,
         },
         "process_scaling_rps": scaling,
@@ -167,7 +168,7 @@ def print_matrix(result: dict) -> None:
     )
     print("=" * 72)
     for label, key in (
-        ("thread pool,  4 workers (baseline)", "thread_pool"),
+        ("in process, sequential (baseline)", "in_process"),
         ("process pool, 4 workers", "process_pool"),
     ):
         seconds = result["seconds"][key]
@@ -180,13 +181,13 @@ def print_matrix(result: dict) -> None:
     gate = result["gate"]
     if gate["mode"] == "speedup":
         print(
-            "\nprocess vs thread speedup: %.2fx  (gate >= %.1fx on this "
+            "\nprocess pool vs in-process speedup: %.2fx  (gate >= %.1fx on this "
             "%d-core machine)"
             % (result["speedup"], gate["required_speedup"], gate["cpu_count"])
         )
     else:
         print(
-            "\nprocess vs thread ratio: %.2fx — %d core(s), so the %.1fx "
+            "\nprocess pool vs in-process ratio: %.2fx — %d core(s), so the %.1fx "
             "multi-core gate does not apply; gating IPC overhead instead "
             "(ratio >= %.1fx)"
             % (
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
             else "%.1fx overhead ratio" % gate["overhead_ratio"]
         )
         print(
-            "FAIL: process/thread ratio %.2fx below the %s gate"
+            "FAIL: process/in-process ratio %.2fx below the %s gate"
             % (result["speedup"], bar),
             file=sys.stderr,
         )

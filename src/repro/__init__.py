@@ -15,9 +15,10 @@ continuation semantics:
   environment (:mod:`repro.toolbox`);
 * remove the interpretive overhead with partial evaluation
   (:mod:`repro.partial_eval`), producing instrumented programs;
-* serve batches of requests concurrently behind one
-  :class:`~repro.runtime.RunConfig`, with a generated-program cache
-  (:mod:`repro.runtime` — ``run_batch``, ``Runtime``);
+* serve batches of requests behind one
+  :class:`~repro.runtime.RunConfig`, with a generated-program cache, in
+  process or over a process pool (:mod:`repro.runtime` — ``run_batch``,
+  ``Runtime``, ``ProcessPoolRunner``);
 * statically analyze programs and monitor stacks before running them
   (:mod:`repro.analysis` — ``analyze``, ``repro check``, the
   ``RunConfig.lint`` gate).

@@ -7,7 +7,7 @@
     python -m repro trace prog.lam --functions fac,mul
     python -m repro specialize prog.lam --static n=3
     python -m repro debug prog.lam --break fac --command "print x" --command continue
-    python -m repro batch requests.jsonl --workers 4 --engine codegen --stats
+    python -m repro batch requests.jsonl --engine codegen --stats
 
 Programs are ``L_lambda`` surface syntax (``--language imperative``
 switches to the ``L_imp`` grammar).  Every subcommand is a thin shell over
@@ -399,9 +399,7 @@ def cmd_batch(args) -> int:
 
     sink = JsonlSink(args.trace_out) if args.trace_out else None
     cache = CompilationCache(args.cache_size, event_sink=sink)
-    runner = BatchRunner(
-        workers=args.workers, config=config, cache=cache, event_sink=sink
-    )
+    runner = BatchRunner(config=config, cache=cache, event_sink=sink)
     try:
         results = runner.run(requests)
     finally:
@@ -707,18 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     batch_parser = command(
-        "batch", cmd_batch, help="run many requests concurrently from a JSONL file"
+        "batch", cmd_batch, help="run many requests in order from a JSONL file"
     )
     batch_parser.add_argument(
         "requests",
         help="JSONL file of requests ('-' for stdin); each line is an object "
         "with 'program' plus optional tools/language/tag and the run options "
         + "/".join(name for name, row in OPTIONS.items() if "batch" in row.records),
-    )
-    batch_parser.add_argument(
-        "--workers",
-        type=int,
-        help="worker threads (default 4; 1 = sequential)",
     )
     batch_parser.add_argument(
         "--cache-size",

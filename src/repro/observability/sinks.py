@@ -88,8 +88,8 @@ class JsonlSink(EventSink):
 
     **Atomicity.** Each event is serialized into one buffered string
     (terminator included) and written with a *single* ``write()`` call
-    under the sink's lock, so concurrent producers — batch-runner threads,
-    the serve daemon's per-worker streams — can share one sink without
+    under the sink's lock, so concurrent producers — caller threads, the
+    serve daemon's per-worker streams — can share one sink without
     ever interleaving half-lines, and line order is ``seq`` order.
 
     **Flush policy.** The line is buffered by the underlying file object;

@@ -130,8 +130,8 @@ def _bind(scope: Dict[str, str], frame: Dict[str, str]) -> Dict[str, str]:
     return {**frame, **{name: py for name, py in scope.items() if name not in frame}}
 
 
-# The host recursion limit is process-global, so concurrent runs (the
-# batch runtime drives one compiled artifact from many threads) must not
+# The host recursion limit is process-global, so concurrent runs (callers
+# may drive one compiled artifact from many threads) must not
 # save/restore it independently — a nesting counter raises it once and
 # restores it when the last run exits.
 _RECLIMIT_LOCK = threading.Lock()
@@ -718,8 +718,8 @@ class GeneratedProgram:
     number of threads concurrently — each :meth:`run` builds a fresh
     :class:`ResidualRuntime` carrying that run's specs, monitor states,
     fault log, resource guard and step tally.  The compilation cache
-    shares one artifact across the batch runtime's worker threads, and
-    across metrics-on and metrics-off runs, on this basis.
+    shares one artifact across every run that hits it, from any thread,
+    and across metrics-on and metrics-off runs, on this basis.
 
     ``source`` is the plain variant.  Each variant (plain, guarded,
     tallied, both) is exec'd on its first use, once.  ``table`` is the

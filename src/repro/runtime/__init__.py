@@ -11,9 +11,9 @@ single-run monitoring pipeline:
   LRU over generated programs keyed by (program hash, language,
   monitor-stack identity, optimization level);
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`/:func:`run_batch`
-  executing :class:`RunRequest` batches over a worker pool with
+  executing :class:`RunRequest` batches in process and in order with
   per-request isolation and timeouts, and the :class:`Runtime` facade
-  tying config + cache + pool together;
+  tying config + cache together;
 * :mod:`repro.runtime.process_pool` — :class:`ProcessPoolRunner`, the
   multi-core tier: forked workers with pre-warmed per-worker caches,
   program-fingerprint request routing, bounded per-worker backpressure
@@ -40,7 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "CompilationCache": "repro.runtime.cache",
         "cache_key": "repro.runtime.cache",
         "program_fingerprint": "repro.runtime.cache",
-        "DEFAULT_WORKERS": "repro.runtime.batch",
         "BatchRunner": "repro.runtime.batch",
         "RunRequest": "repro.runtime.batch",
         "RunResult": "repro.runtime.batch",
@@ -51,6 +50,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "language_by_name": "repro.runtime.batch",
         "run_batch": "repro.runtime.batch",
         "DEFAULT_QUEUE_DEPTH": "repro.runtime.process_pool",
+        "DEFAULT_WORKERS": "repro.runtime.process_pool",
         "OverloadedError": "repro.runtime.process_pool",
         "ProcessPoolRunner": "repro.runtime.process_pool",
         "route_key": "repro.runtime.process_pool",

@@ -1,10 +1,10 @@
-"""Batched concurrent serving: ``RunRequest`` in, ``RunResult`` out.
+"""Batched serving: ``RunRequest`` in, ``RunResult`` out.
 
-The :class:`BatchRunner` executes many monitored evaluations over a
-thread pool, with the guarantees a serving layer needs:
+The :class:`BatchRunner` executes many monitored evaluations in process,
+one after another, with the guarantees a serving layer needs:
 
-* **deterministic ordering** — results come back in submission order,
-  regardless of completion order;
+* **deterministic ordering** — requests run, and results come back, in
+  submission order;
 * **per-request isolation** — every request gets its own fault log and
   (when telemetry is on) its own ``RunMetrics`` accumulator; a monitor
   fault or timeout in one request never contaminates another;
@@ -17,14 +17,17 @@ thread pool, with the guarantees a serving layer needs:
 
 Compilation is shared through a :class:`~repro.runtime.cache.
 CompilationCache`, so a batch of repeated programs compiles each distinct
-(program, language, monitor stack, optimization level) once.  Threads buy concurrency for
-cache hits and interleaved I/O, not CPU parallelism (the GIL); the win of
-a warm pool is the amortized compile, which is exactly what
-``benchmarks/bench_batch.py`` measures.
+(program, language, monitor stack, optimization level) once; the win of
+a warm cache is the amortized compile, which is exactly what
+``benchmarks/bench_batch.py`` measures.  Monitored evaluation is pure
+Python, so threads could not run requests in parallel (the GIL); a batch
+that needs more than one core goes through
+:class:`~repro.runtime.process_pool.ProcessPoolRunner`, which has the
+same ``run()`` contract.
 
-A note on honesty: monitored evaluation is pure Python, so a hostile
-``while true`` still occupies its worker until the cooperative deadline
-fires — the timeout bounds wall clock, it does not preempt.
+A note on honesty: a hostile ``while true`` occupies the batch until the
+cooperative deadline fires — the timeout bounds wall clock, it does not
+preempt.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.cache import CompilationCache
 from repro.runtime.config import OPTIONS, RunConfig
-
-#: Default worker-pool width for :func:`run_batch`.
-DEFAULT_WORKERS = 4
 
 
 def language_by_name(name: Optional[str]):
@@ -264,7 +264,7 @@ def execute_request(
 ) -> RunResult:
     """Run one request in full isolation; exceptions become results.
 
-    The single-request engine behind both the thread-pooled
+    The single-request engine behind both the in-process
     :class:`BatchRunner` and the process-pool workers
     (:mod:`repro.runtime.process_pool`) — one definition of how a request
     turns into a :class:`RunResult`, whatever pool it ran on.  ``config``
@@ -327,14 +327,16 @@ def execute_request(
 
 
 class BatchRunner:
-    """Execute :class:`RunRequest` batches over a worker pool.
+    """Execute :class:`RunRequest` batches in process, in submission order.
 
     ``config`` is the default for requests that carry none; ``cache`` is
-    shared by every worker (one is created if omitted); ``workers=1``
-    degenerates to sequential execution, which the parity tests use as
-    the oracle.  ``event_sink`` receives ``batch-start`` /
-    ``batch-request`` / ``batch-end`` events (``batch-request`` in
-    *completion* order — that is the point of the event).
+    shared by every request (one is created if omitted).  ``workers`` is
+    accepted and ignored: requests run one after another on the calling
+    thread, and a parallel batch goes through
+    :class:`~repro.runtime.process_pool.ProcessPoolRunner`.
+    ``event_sink`` receives ``batch-start`` / ``batch-request`` /
+    ``batch-end`` events, ``batch-request`` once per request in
+    submission order.
     """
 
     def __init__(
@@ -345,18 +347,13 @@ class BatchRunner:
         cache: Optional[CompilationCache] = None,
         event_sink=None,
     ) -> None:
-        self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
         self.config = RunConfig.checked(config)
         self.cache = cache if cache is not None else CompilationCache()
         self._event_sink = event_sink
 
-    # -- events --------------------------------------------------------------
-
     def _emit(self, event_type: str, payload: Dict[str, object]) -> None:
         if self._event_sink is not None:
             self._event_sink.emit(event_type, payload)
-
-    # -- execution -----------------------------------------------------------
 
     def run(self, requests: Sequence[Union[RunRequest, Dict]]) -> List[RunResult]:
         """Run every request; results in submission order, never raising.
@@ -365,36 +362,24 @@ class BatchRunner:
         invalid option) becomes a diagnostic ``ok=False`` result in its
         slot rather than failing the whole batch.
         """
-        normalized = [
+        admitted = [
             admit(index, request, self.config)
             for index, request in enumerate(requests)
         ]
-        total = len(normalized)
-        self._emit("batch-start", {"total": total, "workers": self.workers})
+        total = len(admitted)
+        self._emit("batch-start", {"total": total})
         start = perf_counter()
-        results: List[Optional[RunResult]] = [None] * total
-        runnable = []
-        for index, entry in enumerate(normalized):
-            if isinstance(entry, RunResult):
-                results[index] = self._finish(entry)
-            else:
-                runnable.append((index, entry))
-        if self.workers <= 1 or len(runnable) <= 1:
-            for index, request in runnable:
-                results[index] = self._finish(self._execute(index, request))
-        else:
-            from concurrent.futures import ThreadPoolExecutor, as_completed
-
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = {
-                    pool.submit(self._execute, index, request): index
-                    for index, request in runnable
-                }
-                for future in as_completed(futures):
-                    result = self._finish(future.result())
-                    results[result.index] = result
-        done = [result for result in results if result is not None]
-        succeeded = sum(1 for result in done if result.ok)
+        results: List[RunResult] = []
+        for index, entry in enumerate(admitted):
+            result = entry if isinstance(entry, RunResult) else execute_request(
+                index, entry, config=self.config, cache=self.cache
+            )
+            self._emit(
+                "batch-request",
+                {"index": index, "ok": result.ok, "duration": result.duration},
+            )
+            results.append(result)
+        succeeded = sum(1 for result in results if result.ok)
         self._emit(
             "batch-end",
             {
@@ -404,72 +389,42 @@ class BatchRunner:
                 "duration": perf_counter() - start,
             },
         )
-        return done
-
-    def _finish(self, result: RunResult) -> RunResult:
-        self._emit(
-            "batch-request",
-            {"index": result.index, "ok": result.ok, "duration": result.duration},
-        )
-        return result
-
-    def _execute(self, index: int, request: RunRequest) -> RunResult:
-        return execute_request(
-            index, request, config=self.config, cache=self.cache
-        )
+        return results
 
 
 def run_batch(
     requests: Sequence[Union[RunRequest, Dict]],
     *,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
     cache: Optional[CompilationCache] = None,
     event_sink=None,
 ) -> List[RunResult]:
     """Run a batch with a one-off :class:`BatchRunner` (the friendly entry)."""
-    runner = BatchRunner(
-        workers=workers, config=config, cache=cache, event_sink=event_sink
+    return BatchRunner(config=config, cache=cache, event_sink=event_sink).run(
+        requests
     )
-    return runner.run(requests)
 
 
 class Runtime:
-    """The serving facade: one config, one cache, one pool width.
+    """The serving facade: one config, one cache.
 
     Hold a ``Runtime`` for the life of a service; route single requests
-    through :meth:`run` and batches through :meth:`run_batch` — both share
-    the compiled-program cache, so steady-state traffic never recompiles.
-
-    ``executor`` picks the batch tier: ``"thread"`` (the default — cache
-    sharing, GIL-bound CPU) or ``"process"`` (a lazily-started
-    :class:`~repro.runtime.process_pool.ProcessPoolRunner`: real CPU
-    parallelism, per-worker caches of ``cache_size``, fingerprint-sharded
-    routing).  :meth:`run` always executes in-process either way — only
-    batches fan out.  With the process executor, call :meth:`close` (or
-    use the runtime as a context manager) when done.
+    through :meth:`run` and batches through :meth:`run_batch` — both run
+    in process and share the compiled-program cache, so steady-state
+    traffic never recompiles.  For CPU parallelism use
+    :class:`~repro.runtime.process_pool.ProcessPoolRunner`.
     """
 
     def __init__(
         self,
         *,
         config: Optional[RunConfig] = None,
-        workers: Optional[int] = None,
         cache_size: int = 128,
         event_sink=None,
-        executor: str = "thread",
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         self.config = RunConfig.checked(config)
-        self.workers = DEFAULT_WORKERS if workers is None else max(1, int(workers))
         self.cache = CompilationCache(cache_size, event_sink=event_sink)
         self.event_sink = event_sink
-        self.executor = executor
-        self._cache_size = cache_size
-        self._process_pool = None
 
     def run(self, tools, program, *, language=None, config: Optional[RunConfig] = None):
         """One monitored evaluation through the shared cache.
@@ -489,46 +444,15 @@ class Runtime:
     def run_batch(
         self, requests: Sequence[Union[RunRequest, Dict]]
     ) -> List[RunResult]:
-        if self.executor == "process":
-            return self._pool().run(requests)
-        runner = BatchRunner(
-            workers=self.workers,
-            config=self.config,
-            cache=self.cache,
-            event_sink=self.event_sink,
+        return run_batch(
+            requests, config=self.config, cache=self.cache, event_sink=self.event_sink
         )
-        return runner.run(requests)
-
-    def _pool(self):
-        if self._process_pool is None:
-            from repro.runtime.process_pool import ProcessPoolRunner
-
-            self._process_pool = ProcessPoolRunner(
-                workers=self.workers,
-                config=self.config,
-                cache_size=self._cache_size,
-                event_sink=self.event_sink,
-            ).start()
-        return self._process_pool
-
-    def close(self) -> None:
-        """Stop the process pool, if one was started (threads need nothing)."""
-        if self._process_pool is not None:
-            self._process_pool.close()
-            self._process_pool = None
-
-    def __enter__(self) -> "Runtime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def cache_stats(self):
         return self.cache.stats()
 
 
 __all__ = [
-    "DEFAULT_WORKERS",
     "BatchRunner",
     "RunRequest",
     "RunResult",

@@ -245,8 +245,8 @@ class CompilationCache:
 
         The artifact is a :class:`~repro.partial_eval.codegen.GeneratedProgram`
         (``"codegen"`` is the only ``engine`` with an artifact to cache);
-        it is thread-reusable, so warm entries serve concurrent batch
-        workers under any fault policy, with or without metrics.
+        it is thread-reusable, so warm entries serve batches on any
+        caller's thread under any fault policy, with or without metrics.
 
         ``optimize="flow"`` erases hooks at sites the claim-flow analysis
         proves unreachable; the verdict itself comes from

@@ -34,8 +34,8 @@ class RunConfig:
     Frozen so a config can be shared across threads and reused as a
     default for a whole batch without aliasing surprises.  Note that
     ``metrics`` is a *mutable accumulator*: sharing one config across
-    concurrent runs shares the counters too, which is why the batch
-    runner swaps in a fresh ``RunMetrics`` per request
+    runs shares the counters too, which is why the batch runner swaps
+    in a fresh ``RunMetrics`` per request
     (:meth:`with_fresh_metrics`).  How each field is checked, spelled on
     the command line and admitted from a record is its row of
     :data:`OPTIONS`.
@@ -117,8 +117,8 @@ class RunConfig:
     def with_fresh_metrics(self) -> "RunConfig":
         """A copy whose ``metrics`` is a new accumulator (if metrics are on).
 
-        The batch runner calls this per request so concurrent runs never
-        share counters (per-request isolation).
+        The batch runner calls this per request so no two runs share
+        counters (per-request isolation).
         """
         if self.metrics is None:
             return self
@@ -264,9 +264,9 @@ def _lint_at_least(value: object, runner: object) -> bool:
     return levels.index(value) >= levels.index(runner)
 
 
-#: The subcommands that evaluate a program (or replay one) and take the
-#: shared run flags.
-_RUNS = frozenset("run trace profile session debug batch record serve replay".split())
+#: The subcommands that evaluate a program and take the shared run flags.
+#: ``replay`` evaluates nothing: it takes only the flags its session reads.
+_RUNS = frozenset("run trace profile session debug batch record serve".split())
 
 #: The record surfaces: ``repro batch`` records and ``repro serve`` requests.
 _RECORDS = frozenset(("batch", "serve"))
@@ -296,10 +296,11 @@ _ROWS = (
            help="evaluation step budget"),
     Option("engine", check=lambda value: _engines().check_engine(value),
            choices=lambda: _engines().ENGINES, records=_RECORDS,
-           flag="--engine", commands=_RUNS - {"replay"},
+           flag="--engine", commands=_RUNS,
            help=lambda: _engines().engine_help()),
     Option("fault_policy", check=check_fault_policy, choices=FAULT_POLICIES,
-           records=_RECORDS, flag="--fault-policy", commands=_RUNS | {"analyze"},
+           records=_RECORDS, flag="--fault-policy",
+           commands=_RUNS | {"analyze", "replay"},
            help="what a monitor exception does: propagate aborts the run "
            "(default), quarantine disables the faulting monitor and keeps "
            "the standard answer, log records faults and keeps monitoring"),
@@ -309,8 +310,8 @@ _ROWS = (
            help="wall-clock budget per evaluation (cooperative)"),
     # Only a replay session reads the interval, and no record replays.
     Option("checkpoint_interval", check=_count,
-           flag="--checkpoint-interval", commands=_RUNS, type=int,
-           metavar="EVENTS",
+           flag="--checkpoint-interval", commands=frozenset({"replay"}),
+           type=int, metavar="EVENTS",
            help="replay checkpoint spacing in trace events (default 512; "
            "smaller = faster backward seeks, more checkpoints)"),
     Option("lint", check=lambda value: _linter().check_lint_level(value),

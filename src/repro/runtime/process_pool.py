@@ -1,13 +1,14 @@
 """Multi-process serving: real CPU parallelism behind the batch API.
 
-The thread-pooled :class:`~repro.runtime.batch.BatchRunner` buys cache
-sharing and interleaved I/O, but monitored evaluation is pure Python and
-the GIL serializes it — CPU-heavy traffic never scales past one core.
-:class:`ProcessPoolRunner` is the scale-out tier: it forks N worker
-processes, each holding its own pre-warmed
-:class:`~repro.runtime.cache.CompilationCache`, and routes requests to
-workers **by program fingerprint**, so every repeat of a program lands on
-the worker that already compiled it and warm cache hits shard cleanly.
+The in-process :class:`~repro.runtime.batch.BatchRunner` runs one
+request after another: monitored evaluation is pure Python, and the GIL
+would serialize it on threads too, so CPU-heavy traffic never scales
+past one core in one process.  :class:`ProcessPoolRunner` is the
+scale-out tier: it forks N worker processes, each holding its own
+pre-warmed :class:`~repro.runtime.cache.CompilationCache`, and routes
+requests to workers **by program fingerprint**, so every repeat of a
+program lands on the worker that already compiled it and warm cache hits
+shard cleanly.
 
 The paper's soundness theorem (Section 7) is what makes the sharding
 safe: monitoring cannot change the standard answer, so a request's result
@@ -94,7 +95,6 @@ import repro.partial_eval.codegen  # noqa: F401
 import repro.toolbox.registry  # noqa: F401
 from repro.errors import ReproError
 from repro.runtime.batch import (
-    DEFAULT_WORKERS,
     RunRequest,
     RunResult,
     admission_failure,
@@ -104,6 +104,9 @@ from repro.runtime.batch import (
 )
 from repro.runtime.cache import CompilationCache, program_fingerprint
 from repro.runtime.config import RunConfig
+
+#: Default number of worker processes.
+DEFAULT_WORKERS = 4
 
 #: How many requests may wait for one worker before submissions are
 #: rejected (non-blocking) or wait (blocking).
@@ -219,8 +222,6 @@ def _worker_main(worker_id: int, conn, init, parent_ends) -> None:
     every other worker's, which a forked child inherits; closing them
     leaves the parent the only holder, so its death is end of file here.
     """
-    from repro.observability.sinks import JsonlSink, TaggedSink
-
     for end in parent_ends:
         end.close()
     # A forking parent (``repro serve``) may have turned SIGTERM into
@@ -229,6 +230,8 @@ def _worker_main(worker_id: int, conn, init, parent_ends) -> None:
     sink = None
     trace_path = init.get("trace_path")
     if trace_path:
+        from repro.observability.sinks import JsonlSink, TaggedSink
+
         sink = TaggedSink(
             JsonlSink(trace_path, flush_each=True), {"worker": worker_id}
         )
@@ -724,6 +727,7 @@ class ProcessPoolRunner:
 
 __all__ = [
     "DEFAULT_QUEUE_DEPTH",
+    "DEFAULT_WORKERS",
     "OverloadedError",
     "ProcessPoolRunner",
     "request_from_wire",

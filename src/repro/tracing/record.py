@@ -19,7 +19,7 @@ it and the flow verdict, under ``optimize="flow"``, does not erase it.
 Sampling is decided per activation by a pure function of ``(seed, site,
 occurrence)`` (:func:`repro.tracing.schema.sample_includes`), never of
 wall clock or thread identity, so a sampled trace is byte-identical
-across runs and across the thread/process executors.  A ``post`` event
+across runs, in process or in a process-pool worker.  A ``post`` event
 inherits its ``pre``'s decision through a per-site LIFO of pending
 activations, keeping pre/post pairs sampled atomically.
 """

@@ -118,7 +118,7 @@ class TestToolboxGate:
         assert "REP501" in codes
         fast = evaluate((), program, config=config)
         assert [d.code for d in fast.diagnostics] == codes
-        [batched] = run_batch([{"program": source}], workers=1, config=config)
+        [batched] = run_batch([{"program": source}], config=config)
         assert [d.code for d in batched.diagnostics] == codes
         capsys.readouterr()
 

@@ -321,9 +321,7 @@ class TestTelemetryFlags:
             )
         )
         path = tmp_path / "events.jsonl"
-        assert main(
-            ["batch", str(requests), "--workers", "2", "--trace-out", str(path)]
-        ) == 0
+        assert main(["batch", str(requests), "--trace-out", str(path)]) == 0
         seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()]
         assert len(seqs) > 4
         assert seqs == list(range(1, len(seqs) + 1))
@@ -481,13 +479,16 @@ class TestCheckLexicalErrors:
 
 
 class TestCheckpointIntervalValidation:
-    """--checkpoint-interval is rejected at flag level, not as a traceback."""
+    """--checkpoint-interval is rejected at flag level, not as a traceback,
+    and only ``replay``, the one subcommand that reads it, takes it."""
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_run_rejects_non_positive(self, capsys, value):
-        assert main(["run", "-e", "1 + 1", "--checkpoint-interval", value]) == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "-e", "1 + 1", "--checkpoint-interval", value])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "error: --checkpoint-interval must be a positive integer" in err
+        assert "unrecognized arguments: --checkpoint-interval" in err
 
     def test_replay_rejects_non_positive(self, capsys, tmp_path):
         trace = tmp_path / "t.jsonl"
@@ -498,9 +499,16 @@ class TestCheckpointIntervalValidation:
         err = capsys.readouterr().err
         assert "--checkpoint-interval must be a positive integer" in err
 
-    def test_valid_interval_still_accepted(self, capsys):
-        assert main(["run", "-e", "1 + 1", "--checkpoint-interval", "7"]) == 0
-        assert capsys.readouterr().out.strip() == "2"
+    def test_valid_interval_still_accepted(self, capsys, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        assert main(["record", "-e", FAC, "-o", str(trace)]) == 0
+        capsys.readouterr()
+        assert (
+            main(["replay", str(trace), "--checkpoint-interval", "7",
+                  "--command", "quit"])
+            == 0
+        )
+        assert "stopped at fac" in capsys.readouterr().out
 
 
 class TestOptimizeFlag:
@@ -570,11 +578,8 @@ class TestServeFlags:
         return run
 
     def test_run_flags_reach_the_server(self, served_config):
-        config = served_config(
-            "--optimize", "flow", "--checkpoint-interval", "7", "--engine", "codegen"
-        )
+        config = served_config("--optimize", "flow", "--engine", "codegen")
         assert config.optimize == "flow"
-        assert config.checkpoint_interval == 7
         assert config.engine == "codegen"
 
     def test_record_dir_names_where_record_requests_write(self, served_config):

@@ -138,11 +138,13 @@ class TestCacheEngineDimension:
         assert stats.hits == 1 and stats.misses == 1
 
 
-# -- warm cache hits in a concurrent batch (the acceptance scenario) --------------
+# -- warm cache hits across concurrent batches (the acceptance scenario) ----------
 
 
 class TestConcurrentBatch:
     def test_eight_thread_batch_with_warm_cache_matches_reference(self):
+        # A batch runs in order on its caller's thread; eight callers
+        # share one cache, as a threaded service holding a Runtime would.
         cache = CompilationCache()
         requests = [
             RunRequest(
@@ -153,8 +155,19 @@ class TestConcurrentBatch:
             )
             for i in range(24)
         ]
-        runner = BatchRunner(workers=8, cache=cache)
-        results = runner.run(requests)
+        results = []
+
+        def caller(share):
+            results.extend(BatchRunner(cache=cache).run(share))
+
+        threads = [
+            threading.Thread(target=caller, args=(requests[i::8],)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(results) == len(requests)
         oracle = run_monitored(
             strict, parse(FAC), ProfilerMonitor(), config=RunConfig(engine="reference")
         )

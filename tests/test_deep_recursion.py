@@ -47,12 +47,12 @@ class TestDeepRuns:
         assert result.answer == SUM_ANSWER
         assert result.reports() == {"profile": SUM_PROFILE}
 
-    def test_loop_and_recursion_through_a_threaded_batch(self):
+    def test_loop_and_recursion_through_a_batch(self):
         requests = [
             RunRequest(program=LOOP, config=CODEGEN, tag="loop"),
             RunRequest(program=SUM, tools="profile", config=CODEGEN, tag="sum"),
         ]
-        loop, total = BatchRunner(workers=2).run(requests)
+        loop, total = BatchRunner().run(requests)
         assert loop.ok and loop.answer == 0, loop.error
         assert total.ok and total.answer == SUM_ANSWER, total.error
         assert total.reports == {"profile": SUM_PROFILE}

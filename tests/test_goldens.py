@@ -174,7 +174,7 @@ def test_batch_output_golden(golden, capsys, tmp_path):
     """
     requests = tmp_path / "requests.jsonl"
     requests.write_text("\n".join(BATCH_REQUESTS) + "\n", encoding="utf-8")
-    assert main(["batch", str(requests), "--workers", "2", "--stats"]) == 1
+    assert main(["batch", str(requests), "--stats"]) == 1
     captured = capsys.readouterr()
     golden("cli_batch.jsonl", _normalize_durations(captured.out))
     golden("cli_batch_stats.txt", captured.err)

@@ -91,3 +91,15 @@ def test_pool_parent_imports_every_toolbox_monitor():
         "    make()\n"
         "assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
     )
+
+
+def test_batch_starts_no_thread_pool():
+    # A batch runs in order on the calling thread, whatever ``workers`` says.
+    _loaded_after(
+        "import sys\n"
+        "from repro.runtime import BatchRunner\n"
+        "requests = [{'program': '1 + 2'}, {'program': '3 * 4'}]\n"
+        "results = BatchRunner(workers=4).run(requests)\n"
+        "assert [result.answer for result in results] == [3, 12]\n"
+        "assert 'concurrent.futures.thread' not in sys.modules\n"
+    )

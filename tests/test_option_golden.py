@@ -126,6 +126,8 @@ CLI_CASES = [
     ["debug", "-e", "1", "--command", "quit", "--max-steps", "0"],
     ["replay", "missing.jsonl", "--checkpoint-interval", "0"],
     ["replay", "missing.jsonl", "--engine", "codegen"],
+    ["replay", "missing.jsonl", "--max-steps", "5"],
+    ["debug", "-e", "1", "--command", "quit", "--checkpoint-interval", "7"],
     ["serve", "--socket", "unused.sock", "--metrics"],
     ["serve", "--socket", "unused.sock", "--timeout", "0"],
     ["compile", "-e", "1", "--optimize", "fast"],

@@ -742,17 +742,17 @@ class TestTelemetryAndPrewarm:
 
 
 class TestRuntimeFacade:
-    def test_process_executor_matches_thread_executor(self):
+    def test_process_pool_matches_the_runtime(self):
         requests = [
             {"program": PLAIN % n, "tools": "profile"} for n in range(6)
         ]
-        with Runtime(executor="thread", workers=2) as threaded:
-            thread_results = threaded.run_batch(list(requests))
-        with Runtime(executor="process", workers=2) as forked:
-            process_results = forked.run_batch(list(requests))
-        for a, b in zip(thread_results, process_results):
+        in_process = Runtime().run_batch(list(requests))
+        with ProcessPoolRunner(workers=2) as pool:
+            process_results = pool.run(list(requests))
+        for a, b in zip(in_process, process_results):
             assert (a.ok, a.answer, a.reports) == (b.ok, b.answer, b.reports)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            Runtime(executor="fibers")
+        # Runtime has one batch tier; the process pool is its own class.
+        with pytest.raises(TypeError, match="executor"):
+            Runtime(executor="process")

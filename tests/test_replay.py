@@ -597,12 +597,12 @@ class TestReplayCli:
         assert main(args) == 0  # second run loads the sidecar
 
     def test_run_flags_are_shared_with_debug(self):
-        # Satellite 2: cmd_debug/cmd_replay share add_run_flags — the
-        # same spelling parses on both subcommands.
+        # cmd_debug/cmd_replay share the debugger flags and the run flags
+        # both read; each takes only the run flags it reads.
         parser = __import__("repro.cli", fromlist=["build_parser"]).build_parser()
-        for subcommand, extra in (
-            ("debug", ["-e", FAC]),
-            ("replay", ["t.jsonl"]),
+        for subcommand, extra, own in (
+            ("debug", ["-e", FAC], ["--max-steps", "100"]),
+            ("replay", ["t.jsonl"], ["--checkpoint-interval", "7"]),
         ):
             args = parser.parse_args(
                 [
@@ -610,13 +610,18 @@ class TestReplayCli:
                     *extra,
                     "--break", "fac",
                     "--command", "quit",
-                    "--checkpoint-interval", "7",
                     "--fault-policy", "log",
-                    "--max-steps", "100",
+                    *own,
                 ]
             )
-            assert args.checkpoint_interval == 7
+            assert args.fault_policy == "log"
             assert args.breakpoints == ["fac"]
+        for subcommand, extra, other in (
+            ("debug", ["-e", FAC], ["--checkpoint-interval", "7"]),
+            ("replay", ["t.jsonl"], ["--max-steps", "100"]),
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args([subcommand, *extra, *other])
 
 
 class TestRecordedDebugSessions:

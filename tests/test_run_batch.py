@@ -3,9 +3,9 @@
 The serving layer's central promise (ISSUE PR 4 acceptance): a
 ``run_batch`` over many mixed requests — different programs, tools,
 engines, fault policies — produces results identical to running each
-request alone through the single-run pipeline.  Concurrency, the shared
-compilation cache, and per-request timeouts must all be invisible in the
-answers, reports and fault records.
+request alone through the single-run pipeline.  The shared compilation
+cache, the process pool and per-request timeouts must all be invisible
+in the answers, reports and fault records.
 """
 
 import json
@@ -23,12 +23,14 @@ from repro.observability import InMemorySink
 from repro.runtime import (
     BatchRunner,
     CompilationCache,
+    ProcessPoolRunner,
     RunConfig,
     RunRequest,
     RunResult,
     Runtime,
     run_batch,
 )
+from repro.runtime.batch import _render_value
 from repro.toolbox.registry import evaluate
 from tests.generators import closed_program
 
@@ -88,12 +90,20 @@ def _mixed_requests(count):
 
 
 def _oracle(request):
-    """One request through the plain single-run pipeline (no pool, no cache)."""
+    """One request through the plain single-run pipeline (no pool, no cache).
+
+    Reports are rendered as a process-pool result's are: they crossed the
+    process boundary as JSON (tuples come back as lists, values as text).
+    """
     cfg = request.config if request.config is not None else RunConfig()
     outcome = evaluate(
         request.tools, request.program, language=request.language, config=cfg
     )
-    reports = outcome.monitored.reports() if outcome.monitored is not None else {}
+    reports = (
+        {k: _render_value(v) for k, v in outcome.monitored.reports().items()}
+        if outcome.monitored is not None
+        else {}
+    )
     faults = (
         tuple(
             (f.monitor_key, f.phase, f.error_type, f.message)
@@ -105,12 +115,19 @@ def _oracle(request):
     return outcome.answer, reports, faults
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """One two-worker process pool shared by the parity tests."""
+    with ProcessPoolRunner(workers=2) as runner:
+        yield runner
+
+
 class TestBatchParity:
-    def test_hundred_mixed_requests_match_sequential(self):
+    def test_hundred_mixed_requests_match_sequential(self, pool):
         """The acceptance criterion: >=100 mixed requests, identical output."""
         requests = _mixed_requests(100)
         expected = [_oracle(request) for request in requests]
-        results = run_batch(requests, workers=4)
+        results = pool.run(requests)
         assert len(results) == 100
         for request, result, (answer, reports, faults) in zip(
             requests, results, expected
@@ -121,10 +138,12 @@ class TestBatchParity:
             assert result.faults == faults
             assert result.tag == request.tag
 
-    def test_pooled_matches_single_worker(self):
+    def test_pooled_matches_single_worker(self, pool):
         requests = _mixed_requests(40)
-        sequential = run_batch(requests, workers=1)
-        pooled = run_batch(requests, workers=8)
+        sequential = [
+            RunResult.from_dict(result.to_dict()) for result in run_batch(requests)
+        ]
+        pooled = pool.run(requests)
         for a, b in zip(sequential, pooled):
             assert (a.ok, a.answer, a.reports, a.faults) == (
                 b.ok,
@@ -135,12 +154,12 @@ class TestBatchParity:
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(closed_program(), min_size=1, max_size=6))
-    def test_property_batch_equals_sequential(self, programs):
+    def test_property_batch_equals_sequential(self, pool, programs):
         requests = [
             RunRequest(program=program, config=RunConfig(engine="codegen"))
             for program in programs
         ]
-        pooled = run_batch(requests, workers=4)
+        pooled = pool.run(requests)
         solo = [
             run_monitored(
                 strict, program, [], config=RunConfig(engine="codegen")
@@ -151,9 +170,27 @@ class TestBatchParity:
 
 
 class TestOrderingAndIsolation:
+    def test_requests_run_in_submission_order(self):
+        """``workers`` is ignored: a slow first request is still reported
+        first, because nothing overtakes it."""
+        slow = (
+            "letrec fib = lambda n. {fib}: "
+            "if n < 2 then n else fib (n - 1) + fib (n - 2) in fib 20"
+        )
+        sink = InMemorySink()
+        requests = [
+            RunRequest(program=slow, tools="count"),
+            RunRequest(program=PLAIN % 2),
+            RunRequest(program=PLAIN % 3),
+        ]
+        results = BatchRunner(workers=4, event_sink=sink).run(requests)
+        assert [result.answer for result in results] == [6765, 4, 9]
+        indices = [event.payload["index"] for event in sink.of_type("batch-request")]
+        assert indices == [0, 1, 2]
+
     def test_results_in_submission_order(self):
         requests = [RunRequest(program=PLAIN % n, tag=str(n)) for n in range(32)]
-        results = run_batch(requests, workers=8)
+        results = run_batch(requests)
         assert [result.index for result in results] == list(range(32))
         assert [result.tag for result in results] == [str(n) for n in range(32)]
 
@@ -164,7 +201,7 @@ class TestOrderingAndIsolation:
             RunRequest(program="f 1"),          # unbound identifier
             RunRequest(program=PLAIN % 2),
         ]
-        results = run_batch(requests, workers=4)
+        results = run_batch(requests)
         assert [result.ok for result in results] == [True, False, False, True]
         assert results[1].error_type == "ParseError"
         assert results[2].error_type == "UnboundIdentifierError"
@@ -180,7 +217,7 @@ class TestOrderingAndIsolation:
             ),
             RunRequest(program=PLAIN % 4),
         ]
-        results = run_batch(requests, workers=2)
+        results = run_batch(requests)
         assert results[1].ok is False and results[1].timed_out is True
         assert results[1].error_type == "EvaluationTimeout"
         assert results[0].ok and results[2].ok
@@ -193,21 +230,21 @@ class TestOrderingAndIsolation:
             RunRequest(program=FAC % 3, tools="profile"),
             RunRequest(program=FAC % 6, tools="profile"),
         ]
-        results = run_batch(requests, workers=2, config=shared)
+        results = run_batch(requests, config=shared)
         a, b = (result.metrics for result in results)
         assert a is not None and b is not None and a is not b
         assert a.steps != b.steps  # each counted its own run, not the sum
         assert shared.metrics.steps == 0  # the template never accumulated
 
     def test_batch_never_raises_for_request_failures(self):
-        results = run_batch([RunRequest(program="(((")], workers=1)
+        results = run_batch([RunRequest(program="(((")])
         assert results[0].ok is False and results[0].error
 
 
 class TestBatchSurface:
     def test_dict_requests_accepted(self):
         results = run_batch(
-            [{"program": PLAIN % 5, "engine": "codegen", "tag": "x"}], workers=1
+            [{"program": PLAIN % 5, "engine": "codegen", "tag": "x"}]
         )
         assert results[0].answer == 25 and results[0].tag == "x"
 
@@ -225,7 +262,7 @@ class TestBatchSurface:
         without ``base=``, so ``{"max_steps": ...}`` built a fresh
         ``lint="off"`` config and slipped past the runner's lint gate.
         """
-        runner = BatchRunner(workers=1, config=RunConfig(lint="error"))
+        runner = BatchRunner(config=RunConfig(lint="error"))
         results = runner.run(
             [
                 {"program": "foo 1", "max_steps": 100},
@@ -246,7 +283,7 @@ class TestBatchSurface:
 
     def test_result_to_dict_is_json_safe(self):
         results = run_batch(
-            [RunRequest(program=FAC % 4, tools="profile", tag="j")], workers=1
+            [RunRequest(program=FAC % 4, tools="profile", tag="j")]
         )
         record = results[0].to_dict()
         json.dumps(record)  # must not raise
@@ -256,7 +293,7 @@ class TestBatchSurface:
     def test_batch_events_on_the_stream(self):
         sink = InMemorySink()
         requests = [RunRequest(program=PLAIN % n) for n in range(5)]
-        run_batch(requests, workers=2, event_sink=sink)
+        run_batch(requests, event_sink=sink)
         kinds = [event.type for event in sink.events]
         assert kinds[0] == "batch-start" and kinds[-1] == "batch-end"
         assert kinds.count("batch-request") == 5
@@ -265,7 +302,7 @@ class TestBatchSurface:
         assert end.payload["succeeded"] == 5 and end.payload["failed"] == 0
 
     def test_runtime_facade_shares_cache(self):
-        runtime = Runtime(config=RunConfig(engine="codegen"), workers=2)
+        runtime = Runtime(config=RunConfig(engine="codegen"))
         single = runtime.run((), PLAIN % 7)
         assert single.answer == 49
         batch = runtime.run_batch([{"program": PLAIN % 7}])
@@ -277,8 +314,8 @@ class TestBatchSurface:
         cache = CompilationCache(16)
         cfg = RunConfig(engine="codegen")
         requests = [RunRequest(program=FAC % 5, tools="profile") for _ in range(10)]
-        first = run_batch(requests, workers=4, config=cfg, cache=cache)
-        second = run_batch(requests, workers=4, config=cfg, cache=cache)
+        first = run_batch(requests, config=cfg, cache=cache)
+        second = run_batch(requests, config=cfg, cache=cache)
         assert all(result.ok for result in first + second)
         stats = cache.stats()
         assert stats.misses == 1 and stats.hits == 19
@@ -296,7 +333,7 @@ class TestTimeoutAdmission:
 
     def test_zero_timeout_record_is_rejected(self):
         results = run_batch(
-            [{"program": PLAIN % 2, "timeout": 0, "tag": "z"}], workers=1
+            [{"program": PLAIN % 2, "timeout": 0, "tag": "z"}]
         )
         assert results[0].ok is False
         assert results[0].error_type == "ValueError"
@@ -314,7 +351,6 @@ class TestTimeoutAdmission:
                 {"program": PLAIN % 5, "mode": "record", "record_dir": 5},
                 {"program": PLAIN % 4},
             ],
-            workers=1,
         )
         assert [result.ok for result in results] == [False] * 4 + [True]
         assert all(result.error_type == "ValueError" for result in results[:4])
@@ -327,7 +363,7 @@ class TestTimeoutAdmission:
             RunRequest(program=PLAIN % 2, timeout=-1.0),
             RunRequest(program=PLAIN % 3),
         ]
-        results = run_batch(requests, workers=2)
+        results = run_batch(requests)
         assert [result.ok for result in results] == [True, False, True]
         assert results[1].error_type == "ValueError"
 
@@ -341,7 +377,7 @@ class TestTimeoutAdmission:
 
     def test_valid_override_still_enforced(self):
         loop = "letrec loop = lambda x. loop (x + 1) in loop 0"
-        results = run_batch([{"program": loop, "timeout": 0.2}], workers=1)
+        results = run_batch([{"program": loop, "timeout": 0.2}])
         assert results[0].timed_out is True
         assert results[0].error_type == "EvaluationTimeout"
 
@@ -356,7 +392,7 @@ class TestOptionAdmission:
 
     def test_record_cannot_loosen_the_runners_gate(self):
         runner = BatchRunner(
-            workers=1, config=RunConfig(lint="error", timeout=0.5, max_steps=10**6)
+            config=RunConfig(lint="error", timeout=0.5, max_steps=10**6)
         )
         loosening = [
             {"program": "foo 1", "lint": "off"},
@@ -375,7 +411,7 @@ class TestOptionAdmission:
             assert result.duration == 0.0  # rejected at admission, never run
 
     def test_record_may_tighten_the_runners_gate(self):
-        runner = BatchRunner(workers=1, config=RunConfig(timeout=5, max_steps=10**6))
+        runner = BatchRunner(config=RunConfig(timeout=5, max_steps=10**6))
         results = runner.run(
             [
                 {"program": "foo 1", "lint": "error"},
@@ -453,7 +489,7 @@ class TestMaxStepsAdmission:
         ] + [{"program": self.PROGRAM, "max_steps": 100}]
         config = RunConfig(engine=engine)
         if pool == "thread":
-            results = BatchRunner(workers=1, config=config).run(records)
+            results = BatchRunner(config=config).run(records)
         else:
             with ProcessPoolRunner(workers=1, config=config) as runner:
                 results = runner.run(records)
@@ -470,7 +506,7 @@ class TestRecordLanguages:
     def test_program_text_parses_with_the_record_language(self, language):
         source = LANGUAGE_SOURCES[language]
         [result] = run_batch(
-            [{"program": source, "language": language}], workers=1
+            [{"program": source, "language": language}]
         )
         assert result.ok, result.error
         assert result.answer == parsed_reference_answer(language, source)
@@ -485,7 +521,6 @@ class TestResultWireFormat:
                 {"program": "((("},
                 {"program": PLAIN % 1, "timeout": 0},
             ],
-            workers=1,
         )
         for result in results:
             record = result.to_dict()
@@ -495,7 +530,7 @@ class TestResultWireFormat:
 
     def test_from_dict_inverts_to_dict(self):
         [result] = run_batch(
-            [RunRequest(program=FAC % 4, tools="profile", tag="rt")], workers=1
+            [RunRequest(program=FAC % 4, tools="profile", tag="rt")]
         )
         back = RunResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert back.ok is True and back.tag == "rt"

@@ -5,7 +5,7 @@ inline; this file pins down everything else the backend promises — a
 versioned, deterministic, self-describing file format, seeded sampling
 that is reproducible across runs *and* executors, per-site filtering,
 and the ``mode="record"`` wiring through ``run_monitored``, the batch
-runner and the runtime facade.
+runner and the process pool.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor, TracerMonitor
 from repro.observability.metrics import RunMetrics
-from repro.runtime import RunConfig, RunRequest, Runtime, run_batch
+from repro.runtime import ProcessPoolRunner, RunConfig, RunRequest, run_batch
 from repro.syntax.parser import parse
 from repro.tracing import (
     OpaqueValue,
@@ -135,9 +135,9 @@ class TestSampling:
         assert 0 < sampled.report("count")["fac"] < everything.report("count")["fac"]
 
     def test_executor_choice_does_not_change_trace_bytes(self, tmp_path):
-        """Thread- and process-pool record runs write identical traces."""
+        """In-process and process-pool record runs write identical traces."""
         contents = {}
-        for executor in ("thread", "process"):
+        for executor in ("in_process", "process"):
             record_dir = tmp_path / executor
             config = RunConfig(
                 mode="record",
@@ -145,15 +145,17 @@ class TestSampling:
                 sample_rate=0.5,
                 trace_seed=3,
             )
-            with Runtime(config=config, workers=1, executor=executor) as rt:
-                [result] = rt.run_batch(
-                    [{"program": FAC, "tools": "count"}]
-                )
+            requests = [{"program": FAC, "tools": "count"}]
+            if executor == "in_process":
+                [result] = run_batch(requests, config=config)
+            else:
+                with ProcessPoolRunner(workers=1, config=config) as pool:
+                    [result] = pool.run(requests)
             assert result.ok, result.error
             assert result.trace and os.path.exists(result.trace)
             with open(result.trace, "rb") as handle:
                 contents[executor] = handle.read()
-        assert contents["thread"] == contents["process"]
+        assert contents["in_process"] == contents["process"]
 
 
 # -- the file format -------------------------------------------------------------
