@@ -21,12 +21,12 @@ per-run *policy* instead:
 
 :meth:`FaultLog.record` is the one home of that rule: it is the only
 code that records a fault, charges it to the run's ``RunMetrics`` and
-disables a slot.  Every hook path — the reference derivation
-(:mod:`repro.monitoring.derive`), the residual programs of
-:mod:`repro.partial_eval.codegen` and the post-hoc trace fold
-(:mod:`repro.tracing.analyze`) — wraps its hook call in one
-``try``/``except`` that re-raises when no log is threaded (``propagate``)
-and otherwise hands the exception to the log.  So the differential
+disables a slot.  The two hook paths — the reference derivation
+(:mod:`repro.monitoring.derive`) and the
+:class:`~repro.monitoring.sites.SiteBinding` that codegen's residual
+programs and the post-hoc trace fold share — re-raise a hook exception
+when no log is threaded (``propagate``) and otherwise hand it to the
+log.  So the differential
 fault-injection suite can assert that answers, surviving monitor states
 *and* fault records agree under injected failures — the
 soundness-under-fault property made executable.

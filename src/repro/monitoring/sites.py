@@ -11,10 +11,9 @@ resolves claims itself.  Sites are numbered by the pre-order walk of
 flow verdict are, so a residual ``_pre(N)``, a trace event at site ``N``
 and the flow verdict's site ``N`` name one annotated node.
 
-:class:`SiteBinding` binds a table to one run: its hook entries call the
-run's (possibly metrics-wrapped) specs and feed its fault log.  Quarantine
-is a rebinding: a disabled slot's sites get identity
-hooks, the unclaimed-annotation fallback.
+:class:`SiteBinding` is the hook step at a site for codegen's residual and
+the trace fold alike.  Quarantine rebinds a disabled slot's sites to
+their next claimant, as the cascade falls through to it.
 """
 
 from __future__ import annotations
@@ -79,20 +78,43 @@ def site_key(annotation, body) -> Tuple[int, int]:
 
 
 class SiteBinding:
-    """A :class:`SiteTable` bound to one run's specs (by key) and fault log.
+    """A :class:`SiteTable` bound to one run's specs, states and fault log.
 
-    ``entries[i]`` is ``(pre, post, key, view, body, observes)`` for site
-    ``i`` (every engine's hooks get the body as ``term``), ``None`` where
-    nothing claims it; the list is updated in place, so hooks may hold it.
+    :meth:`pre` and :meth:`post` are the only calls of a claim's hooks
+    outside the reference derivation.  ``states`` holds the run's
+    monitor states by key, updated in place; ``entries[i]`` is site
+    ``i``'s claimant as ``(key, view, term, pre, post)``, ``None`` if it
+    has none, with an observing spec's ``inner`` view bound in.  A hook
+    exception re-raises without a fault log and otherwise goes to it;
+    ``reraise`` types are never the monitor's fault (codegen's
+    ``RecursionError``: the host stack overflowed).
+
+    Quarantine follows the cascade: a site's claimant is the outermost
+    enabled monitor recognizing it, a ``pre`` that quarantines its
+    claimant hands the activation to the next one, and the token ``pre``
+    returns sends the ``post`` to the claimant whose ``pre`` ran, or
+    nowhere once that claimant is quarantined.
     """
 
-    __slots__ = ("table", "specs", "fault_log", "entries")
+    __slots__ = ("table", "specs", "fault_log", "states", "entries", "_reraise")
 
-    def __init__(self, table: SiteTable, specs: Sequence[MonitorSpec], fault_log) -> None:
+    def __init__(
+        self,
+        table: SiteTable,
+        specs: Sequence[MonitorSpec],
+        fault_log,
+        *,
+        initial_ms=None,
+        reraise: Tuple[type, ...] = (),
+    ) -> None:
         self.table = table
         self.specs = {spec.key: spec for spec in specs}
         self.fault_log = fault_log
-        self.entries: list = []
+        self.states = {
+            key: initial_ms.get(key) if initial_ms else spec.initial_state()
+            for key, spec in self.specs.items()
+        }
+        self._reraise = reraise
         self.rebind()
 
     def rebind(self) -> None:
@@ -101,43 +123,77 @@ class SiteBinding:
         A replay checkpoint restores that set and then rebinds.
         """
         disabled = self.fault_log.disabled if self.fault_log is not None else ()
+        enabled = [spec for key, spec in self.specs.items() if key not in disabled]
         entries = []
         for site, claim in zip(self.table.sites, self.table.claims):
-            if claim is None:
-                entries.append(None)
-            elif claim.key in disabled:
-                entries.append((_keep_pre, _keep_post, *claim, site.body, None))
-            else:
-                spec = self.specs[claim.key]
-                observes = tuple(spec.observes) or None
-                entries.append((spec.pre, spec.post, *claim, site.body, observes))
-        self.entries[:] = entries
+            if claim is not None and claim.key in disabled:
+                claim = _claim(enabled, site)
+            entries.append(claim and self._hook(claim, site.body))
+        self.entries = entries
 
-    def fault(self, key: str, phase: str, exc: Exception) -> None:
-        """Apply the fault policy to a hook exception.
+    def _hook(self, claim: Claim, term) -> tuple:
+        spec = self.specs[claim.key]
+        if not spec.observes:
+            return (*claim, term, spec.pre, spec.post)
+        states, observes = self.states, tuple(spec.observes)
 
-        Without a fault log (``propagate``) ``exc`` is re-raised.
-        Otherwise the log records it; the failed hook's state update never
-        happened (log policy: the slot keeps its state), and a slot the
-        log quarantines takes identity hooks from here on, an already
-        open activation's ``post`` included.
+        def pre(view, term, ctx, state):
+            return spec.pre(view, term, ctx, state, inner={k: states[k] for k in observes})
+
+        def post(view, term, ctx, value, state):
+            inner = {k: states[k] for k in observes}
+            return spec.post(view, term, ctx, value, state, inner=inner)
+
+        return (*claim, term, pre, post)
+
+    def claimant(self, site_id: int) -> Optional[str]:
+        """The key of the monitor a new activation of ``site_id`` goes to."""
+        hook = self.entries[site_id]
+        return hook[0] if hook is not None else None
+
+    def pre(self, site_id: int, ctx) -> Optional[str]:
+        """Open an activation of ``site_id``; the key of the claimant that ran."""
+        hook = self.entries[site_id]
+        if hook is None:
+            return None
+        key, view, term, pre, _ = hook
+        states = self.states
+        try:
+            states[key] = pre(view, term, ctx, states[key])
+        except self._reraise:
+            raise
+        except Exception as exc:
+            self._fault(key, "pre", exc)
+            if key in self.fault_log.disabled:
+                return self.pre(site_id, ctx)  # the next claimant takes it
+        return key
+
+    def post(self, site_id: int, ctx, value, token: Optional[str]):
+        """Close an activation ``pre`` opened with ``token``; returns ``value``.
+
+        While enabled, the claimant is still the site's entry (the disabled
+        set only grows between a ``pre`` and its ``post``).
         """
+        hook = self.entries[site_id]
+        if hook is not None and hook[0] == token:
+            _, view, term, _, post = hook
+            states = self.states
+            try:
+                states[token] = post(view, term, ctx, value, states[token])
+            except self._reraise:
+                raise
+            except Exception as exc:
+                self._fault(token, "post", exc)
+        return value
+
+    def _fault(self, key: str, phase: str, exc: Exception) -> None:
+        """Re-raise ``exc`` under ``propagate``; else log it, dropping its update."""
         log = self.fault_log
         if log is None:
             raise exc
         log.record(key, phase, exc)
         if key in log.disabled:
             self.rebind()
-
-
-def _keep_pre(annotation, term, ctx, state):
-    """A quarantined slot's ``pre``: the state passes through."""
-    return state
-
-
-def _keep_post(annotation, term, ctx, value, state):
-    """A quarantined slot's ``post``: the state passes through."""
-    return state
 
 
 __all__ = ["Claim", "SiteBinding", "SiteTable", "site_key"]

@@ -21,19 +21,21 @@ gets for free: saturated primitive applications become direct calls,
 boolean inline, and calls to statically-known residual functions skip the
 generic apply dispatch.
 
-Monitoring actions appear in the residual code as explicit ``_pre(site,
-{...})`` / ``_post(site, {...}, value)`` calls — literally "extra code to
+Monitoring actions appear in the residual code as explicit ``c = _pre(site,
+ctx)`` / ``_post(site, ctx, value, c)`` calls — literally "extra code to
 perform the monitoring actions ... 'embedded' into the program"
-(Abstract).  ``site`` is the node's pre-order site id, the id of trace
+(Abstract).  ``ctx`` is the site's locals, ``c`` names the claimant whose
+``pre`` ran, and ``site`` is the node's pre-order site id, the id of trace
 events and of the flow verdict, indexing the one
 :class:`~repro.monitoring.sites.SiteTable` the recorder and the trace
 fold use too.  Unclaimed annotations, and sites a flow verdict proved
 unreachable, are erased at generation time (obliviousness, Definition
-7.1, for free).  The runtime threads monitor
-states through a cell; since evaluation is sequential and deterministic,
-this is observationally identical to the pure state-passing of the
-semantics, and the test suite checks answer *and* final-state agreement
-with the interpreter for every toolbox monitor.
+7.1, for free).  ``_pre``/``_post`` are the run's
+:class:`~repro.monitoring.sites.SiteBinding`, which threads monitor
+states through one dict; since evaluation is sequential, this is
+observationally identical to the pure state-passing of the semantics,
+and the test suite checks answer *and* final-state agreement with the
+interpreter for every toolbox monitor.
 
 This module also backs ``engine="codegen"`` (see
 :mod:`repro.monitoring.derive`), which calls :meth:`GeneratedProgram.run`
@@ -191,33 +193,24 @@ def _make_guard(max_steps: Optional[int], deadline: Optional[float]):
 class ResidualRuntime:
     """The runtime the generated module links against.
 
-    Carries the primitive implementations, the apply/error helpers,
-    the run's :class:`~repro.monitoring.sites.SiteBinding`, and the
-    mutable monitor-state cell the residual hooks update.  One runtime
-    instance per run, so the generated code itself is immutable and
-    thread-reusable (the compilation cache relies on this).
-
-    The binding's fault log (quarantine/log policies) receives the
-    exceptions ``pre``/``post`` catch; without one they propagate.
-    Either way the hooks are the same two methods, so the ``propagate``
-    path pays nothing for isolation.
+    Carries the primitive implementations, the apply/error helpers and
+    the run's :class:`~repro.monitoring.sites.SiteBinding`, whose hooks
+    the residual calls with a site's context (``env`` over ``top``).
+    One runtime instance per run, so the generated code itself is
+    immutable and thread-reusable (the compilation cache relies on this).
     """
 
     #: The empty list value, read by generated code.
     nil = NIL
+    env = Environment
 
-    def __init__(
-        self, binding: SiteBinding, locations: Sequence, states: Dict[str, object]
-    ) -> None:
+    def __init__(self, binding: SiteBinding, locations: Sequence) -> None:
         self.prims = _PRIM_INSTANCES
         self.binding = binding
-        # The hot hooks index the binding's entry list (updated in place
-        # on quarantine) by the site id the generated call passes.
-        self._site_table = binding.entries
+        self.top = _INITIAL_ENV
         self.locations = locations
         self.guard = None
         self.tally = None
-        self.states = states
 
     # -- helpers referenced from generated code --------------------------------
 
@@ -246,39 +239,6 @@ class ResidualRuntime:
     def unbound(name: str):
         """A free identifier, faulting lazily at its evaluation point."""
         raise UnboundIdentifierError(name)
-
-    def pre(self, site_id: int, local_vars: Dict[str, object]) -> None:
-        pre_fn, _post_fn, key, annotation, term, observes = self._site_table[site_id]
-        states = self.states
-        ctx = Environment(local_vars, _INITIAL_ENV)
-        try:
-            if observes:
-                inner = {k: states[k] for k in observes}
-                states[key] = pre_fn(annotation, term, ctx, states[key], inner=inner)
-            else:
-                states[key] = pre_fn(annotation, term, ctx, states[key])
-        except RecursionError:
-            raise  # the host stack overflowed, not the monitor
-        except Exception as exc:
-            self.binding.fault(key, "pre", exc)
-
-    def post(self, site_id: int, local_vars: Dict[str, object], value):
-        _pre_fn, post_fn, key, annotation, term, observes = self._site_table[site_id]
-        states = self.states
-        ctx = Environment(local_vars, _INITIAL_ENV)
-        try:
-            if observes:
-                inner = {k: states[k] for k in observes}
-                states[key] = post_fn(
-                    annotation, term, ctx, value, states[key], inner=inner
-                )
-            else:
-                states[key] = post_fn(annotation, term, ctx, value, states[key])
-        except RecursionError:
-            raise  # the host stack overflowed, not the monitor
-        except Exception as exc:
-            self.binding.fault(key, "post", exc)
-        return value
 
 
 class _Emitter:
@@ -641,13 +601,14 @@ class _Generator:
             # unreachable: erased at specialization time.
             return self.gen(expr.body, scope)
         self.sites.append(site_id)
-        locals_literal = (
-            "{" + ", ".join(f"{src!r}: {py}" for src, py in scope.items()) + "}"
+        context = "_env({%s}, _top)" % ", ".join(
+            f"{src!r}: {py}" for src, py in scope.items()
         )
-        self.emitter.emit(f"_pre({site_id}, {locals_literal})")
+        token = self.fresh()
+        self.emitter.emit(f"{token} = _pre({site_id}, {context})")
         body_atom = self.gen(expr.body, scope)
         out = self.fresh()
-        self.emitter.emit(f"{out} = _post({site_id}, {locals_literal}, {body_atom})")
+        self.emitter.emit(f"{out} = _post({site_id}, {context}, {body_atom}, {token})")
         return out
 
     # -- whole program ------------------------------------------------------------
@@ -663,8 +624,10 @@ class _Generator:
         emitter.emit("def _program(_rt):")
         with emitter.block():
             emitter.emit("_apply = _rt.apply")
-            emitter.emit("_pre = _rt.pre")
-            emitter.emit("_post = _rt.post")
+            emitter.emit("_pre = _rt.binding.pre")
+            emitter.emit("_post = _rt.binding.post")
+            emitter.emit("_env = _rt.env")
+            emitter.emit("_top = _rt.top")
             emitter.emit("_nil = _rt.nil")
             emitter.emit("_be = _rt.bool_err")
             emitter.emit("_ub = _rt.unbound")
@@ -782,13 +745,12 @@ class GeneratedProgram:
         per-region node counts.
         """
         specs = self.monitors if monitors is None else tuple(monitors)
-        if initial_ms is not None:
-            states = {m.key: initial_ms.get(m.key) for m in specs}
-        else:
-            states = {m.key: m.initial_state() for m in specs}
-        runtime = ResidualRuntime(
-            SiteBinding(self.table, specs, fault_log), self._locations, states
+        # A hook's RecursionError is the host stack overflowing, not a
+        # monitor fault: it escapes as HostRecursionError below.
+        binding = SiteBinding(
+            self.table, specs, fault_log, initial_ms=initial_ms, reraise=(RecursionError,)
         )
+        runtime = ResidualRuntime(binding, self._locations)
         guarded = max_steps is not None or deadline is not None
         entry = self._resolve_entry(guarded, tally is not None)
         if guarded:
@@ -801,8 +763,7 @@ class GeneratedProgram:
             raise HostRecursionError(recursion_limit) from None
         finally:
             _release_recursion_limit()
-        states = MonitorStateVector(dict(runtime.states))
-        return answers.phi(value), states
+        return answers.phi(value), MonitorStateVector(binding.states)
 
     def evaluate(self, **kwargs):
         answer, _ = self.run(**kwargs)

@@ -1,18 +1,18 @@
 """Checkpointed fold state: the seek index under time travel.
 
 Monitor states are persistent values (the whole framework is built on
-that), so a checkpoint of the :class:`~repro.monitoring.state.
-MonitorStateVector` is one reference — O(1) to take, O(1) to restore.
-The pending pre-context map is copied (shallowly — contexts are never
-mutated).  The fold's two live objects — the
-:class:`~repro.observability.metrics.RunMetrics` its hook wrappers
-charge and the :class:`~repro.monitoring.faults.FaultLog` its hook path
-records into — are copied *out* when a checkpoint is taken and written
-*back in place* when it is restored: the fold keeps its objects, so the
-wrappers and the log stay bound to them, and stepping forward from a
-restore never corrupts the stored snapshot.  Restoring the disabled set
-rebinds the fold's :class:`~repro.monitoring.sites.SiteBinding`, so the
-slots quarantined at the checkpoint, and only those, have identity hooks.
+that), and contexts are never mutated, so the fold's state dict and its
+pending map of open activations (each a ``pre`` context and the token
+naming the claimant whose ``pre`` ran) are copied shallowly.  The fold's
+live objects — the states its :class:`~repro.monitoring.sites.
+SiteBinding` owns, the :class:`~repro.observability.metrics.RunMetrics`
+its hook wrappers charge and the :class:`~repro.monitoring.faults.
+FaultLog` its hook path records into — are copied *out* when a
+checkpoint is taken and written *back in place* when it is restored: the
+fold keeps its objects, so the binding, wrappers and log stay bound to
+them, and stepping forward from a restore never corrupts the stored
+snapshot.  Restoring the disabled set rebinds, so the slots quarantined
+at the checkpoint, and only those, have handed their sites on.
 
 The index can persist to a sidecar file next to the trace
 (``<trace>.ckpt``): a JSON envelope naming the fold's ``checkpoints``
@@ -40,24 +40,24 @@ from repro.monitoring.state import MonitorStateVector
 from repro.observability.metrics import RunMetrics
 
 #: Bump when the sidecar envelope or Checkpoint layout changes.
-SIDECAR_VERSION = 3
+SIDECAR_VERSION = 4
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     """The complete fold state after ``position`` trace events.
 
-    ``states`` is an immutable value, shared; ``metrics``, ``pending``,
-    ``faults`` and ``disabled`` are this checkpoint's own copies, so the
-    snapshot is immune to later mutation by the fold that took or
-    resumed it.
+    ``states``, ``metrics``, ``pending``, ``faults`` and ``disabled``
+    are this checkpoint's own copies, so the snapshot is immune to later
+    mutation by the fold that took or resumed it.
     """
 
     position: int
     states: MonitorStateVector
     stack: Tuple[Tuple[int, str], ...]  # open activations: (site, label)
     metrics: Optional[RunMetrics]
-    pending: Dict[Tuple[int, int], object]  # (site, occ) -> hook context
+    #: Open ``pre`` activations: (site, occ) -> (context, claimant token).
+    pending: Dict[Tuple[int, int], Tuple[object, Optional[str]]]
     faults: Tuple[MonitorFault, ...]
     disabled: frozenset
 
@@ -67,7 +67,7 @@ class Checkpoint:
         metrics = session.metrics
         return cls(
             position=session.position,
-            states=session.states,
+            states=MonitorStateVector(dict(session.states)),
             stack=session.stack,
             metrics=metrics.copy() if metrics is not None else None,
             pending=dict(session.pending),
@@ -78,7 +78,7 @@ class Checkpoint:
     def restore(self, session) -> None:
         """Rewind ``session`` to this point, keeping its live objects."""
         session.position = self.position
-        session.states = self.states
+        session.states.update(self.states.as_dict())
         session.stack = self.stack
         session.pending = dict(self.pending)
         if session.metrics is not None and self.metrics is not None:

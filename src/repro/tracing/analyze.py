@@ -10,21 +10,20 @@ fault records.  The §7 soundness theorem is the license (the monitors
 could not have changed the recorded run), and
 ``tests/test_trace_equivalence.py`` is the machine check.
 
-The fold lives in one place, :class:`TraceFold`, and takes the inline
-hook step rather than a copy of it:
+The fold lives in one place, :class:`TraceFold`, and takes codegen's
+hook step, :class:`~repro.monitoring.sites.SiteBinding`, rather than a
+copy of it:
 
 * hook dispatch — events name sites by the pre-order id codegen's
-  ``_pre`` calls pass, and the fold indexes the same
+  ``_pre`` calls pass, and the binding indexes the same
   :class:`~repro.monitoring.sites.SiteTable`: each site's claim (the
   outermost recognizing monitor, as inline) is resolved once, not per event;
 * counters — with metrics on, each claim's hooks are called through
   :class:`~repro.observability.instrument.InstrumentedSpec`, the code
   that charges activations, hook calls and state transitions inline;
 * fault policy — ``propagate`` lets the hook exception escape the fold;
-  otherwise :meth:`~repro.monitoring.sites.SiteBinding.fault` records
-  it in a :class:`~repro.monitoring.faults.FaultLog` and, under
-  ``quarantine``, rebinds the slot's sites to identity hooks as codegen
-  does; under ``log`` just that update is dropped.
+  otherwise it goes to a :class:`~repro.monitoring.faults.FaultLog`,
+  and ``quarantine`` hands the slot's sites to their next claimants.
 
 :func:`analyze_trace` runs the fold straight through;
 :class:`~repro.replay.session.ReplaySession` runs the same fold under a
@@ -113,13 +112,13 @@ class TraceFold:
     Construction resolves the trace and its program, checks the stack
     and binds the (program, stack) site table; :meth:`step` applies one
     recorded event and :meth:`package` turns the fold so far into a
-    :class:`TraceAnalysis`.  The fold state is ``states`` and
-    ``pending`` (open ``pre`` contexts by ``(site, occurrence)``) —
-    immutable or shallow-copyable values — plus the live objects the
-    hook path holds: ``metrics``, charged by the claims'
-    :class:`~repro.observability.instrument.InstrumentedSpec` wrappers,
-    ``fault_log`` (``None`` under ``propagate``) and its ``binding``.  A
-    replay checkpoint copies metrics and log out, writes them back in
+    :class:`TraceAnalysis`.  The fold state is ``pending`` (each open
+    activation's ``pre`` context and claimant token, by ``(site,
+    occurrence)``) plus the live objects the hook path holds: the
+    ``binding`` and its ``states`` dict, ``metrics``, charged by the
+    claims' :class:`~repro.observability.instrument.InstrumentedSpec`
+    wrappers, and ``fault_log`` (``None`` under ``propagate``).  A replay
+    checkpoint copies states, metrics and log out, writes them back in
     place and rebinds.
     """
 
@@ -159,10 +158,8 @@ class TraceFold:
         self.binding = SiteBinding(
             table, instrument_monitors(self.monitors, self.metrics), self.fault_log
         )
-        self._entries = self.binding.entries
-
-        self.states = MonitorStateVector.initial(self.monitors)
-        self.pending: Dict[Tuple[int, int], Environment] = {}
+        self.states = self.binding.states
+        self.pending: Dict[Tuple[int, int], Tuple[Environment, Optional[str]]] = {}
 
     @property
     def faults(self) -> Tuple[MonitorFault, ...]:
@@ -176,39 +173,18 @@ class TraceFold:
         return frozenset(log.disabled) if log is not None else frozenset()
 
     def step(self, event: TraceEvent) -> None:
-        """Apply one event: the hook call it records, charged and isolated."""
-        entry = self._entries[event.site]
-        if entry is None:
-            return
-        pre, post, key, view, term, observes = entry
-        states = self.states
-        state = states.get(key)
+        """Apply one event: the binding's hook step for the call it records."""
+        binding, site = self.binding, event.site
         if event.phase == "pre":
-            ctx = recorded_context(event)
-            self.pending[(event.site, event.occ)] = ctx
-            try:
-                if observes:
-                    new_state = pre(view, term, ctx, state, inner=states.view(observes))
-                else:
-                    new_state = pre(view, term, ctx, state)
-            except Exception as exc:
-                self.binding.fault(key, "pre", exc)
-                return
-        else:
-            ctx = self.pending.pop((event.site, event.occ), _NO_BINDINGS)
-            result = decode_value(event.value)
-            try:
-                if observes:
-                    new_state = post(
-                        view, term, ctx, result, state, inner=states.view(observes)
-                    )
-                else:
-                    new_state = post(view, term, ctx, result, state)
-            except Exception as exc:
-                self.binding.fault(key, "post", exc)
-                return
-        if new_state is not state:
-            self.states = states.set(key, new_state)
+            if binding.claimant(site) is not None:
+                ctx = recorded_context(event)
+                self.pending[(site, event.occ)] = (ctx, binding.pre(site, ctx))
+            return
+        ctx, token = self.pending.pop((site, event.occ), None) or (
+            _NO_BINDINGS, binding.claimant(site)  # a post without its pre
+        )
+        if token is not None:
+            binding.post(site, ctx, decode_value(event.value), token)
 
     def package(self, metrics: Optional[RunMetrics]) -> TraceAnalysis:
         """The fold so far as a ``TraceAnalysis`` carrying ``metrics``.
@@ -225,7 +201,7 @@ class TraceFold:
                 metrics.applications = footer["applications"]
         return TraceAnalysis(
             answer=self.trace.answer(),
-            states=self.states,
+            states=MonitorStateVector(dict(self.states)),
             monitors=tuple(self.monitors),
             faults=self.faults,
             fault_policy=self.fault_policy,

@@ -20,7 +20,7 @@ monitor states — including on hypothesis-generated programs.
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import EvalError, MonitorError
+from repro.errors import EvalError, HostRecursionError, MonitorError
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.faults import (
@@ -341,6 +341,37 @@ class TestEngineFaultParity:
         assert ref.answer == fast.answer == expected
         assert ref.faults == fast.faults
         assert ref.state_of("count") == fast.state_of("count")
+
+
+    @pytest.mark.parametrize("policy,faults", [("log", 4), ("quarantine", 1)])
+    def test_hook_recursion_error_faults_alike_on_every_path(
+        self, policy, faults, tmp_path
+    ):
+        """A hook's own ``RecursionError`` is a fault record on the
+        reference engine and the fold.  Codegen takes it for the host
+        stack overflowing and re-runs on the reference engine."""
+
+        def deep():
+            return FlakyMonitor(
+                LabelCounterMonitor(key="c"), fail_on=2, error=RecursionError
+            )
+
+        ref, fast = run_both_with_faults(FAC_LABELED, deep, fault_policy=policy)
+        path = str(tmp_path / "trace.jsonl")
+        record(strict, parse(FAC_LABELED), path)
+        fold = analyze_trace(path, deep(), fault_policy=policy)
+        assert ref.answer == 24
+        assert [f.error_type for f in ref.faults] == ["RecursionError"] * faults
+        for other in (fast, fold):
+            assert other.reports() == ref.reports()
+            assert other.faults == ref.faults
+
+        from repro.partial_eval.codegen import generate_program
+
+        with pytest.raises(HostRecursionError):
+            generate_program(parse(FAC_LABELED), [deep()]).run(
+                fault_log=FaultLog(policy)
+            )
 
 
 # -- repeated runs of one generated program --------------------------------------

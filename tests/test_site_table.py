@@ -7,7 +7,10 @@ These tests pin the two things that buys:
 
 * claim order — a site two monitors recognize belongs to the outermost,
   as the inline cascade resolves it, so a fold over a recording agrees
-  with the inline run even when disjointness is not enforced;
+  with the inline run even when disjointness is not enforced; when
+  quarantine disables the outermost, the site falls through to the next
+  claimant while an open activation's ``post`` stays with the claimant
+  whose ``pre`` ran, on every path;
 * one numbering — a residual program's ``_pre(N)``, a recorded event's
   site ``N`` and the flow verdict's site ``N`` name one annotated node,
   also where two annotated nodes share one body object (the simplifier
@@ -25,13 +28,15 @@ from hypothesis import strategies as st
 from repro.analysis import analyze_flow
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
+from repro.monitoring.faults import FlakyMonitor
 from repro.monitoring.sites import SiteTable
+from repro.monitoring.spec import MonitorSpec
 from repro.monitors import LabelCounterMonitor
 from repro.partial_eval.codegen import generate_program
 from repro.partial_eval.postprocess import simplify
 from repro.replay import ReplaySession
 from repro.runtime import RunConfig
-from repro.syntax.annotations import render_annotation
+from repro.syntax.annotations import Label, render_annotation
 from repro.syntax.parser import parse
 from repro.toolbox.registry import make_tool
 from repro.tracing import analyze_trace, read_trace, record
@@ -46,6 +51,38 @@ DOUBLY_CLAIMED = "{a}: (1 + {a}: 2)"
 
 def _inner_outer():
     return [LabelCounterMonitor(key="inner"), LabelCounterMonitor(key="outer")]
+
+
+#: Five activations of one ``{a}`` site, which both monitors of the
+#: stacks below claim; the outer one faults on its second ``pre``.
+QUARANTINED_OUTER = "letrec f = lambda n. {a}: if n = 0 then 0 else f (n - 1) in f 4"
+
+
+class PostCounter(MonitorSpec):
+    """Counts ``{a}`` activations in ``post``, where the claimant matters."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def recognize(self, annotation):
+        return annotation if annotation == Label("a") else None
+
+    def initial_state(self):
+        return 0
+
+    def post(self, annotation, term, ctx, result, state):
+        return state + 1
+
+
+def _counting_in_pre():
+    return [
+        LabelCounterMonitor(key="inner"),
+        FlakyMonitor(LabelCounterMonitor(key="outer"), fail_on=2),
+    ]
+
+
+def _counting_in_post():
+    return [PostCounter("inner"), FlakyMonitor(PostCounter("outer"), fail_on=2)]
 
 
 class TestClaimOrder:
@@ -82,6 +119,62 @@ class TestClaimOrder:
         ).analysis()
         assert folded.reports() == inline.reports()
         assert replayed.reports() == inline.reports()
+
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (_counting_in_pre, {"inner": {"a": 4}, "outer": {"a": 1}}),
+            # The first activation's post belongs to the quarantined outer
+            # monitor: a post following the site's current claimant would
+            # count 5 for inner.
+            (_counting_in_post, {"inner": 4, "outer": 0}),
+        ],
+    )
+    def test_quarantine_hands_the_site_to_the_next_claimant(
+        self, make, expected, tmp_path
+    ):
+        program = parse(QUARANTINED_OUTER)
+
+        def inline(engine):
+            return run_monitored(
+                strict,
+                program,
+                make(),
+                config=RunConfig(
+                    engine=engine, fault_policy="quarantine", check_disjointness=False
+                ),
+            )
+
+        reference = inline("reference")
+        reports = reference.reports()
+        assert reports.pop("faults") and reports == expected
+        assert [(f.monitor_key, f.phase) for f in reference.faults] == [
+            ("outer", "pre")
+        ]
+
+        path = str(tmp_path / "t.jsonl")
+        record(strict, program, path)
+        options = dict(fault_policy="quarantine", check_disjointness=False)
+        replay = dict(options, checkpoint_interval=1, use_sidecar=True)
+        session = ReplaySession(path, make(), **replay)
+        pres = sum(event.phase == "pre" for event in session.trace.events)
+        session.seek(pres)  # every pre applied: the fault, all posts open
+        assert session.disabled == {"outer"}
+        session.seek(1)  # back across the fault
+        assert session.disabled == frozenset() and not session.faults
+        assert session.save_checkpoints()
+        reloaded = ReplaySession(path, make(), **replay)
+        assert reloaded.checkpoints.positions == tuple(range(1, pres + 1))
+
+        for result in (
+            inline("codegen"),
+            analyze_trace(path, make(), **options),
+            session.analysis(),
+            reloaded.analysis(),  # folds on from the reloaded checkpoint
+        ):
+            assert result.reports() == reference.reports()
+            assert result.faults == reference.faults
+        assert reloaded.replayed_events == len(reloaded) - pres
 
 
 #: After simplification ``{a}`` and ``{b}`` annotate one ``Const`` (the
