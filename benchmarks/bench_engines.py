@@ -33,13 +33,15 @@ TRACED = traced_fib(12)
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fib_unmonitored(benchmark, engine):
-    result = benchmark(lambda: strict.evaluate(FIB, engine=engine))
+    config = RunConfig(engine=engine)
+    result = benchmark(lambda: strict.evaluate(FIB, config=config))
     assert result == 233
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_loop_unmonitored(benchmark, engine):
-    result = benchmark(lambda: strict.evaluate(LOOP, engine=engine))
+    config = RunConfig(engine=engine)
+    result = benchmark(lambda: strict.evaluate(LOOP, config=config))
     assert result == 1000
 
 

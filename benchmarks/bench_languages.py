@@ -75,7 +75,7 @@ def test_functional_languages_standard(benchmark, language):
 
 
 def test_imperative_language_standard(benchmark):
-    result = benchmark(lambda: imperative.run_to_store(IMPERATIVE_LOOP))
+    result = benchmark(lambda: imperative.evaluate(IMPERATIVE_LOOP))
     assert result[0]["acc"] == ITERATIONS
 
 

@@ -67,7 +67,7 @@ def measure_record_overhead(total=TOTAL_ITERATIONS, traced=TRACED_ITERATIONS):
     config = RunConfig(engine="codegen")
 
     def plain():
-        strict.evaluate(program, engine="codegen")
+        strict.evaluate(program, config=config)
 
     def recorded():
         with _null_out() as out:

@@ -241,7 +241,7 @@ def measure_engines(quick: bool = False):
     tracer = TracerMonitor()
 
     def evaluate(program, engine):
-        return strict.evaluate(program, engine=engine)
+        return strict.evaluate(program, config=RunConfig(engine=engine))
 
     def monitored(program, engine):
         return run_monitored(strict, program, tracer, config=RunConfig(engine=engine))

@@ -18,7 +18,7 @@ continuation semantics:
 * serve batches of requests behind one
   :class:`~repro.runtime.RunConfig`, with a generated-program cache, in
   process or over a process pool (:mod:`repro.runtime` — ``run_batch``,
-  ``Runtime``, ``ProcessPoolRunner``);
+  ``ProcessPoolRunner``);
 * statically analyze programs and monitor stacks before running them
   (:mod:`repro.analysis` — ``analyze``, ``repro check``, the
   ``RunConfig.lint`` gate).
@@ -81,7 +81,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "RunConfig": "repro.runtime.config",
         "RunRequest": "repro.runtime.batch",
         "RunResult": "repro.runtime.batch",
-        "Runtime": "repro.runtime.batch",
         "Server": "repro.runtime.serve",
         "run_batch": "repro.runtime.batch",
         "ReplayDebugger": "repro.replay.debugger",

@@ -156,19 +156,9 @@ def cmd_run(args) -> int:
     language = _language(args)
     tools = _tools(args.tools)
     config = run_config_from_args(args)
-    if not tools and config.metrics is None and config.lint == "off":
-        answer = language.evaluate(
-            program,
-            max_steps=config.max_steps,
-            engine=config.engine,
-            deadline=config.deadline(),
-        )
-        print(_render_answer(answer))
-        return 0
     result = run_monitored(language, program, tools, config=config)
     print(_render_answer(result.answer))
-    if tools:
-        _print_reports(result)
+    _print_reports(result)
     _print_metrics(config.metrics)
     return 0
 

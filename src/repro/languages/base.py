@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import HostRecursionError, ReproError
+from repro.errors import ReproError
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
-from repro.semantics.machine import Functional, final_kont, fix
+from repro.semantics.machine import Functional, final_kont
 from repro.semantics.trampoline import trampoline
 
 #: The execution engines a language may support.  ``reference`` is the
@@ -74,9 +74,8 @@ class BaseLanguage:
 
     Subclasses provide ``name``, :meth:`functional` and
     :meth:`initial_context`; programs are evaluated in that context with
-    the standard initial continuation ``{\\v. phi v}``.  Languages whose
-    context is a plain environment may additionally support the codegen
-    engine by overriding :meth:`evaluate_codegen`.
+    the standard initial continuation ``{\\v. phi v}``.  Which engines run
+    a language is :data:`ENGINE_LANGUAGES`.
     """
 
     name = "base"
@@ -107,52 +106,19 @@ class BaseLanguage:
         step = eval_fn(program, ctx, final_kont(answers), ms)
         return trampoline(step, max_steps=max_steps, deadline=deadline)
 
-    def evaluate(
-        self,
-        program,
-        *,
-        answers: AnswerAlgebra = STANDARD_ANSWERS,
-        max_steps: Optional[int] = None,
-        engine: str = "reference",
-        deadline: Optional[float] = None,
-    ):
-        """Evaluate under this language's *standard* semantics.
+    def evaluate(self, program, *, config=None):
+        """The program's answer under this language's *standard* semantics.
 
-        ``engine`` selects the implementation: ``"reference"`` runs the
-        paper-faithful interpreter; ``"codegen"`` runs the program
-        specialized to native Python source (where the language supports
-        it, per :data:`ENGINE_LANGUAGES`).  Both produce identical answers
-        and raise identical errors.  A codegen run too deep for the host
-        stack is re-run on the reference interpreter, which has no depth
-        limit.
+        This is :func:`~repro.monitoring.derive.run_monitored` over the
+        empty stack, which derives nothing (Definition 4.2), so its engine,
+        its limits and its re-run of a too-deep codegen run on the
+        reference engine are the ones every monitored run gets.  Run
+        options come from ``config`` (a :class:`repro.runtime.RunConfig`;
+        ``None`` means the defaults).
         """
-        check_engine(engine)
-        if engine == "codegen":
-            try:
-                return self.evaluate_codegen(
-                    program, answers=answers, max_steps=max_steps, deadline=deadline
-                )
-            except HostRecursionError:
-                pass
-        eval_fn = fix(self.functional())
-        answer, _ = self.run_program(
-            program, eval_fn, answers=answers, max_steps=max_steps, deadline=deadline
-        )
-        return answer
+        from repro.monitoring.derive import run_monitored
 
-    def evaluate_codegen(
-        self,
-        program,
-        *,
-        answers: AnswerAlgebra = STANDARD_ANSWERS,
-        max_steps: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ):
-        """Evaluate on the codegen engine; overridden by supporting languages."""
-        check_engine_support("codegen", self.name)
-        raise ReproError(
-            f"language {self.name!r} has no codegen engine; use engine='reference'"
-        )
+        return run_monitored(self, program, (), config=config).answer
 
     def __repr__(self) -> str:
         return f"<language {self.name}>"

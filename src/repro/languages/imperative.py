@@ -26,12 +26,12 @@ functions; the monitor distinguishes them by the term it is handed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.errors import EvalError, UnboundIdentifierError
 from repro.languages.base import BaseLanguage
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
-from repro.semantics.machine import Functional, Valuation, fix
+from repro.semantics.machine import Functional, Valuation
 from repro.semantics.trampoline import Bounce, Done, Step, trampoline
 from repro.semantics.values import PrimFun, Value, value_to_string
 from repro.semantics.primitives import make_primitive, PRIMITIVE_TABLE
@@ -427,14 +427,6 @@ class ImperativeLanguage(BaseLanguage):
 
         step = eval_fn(program, self.initial_context(), final_command_kont, ms)
         return trampoline(step, max_steps=max_steps, deadline=deadline)
-
-    def run_to_store(
-        self, program: Cmd, *, max_steps: Optional[int] = None
-    ) -> Tuple[Dict[str, Value], tuple]:
-        """Convenience: run under the standard semantics, return (vars, output)."""
-        eval_fn = fix(self.functional())
-        answer, _ = self.run_program(program, eval_fn, max_steps=max_steps)
-        return answer
 
     def parse(self, source: str) -> Cmd:
         """Parse ``L_imp`` surface syntax (see :mod:`repro.languages.imp_syntax`)."""

@@ -273,6 +273,11 @@ def run_monitored(
     together with the final monitor state(s) (Section 2) — packaged as a
     :class:`MonitoredResult`.
 
+    This is the one place a run picks its engine: an unmonitored run is the
+    empty stack, which derives nothing (Definition 4.2), and
+    ``language.evaluate``, the toolbox ``evaluate`` and ``repro run`` all
+    come here.
+
     Run options come from ``config`` (a :class:`repro.runtime.RunConfig`;
     ``None`` means the defaults).
 

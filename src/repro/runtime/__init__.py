@@ -12,8 +12,7 @@ single-run monitoring pipeline:
   monitor-stack identity, optimization level);
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`/:func:`run_batch`
   executing :class:`RunRequest` batches in process and in order with
-  per-request isolation and timeouts, and the :class:`Runtime` facade
-  tying config + cache together;
+  per-request isolation and timeouts;
 * :mod:`repro.runtime.process_pool` — :class:`ProcessPoolRunner`, the
   multi-core tier: forked workers with pre-warmed per-worker caches,
   program-fingerprint request routing, bounded per-worker backpressure
@@ -43,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "BatchRunner": "repro.runtime.batch",
         "RunRequest": "repro.runtime.batch",
         "RunResult": "repro.runtime.batch",
-        "Runtime": "repro.runtime.batch",
         "admission_failure": "repro.runtime.batch",
         "admit": "repro.runtime.batch",
         "execute_request": "repro.runtime.batch",

@@ -8,9 +8,10 @@ one after another, with the guarantees a serving layer needs:
 * **per-request isolation** — every request gets its own fault log and
   (when telemetry is on) its own ``RunMetrics`` accumulator; a monitor
   fault or timeout in one request never contaminates another;
-* **per-request timeouts** — ``RunRequest.timeout`` (or the config's
-  ``timeout``) bounds each run's wall clock, enforced cooperatively by
-  the trampoline (:class:`repro.errors.EvaluationTimeout`);
+* **per-request timeouts** — the request's config ``timeout`` (a
+  record's ``"timeout"`` key, or the runner's) bounds each run's wall
+  clock, enforced cooperatively by the trampoline
+  (:class:`repro.errors.EvaluationTimeout`);
 * **failure capture** — :meth:`BatchRunner.run` never raises for a
   request's failure; errors come back as ``ok=False`` results carrying
   the exception type and message.
@@ -32,7 +33,7 @@ preempt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,15 +63,13 @@ class RunRequest:
     ``program`` is surface syntax or a parsed AST; ``tools`` is anything
     the toolbox accepts (names, specs, stacks, ``"profile & trace"``).
     ``config`` overrides the runner's default :class:`RunConfig` for this
-    request; ``timeout`` (seconds) overrides the config's timeout.
-    ``tag`` is an opaque caller label echoed on the result.
+    request.  ``tag`` is an opaque caller label echoed on the result.
     """
 
     program: object
     tools: object = ()
     language: object = None
     config: Optional[RunConfig] = None
-    timeout: Optional[float] = None
     tag: Optional[str] = None
 
     @classmethod
@@ -276,10 +275,6 @@ def execute_request(
     start = perf_counter()
     try:
         cfg = request.config if request.config is not None else config
-        if request.timeout is not None:
-            # Re-validate after splicing the override: a bad per-request
-            # timeout must fail this request, not crash the pool.
-            cfg = replace(cfg, timeout=request.timeout).validate()
         cfg = cfg.with_fresh_metrics()  # never share counters across requests
         from repro.toolbox.registry import evaluate
 
@@ -405,58 +400,10 @@ def run_batch(
     )
 
 
-class Runtime:
-    """The serving facade: one config, one cache.
-
-    Hold a ``Runtime`` for the life of a service; route single requests
-    through :meth:`run` and batches through :meth:`run_batch` — both run
-    in process and share the compiled-program cache, so steady-state
-    traffic never recompiles.  For CPU parallelism use
-    :class:`~repro.runtime.process_pool.ProcessPoolRunner`.
-    """
-
-    def __init__(
-        self,
-        *,
-        config: Optional[RunConfig] = None,
-        cache_size: int = 128,
-        event_sink=None,
-    ) -> None:
-        self.config = RunConfig.checked(config)
-        self.cache = CompilationCache(cache_size, event_sink=event_sink)
-        self.event_sink = event_sink
-
-    def run(self, tools, program, *, language=None, config: Optional[RunConfig] = None):
-        """One monitored evaluation through the shared cache.
-
-        Returns the toolbox :class:`~repro.toolbox.registry.EvaluationResult`.
-        """
-        from repro.toolbox.registry import evaluate
-
-        return evaluate(
-            tools,
-            program,
-            language=language,
-            config=config if config is not None else self.config,
-            cache=self.cache,
-        )
-
-    def run_batch(
-        self, requests: Sequence[Union[RunRequest, Dict]]
-    ) -> List[RunResult]:
-        return run_batch(
-            requests, config=self.config, cache=self.cache, event_sink=self.event_sink
-        )
-
-    def cache_stats(self):
-        return self.cache.stats()
-
-
 __all__ = [
     "BatchRunner",
     "RunRequest",
     "RunResult",
-    "Runtime",
     "admission_failure",
     "admit",
     "execute_request",

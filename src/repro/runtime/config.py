@@ -4,10 +4,11 @@ The options controlling a single run — ``engine``, ``fault_policy``,
 ``max_steps``, ``metrics``, ``answers``,
 ``check_disjointness``, ``timeout``, ``lint`` and the record/replay
 settings — have one spelling: build a :class:`RunConfig` once and pass it
-as ``config=`` to ``run_monitored``, the toolbox ``evaluate``,
-``Session.evaluate``, ``debug``, ``record`` or a batch runner, then reuse
-it for a thousand requests.  Every entry point admits its config through
-:meth:`RunConfig.checked` (``None`` means the defaults).
+as ``config=`` to ``run_monitored``, a language's ``evaluate``, the
+toolbox ``evaluate``, ``Session.evaluate``, ``debug``, ``record``, a
+``RunRequest`` or a batch runner, then reuse it for a thousand requests.
+Every entry point admits its config through :meth:`RunConfig.checked`
+(``None`` means the defaults).
 
 ``timeout`` is a per-run wall-clock budget in seconds, enforced
 cooperatively by the trampoline (see

@@ -153,7 +153,6 @@ def request_to_wire(
         "tools": request.tools,
         "language": getattr(request.language, "name", None),
         "config": config,
-        "timeout": request.timeout,
         "tag": request.tag,
     }
 
@@ -166,7 +165,6 @@ def request_from_wire(wire: Dict[str, object]) -> RunRequest:
         tools=wire.get("tools", ()),
         language=language_by_name(wire.get("language")),
         config=RunConfig.from_scalars(dict(scalars)) if scalars else None,
-        timeout=wire.get("timeout"),
         tag=wire.get("tag"),
     )
 

@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "fix": "repro.semantics.machine",
         "run_machine": "repro.semantics.machine",
-        "evaluate": "repro.semantics.standard",
         "standard_functional": "repro.semantics.standard",
     },
 )

@@ -18,14 +18,10 @@ argument ``e2`` before the operator ``e1``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.errors import EvalError, NotAFunctionError
-from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 from repro.semantics.env import Environment
-from repro.semantics.machine import Functional, Valuation, final_kont, fix
-from repro.semantics.primitives import initial_environment
-from repro.semantics.trampoline import Bounce, Step, trampoline
+from repro.semantics.machine import Valuation
+from repro.semantics.trampoline import Bounce, Step
 from repro.semantics.values import Closure, PrimFun, value_to_string
 from repro.syntax.ast import (
     Annotated,
@@ -116,43 +112,3 @@ def standard_functional(recur: Valuation) -> Valuation:
 
     return eval_expr
 
-
-def evaluate(
-    program: Expr,
-    *,
-    env: Optional[Environment] = None,
-    answers: AnswerAlgebra = STANDARD_ANSWERS,
-    max_steps: Optional[int] = None,
-):
-    """Evaluate ``program`` under the standard semantics and return the answer.
-
-    This is the plain ``L_lambda`` interpreter: the meaning of the program
-    under ``Ans_std`` (or any other answer algebra supplied).
-    """
-    answer, _ = evaluate_with_state(
-        program, env=env, answers=answers, max_steps=max_steps
-    )
-    return answer
-
-
-def evaluate_with_state(
-    program: Expr,
-    *,
-    env: Optional[Environment] = None,
-    answers: AnswerAlgebra = STANDARD_ANSWERS,
-    initial_ms=None,
-    eval_fn: Optional[Valuation] = None,
-    max_steps: Optional[int] = None,
-) -> Tuple[object, object]:
-    """Evaluate ``program``, returning ``(answer, monitor_state)``.
-
-    With the default (standard) valuation and an empty monitor state this
-    returns ``(answer, None)``; derived monitoring semantics pass their own
-    ``eval_fn`` and initial state.
-    """
-    if env is None:
-        env = initial_environment()
-    if eval_fn is None:
-        eval_fn = fix(standard_functional)
-    step = eval_fn(program, env, final_kont(answers), initial_ms)
-    return trampoline(step, max_steps=max_steps)

@@ -20,7 +20,7 @@ from repro.languages import LANGUAGE_NAMES, by_name, parse_source
 from repro.languages.base import BaseLanguage
 from repro.languages.strict import strict
 from repro.monitoring.compose import MonitorStack, flatten_monitors
-from repro.monitoring.derive import MonitoredResult, lint_gate, run_monitored
+from repro.monitoring.derive import MonitoredResult, run_monitored
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
 from repro.syntax.ast import Expr
@@ -138,19 +138,16 @@ def evaluate(
     ``"profile & trace & strict"``.  ``program`` may be surface syntax or
     an already-parsed expression.
 
-    Run options come from ``config`` (a :class:`repro.runtime.RunConfig`;
-    ``None`` means the defaults) and mean what they mean for
-    :func:`repro.monitoring.derive.run_monitored`.  Telemetry
-    (``metrics``) works with or without tools attached — an unmonitored
-    evaluation with telemetry runs through the monitoring
-    pipeline with an empty stack, which denotes the standard semantics
-    (Definition 4.2's fall-through everywhere).  ``cache`` (a
+    Every evaluation is one :func:`repro.monitoring.derive.run_monitored`
+    call, and run options come from ``config`` (a
+    :class:`repro.runtime.RunConfig`; ``None`` means the defaults) and
+    mean what they mean there.  Without tools the stack is empty, which
+    denotes the standard semantics (Definition 4.2's fall-through
+    everywhere), so the lint gate, telemetry and record mode work with or
+    without tools attached.  ``cache`` (a
     :class:`repro.runtime.CompilationCache`) memoizes code generation for
     ``engine="codegen"``.
     """
-    from repro.runtime.config import RunConfig
-
-    cfg = RunConfig.checked(config)
     monitors, chain_language = _resolve_tools(tools)
     run_language = language or chain_language or strict
     expr = (
@@ -158,44 +155,8 @@ def evaluate(
         if isinstance(program, str)
         else program
     )
-
-    if not monitors and cfg.metrics is None and cfg.mode == "inline":
-        # This fast path bypasses run_monitored, so the lint gate runs here.
-        # (Record mode always routes through run_monitored — the recorder
-        # must observe the run even with no tools attached.)
-        diagnostics = lint_gate(cfg, run_language, expr, monitors)
-        if cache is not None and cfg.engine == "codegen":
-            # Tool-less codegen runs still deserve the compilation
-            # cache: the empty monitor stack denotes the standard semantics.
-            from dataclasses import replace
-
-            result = run_monitored(
-                run_language,
-                expr,
-                [],
-                config=replace(cfg, lint="off"),  # already linted above
-                cache=cache,
-            )
-            return EvaluationResult(
-                answer=result.answer, monitored=None, diagnostics=diagnostics
-            )
-        answer = run_language.evaluate(
-            expr,
-            answers=cfg.answers,
-            max_steps=cfg.max_steps,
-            engine=cfg.engine,
-            deadline=cfg.deadline(),
-        )
-        return EvaluationResult(
-            answer=answer, monitored=None, diagnostics=diagnostics
-        )
-
     result = run_monitored(
-        run_language,
-        expr,
-        list(monitors),
-        config=cfg,
-        cache=cache,
+        run_language, expr, list(monitors), config=config, cache=cache
     )
     return EvaluationResult(
         answer=result.answer,

@@ -109,19 +109,8 @@ class Session:
         generation — both are forwarded to the toolbox ``evaluate``.
         """
         program = self.program_for(expr_source)
-
-        if tools is None:
-            return evaluate(
-                (),
-                program,
-                language=self.language,
-                config=config,
-                cache=cache,
-            )
-
-        tool_items = self._normalize_tools(tools)
         monitors: List[MonitorSpec] = []
-        for item in tool_items:
+        for item in self._normalize_tools(tools or ()):
             if isinstance(item, MonitorSpec):
                 monitors.append(item)
                 continue

@@ -18,7 +18,7 @@ from repro.analysis import analyze
 from repro.errors import EvalError, MonitorError
 from repro.languages import strict
 from repro.monitoring.derive import check_disjoint, disjoint_verdict
-from repro.runtime import CompilationCache
+from repro.runtime import CompilationCache, RunConfig
 from repro.syntax.ast import App, Lam, Var
 from repro.toolbox.registry import make_tool
 
@@ -37,7 +37,9 @@ def test_clean_programs_never_raise_unbound(program):
     assert _unbound_codes(program) == []
     for engine in ("reference", "codegen"):
         try:
-            strict.evaluate(program, max_steps=MAX_STEPS, engine=engine)
+            strict.evaluate(
+                program, config=RunConfig(max_steps=MAX_STEPS, engine=engine)
+            )
         except EvalError as exc:
             assert "unbound" not in str(exc).lower(), (
                 f"analyzer-clean program raised an unbound error on {engine}"

@@ -144,7 +144,7 @@ class TestCacheEngineDimension:
 class TestConcurrentBatch:
     def test_eight_thread_batch_with_warm_cache_matches_reference(self):
         # A batch runs in order on its caller's thread; eight callers
-        # share one cache, as a threaded service holding a Runtime would.
+        # share one cache, as the threads of one service would.
         cache = CompilationCache()
         requests = [
             RunRequest(

@@ -99,7 +99,8 @@ class TestFallbackEqualsReference:
         assert fallback_metrics == expected_metrics
 
     def test_strict_evaluate_falls_back(self, overflowing):
-        assert strict.evaluate(parse(FAC_LABELED), engine="codegen") == 24
+        config = RunConfig(engine="codegen")
+        assert strict.evaluate(parse(FAC_LABELED), config=config) == 24
 
 
 class TestObservableRunsKeepTheError:

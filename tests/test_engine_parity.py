@@ -15,18 +15,23 @@ from hypothesis import given, settings
 
 from repro.errors import (
     EvalError,
+    HostRecursionError,
     NotAFunctionError,
+    ReproError,
     StepLimitExceeded,
     UnboundIdentifierError,
 )
+from repro.languages import lazy
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.spec import FunctionSpec
 from repro.monitors import LabelCounterMonitor, TracerMonitor
-from repro.runtime import RunConfig
+from repro.partial_eval.codegen import generate_program
+from repro.runtime import CompilationCache, RunConfig
 from repro.semantics.values import is_function, value_to_string, values_equal
 from repro.syntax.annotations import untag
 from repro.syntax.parser import parse
+from repro.toolbox.registry import evaluate
 
 from tests.generators import closed_program
 
@@ -81,9 +86,11 @@ def assert_monitor_states_match(ref, fast, monitors):
 @settings(max_examples=120, deadline=None)
 @given(closed_program())
 def test_unmonitored_answers_agree(program):
-    reference = strict.evaluate(program, max_steps=2_000_000)
+    reference = strict.evaluate(program, config=RunConfig(max_steps=2_000_000))
     for engine in FAST_ENGINES:
-        fast = strict.evaluate(program, max_steps=2_000_000, engine=engine)
+        fast = strict.evaluate(
+            program, config=RunConfig(max_steps=2_000_000, engine=engine)
+        )
         assert answers_match(reference, fast), engine
 
 
@@ -124,7 +131,7 @@ def engine_errors(source, exc_type):
     out = {}
     for engine in ENGINES:
         with pytest.raises(exc_type) as exc:
-            strict.evaluate(program, engine=engine)
+            strict.evaluate(program, config=RunConfig(engine=engine))
         out[engine] = exc.value
     return out
 
@@ -147,7 +154,7 @@ class TestErrorParity:
         # the compilers must not fault at compile time on dead code.
         program = parse("if true then 1 else nosuch")
         for engine in FAST_ENGINES:
-            assert strict.evaluate(program, engine=engine) == 1
+            assert strict.evaluate(program, config=RunConfig(engine=engine)) == 1
         assert_error_parity("if false then 1 else nosuch", UnboundIdentifierError)
 
     def test_apply_non_function(self):
@@ -173,13 +180,14 @@ LOOP = (
     "letrec loop = lambda n. if n = 0 then 0 else loop (n - 1) "
     "in loop {n}"
 )
+FIB_12 = "letrec f = lambda n. if n < 2 then n else f (n - 1) + f (n - 2) in f 12"
 
 
 class TestResourceParity:
     def test_codegen_runs_deep_recursion_on_the_reference_engine(self):
         # Past the host stack, codegen re-runs on the trampolined oracle.
         program = parse(LOOP.format(n=200_000))
-        assert strict.evaluate(program, engine="codegen") == 0
+        assert strict.evaluate(program, config=RunConfig(engine="codegen")) == 0
 
     def test_step_limit_enforced_on_codegen_engine(self):
         # The codegen engine guards at function-entry granularity (one
@@ -187,14 +195,93 @@ class TestResourceParity:
         # unbounded recursion — it just counts coarser units.
         program = parse(LOOP.format(n=100_000))
         with pytest.raises(StepLimitExceeded) as exc:
-            strict.evaluate(program, engine="codegen", max_steps=500)
+            strict.evaluate(program, config=RunConfig(engine="codegen", max_steps=500))
         assert exc.value.limit == 500
         assert exc.value.consumed >= 500
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_generous_step_limit_does_not_trip(self, engine):
         program = parse(LOOP.format(n=50))
-        assert strict.evaluate(program, engine=engine, max_steps=1_000_000) == 0
+        config = RunConfig(engine=engine, max_steps=1_000_000)
+        assert strict.evaluate(program, config=config) == 0
+
+
+# -- one run path: every tool-less entry is run_monitored over [] ---------------
+
+
+#: The tool-less entry points, each called with a language, a parsed
+#: program and a config.  All of them are ``run_monitored`` over the empty
+#: stack, so they pick the same engine and fall back the same way.
+TOOLLESS_ENTRIES = {
+    "language.evaluate": lambda language, program, config: language.evaluate(
+        program, config=config
+    ),
+    "toolbox.evaluate": lambda language, program, config: evaluate(
+        (), program, language=language, config=config
+    ).answer,
+    "toolbox.evaluate+cache": lambda language, program, config: evaluate(
+        (), program, language=language, config=config, cache=CompilationCache()
+    ).answer,
+    "run_monitored": lambda language, program, config: run_monitored(
+        language, program, [], config=config
+    ).answer,
+}
+
+#: Past the 100k host recursion limit codegen runs under, so a codegen
+#: run overflows and every entry re-runs it on the reference engine.
+DEEP = LOOP.format(n=120_000)
+
+#: ``case: (language, source, options, answer or error type)``.
+TOOLLESS_CASES = {
+    "answer": (strict, FIB_12, {}, 144),
+    "max_steps": (
+        strict, LOOP.format(n=100_000), {"max_steps": 500}, StepLimitExceeded
+    ),
+    "unbound": (strict, "1 + nosuch", {}, UnboundIdentifierError),
+    "deep": (strict, DEEP, {}, 0),
+    "lazy": (lazy, "(lambda x. 7) (hd [])", {}, 7),
+}
+
+
+def _outcome(thunk):
+    """The answer, or the error's type and message."""
+    try:
+        return ("answer", thunk())
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "case, engine",
+    [
+        (case, engine)
+        for case in sorted(TOOLLESS_CASES)
+        for engine in ENGINES
+        # The reference run of DEEP is what the codegen case falls back to.
+        if (case, engine) != ("deep", "reference")
+    ],
+)
+def test_toolless_entries_agree(case, engine):
+    language, source, options, expected = TOOLLESS_CASES[case]
+    program = parse(source)
+    config = RunConfig(engine=engine, **options)
+    outcomes = {
+        name: _outcome(lambda: entry(language, program, config))
+        for name, entry in TOOLLESS_ENTRIES.items()
+    }
+    assert len(set(outcomes.values())) == 1, outcomes
+    outcome = outcomes["run_monitored"]
+    if case == "lazy" and engine == "codegen":
+        expected = ReproError  # outside the engine x language matrix
+    if isinstance(expected, type):
+        assert outcome[:2] == ("error", expected), outcome
+    else:
+        assert outcome == ("answer", expected)
+
+
+def test_deep_case_overflows_the_codegen_engine():
+    with pytest.raises(HostRecursionError):
+        generate_program(parse(DEEP)).run()
 
 
 # -- observing monitors through the codegen engine -------------------------------
@@ -366,5 +453,5 @@ def test_quarantined_fault_parity(program):
         assert ref.faults == fast.faults, engine
         assert ref.state_of("count") == fast.state_of("count"), engine
     assert answers_match(
-        ref.answer, strict.evaluate(program, max_steps=2_000_000)
+        ref.answer, strict.evaluate(program, config=RunConfig(max_steps=2_000_000))
     )

@@ -103,7 +103,9 @@ class TestRandomExcPrograms:
     def test_monitoring_soundness_under_exceptions(self, program):
         from repro.monitors import LabelCounterMonitor
 
-        plain = exceptions_language.evaluate(program, max_steps=2_000_000)
+        plain = exceptions_language.evaluate(
+            program, config=RunConfig(max_steps=2_000_000)
+        )
         monitored = run_monitored(
             exceptions_language,
             program,

@@ -321,7 +321,7 @@ class TestEngineFaultParity:
         """The headline property: on arbitrary generated programs, a
         monitor faulting mid-run never changes the answer, and both
         engines agree on answer, fault records, and monitor state."""
-        expected = strict.evaluate(program, max_steps=2_000_000)
+        expected = strict.evaluate(program, config=RunConfig(max_steps=2_000_000))
         ref = run_monitored(
             strict,
             program,

@@ -103,7 +103,7 @@ def closed_imp_program(draw):
 @settings(max_examples=60, deadline=None)
 @given(closed_imp_program())
 def test_imp_monitoring_soundness(program):
-    plain = imperative.run_to_store(program, max_steps=1_000_000)
+    plain = imperative.evaluate(program, config=RunConfig(max_steps=1_000_000))
     monitored = run_monitored(
         imperative,
         program,

@@ -69,7 +69,7 @@ class TestParsing:
             end
             """
         )
-        bindings, output = imperative.run_to_store(command)
+        bindings, output = imperative.evaluate(command)
         assert bindings["i"] == 3
         assert output == (1,)
 
@@ -93,7 +93,7 @@ class TestParsing:
     def test_keywords_contextual(self):
         # `end` etc. are ordinary identifiers to the expression grammar.
         command = parse_imp("done := 1; emit done")
-        bindings, output = imperative.run_to_store(command)
+        bindings, output = imperative.evaluate(command)
         assert output == (1,)
 
 
@@ -109,7 +109,7 @@ class TestExecution:
             end
             """
         )
-        bindings, _ = imperative.run_to_store(program)
+        bindings, _ = imperative.evaluate(program)
         assert bindings["total"] == 55
 
     def test_monitored_surface_program(self):

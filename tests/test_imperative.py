@@ -21,6 +21,7 @@ from repro.languages.imperative import (
 )
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.spec import FunctionSpec, MonitorSpec
+from repro.runtime import RunConfig
 from repro.syntax.annotations import Label
 from repro.syntax.ast import Annotated
 
@@ -47,17 +48,17 @@ class TestStore:
 
 class TestCommands:
     def test_skip(self):
-        bindings, output = imperative.run_to_store(Skip())
+        bindings, output = imperative.evaluate(Skip())
         assert bindings == {}
         assert output == ()
 
     def test_assign(self):
-        bindings, _ = imperative.run_to_store(Assign("x", const(5)))
+        bindings, _ = imperative.evaluate(Assign("x", const(5)))
         assert bindings == {"x": 5}
 
     def test_seq_order(self):
         program = seq(Assign("x", const(1)), Assign("x", binop("+", var("x"), const(1))))
-        bindings, _ = imperative.run_to_store(program)
+        bindings, _ = imperative.evaluate(program)
         assert bindings == {"x": 2}
 
     def test_if_command(self):
@@ -65,7 +66,7 @@ class TestCommands:
             Assign("x", const(3)),
             IfC(binop("<", var("x"), const(5)), Assign("y", const(1)), Assign("y", const(2))),
         )
-        bindings, _ = imperative.run_to_store(program)
+        bindings, _ = imperative.evaluate(program)
         assert bindings["y"] == 1
 
     def test_while_loop(self):
@@ -80,17 +81,17 @@ class TestCommands:
                 ),
             ),
         )
-        bindings, _ = imperative.run_to_store(program)
+        bindings, _ = imperative.evaluate(program)
         assert bindings["sum"] == 45
 
     def test_while_zero_iterations(self):
         program = While(binop("<", const(1), const(0)), Assign("x", const(1)))
-        bindings, _ = imperative.run_to_store(program)
+        bindings, _ = imperative.evaluate(program)
         assert "x" not in bindings
 
     def test_emit(self):
         program = seq(Emit(const(1)), Emit(const(2)))
-        _, output = imperative.run_to_store(program)
+        _, output = imperative.evaluate(program)
         assert output == (1, 2)
 
     def test_local_scoping(self):
@@ -99,23 +100,23 @@ class TestCommands:
             Local("x", const(99), Emit(var("x"))),
             Emit(var("x")),
         )
-        bindings, output = imperative.run_to_store(program)
+        bindings, output = imperative.evaluate(program)
         assert output == (99, 1)
         assert bindings["x"] == 1
 
     def test_local_fresh_variable_dropped(self):
         program = Local("tmp", const(1), Skip())
-        bindings, _ = imperative.run_to_store(program)
+        bindings, _ = imperative.evaluate(program)
         assert "tmp" not in bindings
 
     def test_divergent_while_detected(self):
         program = While(const(True), Skip())
         with pytest.raises(StepLimitExceeded):
-            imperative.run_to_store(program, max_steps=10_000)
+            imperative.evaluate(program, config=RunConfig(max_steps=10_000))
 
     def test_non_boolean_condition(self):
         with pytest.raises(EvalError):
-            imperative.run_to_store(IfC(const(1), Skip(), Skip()))
+            imperative.evaluate(IfC(const(1), Skip(), Skip()))
 
     def test_expressions_cannot_apply_closures(self):
         # L_imp expressions only apply primitives.
@@ -123,7 +124,7 @@ class TestCommands:
 
         program = Assign("x", App(Lam("y", EVar("y")), EConst(1)))
         with pytest.raises(EvalError):
-            imperative.run_to_store(program)
+            imperative.evaluate(program)
 
 
 class TestMonitoring:
@@ -223,7 +224,7 @@ class TestNormalizeSeq:
             Seq(Assign("x", const(1)), Assign("y", binop("+", var("x"), const(1)))),
             Emit(var("y")),
         )
-        assert imperative.run_to_store(normalize_seq(program)) == imperative.run_to_store(
+        assert imperative.evaluate(normalize_seq(program)) == imperative.evaluate(
             program
         )
 

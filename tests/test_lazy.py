@@ -6,6 +6,7 @@ from repro.errors import EvalError, StepLimitExceeded
 from repro.languages import lazy, strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 
@@ -34,7 +35,7 @@ class TestBasics:
             "let dead = loop 1 in 42"
         )
         with pytest.raises(StepLimitExceeded):
-            strict.evaluate(parse(source), max_steps=100_000)
+            strict.evaluate(parse(source), config=RunConfig(max_steps=100_000))
 
     def test_unused_argument_ignored(self):
         assert run("(lambda x. 7) (hd [])") == 7

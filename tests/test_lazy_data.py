@@ -6,6 +6,7 @@ from repro.errors import PrimitiveError
 from repro.languages import lazy_data, strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor
+from repro.runtime import RunConfig
 from repro.syntax.parser import parse
 
 
@@ -58,7 +59,7 @@ class TestInfiniteStructures:
 
         source = self.ONES + "hd ones"
         with pytest.raises(StepLimitExceeded):
-            strict.evaluate(parse(source), max_steps=200_000)
+            strict.evaluate(parse(source), config=RunConfig(max_steps=200_000))
 
     def test_sieve_of_eratosthenes(self):
         source = """

@@ -186,7 +186,8 @@ class TestDeriveAll:
         # no reports.
         program = parse("{p}: 1 + {q}: 2")  # annotations all unclaimed
         result = run_monitored(strict, program, [], config=RunConfig(engine=engine))
-        assert result.answer == strict.evaluate(program, engine=engine) == 3
+        plain = strict.evaluate(program, config=RunConfig(engine=engine))
+        assert result.answer == plain == 3
         assert len(result.states) == 0
         assert result.reports() == {}
         assert result.healthy()

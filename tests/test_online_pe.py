@@ -9,6 +9,7 @@ from repro.languages import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor
 from repro.partial_eval.online import specialize
+from repro.runtime import RunConfig
 from repro.syntax.ast import Annotated, App, Const, If, Letrec, Var, node_count
 from repro.syntax.parser import parse
 from repro.syntax.pretty import pretty
@@ -198,8 +199,8 @@ def test_pe_preserves_answers_on_random_programs(program):
         residual = specialize(program, budget=500_000).residual
     except SpecializationError:
         return  # budget hit: allowed, just not wrong
-    original = strict.evaluate(program, max_steps=2_000_000)
-    specialized = strict.evaluate(residual, max_steps=2_000_000)
+    original = strict.evaluate(program, config=RunConfig(max_steps=2_000_000))
+    specialized = strict.evaluate(residual, config=RunConfig(max_steps=2_000_000))
     assert original == specialized
 
 
@@ -212,12 +213,17 @@ def test_pe_open_program_equivalence(program, y):
     open_program = App(Lam("dyninput", App(App(Var("+"), program), Var("dyninput"))), Var("y"))
     # open_program: (\d. program + d) y  — only meaningful for int programs.
     try:
-        answer = strict.evaluate(substitute(open_program, {"y": Const(y)}), max_steps=2_000_000)
+        answer = strict.evaluate(
+            substitute(open_program, {"y": Const(y)}),
+            config=RunConfig(max_steps=2_000_000),
+        )
     except Exception:
         return  # boolean-valued generated programs: + fails; skip
     try:
         residual = specialize(open_program, budget=500_000).residual
     except SpecializationError:
         return
-    specialized = strict.evaluate(substitute(residual, {"y": Const(y)}), max_steps=2_000_000)
+    specialized = strict.evaluate(
+        substitute(residual, {"y": Const(y)}), config=RunConfig(max_steps=2_000_000)
+    )
     assert answer == specialized

@@ -130,8 +130,8 @@ class TestPipeline:
 @given(closed_program())
 def test_simplify_preserves_answers(program):
     simplified = simplify(program)
-    original = strict.evaluate(program, max_steps=2_000_000)
-    after = strict.evaluate(simplified, max_steps=2_000_000)
+    original = strict.evaluate(program, config=RunConfig(max_steps=2_000_000))
+    after = strict.evaluate(simplified, config=RunConfig(max_steps=2_000_000))
     assert original == after
 
 

@@ -31,8 +31,8 @@ from repro.runtime import (
     RunConfig,
     RunRequest,
     RunResult,
-    Runtime,
     route_key,
+    run_batch,
 )
 from repro.runtime.process_pool import (
     _encode,
@@ -124,8 +124,7 @@ class TestWireFormat:
         request = RunRequest(
             program=FAC % 2,
             tools="profile",
-            config=RunConfig(engine="codegen", max_steps=5000),
-            timeout=2.0,
+            config=RunConfig(engine="codegen", max_steps=5000, timeout=2.0),
             tag="wire",
         )
         wire = request_to_wire(request, request_id=7, index=3)
@@ -135,7 +134,7 @@ class TestWireFormat:
         assert rebuilt.tools == "profile"
         assert rebuilt.config.engine == "codegen"
         assert rebuilt.config.max_steps == 5000
-        assert rebuilt.timeout == 2.0
+        assert rebuilt.config.timeout == 2.0
         assert rebuilt.tag == "wire"
 
     def test_unpicklable_tools_rejected_at_admission(self):
@@ -245,7 +244,7 @@ class TestAdmissionAndTimeouts:
         assert results[3].ok and results[3].answer == 16
 
     def test_cooperative_timeout_inside_worker(self, pool):
-        result = pool.run([RunRequest(program=LOOP, timeout=0.3)])[0]
+        result = pool.run([RunRequest(program=LOOP, config=RunConfig(timeout=0.3))])[0]
         assert result.ok is False
         assert result.timed_out is True
         assert result.error_type == "EvaluationTimeout"
@@ -306,7 +305,7 @@ class TestCrashRecovery:
     def test_sigkilled_worker_fails_in_flight_and_restarts(self):
         with ProcessPoolRunner(workers=2) as runner:
             future = runner.submit(
-                RunRequest(program=LOOP, timeout=30.0, tag="victim")
+                RunRequest(program=LOOP, config=RunConfig(timeout=30.0), tag="victim")
             )
             victim_pid = None
             deadline = time.monotonic() + 10.0
@@ -339,7 +338,7 @@ class TestCrashRecovery:
         """
         with ProcessPoolRunner(workers=1, queue_depth=8) as runner:
             blocker = runner.submit(
-                RunRequest(program=LOOP, timeout=30.0, tag="running")
+                RunRequest(program=LOOP, config=RunConfig(timeout=30.0), tag="running")
             )
             queued = [
                 runner.submit(RunRequest(program=PLAIN % n, tag=f"queued-{n}"))
@@ -382,7 +381,7 @@ class TestCrashRecovery:
 
         with ProcessPoolRunner(workers=1, queue_depth=1) as runner:
             blocker = runner.submit(
-                RunRequest(program=LOOP, timeout=30.0, tag="running")
+                RunRequest(program=LOOP, config=RunConfig(timeout=30.0), tag="running")
             )
             deadline = time.monotonic() + 10.0
             while runner._pool[0].running is None and time.monotonic() < deadline:
@@ -549,7 +548,8 @@ class TestBackpressure:
                 try:
                     futures.append(
                         runner.submit(
-                            RunRequest(program=LOOP, timeout=0.4), block=False
+                            RunRequest(program=LOOP, config=RunConfig(timeout=0.4)),
+                            block=False,
                         )
                     )
                 except OverloadedError as exc:
@@ -579,7 +579,9 @@ class TestBackpressure:
         """
         import threading
 
-        requests = [RunRequest(program=LOOP, timeout=1.0, tag="slot-0")]
+        requests = [
+            RunRequest(program=LOOP, config=RunConfig(timeout=1.0), tag="slot-0")
+        ]
         requests += [
             RunRequest(program=PLAIN % n, tag=f"slot-{n}") for n in (1, 2, 3)
         ]
@@ -746,13 +748,8 @@ class TestRuntimeFacade:
         requests = [
             {"program": PLAIN % n, "tools": "profile"} for n in range(6)
         ]
-        in_process = Runtime().run_batch(list(requests))
+        in_process = run_batch(list(requests))
         with ProcessPoolRunner(workers=2) as pool:
             process_results = pool.run(list(requests))
         for a, b in zip(in_process, process_results):
             assert (a.ok, a.answer, a.reports) == (b.ok, b.answer, b.reports)
-
-    def test_unknown_executor_rejected(self):
-        # Runtime has one batch tier; the process pool is its own class.
-        with pytest.raises(TypeError, match="executor"):
-            Runtime(executor="process")

@@ -36,7 +36,7 @@ def test_parse_pretty_roundtrip(program):
 @settings(max_examples=80, deadline=None)
 @given(closed_program())
 def test_all_execution_paths_agree(program):
-    interpreter_answer = strict.evaluate(program, max_steps=MAX_STEPS)
+    interpreter_answer = strict.evaluate(program, config=RunConfig(max_steps=MAX_STEPS))
     # The literal denotational semantics recurses on the host stack for the
     # *entire* CPS computation; CPython 3.11 heap-allocates Python frames,
     # so a large limit is safe for generated (exponential) programs.
@@ -115,6 +115,8 @@ def test_annotation_erasure_equals_oblivious_run(program):
     """Definition 7.1: running s_bar standardly equals running s."""
     from repro.syntax.ast import strip_annotations
 
-    annotated_run = strict.evaluate(program, max_steps=MAX_STEPS)
-    erased_run = strict.evaluate(strip_annotations(program), max_steps=MAX_STEPS)
+    annotated_run = strict.evaluate(program, config=RunConfig(max_steps=MAX_STEPS))
+    erased_run = strict.evaluate(
+        strip_annotations(program), config=RunConfig(max_steps=MAX_STEPS)
+    )
     assert annotated_run == erased_run

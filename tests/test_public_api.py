@@ -126,12 +126,11 @@ print(bad)
 
 
 def test_runtime_exports_at_top_level():
-    """The serving runtime's facade is part of the one-import surface."""
+    """The serving runtime's entry points are part of the one-import surface."""
     for name in (
         "RunConfig",
         "RunRequest",
         "RunResult",
-        "Runtime",
         "BatchRunner",
         "CompilationCache",
         "run_batch",

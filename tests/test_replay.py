@@ -36,7 +36,7 @@ from repro.replay import (
     default_stack,
     sidecar_path,
 )
-from repro.runtime import RunConfig
+from repro.runtime import RunConfig, RunRequest
 from repro.syntax.parser import parse
 from repro.toolbox import Session, evaluate
 from repro.tracing import analyze_trace, read_trace
@@ -755,6 +755,8 @@ LOOSE_KEYWORD_CALLS = {
     "Session.evaluate": lambda: Session().evaluate("1 + 1", engine="codegen"),
     "debug": lambda: _quiet_debug(max_steps=100_000),
     "record": lambda: record(strict, parse(FAC), "unused.jsonl", sample_rate=0.5),
+    "strict.evaluate": lambda: strict.evaluate(parse(FAC), engine="codegen"),
+    "RunRequest": lambda: RunRequest(program=FAC, timeout=1.0),
 }
 
 

@@ -27,7 +27,6 @@ from repro.runtime import (
     RunConfig,
     RunRequest,
     RunResult,
-    Runtime,
     run_batch,
 )
 from repro.runtime.batch import _render_value
@@ -212,8 +211,7 @@ class TestOrderingAndIsolation:
             RunRequest(program=PLAIN % 3),
             RunRequest(
                 program="letrec loop = lambda x. loop x in loop 1",
-                timeout=0.1,
-                config=RunConfig(engine="codegen"),
+                config=RunConfig(engine="codegen", timeout=0.1),
             ),
             RunRequest(program=PLAIN % 4),
         ]
@@ -302,12 +300,12 @@ class TestBatchSurface:
         assert end.payload["succeeded"] == 5 and end.payload["failed"] == 0
 
     def test_runtime_facade_shares_cache(self):
-        runtime = Runtime(config=RunConfig(engine="codegen"))
-        single = runtime.run((), PLAIN % 7)
+        cache, config = CompilationCache(), RunConfig(engine="codegen")
+        single = evaluate((), PLAIN % 7, config=config, cache=cache)
         assert single.answer == 49
-        batch = runtime.run_batch([{"program": PLAIN % 7}])
+        batch = run_batch([{"program": PLAIN % 7}], config=config, cache=cache)
         assert batch[0].answer == 49
-        stats = runtime.cache_stats()
+        stats = cache.stats()
         assert stats.misses == 1 and stats.hits == 1
 
     def test_shared_cache_warms_across_batches(self):
@@ -360,7 +358,7 @@ class TestTimeoutAdmission:
     def test_bad_request_timeout_fails_slot_not_batch(self):
         requests = [
             RunRequest(program=PLAIN % 1),
-            RunRequest(program=PLAIN % 2, timeout=-1.0),
+            RunRequest(program=PLAIN % 2, config=RunConfig(timeout=-1.0)),
             RunRequest(program=PLAIN % 3),
         ]
         results = run_batch(requests)

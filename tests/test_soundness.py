@@ -18,6 +18,7 @@ from repro.monitors import (
     TracerMonitor,
     UnsortedListDemon,
 )
+from repro.runtime import RunConfig
 from repro.syntax.annotations import Label
 from repro.syntax.parser import parse
 
@@ -115,6 +116,6 @@ def test_strict_and_lazy_agree_on_terminating_programs(program):
     from repro.syntax.ast import strip_annotations
 
     erased = strip_annotations(program)
-    strict_answer = strict.evaluate(erased, max_steps=2_000_000)
-    lazy_answer = lazy.evaluate(erased, max_steps=2_000_000)
+    strict_answer = strict.evaluate(erased, config=RunConfig(max_steps=2_000_000))
+    lazy_answer = lazy.evaluate(erased, config=RunConfig(max_steps=2_000_000))
     assert strict_answer == lazy_answer

@@ -9,14 +9,15 @@ from repro.errors import (
     UnboundIdentifierError,
 )
 from repro.languages import strict
+from repro.runtime import RunConfig
 from repro.semantics.answers import BASIC_ANSWERS, STANDARD_ANSWERS, string_answers
-from repro.semantics.standard import evaluate, evaluate_with_state
+from repro.semantics.machine import run_machine
 from repro.semantics.values import Closure, from_python_list
 from repro.syntax.parser import parse
 
 
-def run(source, **kwargs):
-    return evaluate(parse(source), **kwargs)
+def run(source, **options):
+    return strict.evaluate(parse(source), config=RunConfig(**options))
 
 
 class TestCorpus:
@@ -135,6 +136,6 @@ class TestObliviousness:
         assert run("{a}: ({b}: 1 + {c}: 2) * {d}: 3") == 9
 
     def test_monitor_state_threaded_untouched(self):
-        answer, state = evaluate_with_state(parse("{p}: (1 + 1)"), initial_ms="SIGMA")
+        answer, state = run_machine(strict, parse("{p}: (1 + 1)"), initial_ms="SIGMA")
         assert answer == 2
         assert state == "SIGMA"
