@@ -120,7 +120,7 @@ def test_quarantine_overhead_single_monitor_fast_path(engine):
 def test_metrics_on_codegen_within_4x_of_metrics_off():
     """A metrics-on codegen run executes the cached collapsed artifact.
 
-    Only its tallied variant differs: one tally call per straight-line
+    Only its counted variant differs: one step charge per straight-line
     region, plus the telemetry-wrapped hooks.  The measurement is a ratio
     of interleaved minima in one process, so it holds on a 1-core box.
     """

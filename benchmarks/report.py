@@ -35,7 +35,8 @@ also carries the metrics-on price: a warm-cache codegen run with
 ``RunConfig(metrics=...)`` over the same run without
 (``benchmarks/bench_engines.py`` gates it at <= 4x) and, with no gate,
 the hook price: the same warm program under ``profile`` and ``count``
-over an empty stack.
+over an empty stack, and the budget price: warm fib 20 under a
+``timeout``, a ``max_steps`` budget and metrics over the plain run.
 ``--quick`` shrinks the ungated workloads for smoke runs.
 
 Numbers are written to stdout; EXPERIMENTS.md records a reference run.
@@ -279,9 +280,9 @@ def measure_engines(quick: bool = False):
 
 
 #: Metrics-on codegen runs execute the cached collapsed artifact (its
-#: tallied variant), so they may cost at most this multiple of a
+#: counted variant), so they may cost at most this multiple of a
 #: metrics-off run — the price of the telemetry-wrapped hooks plus one
-#: tally call per straight-line region.
+#: step charge per straight-line region.
 METRICS_PRICE_BOUND = 4.0
 
 
@@ -301,7 +302,7 @@ def measure_metrics_price(repeats: int = 9):
         )
 
     run(None)
-    run(RunMetrics())  # compile, then build the tallied variant
+    run(RunMetrics())  # compile, then build the counted variant
     off, on = interleaved([lambda: run(None), lambda: run(RunMetrics())], repeats)
     t_off, t_on = min(off), min(on)
     return {
@@ -347,6 +348,48 @@ def measure_hook_price(repeats: int = 9):
         "profile_ratio": best["profile"] / best["empty"],
         "count_ratio": best["count"] / best["empty"],
         "spread": {side: sample_spread(samples) for side, samples in times.items()},
+    }
+
+
+def measure_budget_price(repeats: int = 9):
+    """Warm-cache codegen fib 20 under a deadline, a step budget and metrics.
+
+    Each of the three runs the counted variant of the one artifact (a
+    per-region charge into the run's step cell); each ratio is its price
+    over the plain run, so the cost of bounding a run stays a measured
+    number.  Interleaved min-of-``repeats`` in one process.
+    Informational — no gate; ``noise`` names why a box cannot support
+    reading the ratios (one core, or a side's spread past the threshold).
+    """
+    program = plain_fib(20)
+    cache = CompilationCache()
+    configs = {
+        "plain": RunConfig(engine="codegen"),
+        "timeout": RunConfig(engine="codegen", timeout=100),
+        "max_steps": RunConfig(engine="codegen", max_steps=10**9),
+        "metrics": RunConfig(engine="codegen", metrics=RunMetrics()),
+    }
+    runs = [
+        lambda config=config: run_monitored(
+            strict, program, [], config=config.with_fresh_metrics(), cache=cache
+        )
+        for config in configs.values()
+    ]
+    for run in runs:  # compile once, then exec each variant once
+        run()
+    times = dict(zip(configs, interleaved(runs, repeats)))
+    best = {side: min(samples) for side, samples in times.items()}
+    spread = {side: sample_spread(samples) for side, samples in times.items()}
+    return {
+        "workload": "fib20_warm_cache",
+        **{f"{side}_s": best[side] for side in configs},
+        **{
+            f"{side}_ratio": best[side] / best["plain"]
+            for side in configs
+            if side != "plain"
+        },
+        "spread": spread,
+        "noise": noise_reasons(spread.items()),
     }
 
 
@@ -417,6 +460,7 @@ def json_report(quick: bool, output: str) -> int:
         "noise": noise,
         "metrics_on_vs_off": measure_metrics_price(),
         "hook_price": measure_hook_price(),
+        "budget_price": measure_budget_price(),
     }
     merge_section(output, "engines", engines_payload)
     merge_section(output, "codegen", codegen_payload)
@@ -439,6 +483,14 @@ def json_report(quick: bool, output: str) -> int:
         f"hook price (codegen, fib 16, warm cache, informational): "
         f"empty {hooks['empty_s'] * 1000:.1f} ms, "
         f"profile {hooks['profile_ratio']:.2f}x, count {hooks['count_ratio']:.2f}x"
+    )
+    budget = codegen_payload["budget_price"]
+    print(
+        f"budget price (codegen, fib 20, warm cache, informational): "
+        f"plain {budget['plain_s'] * 1000:.1f} ms, "
+        f"timeout {budget['timeout_ratio']:.2f}x, "
+        f"max_steps {budget['max_steps_ratio']:.2f}x, "
+        f"metrics {budget['metrics_ratio']:.2f}x"
     )
     print(f"merged 'engines' and 'codegen' sections into {output}")
 

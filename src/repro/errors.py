@@ -85,13 +85,13 @@ class PrimitiveError(EvalError):
 
 
 class StepLimitExceeded(EvalError):
-    """Evaluation exceeded the configured trampoline step budget.
+    """Evaluation exceeded its ``max_steps`` budget.
 
-    The machine accepts an optional ``max_steps`` bound so that test suites
-    can run possibly-divergent programs safely.  ``consumed`` is the number
-    of steps the trampoline actually executed before giving up (equal to
-    ``limit`` under the exact batched check, but reported separately so
-    callers never have to guess).
+    The budget counts expression-node evaluations, the unit of
+    ``RunMetrics.steps``, on every engine.  ``consumed`` is the count
+    that crossed ``limit``: ``limit + 1`` on the reference engine, and
+    up to one straight-line region more on codegen, which charges a
+    region's nodes on entry.
     """
 
     def __init__(self, limit: int, consumed: "int | None" = None) -> None:
@@ -107,9 +107,9 @@ class StepLimitExceeded(EvalError):
 class EvaluationTimeout(EvalError):
     """Evaluation ran past its wall-clock deadline.
 
-    The trampoline checks the deadline once per step batch, so the
-    overshoot is bounded by the cost of :data:`~repro.semantics.
-    trampoline.STEP_BATCH` bounces.  ``timeout`` is the requested budget
+    Both engines read the deadline once per step batch, so the overshoot
+    is bounded by the cost of :data:`~repro.semantics.trampoline.
+    STEP_BATCH` steps.  ``timeout`` is the requested budget
     in seconds (``None`` when the caller supplied a raw deadline).
     """
 

@@ -93,7 +93,6 @@ class BaseLanguage:
         *,
         answers: AnswerAlgebra = STANDARD_ANSWERS,
         ms=None,
-        max_steps: Optional[int] = None,
         deadline: Optional[float] = None,
     ):
         """Drive ``eval_fn`` over ``program`` and return ``(answer, ms)``.
@@ -104,7 +103,7 @@ class BaseLanguage:
         """
         ctx = self.initial_context()
         step = eval_fn(program, ctx, final_kont(answers), ms)
-        return trampoline(step, max_steps=max_steps, deadline=deadline)
+        return trampoline(step, deadline=deadline)
 
     def evaluate(self, program, *, config=None):
         """The program's answer under this language's *standard* semantics.

@@ -413,7 +413,6 @@ class ImperativeLanguage(BaseLanguage):
         *,
         answers: AnswerAlgebra = STANDARD_ANSWERS,
         ms=None,
-        max_steps: Optional[int] = None,
         deadline: Optional[float] = None,
     ):
         def final_command_kont(final_store: Store, ms_final) -> Step:
@@ -426,7 +425,7 @@ class ImperativeLanguage(BaseLanguage):
             return Done((answers.phi((bindings, output)), ms_final))
 
         step = eval_fn(program, self.initial_context(), final_command_kont, ms)
-        return trampoline(step, max_steps=max_steps, deadline=deadline)
+        return trampoline(step, deadline=deadline)
 
     def parse(self, source: str) -> Cmd:
         """Parse ``L_imp`` surface syntax (see :mod:`repro.languages.imp_syntax`)."""

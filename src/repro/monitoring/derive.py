@@ -302,16 +302,16 @@ def run_monitored(
 
     ``metrics`` opts the run into telemetry (:mod:`repro.observability`):
     pass a :class:`~repro.observability.metrics.RunMetrics` to collect
-    counters (also returned as ``result.metrics``).  Without one the
-    historical uninstrumented fast path runs.  Counters are
+    counters (also returned as ``result.metrics``).  Counters are
     engine-independent: both engines count expression-node evaluations
-    at the reference interpreter's granularity (codegen runs the tallied
-    variant of its one collapsed artifact, which adds each straight-line
-    region's node count in one call).
+    at the reference interpreter's granularity (codegen runs the counted
+    variant of its one collapsed artifact).
 
-    ``timeout`` bounds the run's wall-clock time in seconds (enforced
-    cooperatively by the trampoline; overrunning raises
-    :class:`repro.errors.EvaluationTimeout`).
+    ``max_steps`` bounds this run's share of that count on both engines
+    (:class:`repro.errors.StepLimitExceeded`); codegen charges a region
+    on entry, so an ``EvalError`` inside the region that crosses the
+    budget surfaces as ``StepLimitExceeded``.  ``timeout`` bounds the
+    run's wall-clock seconds (:class:`repro.errors.EvaluationTimeout`).
 
     ``cache`` (a :class:`repro.runtime.CompilationCache`) memoizes code
     generation for ``engine="codegen"``: identical (program, monitor
@@ -365,7 +365,8 @@ def run_monitored(
             check_engine_support(engine, getattr(language, "name", str(language)))
             # A run too deep for the host stack is re-run on the reference
             # derivation when nobody can tell: no monitor touches the host.
-            # Metrics and faults restart from where this run found them.
+            # Metrics, faults and the step count restart from where this
+            # run found them.
             rerunnable = not any(monitor.host_effects() for monitor in monitor_list)
             saved_metrics = (
                 metrics.copy() if rerunnable and metrics is not None else None
@@ -379,7 +380,7 @@ def run_monitored(
                     max_steps=cfg.max_steps,
                     fault_log=fault_log,
                     deadline=deadline,
-                    tally=metrics.tally if metrics is not None else None,
+                    metrics=metrics,
                 )
             except HostRecursionError:
                 if not rerunnable:
@@ -392,15 +393,13 @@ def run_monitored(
             functional = derive_all(
                 language.functional(), active_list, fault_log=fault_log
             )
-            if metrics is not None:
-                functional = instrument_functional(functional, metrics)
-            eval_fn = fix(functional)
+            if metrics is not None or cfg.max_steps is not None:
+                functional = instrument_functional(functional, metrics, cfg.max_steps)
             answer, final_states = language.run_program(
                 program,
-                eval_fn,
+                fix(functional),
                 answers=cfg.answers,
                 ms=initial,
-                max_steps=cfg.max_steps,
                 deadline=deadline,
             )
     finally:

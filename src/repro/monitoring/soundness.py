@@ -20,8 +20,6 @@ from repro.errors import EvalError, ReproError
 from repro.monitoring.compose import MonitorLike, flatten_monitors
 from repro.monitoring.derive import MonitoredResult, run_monitored
 from repro.runtime.config import RunConfig
-from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
-from repro.semantics.machine import run_machine
 from repro.semantics.values import Closure, PrimFun, values_equal
 from repro.syntax.ast import Expr, strip_annotations
 
@@ -66,13 +64,13 @@ def check_soundness(
     program: Expr,
     monitors: MonitorLike,
     *,
-    answers: AnswerAlgebra = STANDARD_ANSWERS,
-    max_steps: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> SoundnessReport:
     """Run ``program`` both ways and compare answers.
 
     The standard run evaluates the *annotation-erased* program (the
-    paper's ``s``), the monitored run evaluates the annotated ``s_bar``.
+    paper's ``s``) over the empty stack, the monitored run evaluates the
+    annotated ``s_bar``; both take their run options from ``config``.
     Errors must also agree: if the standard run raises, the monitored run
     must raise the same error class, and vice versa.
     """
@@ -81,21 +79,14 @@ def check_soundness(
     standard_error: Optional[EvalError] = None
     standard_answer = None
     try:
-        standard_answer, _ = run_machine(
-            language, erased, answers=answers, max_steps=max_steps
-        )
+        standard_answer = run_monitored(language, erased, [], config=config).answer
     except EvalError as exc:
         standard_error = exc
 
     monitored_error: Optional[EvalError] = None
     monitored = None
     try:
-        monitored = run_monitored(
-            language,
-            program,
-            monitors,
-            config=RunConfig(answers=answers, max_steps=max_steps),
-        )
+        monitored = run_monitored(language, program, monitors, config=config)
     except EvalError as exc:
         monitored_error = exc
 
@@ -116,17 +107,14 @@ def assert_sound(
     program: Expr,
     monitors: MonitorLike,
     *,
-    answers: AnswerAlgebra = STANDARD_ANSWERS,
-    max_steps: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> MonitoredResult:
     """Like :func:`check_soundness` but raises on disagreement.
 
     Returns the monitored result so callers get monitoring data *and* the
     guarantee in one call.
     """
-    report = check_soundness(
-        language, program, monitors, answers=answers, max_steps=max_steps
-    )
+    report = check_soundness(language, program, monitors, config=config)
     if not report.agreed:
         stack = ", ".join(m.key for m in flatten_monitors(monitors))
         raise SoundnessViolation(

@@ -1,20 +1,20 @@
 """The instrumentation layer: how run metrics attach to both engines.
 
-The design rule is *pay only when observed*: with no metrics object,
-``run_monitored`` derives/compiles exactly the code it always did — zero
-instructions are added to the hot paths.  When metrics are requested,
+The design rule is *pay only when observed*: with no metrics object and
+no ``max_steps``, ``run_monitored`` derives/compiles exactly the code it
+always did — zero instructions are added to the hot paths.  Otherwise
 three small pieces are woven in, each adding to the run's
 :class:`~repro.observability.metrics.RunMetrics` and emitting nothing:
 
 * :func:`instrument_functional` wraps the (derived) valuation functional
   of the **reference engine** outermost, so every ``recur`` — one per
   expression-node evaluation — bumps the step counters.
-* The **codegen engine** runs the same collapsed artifact a metrics-off
-  run does, in its *tallied* variant (see
-  :mod:`repro.partial_eval.codegen`): each straight-line region pays
-  :meth:`RunMetrics.tally` the number of nodes the reference
-  interpreter evaluates there, so both engines count the identical
-  semantic quantity and ``RunMetrics`` compares equal across engines.
+* The **codegen engine** runs the same collapsed artifact a plain run
+  does, in its *counted* variant (see :mod:`repro.partial_eval.codegen`):
+  each straight-line region charges the nodes the reference interpreter
+  evaluates there, so both engines count the identical semantic
+  quantity, ``RunMetrics`` compares equal across engines and
+  ``max_steps`` bounds the same count.
 * :class:`InstrumentedSpec` wraps each monitor specification, counting
   activations / hook calls / state transitions and accumulating
   monitoring wall-clock.  It is the only code that charges those
@@ -34,29 +34,39 @@ is the recorded trace's job (:mod:`repro.tracing`), not this layer's.
 
 from __future__ import annotations
 
+import sys
 from time import perf_counter
 from typing import Optional
 
+from repro.errors import StepLimitExceeded
 from repro.monitoring.spec import MonitorSpec
 from repro.observability.metrics import RunMetrics
 from repro.syntax.ast import App
 
 
-def instrument_functional(base_functional, metrics: RunMetrics):
+def instrument_functional(base_functional, metrics=None, max_steps=None):
     """Wrap a valuation functional with step/application counting.
 
     Applied *outermost* (after monitor derivation), so every node
     evaluation — including annotated nodes and fall-through paths — is
-    counted exactly once per entry through ``recur``.
+    counted exactly once per entry through ``recur``, into ``metrics``
+    when given.  The evaluation that would take this run's count past
+    ``max_steps`` raises :class:`StepLimitExceeded` instead.
     """
+    counts = RunMetrics() if metrics is None else metrics
+    start = counts.steps
+    stop = sys.maxsize if max_steps is None else start + max_steps
 
     def functional(recur):
         base_eval = base_functional(recur)
 
         def eval_counted(term, ctx, kont, ms):
-            metrics.steps += 1
+            steps = counts.steps + 1
+            counts.steps = steps
             if type(term) is App:
-                metrics.applications += 1
+                counts.applications += 1
+            if steps > stop:
+                raise StepLimitExceeded(max_steps, consumed=steps - start)
             return base_eval(term, ctx, kont, ms)
 
         return eval_counted

@@ -15,7 +15,7 @@ Counter definitions:
   node, the granularity at which the reference interpreter recurs.  The
   codegen engine adds the same node counts one straight-line region of
   its collapsed code at a time, so the number is comparable across
-  engines.
+  engines.  It is also the unit of ``RunConfig.max_steps``.
 * ``applications`` — evaluations of application (``App``) nodes, i.e.
   function-application expressions entered (curried primitive
   applications count one per ``App`` node).
@@ -75,11 +75,6 @@ class RunMetrics:
     def eval_time(self) -> float:
         """Wall-clock time spent outside monitor hooks (standard eval)."""
         return max(0.0, self.wall_time - self.monitor_time)
-
-    def tally(self, steps: int, applications: int) -> None:
-        """Add one straight-line region's node counts (codegen's ``_t``)."""
-        self.steps += steps
-        self.applications += applications
 
     def total_activations(self) -> int:
         return sum(self.activations.values())

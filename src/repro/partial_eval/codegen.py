@@ -42,21 +42,22 @@ This module also backs ``engine="codegen"`` (see
 with the run options the other engines take: ``initial_ms`` seeds the
 monitor state vector, ``monitors`` supplies the run's own (possibly
 telemetry-wrapped) specs, ``fault_log`` takes the faults the residual
-hooks catch (quarantine/log), ``max_steps``/``deadline``
-activate a guarded variant of the code, and ``tally`` a *tallied* variant
-— the same collapsed code plus one call per straight-line region adding
-the nodes the reference interpreter evaluates there, so ``RunMetrics``
-matches the reference engine's.
+hooks catch (quarantine/log), and ``max_steps``, ``deadline`` and
+``metrics`` run the *counted* variant: the same collapsed code, with
+each straight-line region charging the nodes the reference interpreter
+evaluates there into a per-run step cell on entry.  That count is
+``RunMetrics.steps`` and the unit of ``max_steps`` on both engines.
+When the cell runs out, one slow-path call (:meth:`ResidualRuntime.over`)
+enforces the budget and the deadline and refills it.
 
 Residual programs recurse on the host stack; :meth:`GeneratedProgram.run`
 raises the recursion limit for the duration of a run and raises
 :class:`~repro.errors.HostRecursionError` past it (the trampolined
 reference interpreter remains the tool for unboundedly deep programs, and
 ``run_monitored`` falls back to it where the re-run is unobservable).
-Resource limits are enforced at *function-entry* granularity — every
-generated ``def`` begins with a guard call when ``max_steps`` or a
-deadline is requested — so any recursion (the language's only loop) is
-bounded, while straight-line code pays nothing.
+Every generated ``def`` body is a region of at least one node, so any
+recursion (the language's only loop) is bounded, while the plain
+variant pays nothing.
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ from repro.monitoring.derive import check_disjoint
 from repro.monitoring.sites import SiteBinding, SiteTable, site_key
 from repro.monitoring.spec import MonitorSpec
 from repro.monitoring.state import MonitorStateVector
+from repro.observability.metrics import RunMetrics
 from repro.semantics.answers import AnswerAlgebra, STANDARD_ANSWERS
 from repro.semantics.env import Environment
-from repro.semantics.primitives import PRIMITIVE_TABLE
+from repro.semantics.primitives import PRIMITIVE_TABLE, initial_environment
+from repro.semantics.trampoline import STEP_BATCH
 from repro.semantics.values import (
     NIL,
     PrimFun,
@@ -159,58 +162,65 @@ def _release_recursion_limit() -> None:
             sys.setrecursionlimit(_RECLIMIT_SAVED)
 
 
-def _make_guard(max_steps: Optional[int], deadline: Optional[float]):
-    """The per-run resource guard generated defs call on entry."""
-    if max_steps is not None:
-        count = 0
-        if deadline is None:
-
-            def guard_steps():
-                nonlocal count
-                count += 1
-                if count > max_steps:
-                    raise StepLimitExceeded(max_steps, consumed=count)
-
-            return guard_steps
-
-        def guard_both():
-            nonlocal count
-            count += 1
-            if count > max_steps:
-                raise StepLimitExceeded(max_steps, consumed=count)
-            if perf_counter() >= deadline:
-                raise EvaluationTimeout()
-
-        return guard_both
-
-    def guard_deadline():
-        if perf_counter() >= deadline:
-            raise EvaluationTimeout()
-
-    return guard_deadline
-
-
 class ResidualRuntime:
     """The runtime the generated module links against.
 
-    Carries the primitive implementations, the apply/error helpers and
-    the run's :class:`~repro.monitoring.sites.SiteBinding`, whose hooks
-    the residual calls with a site's context (``env`` over ``top``).
-    One runtime instance per run, so the generated code itself is
-    immutable and thread-reusable (the compilation cache relies on this).
+    Carries the primitive implementations, the apply/error helpers, the
+    run's :class:`~repro.monitoring.sites.SiteBinding`, whose hooks the
+    residual calls with a site's context (``env`` over ``top``), and the
+    run's step budget.  One runtime instance per run, so the generated
+    code itself is immutable and thread-reusable (the compilation cache
+    relies on this).
     """
 
     #: The empty list value, read by generated code.
     nil = NIL
     env = Environment
+    top = initial_environment()
+    prims = top.frame
 
-    def __init__(self, binding: SiteBinding, locations: Sequence) -> None:
-        self.prims = _PRIM_INSTANCES
+    def __init__(
+        self,
+        binding: SiteBinding,
+        locations: Sequence,
+        max_steps: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> None:
         self.binding = binding
-        self.top = _INITIAL_ENV
         self.locations = locations
-        self.guard = None
-        self.tally = None
+        self.max_steps = max_steps
+        self.deadline = deadline
+        #: The counted entry's charges are ``steps * weight + applications``;
+        #: ``settle`` splits what the cell took since ``granted``.
+        self.steps = self.applications = self.granted = 0
+        self.weight = 1
+        self.read = None  # () -> the step cell, set by the counted entry
+
+    def settle(self, cell: int) -> None:
+        """Add what the cell took since the last settle to the counts."""
+        steps, applications = divmod(self.granted - cell, self.weight)
+        self.granted = cell
+        self.steps += steps
+        self.applications += applications
+
+    def over(self, cell: int) -> int:
+        """The slow path of a negative step cell: enforce, then refill.
+
+        The deadline is read once every :data:`STEP_BATCH` steps, as the
+        trampoline reads it.  A charge's applications never reach the
+        weight, so the refilled cell goes negative on the first charge
+        that takes the steps past the batch or past ``max_steps``.
+        """
+        self.settle(cell)
+        steps = self.steps
+        max_steps = self.max_steps
+        if max_steps is not None and steps > max_steps:
+            raise StepLimitExceeded(max_steps, consumed=steps)
+        if self.deadline is not None and perf_counter() >= self.deadline:
+            raise EvaluationTimeout()
+        batch = STEP_BATCH if max_steps is None else min(STEP_BATCH, max_steps - steps)
+        self.granted = (batch + 1) * self.weight - 1
+        return self.granted
 
     # -- helpers referenced from generated code --------------------------------
 
@@ -244,18 +254,18 @@ class ResidualRuntime:
 class _Emitter:
     """Accumulates indented source lines.
 
-    A line emitted ``only="guard"`` or ``only="tally"`` belongs to that
-    code variant alone; :meth:`source` keeps the variants asked for.
+    A line emitted ``counted=True`` belongs to the counted variant alone;
+    :meth:`source` keeps it when asked for that variant.
     """
 
     def __init__(self) -> None:
         self.lines: List[Optional[str]] = []
-        self.only: Dict[int, str] = {}
+        self.counted: set = set()
         self.indent = 0
 
-    def emit(self, line: Optional[str], only: Optional[str] = None) -> None:
-        if only is not None:
-            self.only[len(self.lines)] = only
+    def emit(self, line: Optional[str], counted: bool = False) -> None:
+        if counted:
+            self.counted.add(len(self.lines))
         self.lines.append(None if line is None else "    " * self.indent + line)
 
     @contextmanager
@@ -266,14 +276,13 @@ class _Emitter:
         finally:
             self.indent -= 1
 
-    def source(self, *variants: str) -> str:
-        keep = {None, *variants}
-        only = self.only
-        # Unfilled tally placeholders (empty regions) leave no trace.
+    def source(self, counted: bool = False) -> str:
+        only_counted = self.counted
+        # Unfilled charge placeholders (empty regions) leave no trace.
         kept = (
             line
             for index, line in enumerate(self.lines)
-            if line is not None and only.get(index) in keep
+            if line is not None and (counted or index not in only_counted)
         )
         return "\n".join(kept) + "\n"
 
@@ -311,13 +320,14 @@ def _is_int_literal(atom: str) -> bool:
 class _Generator:
     """ANF generator for one (program, monitor stack) pair.
 
-    One pass emits every code variant.  Guard lines make every generated
-    function begin with a ``_g()`` resource-guard call; tally lines start
+    One pass emits both code variants.  The counted variant starts
     every straight-line region (a def body, an ``if`` branch, the code
-    after an ``if``) with one ``_t(steps, applications)`` call carrying
-    the nodes the reference interpreter evaluates there — every collapse
-    rule charges the nodes it folds away.  :meth:`GeneratedProgram.run`
-    execs a variant lazily, so the plain fast path stays call-free.
+    after an ``if``) with a charge of the nodes the reference
+    interpreter evaluates there, ``_n -= steps * weight + applications``
+    on the step cell, and the slow-path call when the cell goes
+    negative; every collapse rule charges the nodes it folds away.
+    :meth:`GeneratedProgram.run` execs a variant lazily, so the plain
+    fast path stays call-free.
     """
 
     def __init__(self, table: SiteTable) -> None:
@@ -327,8 +337,9 @@ class _Generator:
         self.locations: List[object] = []
         self.counter = itertools.count()
         self.emitter = _Emitter()
-        #: The open straight-line region:
-        #: ``[tally line, indent, steps, applications]``.
+        #: Every straight-line region, ``[charge line, indent, steps,
+        #: applications]``, and the open one.
+        self.regions: List[list] = []
         self._region: Optional[list] = None
         #: Python names statically known to be residual functions —
         #: applications through them skip the generic ``_apply`` dispatch.
@@ -351,23 +362,44 @@ class _Generator:
         self.locations.append(location)
         return len(self.locations) - 1
 
-    # -- step tallies --------------------------------------------------------------
+    # -- step charges -------------------------------------------------------------
     #
     # A region is entered at its first line and, in a run that completes,
     # left at its last, so every node whose evaluation starts in it is
-    # evaluated exactly once per entry: its tally can be paid up front.
+    # evaluated exactly once per entry: its count can be paid up front.
 
-    def _open_region(self) -> None:
+    def _open_region(self) -> list:
         emitter = self.emitter
-        emitter.emit(None, only="tally")  # filled in on close
+        emitter.emit(None, counted=True)  # filled in by _fill_charges
         self._region = [len(emitter.lines) - 1, emitter.indent, 0, 0]
+        self.regions.append(self._region)
+        return self._region
 
-    def _close_region(self) -> None:
-        line, indent, steps, applications = self._region
-        if steps:
-            tally = f"_t({steps}, {applications})"
-            self.emitter.lines[line] = "    " * indent + tally
-        self._region = None
+    @staticmethod
+    def _hoist(test: list, then: list, orelse: list) -> None:
+        """Charge before the test what both branches charge on entry,
+        keeping every charge's applications within its steps."""
+        applications = min(then[3], orelse[3])
+        steps = applications + min(then[2] - then[3], orelse[2] - orelse[3])
+        test[2] += steps
+        test[3] += applications
+        for branch in (then, orelse):
+            branch[2] -= steps
+            branch[3] -= applications
+
+    def _fill_charges(self, start_line: int) -> None:
+        """Write each region's charge and the cell's start; the weight
+        exceeds the steps a refill's batch and one charge can spend."""
+        lines = self.emitter.lines
+        weight = STEP_BATCH + 1 + max(region[2] for region in self.regions)
+        lines[start_line] = f"    _rt.weight = {weight}\n    _n = _rt.over(0)"
+        for line, indent, steps, applications in self.regions:
+            if steps:
+                pad = "    " * indent
+                lines[line] = (
+                    f"{pad}_n -= {steps * weight + applications}\n"
+                    f"{pad}if _n < 0: _n = _rt.over(_n)"
+                )
 
     def _charge(self, steps: int, applications: int = 0) -> None:
         """Account for nodes the reference interpreter evaluates here."""
@@ -473,10 +505,9 @@ class _Generator:
         inner = _bind(scope, {param: param_py})
         outer_region = self._region
         with emitter.block():
-            emitter.emit("_g()", only="guard")
+            emitter.emit("nonlocal _n", counted=True)
             self._open_region()
             result = self.gen(body, inner)
-            self._close_region()
             emitter.emit(f"return {result}")
         self._region = outer_region
         # The display string makes the residual function render exactly
@@ -490,7 +521,7 @@ class _Generator:
         self._charge(1)
         emitter = self.emitter
         cond_atom = self.gen(expr.cond, scope)
-        self._close_region()
+        test_region = self._region
         if not cond_atom.isidentifier():
             # A literal condition would make ``is`` warn; name it first.
             named = self.fresh()
@@ -500,19 +531,18 @@ class _Generator:
         loc = self._loc(expr.location)
         emitter.emit(f"if {cond_atom} is True:")
         with emitter.block():
-            self._open_region()
+            then_region = self._open_region()
             then_atom = self.gen(expr.then_branch, scope)
-            self._close_region()
             emitter.emit(f"{out} = {then_atom}")
         emitter.emit(f"elif {cond_atom} is False:")
         with emitter.block():
-            self._open_region()
+            else_region = self._open_region()
             else_atom = self.gen(expr.else_branch, scope)
-            self._close_region()
             emitter.emit(f"{out} = {else_atom}")
         emitter.emit("else:")
         with emitter.block():
             emitter.emit(f"{out} = _be({cond_atom}, {loc})")
+        self._hoist(test_region, then_region, else_region)
         self._open_region()
         return out
 
@@ -601,8 +631,11 @@ class _Generator:
             # unreachable: erased at specialization time.
             return self.gen(expr.body, scope)
         self.sites.append(site_id)
-        context = "_env({%s}, _top)" % ", ".join(
-            f"{src!r}: {py}" for src, py in scope.items()
+        # One context per activation, passed to both hooks.
+        context = self.fresh("ctx")
+        self.emitter.emit(
+            "%s = _env({%s}, _top)"
+            % (context, ", ".join(f"{src!r}: {py}" for src, py in scope.items()))
         )
         token = self.fresh()
         self.emitter.emit(f"{token} = _pre({site_id}, {context})")
@@ -631,16 +664,17 @@ class _Generator:
             emitter.emit("_nil = _rt.nil")
             emitter.emit("_be = _rt.bool_err")
             emitter.emit("_ub = _rt.unbound")
-            emitter.emit("_g = _rt.guard", only="guard")
-            emitter.emit("_t = _rt.tally", only="tally")
+            emitter.emit(None, counted=True)  # the cell's start
+            start_line = len(emitter.lines) - 1
+            emitter.emit("_rt.read = lambda: _n", counted=True)
             used = sorted(self._primitives_used(program))
             for name in used:
                 emitter.emit(f"{_PRIM_PY_NAMES[name]} = _rt.prims[{name!r}].fn")
                 emitter.emit(f"_prim_{_PRIM_PY_NAMES[name][2:]} = _rt.prims[{name!r}]")
             self._open_region()
             result = self.gen(program, {})
-            self._close_region()
             emitter.emit(f"return {result}")
+        self._fill_charges(start_line)
 
     @staticmethod
     def _primitives_used(program: Expr) -> set:
@@ -680,12 +714,13 @@ class GeneratedProgram:
     one ``GeneratedProgram`` may run any number of times and from any
     number of threads concurrently — each :meth:`run` builds a fresh
     :class:`ResidualRuntime` carrying that run's specs, monitor states,
-    fault log, resource guard and step tally.  The compilation cache
-    shares one artifact across every run that hits it, from any thread,
-    and across metrics-on and metrics-off runs, on this basis.
+    fault log and step budget, and the step cell lives in that run's
+    frame.  The compilation cache shares one artifact across every run
+    that hits it, from any thread, and across metrics-on and metrics-off
+    runs, on this basis.
 
-    ``source`` is the plain variant.  Each variant (plain, guarded,
-    tallied, both) is exec'd on its first use, once.  ``table`` is the
+    ``source`` is the plain variant.  Each variant (plain, counted) is
+    exec'd on its first use, once.  ``table`` is the
     (program, stack) :class:`~repro.monitoring.sites.SiteTable` the
     generated ``_pre``/``_post`` site ids index; ``sites`` are the ids
     of the sites whose hooks the source calls.
@@ -698,7 +733,7 @@ class GeneratedProgram:
         sites: Sequence[int],
         monitors: Tuple[MonitorSpec, ...],
         locations: Sequence,
-        variant_factory: Callable[[bool, bool], Callable],
+        variant_factory: Callable[[bool], Callable],
     ) -> None:
         self.source = source
         self.table = table
@@ -706,20 +741,19 @@ class GeneratedProgram:
         self.monitors = monitors
         self._locations = tuple(locations)
         self._variant_factory = variant_factory
-        #: (guarded, tallied) -> entry.
-        self._variants: Dict[Tuple[bool, bool], Callable] = {}
+        #: counted -> entry.
+        self._variants: Dict[bool, Callable] = {}
         self._variant_lock = threading.Lock()
 
-    def _resolve_entry(self, guarded: bool, tallied: bool) -> Callable:
+    def _resolve_entry(self, counted: bool) -> Callable:
         """The entry of one code variant, exec'd on its first use."""
-        key = (guarded, tallied)
-        entry = self._variants.get(key)
+        entry = self._variants.get(counted)
         if entry is None:
             with self._variant_lock:
-                entry = self._variants.get(key)
+                entry = self._variants.get(counted)
                 if entry is None:
-                    entry = self._variant_factory(guarded, tallied)
-                    self._variants[key] = entry
+                    entry = self._variant_factory(counted)
+                    self._variants[counted] = entry
         return entry
 
     def run(
@@ -731,7 +765,7 @@ class GeneratedProgram:
         max_steps: Optional[int] = None,
         fault_log=None,
         deadline: Optional[float] = None,
-        tally: Optional[Callable[[int, int], None]] = None,
+        metrics: Optional[RunMetrics] = None,
         recursion_limit: int = 100_000,
     ):
         """Execute, returning ``(answer, MonitorStateVector)``.
@@ -739,10 +773,10 @@ class GeneratedProgram:
         ``initial_ms`` seeds the monitor state vector (as the other
         engines' ``run`` does); ``monitors`` replaces the specs for this
         run with same-keyed ones; ``fault_log`` isolates this run's hook
-        faults (see :class:`~repro.monitoring.sites.SiteBinding`); ``max_steps`` /
-        ``deadline`` bound the run at function-entry granularity through
-        the guarded code variant; ``tally`` takes the tallied variant's
-        per-region node counts.
+        faults (see :class:`~repro.monitoring.sites.SiteBinding`).  Any
+        of ``max_steps``, ``deadline`` (a ``perf_counter`` timestamp) and
+        ``metrics`` runs the counted variant, whose step count bounds
+        the run and is added to ``metrics``.
         """
         specs = self.monitors if monitors is None else tuple(monitors)
         # A hook's RecursionError is the host stack overflowing, not a
@@ -750,12 +784,9 @@ class GeneratedProgram:
         binding = SiteBinding(
             self.table, specs, fault_log, initial_ms=initial_ms, reraise=(RecursionError,)
         )
-        runtime = ResidualRuntime(binding, self._locations)
-        guarded = max_steps is not None or deadline is not None
-        entry = self._resolve_entry(guarded, tally is not None)
-        if guarded:
-            runtime.guard = _make_guard(max_steps, deadline)
-        runtime.tally = tally
+        runtime = ResidualRuntime(binding, self._locations, max_steps, deadline)
+        counted = max_steps is not None or deadline is not None or metrics is not None
+        entry = self._resolve_entry(counted)
         _acquire_recursion_limit(recursion_limit)
         try:
             value = entry(runtime)
@@ -763,6 +794,10 @@ class GeneratedProgram:
             raise HostRecursionError(recursion_limit) from None
         finally:
             _release_recursion_limit()
+            if metrics is not None and runtime.read is not None:
+                runtime.settle(runtime.read())
+                metrics.steps += runtime.steps
+                metrics.applications += runtime.applications
         return answers.phi(value), MonitorStateVector(binding.states)
 
     def evaluate(self, **kwargs):
@@ -778,16 +813,6 @@ class GeneratedProgram:
     @property
     def site_count(self) -> int:
         return len(self.sites)
-
-
-#: Shared primitive instances for residual runtimes.
-_PRIM_INSTANCES = {
-    name: PrimFun(name, arity, fn) for name, (arity, fn) in PRIMITIVE_TABLE.items()
-}
-
-#: What a residual hook's context sees below the site's locals: the
-#: initial environment, as the reference interpreter's contexts do.
-_INITIAL_ENV = Environment({**_PRIM_INSTANCES, "nil": NIL}, None)
 
 
 def _register_displays(entry: Callable, displays: Dict[str, str]) -> None:
@@ -809,10 +834,9 @@ def _register_displays(entry: Callable, displays: Dict[str, str]) -> None:
                 stack.append(const)
 
 
-def _exec_variant(generator: _Generator, guarded: bool, tallied: bool) -> Callable:
+def _exec_variant(generator: _Generator, counted: bool) -> Callable:
     """Exec one code variant of a generated module; return its entry."""
-    variants = ("guard",) * guarded + ("tally",) * tallied
-    source = generator.emitter.source(*variants)
+    source = generator.emitter.source(counted)
     namespace: Dict[str, object] = {}
     exec(compile(source, "<residual>", "exec"), namespace)  # noqa: S102
     entry = namespace["_program"]

@@ -10,7 +10,7 @@ one after another, with the guarantees a serving layer needs:
   fault or timeout in one request never contaminates another;
 * **per-request timeouts** — the request's config ``timeout`` (a
   record's ``"timeout"`` key, or the runner's) bounds each run's wall
-  clock, enforced cooperatively by the trampoline
+  clock, read once every step batch on either engine
   (:class:`repro.errors.EvaluationTimeout`);
 * **failure capture** — :meth:`BatchRunner.run` never raises for a
   request's failure; errors come back as ``ok=False`` results carrying

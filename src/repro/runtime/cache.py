@@ -25,7 +25,7 @@ it cannot prove inert — always sound, sometimes a missed hit), and what
 Resource limits, telemetry and the fault policy are per-run choices that
 leave generated code alone.  Cached programs are **thread-reusable**:
 per-run mutable state (the run's possibly instrumented specs, monitor
-states, the fault log, the resource guard, the step tally) lives on the
+states, the fault log, the step budget) lives on the
 runtime object each ``GeneratedProgram.run`` builds, never in the code.
 The program memo counts hits, misses and evictions
 (:meth:`CompilationCache.stats`) and, given an ``event_sink``, emits

@@ -10,10 +10,9 @@ toolbox ``evaluate``, ``Session.evaluate``, ``debug``, ``record``, a
 Every entry point admits its config through :meth:`RunConfig.checked`
 (``None`` means the defaults).
 
-``timeout`` is a per-run wall-clock budget in seconds, enforced
-cooperatively by the trampoline (see
-:func:`repro.semantics.trampoline.trampoline`) and used by the batch
-runtime for per-request timeouts.
+``timeout`` is a per-run wall-clock budget in seconds, read once every
+:data:`repro.semantics.trampoline.STEP_BATCH` steps on both engines and
+used by the batch runtime for per-request timeouts.
 """
 
 from __future__ import annotations

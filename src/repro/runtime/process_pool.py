@@ -51,7 +51,7 @@ Operational guarantees:
   inherited, so a killed parent (``SIGKILL``, OOM) is end of file to
   every worker, which then exits;
 * **per-request cooperative timeouts** — exactly the batch runner's,
-  enforced by the trampoline deadline inside the worker;
+  enforced by the run's deadline inside the worker;
 * **per-worker telemetry** — with ``trace_dir`` set, each worker streams
   worker-tagged ``serve-request`` and cache events to its own
   ``worker-N.jsonl`` (one single-writer :class:`~repro.observability.

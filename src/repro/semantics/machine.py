@@ -74,7 +74,7 @@ class Language(Protocol):
         """The initial semantic context ``A*`` (e.g. the primitive env)."""
         ...
 
-    def run_program(self, program, eval_fn, answers, ms, max_steps=None):
+    def run_program(self, program, eval_fn, answers, ms, deadline=None):
         """Drive ``eval_fn`` over ``program`` and return ``(answer, ms)``."""
         ...
 
@@ -86,7 +86,6 @@ def run_machine(
     functional: Optional[Functional] = None,
     answers: AnswerAlgebra = STANDARD_ANSWERS,
     initial_ms=None,
-    max_steps: Optional[int] = None,
 ) -> Tuple[object, object]:
     """Evaluate ``program`` under ``language``, returning ``(answer, ms)``.
 
@@ -99,9 +98,7 @@ def run_machine(
     if functional is None:
         functional = language.functional()
     eval_fn = fix(functional)
-    return language.run_program(
-        program, eval_fn, answers=answers, ms=initial_ms, max_steps=max_steps
-    )
+    return language.run_program(program, eval_fn, answers=answers, ms=initial_ms)
 
 
 def final_kont(answers: AnswerAlgebra):

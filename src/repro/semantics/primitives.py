@@ -282,8 +282,13 @@ def make_primitive(name: str) -> PrimFun:
     return PrimFun(name, arity, fn)
 
 
+_INITIAL_ENVIRONMENT = Environment(
+    {**{name: make_primitive(name) for name in PRIMITIVE_TABLE}, "nil": NIL},
+    empty_environment(),
+)
+
+
 def initial_environment() -> Environment:
-    """The initial environment binding every primitive plus ``nil``."""
-    frame: Dict[str, object] = {name: make_primitive(name) for name in PRIMITIVE_TABLE}
-    frame["nil"] = NIL
-    return Environment(frame, empty_environment())
+    """The initial environment binding every primitive plus ``nil``, built
+    once: ``PrimFun`` values are immutable and environments grow by new frames."""
+    return _INITIAL_ENVIRONMENT

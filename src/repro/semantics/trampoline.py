@@ -11,10 +11,11 @@ hundreds of thousands of levels deep without touching
 A pending call is a :class:`Bounce` — ``fn(*args)`` — and a finished
 computation is a :class:`Done`.
 
-:func:`trampoline` drives them in a single loop.  The step limit is
-checked in batches of :data:`STEP_BATCH`: the inner loop runs an exact
-per-chunk budget, so limit semantics stay precise while the unlimited case
-pays only one extra integer compare per step.
+:func:`trampoline` drives them in a single loop, reading a run's
+deadline once per :data:`STEP_BATCH` bounces.  Step budgets are not its
+business: ``max_steps`` counts expression-node evaluations, the unit of
+``RunMetrics.steps``, in the counting wrapper of
+:func:`repro.observability.instrument.instrument_functional`.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Optional, Tuple
 
-from repro.errors import EvaluationTimeout, StepLimitExceeded
+from repro.errors import EvaluationTimeout
 
-#: How many bounces the driver executes between step-limit checks.  The
-#: inner loop's chunk is clamped to the remaining budget, so limits are
-#: still enforced exactly.
+#: How many bounces the trampoline executes between deadline checks (and the
+#: codegen engine's step count between its own).
 STEP_BATCH = 4096
 
 
@@ -62,17 +62,8 @@ class Done(Step):
         return f"Done({self.payload!r})"
 
 
-def trampoline(
-    step: Step,
-    max_steps: Optional[int] = None,
-    deadline: Optional[float] = None,
-):
+def trampoline(step: Step, deadline: Optional[float] = None):
     """Run ``step`` to completion and return the :class:`Done` payload.
-
-    ``max_steps`` bounds the number of bounces, allowing the test suite to
-    execute possibly-divergent programs; exceeding it raises
-    :class:`repro.errors.StepLimitExceeded` carrying both the limit and the
-    number of steps actually consumed.
 
     ``deadline`` is a ``time.perf_counter()`` timestamp; passing one
     enforces a cooperative wall-clock budget (the batch runtime's
@@ -81,19 +72,11 @@ def trampoline(
     fast path is untouched — and overrunning raises
     :class:`repro.errors.EvaluationTimeout`.
     """
-    consumed = 0
     while True:
-        if max_steps is None:
-            budget = STEP_BATCH
-        else:
-            budget = max_steps - consumed
-            if budget > STEP_BATCH:
-                budget = STEP_BATCH
         n = 0
-        while n < budget and step.__class__ is Bounce:
+        while n < STEP_BATCH and step.__class__ is Bounce:
             step = step.fn(*step.args)
             n += 1
-        consumed += n
         cls = step.__class__
         if cls is Done:
             return step.payload
@@ -101,7 +84,5 @@ def trampoline(
             raise TypeError(
                 f"machine step returned {type(step).__name__}; expected Bounce or Done"
             )
-        if max_steps is not None and consumed >= max_steps:
-            raise StepLimitExceeded(max_steps, consumed=consumed)
         if deadline is not None and perf_counter() >= deadline:
             raise EvaluationTimeout()

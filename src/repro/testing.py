@@ -13,6 +13,7 @@ those checks behind a small API so a user's test can be one line:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
@@ -40,7 +41,7 @@ def assert_implementation_parity(
     monitors: MonitorLike = (),
     *,
     language=strict,
-    max_steps: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> None:
     """Check that every engine agrees with the reference on ``program``.
 
@@ -48,21 +49,20 @@ def assert_implementation_parity(
     ``language`` (per :data:`repro.languages.base.ENGINE_LANGUAGES`) must
     give the same answer and the same final report for every monitor;
     for a language only the reference runs, this is a monitored-run
-    smoke check.
+    smoke check.  Every run takes its options from ``config`` but for
+    its ``engine``.
     """
     program = _as_program(program)
     monitor_list = flatten_monitors(monitors)
+    base = RunConfig.checked(config)
     expected = run_monitored(
-        language, program, monitor_list, config=RunConfig(max_steps=max_steps)
+        language, program, monitor_list, config=replace(base, engine="reference")
     )
     for engine in ENGINES:
         if engine == "reference" or not engine_supports(engine, language.name):
             continue
         actual = run_monitored(
-            language,
-            program,
-            monitor_list,
-            config=RunConfig(engine=engine, max_steps=max_steps),
+            language, program, monitor_list, config=replace(base, engine=engine)
         )
         if actual.answer != expected.answer:
             raise ParityError(
@@ -87,20 +87,20 @@ def assert_monitor_well_behaved(
     program,
     *,
     language=strict,
-    max_steps: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> None:
     """The full battery for one monitor over one annotated program:
 
     1. the specification lints clean (:mod:`repro.monitoring.validate`);
     2. monitoring does not change the program's answer (Theorem 7.7);
     3. every execution path agrees on the final monitor state.
+
+    ``config`` carries the run options (``None`` means the defaults).
     """
     program = _as_program(program)
     assert_valid_monitor(monitor)
-    assert_sound(language, program, monitor, max_steps=max_steps)
-    assert_implementation_parity(
-        program, monitor, language=language, max_steps=max_steps
-    )
+    assert_sound(language, program, monitor, config=config)
+    assert_implementation_parity(program, monitor, language=language, config=config)
 
 
 def run_and_report(program, tools: Sequence, *, language=strict):

@@ -8,6 +8,7 @@ concurrent batch, resource guards, and the ``repro compile`` subcommand.
 """
 
 import threading
+from time import perf_counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.languages.base import (
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitors import LabelCounterMonitor, ProfilerMonitor
+from repro.observability import RunMetrics
 from repro.partial_eval.codegen import generate_program
 from repro.runtime import BatchRunner, CompilationCache, RunConfig, RunRequest
 from repro.runtime.cache import cache_key
@@ -228,7 +230,7 @@ class TestResourceGuards:
             )
 
     def test_guarded_variant_reuses_the_artifact(self):
-        # One GeneratedProgram serves both guarded and unguarded runs.
+        # One GeneratedProgram serves both plain and budgeted runs.
         generated = generate_program(parse(LOOP.format(n=50)))
         answer, _ = generated.run()
         assert answer == 0
@@ -236,35 +238,36 @@ class TestResourceGuards:
         assert answer == 0
         with pytest.raises(StepLimitExceeded):
             generated.run(max_steps=10)
-        answer, _ = generated.run()  # unguarded path still intact
+        answer, _ = generated.run()  # the plain path still intact
         assert answer == 0
 
     def test_each_variant_is_built_once(self, monkeypatch):
-        # Plain, guarded, tallied and guarded+tallied runs from many
-        # threads share one artifact; each variant is exec'd on first use.
+        # Plain runs and counted runs (a step budget, a deadline, metrics)
+        # from many threads share one artifact; each of its two variants
+        # is exec'd on first use.
         from repro.partial_eval import codegen
 
         built = []
         real = codegen._exec_variant
 
-        def counting(generator, guarded, tallied):
-            built.append((guarded, tallied))
-            return real(generator, guarded, tallied)
+        def counting(generator, counted):
+            built.append(counted)
+            return real(generator, counted)
 
         monkeypatch.setattr(codegen, "_exec_variant", counting)
         generated = generate_program(parse(LOOP.format(n=50)))
-        tallies = []
-
-        def tally(steps, applications):
-            tallies.append(steps)
-
-        options = [{}, {"max_steps": 1_000}, {"tally": tally}]
-        options.append({"max_steps": 1_000, "tally": tally})
+        options = [
+            lambda: {},
+            lambda: {"max_steps": 1_000},
+            lambda: {"deadline": perf_counter() + 60},
+            lambda: {"metrics": RunMetrics()},
+        ]
         barrier = threading.Barrier(8)
+        answers = []
 
-        def worker(kwargs):
+        def worker(make_options):
             barrier.wait()
-            assert generated.run(**kwargs)[0] == 0
+            answers.append(generated.run(**make_options())[0])
 
         threads = [
             threading.Thread(target=worker, args=(options[i % 4],)) for i in range(8)
@@ -273,10 +276,12 @@ class TestResourceGuards:
             thread.start()
         for thread in threads:
             thread.join()
-        assert sorted(built) == [(a, b) for a in (False, True) for b in (False, True)]
-        assert tallies
+        assert answers == [0] * 8
+        assert sorted(built) == [False, True]
+        metrics = RunMetrics()
         with pytest.raises(StepLimitExceeded):
-            generated.run(max_steps=10, tally=tally)
+            generated.run(max_steps=10, metrics=metrics)
+        assert metrics.steps > 10
 
     def test_host_stack_exhaustion_is_a_clean_eval_error(self):
         # The codegen engine runs on the native Python stack (no

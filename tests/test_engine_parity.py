@@ -190,14 +190,18 @@ class TestResourceParity:
         assert strict.evaluate(program, config=RunConfig(engine="codegen")) == 0
 
     def test_step_limit_enforced_on_codegen_engine(self):
-        # The codegen engine guards at function-entry granularity (one
-        # charge per residual call), so a small budget still trips on
-        # unbounded recursion — it just counts coarser units.
+        # Both engines count expression-node evaluations, so one budget
+        # trips both on deep recursion.  The reference engine stops on the
+        # first node past it; codegen on the region that crosses it.
         program = parse(LOOP.format(n=100_000))
-        with pytest.raises(StepLimitExceeded) as exc:
-            strict.evaluate(program, config=RunConfig(engine="codegen", max_steps=500))
-        assert exc.value.limit == 500
-        assert exc.value.consumed >= 500
+        consumed = {}
+        for engine in ENGINES:
+            with pytest.raises(StepLimitExceeded) as exc:
+                strict.evaluate(program, config=RunConfig(engine=engine, max_steps=500))
+            assert exc.value.limit == 500
+            consumed[engine] = exc.value.consumed
+        assert consumed["reference"] == 501
+        assert consumed["codegen"] > 500
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_generous_step_limit_does_not_trip(self, engine):
@@ -350,6 +354,24 @@ def test_hook_context_names_agree(source):
         ).reports()
     assert seen["codegen"] == seen["reference"]
     assert vars_lines["codegen"] == vars_lines["reference"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_pre_and_post_share_one_context(engine):
+    """One activation passes the same ``ctx`` object to ``pre`` and to
+    ``post``, as the reference derivation does."""
+    from repro.syntax.annotations import Label
+
+    spec = FunctionSpec(
+        key="ctx",
+        recognize=lambda a: a if isinstance(a, Label) else None,
+        initial=tuple,
+        pre=lambda ann, term, ctx, state: state + (ctx,),
+        post=lambda ann, term, ctx, result, state: state + (ctx is state[-1],),
+    )
+    program = parse("letrec f = lambda n. {f}: (n + 1) in f 1")
+    states = run_monitored(strict, program, spec, config=RunConfig(engine=engine))
+    assert states.state_of("ctx")[-1] is True
 
 
 # -- fault isolation: parity extends to injected monitor failures ----------------

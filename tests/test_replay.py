@@ -26,6 +26,7 @@ from repro.languages.imperative import imperative
 from repro.languages.strict import strict
 from repro.monitoring.derive import run_monitored
 from repro.monitoring.faults import FlakyMonitor
+from repro.monitoring.soundness import check_soundness
 from repro.monitors import HistoryMonitor, LabelCounterMonitor, ProfilerMonitor
 from repro.monitors.interactive import DebugResult, debug
 from repro.observability import RunMetrics
@@ -757,6 +758,7 @@ LOOSE_KEYWORD_CALLS = {
     "record": lambda: record(strict, parse(FAC), "unused.jsonl", sample_rate=0.5),
     "strict.evaluate": lambda: strict.evaluate(parse(FAC), engine="codegen"),
     "RunRequest": lambda: RunRequest(program=FAC, timeout=1.0),
+    "check_soundness": lambda: check_soundness(strict, parse(FAC), [], max_steps=10),
 }
 
 

@@ -98,14 +98,18 @@ class TestLazySoundness:
 def test_soundness_on_random_programs(program):
     """Theorem 7.7 over hypothesis-generated annotated programs."""
     stack = [LabelCounterMonitor(), TracerMonitor()]
-    report = check_soundness(strict, program, stack, max_steps=2_000_000)
+    report = check_soundness(
+        strict, program, stack, config=RunConfig(max_steps=2_000_000)
+    )
     assert report.agreed
 
 
 @settings(max_examples=60, deadline=None)
 @given(closed_program())
 def test_soundness_under_lazy_semantics(program):
-    report = check_soundness(lazy, program, [LabelCounterMonitor()], max_steps=2_000_000)
+    report = check_soundness(
+        lazy, program, [LabelCounterMonitor()], config=RunConfig(max_steps=2_000_000)
+    )
     assert report.agreed
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StepLimitExceeded
+from repro.errors import EvaluationTimeout, StepLimitExceeded
 from repro.semantics.trampoline import STEP_BATCH, Bounce, Done, trampoline
 
 
@@ -22,14 +22,6 @@ class TestTrampoline:
     def test_very_deep_chain_constant_stack(self):
         assert trampoline(countdown(1_000_000)) == "done"
 
-    def test_step_limit_exceeded(self):
-        with pytest.raises(StepLimitExceeded) as exc:
-            trampoline(countdown(100), max_steps=50)
-        assert exc.value.limit == 50
-
-    def test_step_limit_sufficient(self):
-        assert trampoline(countdown(100), max_steps=100) == "done"
-
     def test_non_step_rejected(self):
         with pytest.raises(TypeError):
             trampoline("not a step")
@@ -46,31 +38,20 @@ class TestTrampoline:
         assert "Done" in repr(Done(1))
 
 
+class TestBatchedDeadline:
+    """The deadline is read once per batch of bounces, never in between."""
+
+    def test_batch_finishes_before_the_clock_is_read(self):
+        assert trampoline(countdown(STEP_BATCH), deadline=0.0) == "done"
+
+    def test_past_deadline_stops_at_the_batch_boundary(self):
+        with pytest.raises(EvaluationTimeout):
+            trampoline(countdown(STEP_BATCH + 1), deadline=0.0)
+
+
 class TestBatchedStepLimit:
-    """Limits are exact even though the driver checks them in batches."""
-
-    def test_limit_exactly_at_batch_boundary(self):
-        assert trampoline(countdown(STEP_BATCH), max_steps=STEP_BATCH + 1) == "done"
-
-    def test_limit_one_below_needed_at_boundary(self):
-        with pytest.raises(StepLimitExceeded) as exc:
-            trampoline(countdown(STEP_BATCH + 1), max_steps=STEP_BATCH)
-        assert exc.value.limit == STEP_BATCH
-        assert exc.value.consumed == STEP_BATCH
-
-    def test_limit_spanning_multiple_batches(self):
-        n = 3 * STEP_BATCH + 17
-        assert trampoline(countdown(n), max_steps=n + 1) == "done"
-        with pytest.raises(StepLimitExceeded) as exc:
-            trampoline(countdown(n + 100), max_steps=n)
-        assert exc.value.consumed == n
-
-    def test_consumed_reported_on_small_limit(self):
-        with pytest.raises(StepLimitExceeded) as exc:
-            trampoline(countdown(100), max_steps=7)
-        assert exc.value.limit == 7
-        assert exc.value.consumed == 7
-        assert "7" in str(exc.value)
+    """The error a step budget raises.  The budget counts expression-node
+    evaluations outside the trampoline (``tests/test_step_tally.py``)."""
 
     def test_consumed_defaults_to_limit(self):
         exc = StepLimitExceeded(50)
